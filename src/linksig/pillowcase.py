@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .chebyshev import eval_T
 from .errors import (
@@ -32,6 +31,9 @@ from .errors import (
 from .su2 import I as QI
 from .su2 import UnitQuaternion, act
 from .torus_rep import AnglePair, check_ell, is_defined, solve_phi, torus_braid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TAU_TRANS = 1e-6
 FD_STEP = 1e-5
@@ -97,6 +99,8 @@ def plane(alpha: AnglePair, phi: float) -> PlaneData:
 
 def q1_param(alpha: AnglePair, phi: float, theta: float) -> np.ndarray:
     """Point at angle theta from P1 on the circle where the plane cuts the sphere."""
+    import numpy as np
+
     pl = plane(alpha, phi)
     n = np.array(pl.normal)
     d = pl.offset
@@ -204,6 +208,8 @@ def leading_coeff_check(ell: int, alpha: AnglePair) -> tuple[int, float]:
     and leading coefficient.  Expected: degree 2*ell with leading coefficient
     2^(2*ell-1) sin^(2*ell)(a1) sin^(2*ell)(a2).
     """
+    import numpy as np
+
     check_ell(ell)
     if ell < 0:
         raise PositiveOnlyError("leading-coefficient statement is for ell > 0")
@@ -249,9 +255,9 @@ def transversal_slope(ell: int, alpha: AnglePair, m: int, phi: float) -> float:
 def intersections(ell: int, alpha: AnglePair) -> list[SignedIntersection]:
     """Signed crossings of the graph curve through theta = 0.
 
-    Every crossing carries sign(ell).  At the reference point
-    alpha = (pi/2, pi/2) with |ell| = 2 the sign is recomputed by the
-    numeric tangent-frame method and asserted equal.
+    Every crossing carries sign(ell); frame_intersection_sign recomputes
+    it at the reference point alpha = (pi/2, pi/2), |ell| = 2, by the
+    numeric tangent-frame method.
     """
     check_ell(ell)
     if not is_defined(ell, alpha):
@@ -266,10 +272,6 @@ def intersections(ell: int, alpha: AnglePair) -> list[SignedIntersection]:
                 f"|dtheta/dphi| = {slope:.3e} at m={m}: alpha too near the root locus"
             )
         out.append(SignedIntersection(PillowPoint(phi, 0.0), m, sign))
-    a1, a2 = alpha.radians
-    half_pi = math.pi / 2.0
-    if abs(ell) == 2 and abs(a1 - half_pi) < 1e-12 and abs(a2 - half_pi) < 1e-12:
-        assert frame_intersection_sign(ell) == sign
     return out
 
 
@@ -287,7 +289,9 @@ def intersections(ell: int, alpha: AnglePair) -> list[SignedIntersection]:
 # ---------------------------------------------------------------------------
 
 
-def _qmul_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _qmul_raw(x, y) -> np.ndarray:
+    import numpy as np
+
     a1, b1, c1, d1 = x
     a2, b2, c2, d2 = y
     return np.array(
@@ -300,13 +304,15 @@ def _qmul_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-_RI = np.array([0.0, 1.0, 0.0, 0.0])
-_RJ = np.array([0.0, 0.0, 1.0, 0.0])
-_RK = np.array([0.0, 0.0, 0.0, 1.0])
-_R0 = np.zeros(4)
+_RI = (0.0, 1.0, 0.0, 0.0)
+_RJ = (0.0, 0.0, 1.0, 0.0)
+_RK = (0.0, 0.0, 0.0, 1.0)
+_R0 = (0.0, 0.0, 0.0, 0.0)
 
 
 def _flat(quads) -> np.ndarray:
+    import numpy as np
+
     return np.concatenate([np.asarray(q, dtype=float) for q in quads])
 
 
@@ -317,6 +323,8 @@ def _fd_tangent(path, t0: float, step: float = FD_STEP) -> np.ndarray:
 
 
 def _quat_raw(q: UnitQuaternion) -> np.ndarray:
+    import numpy as np
+
     return np.array([q.a, q.b, q.c, q.d])
 
 
@@ -359,16 +367,18 @@ def _reference_frame() -> dict[str, np.ndarray]:
 def orientation_basis_determinant() -> float:
     """Determinant of the frame {w1,w2,w3,u1,u2,v1,v2,v3} against the standard
     tangent basis at (j, i, j, i); the reference value is -8."""
+    import numpy as np
+
     fr = _reference_frame()
     std = [
         _flat([_RI, _R0, _R0, _R0]),
         _flat([_RK, _R0, _R0, _R0]),
         _flat([_R0, _RJ, _R0, _R0]),
-        _flat([_R0, -_RK, _R0, _R0]),
+        _flat([_R0, (0.0, 0.0, 0.0, -1.0), _R0, _R0]),
         _flat([_R0, _R0, _RI, _R0]),
         _flat([_R0, _R0, _RK, _R0]),
         _flat([_R0, _R0, _R0, _RJ]),
-        _flat([_R0, _R0, _R0, -_RK]),
+        _flat([_R0, _R0, _R0, (0.0, 0.0, 0.0, -1.0)]),
     ]
     basis = [fr[name] for name in ("w1", "w2", "w3", "u1", "u2", "v1", "v2", "v3")]
     matrix = np.array([[e @ b for b in basis] for e in std])
@@ -384,6 +394,8 @@ def frame_intersection_sign(ell: int) -> int:
     coordinates in the positive basis {u2, u1} give the sign as a 2x2
     determinant.
     """
+    import numpy as np
+
     check_ell(ell)
     if abs(ell) != 2:
         raise ValueError("the reference-frame computation is anchored at |ell| = 2")

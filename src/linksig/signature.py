@@ -25,9 +25,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .chebyshev import eval_U
 from .errors import (
@@ -37,6 +35,9 @@ from .errors import (
     OmegaOneError,
 )
 from .torus_rep import AnglePair, check_ell, is_defined
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EIG_ZERO_SCALE = 1e-9
 
@@ -60,6 +61,8 @@ class SeifertSystem:
 
 def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
     """Validate and freeze a Seifert system; raises BadSystemError on violation."""
+    import numpy as np
+
     if not isinstance(mu, int) or mu < 1:
         raise BadSystemError("mu must be a positive integer")
     keys = _eps_keys(mu)
@@ -131,6 +134,8 @@ def seifert_from_json(data) -> SeifertSystem:
 
 def build_H(s: SeifertSystem, omegas: list[complex]) -> np.ndarray:
     """The Hermitian matrix H(omega) of the system at unit omega, all != 1."""
+    import numpy as np
+
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -169,6 +174,8 @@ class Inertia:
 
 def inertia(h: np.ndarray) -> Inertia:
     """Eigenvalue counts of a Hermitian matrix; zero threshold scales with size."""
+    import numpy as np
+
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
     if n == 0:
@@ -190,6 +197,8 @@ def torus_seifert(ell: int) -> SeifertSystem:
     matrices zero.  The mirror (ell < 0) flips every sign, which reproduces
     the determinant recurrence shifted by pi.
     """
+    import numpy as np
+
     check_ell(ell)
     rank = abs(ell) - 1
     app = -np.eye(rank, dtype=np.int64) + np.eye(rank, k=1, dtype=np.int64)
@@ -270,6 +279,12 @@ def sigma_torus_closed(ell: int, alpha: AnglePair) -> int:
     check_ell(ell)
     if not is_defined(ell, alpha):
         raise NotDefinedError("alpha on Alexander root locus")
+    return _sigma_strip(ell, alpha)
+
+
+def _sigma_strip(ell: int, alpha: AnglePair) -> int:
+    """sigma_torus_closed without its root-locus check: the caller has
+    already found is_defined(ell, alpha) true."""
     big_l = abs(ell)
     sign_ell = 1 if ell > 0 else -1
     if big_l == 1:

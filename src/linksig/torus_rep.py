@@ -252,13 +252,28 @@ def solve_phi(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
 
 
 def rep_count(ell: int, alpha: AnglePair) -> int:
-    """Number of conjugacy classes of irreducible SU(2) representations."""
-    return len(solve_phi(ell, alpha))
+    """Number of conjugacy classes of irreducible SU(2) representations.
+
+    Equal to len(solve_phi(ell, alpha)), counted without building the phis.
+    """
+    check_ell(ell)
+    if not is_defined(ell, alpha):
+        raise NotDefinedError("alpha on Alexander root locus")
+    return len(_solution_range(ell, alpha))
 
 
 def h_invariant(ell: int, alpha: AnglePair) -> int:
     """Signed representation count: sign(ell) times rep_count."""
-    count = rep_count(ell, alpha)
+    check_ell(ell)
+    if not is_defined(ell, alpha):
+        raise NotDefinedError("alpha on Alexander root locus")
+    return _h_count(ell, alpha)
+
+
+def _h_count(ell: int, alpha: AnglePair) -> int:
+    """h_invariant without its root-locus check: the caller has already
+    found is_defined(ell, alpha) true."""
+    count = len(_solution_range(ell, alpha))
     return count if ell > 0 else -count
 
 

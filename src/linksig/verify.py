@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .signature import sigma_torus_closed
+from .signature import _sigma_strip
 from .torus_rep import (
     AnglePair,
     RationalAngle,
+    _h_count,
     check_ell,
     conway_potential_torus,
-    h_invariant,
     is_defined,
 )
 
@@ -70,9 +70,11 @@ def sweep_main_identity(
         if not is_defined(ell, alpha):
             report.skipped_on_roots += 1
             continue
-        h = h_invariant(ell, alpha)
-        s1 = sigma_torus_closed(ell, alpha)
-        s2 = sigma_torus_closed(ell, alpha.flip_alpha2())
+        # the root locus is symmetric under alpha2 -> pi - alpha2, so the
+        # check above covers the flipped pair too
+        h = _h_count(ell, alpha)
+        s1 = _sigma_strip(ell, alpha)
+        s2 = _sigma_strip(ell, alpha.flip_alpha2())
         ok = 2 * h == -(s1 + s2)
         report.checked += 1
         if not ok:
@@ -109,7 +111,7 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
             grid.values.append(row)
             last_p = p
         if is_defined(ell, alpha):
-            row.append(h_invariant(ell, alpha))
+            row.append(_h_count(ell, alpha))
         else:
             row.append(SENTINEL)
     return grid
@@ -159,7 +161,7 @@ def check_mod4_congruence(ell: int, resolution: int) -> Mod4Report:
             report.skipped_on_roots += 1
             continue
         verdict = _mod4_point_holds(
-            sigma_torus_closed(ell, alpha), ell, conway_potential_torus(ell, alpha)
+            _sigma_strip(ell, alpha), ell, conway_potential_torus(ell, alpha)
         )
         if verdict is None:
             report.skipped_zero_potential += 1

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,27 @@ EXIT_DATA = 65
 def run(*args):
     return subprocess.run(
         [sys.executable, "-m", "linksig", *args], capture_output=True, text=True
+    )
+
+
+# Runs linksig.cli.main in a fresh interpreter, then reports on stderr
+# whether numpy was imported along the way.
+NUMPY_PROBE = """
+import sys
+import linksig.cli
+code = linksig.cli.main(sys.argv[1:])
+print(f"numpy_loaded={'numpy' in sys.modules}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_probed(*args):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *args],
+        capture_output=True,
+        text=True,
+        env=env,
     )
 
 
@@ -188,3 +210,24 @@ def test_outputs_are_byte_deterministic():
         second = run(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_only_sigma_imports_numpy(tmp_path):
+    for args in (
+        ("h", "--ell", "3", "--alpha", "1/2", "1/2"),
+        ("verify", "--ell", "3", "--res", "8"),
+        ("regions", "--ell", "3", "--res", "8", "--format", "svg"),
+        ("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16"),
+    ):
+        r = run_probed(*args)
+        assert r.returncode == EXIT_OK
+        assert r.stderr.splitlines()[-1] == "numpy_loaded=False", args
+        assert r.stdout == run(*args).stdout
+
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(seifert_to_json(torus_seifert(2))))
+    args = ("sigma", "--system", str(path), "--alpha", "1/2", "1/2")
+    r = run_probed(*args)
+    assert r.returncode == EXIT_OK
+    assert r.stderr.splitlines()[-1] == "numpy_loaded=True"
+    assert r.stdout == run(*args).stdout == "signature=-1 nullity=0\n"

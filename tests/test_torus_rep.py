@@ -169,6 +169,38 @@ def test_rep_count_examples():
     assert rep_count(-4, P22) == 3
 
 
+def test_rep_count_equals_number_of_phis():
+    rng = np.random.default_rng(15)
+    grid = [
+        angle_pair(Fraction(p, 14), Fraction(q, 14))
+        for p in range(1, 14)
+        for q in range(1, 14)
+    ]
+    for ell in (1, -1, 2, -2, 7, -7, 200, -200):
+        big_l = abs(ell)
+        floats = [
+            AnglePair.from_radians(*rng.uniform(1e-3, math.pi - 1e-3, size=2))
+            for _ in range(20)
+        ]
+        on_root_line = [
+            angle_pair(Fraction(1, 2 * big_l), Fraction(1, 2 * big_l)),
+            AnglePair.from_radians(math.pi / (2 * big_l), math.pi / (2 * big_l)),
+        ]
+        if big_l > 1:
+            assert not any(is_defined(ell, alpha) for alpha in on_root_line)
+        for alpha in grid + floats + (on_root_line if big_l > 1 else []):
+            if is_defined(ell, alpha):
+                assert rep_count(ell, alpha) == len(solve_phi(ell, alpha))
+                continue
+            with pytest.raises(NotDefinedError):
+                rep_count(ell, alpha)
+            with pytest.raises(NotDefinedError):
+                solve_phi(ell, alpha)
+    alpha = angle_pair("1/3", "2/7")
+    for ell in (10**5, -(10**5)):
+        assert rep_count(ell, alpha) == len(solve_phi(ell, alpha)) == 57143
+
+
 def test_rep_count_constant_on_components():
     # both points inside the central region of ell=3
     assert rep_count(3, P22) == rep_count(3, angle_pair("5/12", "7/12"))
