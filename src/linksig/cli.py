@@ -19,18 +19,16 @@ import json
 import math
 import re
 import sys
-import warnings
 from fractions import Fraction
 
 from . import pillowcase, signature, verify
 from .errors import (
     BadSystemError,
     NotDefinedError,
-    NullityWarning,
     ZeroLinkingError,
 )
-from .signature import sigma_torus_closed
-from .torus_rep import AnglePair, RationalAngle, h_invariant, is_defined
+from .signature import _sigma_strip
+from .torus_rep import AnglePair, RationalAngle, _h_count, is_defined
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -89,9 +87,13 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def _cmd_h(parser: _Parser, args) -> int:
     alpha = _angle_pair(parser, args.alpha, args.radians)
-    h = h_invariant(args.ell, alpha)
-    s1 = sigma_torus_closed(args.ell, alpha)
-    s2 = sigma_torus_closed(args.ell, alpha.flip_alpha2())
+    # one check covers the flipped pair: the root locus is symmetric
+    # under alpha2 -> pi - alpha2
+    if not is_defined(args.ell, alpha):
+        raise NotDefinedError(UNDEFINED_MESSAGE)
+    h = _h_count(args.ell, alpha)
+    s1 = _sigma_strip(args.ell, alpha)
+    s2 = _sigma_strip(args.ell, alpha.flip_alpha2())
     print(f"h={h} sigma=({s1},{s2})")
     return EXIT_OK
 
@@ -207,9 +209,7 @@ def _cmd_sigma(parser: _Parser, args) -> int:
         a = _parse_angle(parser, text, args.radians)
         rad = a.radians if isinstance(a, RationalAngle) else a
         omegas.append(cmath.exp(2j * rad))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NullityWarning)
-        ine = signature.inertia(signature.build_H(system, omegas))
+    ine = signature.inertia(signature.build_H(system, omegas))
     print(f"signature={ine.signature} nullity={ine.n_zero}")
     if ine.n_zero > 0:
         print(

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .su2 import I as QI
 from .su2 import UnitQuaternion, act
-from .torus_rep import AnglePair, check_ell, is_defined, solve_phi, torus_braid
+from .torus_rep import AnglePair, _phis, check_ell, is_defined, torus_braid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -262,7 +262,7 @@ def intersections(ell: int, alpha: AnglePair) -> list[SignedIntersection]:
     check_ell(ell)
     if not is_defined(ell, alpha):
         raise NotDefinedError("alpha on Alexander root locus")
-    sols = solve_phi(ell, alpha)
+    sols = _phis(ell, alpha)
     sign = 1 if ell > 0 else -1
     out = []
     for m, phi in sols:

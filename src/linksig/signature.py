@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,12 +96,16 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
         elif m.shape[0] != rank:
             raise BadSystemError(f"matrix {k} has rank {m.shape[0]}, expected {rank}")
         mats[k] = m
-    for k in keys:
+    # keys[:half] lead with "+" and their partners with "-"; keep one copy
+    # per pair and store the partner as its read-only transpose
+    for k in keys[: len(keys) // 2]:
         nk = _neg_key(k)
         if not np.array_equal(mats[nk], mats[k].T):
             raise BadSystemError(
                 f"transpose invariant violated for sign pair ({k}, {nk})"
             )
+        mats[k].flags.writeable = False
+        mats[nk] = mats[k].T
     return SeifertSystem(mu, rank, mats)
 
 
@@ -153,8 +158,9 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> np.ndarray:
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()
-    h = scale * acc
-    return h
+    # in place, scale first: numpy rounds acc * scale differently
+    np.multiply(scale, acc, out=acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -173,20 +179,96 @@ class Inertia:
 
 
 def inertia(h: np.ndarray) -> Inertia:
-    """Eigenvalue counts of a Hermitian matrix; zero threshold scales with size."""
+    """Eigenvalue counts of a Hermitian matrix; zero threshold scales with size.
+
+    With tau = EIG_ZERO_SCALE * max|h| * n the counts are strict:
+    n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  A tridiagonal h
+    (every torus system gives one) is counted by Sturm sequences in O(n),
+    after one vectorised pass that finds no entry off its band; any other
+    h by its eigenvalues.
+    """
     import numpy as np
 
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
     if n == 0:
         return Inertia(0, 0, 0)
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
+    bands = _tridiagonal_bands(h)
+    if bands is not None:
+        return _inertia_tridiagonal(*bands)
+    hmax = np.max(np.abs(h))
+    if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, hmax):
         raise ValueError("matrix is not Hermitian")
     eigs = np.linalg.eigvalsh(h)
-    tau = EIG_ZERO_SCALE * np.max(np.abs(h)) * n
+    tau = EIG_ZERO_SCALE * hmax * n
     n_pos = int(np.sum(eigs > tau))
     n_neg = int(np.sum(eigs < -tau))
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+def _tridiagonal_bands(h: np.ndarray):
+    """(sub, diag, super) of a square h that is zero off those three
+    diagonals, else None; compared by counts of nonzero real and imaginary
+    parts."""
+    import numpy as np
+
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        return None
+    bands = tuple(h.diagonal(k) for k in (-1, 0, 1))
+    on_band = sum(np.count_nonzero(b.real) + np.count_nonzero(b.imag) for b in bands)
+    parts = np.ascontiguousarray(h).view(np.float64)
+    return bands if np.count_nonzero(parts != 0) == on_band else None
+
+
+def _inertia_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Inertia:
+    """inertia() of a tridiagonal h from its three diagonals.
+
+    The Hermitian check on the band is the whole check, since every other
+    entry is zero.  Like eigvalsh, the count reads the lower triangle.  It
+    works on h / max|h|, so |e|^2 neither underflows nor overflows, and it
+    carries pivot ratios only: the leading minors themselves underflow
+    (rank 199 at small angles).
+    """
+    import numpy as np
+
+    n = diag.size
+    hmax = max(np.max(np.abs(b), initial=0.0) for b in (sub, diag, sup))
+    skew = max(
+        np.max(np.abs(diag - diag.conj())),
+        np.max(np.abs(sup - sub.conj()), initial=0.0),
+    )
+    if skew > 1e-12 * max(1.0, hmax):
+        raise ValueError("matrix is not Hermitian")
+    if hmax == 0.0:
+        return Inertia(0, 0, n)
+    t = EIG_ZERO_SCALE * n  # tau / max|h|
+    a = diag.real / hmax
+    off2 = [0.0] + (np.abs(sub / hmax) ** 2).tolist()
+    n_neg = _negative_pivots((a + t).tolist(), off2)  # T + t: #(lambda < -tau)
+    n_pos = _negative_pivots((t - a).tolist(), off2)  # t - T: #(lambda > tau)
+    return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+def _negative_pivots(diag: list[float], off2: list[float]) -> int:
+    """Number of negative eigenvalues of the Hermitian tridiagonal matrix
+    with real diagonal `diag` and squared off-diagonal moduli off2[1:].
+
+    It is the number of negative pivots d_i = diag_i - off2_i / d_{i-1} of
+    its LDL^H factorisation (Sylvester's law of inertia).  The pivots of
+    M - xI fall as x grows, so one that is exactly 0 at x = 0 is positive
+    for x just below 0.  Taking it as the least positive float therefore
+    counts eigenvalues strictly below 0, and the next pivot then falls to
+    about -off2 / 0.
+    """
+    count = 0
+    d = 1.0
+    for a, e2 in zip(diag, off2):
+        d = a - e2 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = sys.float_info.min
+    return count
 
 
 def torus_seifert(ell: int) -> SeifertSystem:

@@ -240,6 +240,12 @@ def solve_phi(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
     check_ell(ell)
     if not is_defined(ell, alpha):
         raise NotDefinedError("alpha on Alexander root locus")
+    return _phis(ell, alpha)
+
+
+def _phis(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
+    """solve_phi without its root-locus check: the caller has already
+    found is_defined(ell, alpha) true."""
     a1, a2 = alpha.radians
     c1c2 = math.cos(a1) * math.cos(a2)
     s1s2 = math.sin(a1) * math.sin(a2)

@@ -153,6 +153,17 @@ def test_sigma_subcommand(tmp_path):
     assert "root locus" in r.stderr
 
 
+def test_sigma_of_all_zero_system(tmp_path):
+    path = tmp_path / "zero.json"
+    zero = [[0] * 3 for _ in range(3)]
+    data = {"mu": 2, "rank": 3, "matrices": {k: zero for k in ("++", "+-", "-+", "--")}}
+    path.write_text(json.dumps(data))
+    r = run("sigma", "--system", str(path), "--alpha", "1/3", "2/7")
+    assert r.returncode == EXIT_OK
+    assert r.stdout == "signature=0 nullity=3\n"
+    assert r.stderr == "warning: nullity > 0, omega lies on or near the Alexander root locus\n"
+
+
 def test_sigma_data_errors(tmp_path):
     path = tmp_path / "bad.json"
     data = seifert_to_json(torus_seifert(2))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linksig.errors import (
     BadSystemError,
@@ -13,6 +15,7 @@ from linksig.errors import (
     ZeroLinkingError,
 )
 from linksig.signature import (
+    EIG_ZERO_SCALE,
     build_H,
     delta_closed,
     delta_recursive,
@@ -348,3 +351,212 @@ def test_seifert_json_validation():
     tampered["matrices"]["--"][0][1] = 5
     with pytest.raises(BadSystemError, match="transpose"):
         seifert_from_json(tampered)
+
+
+# ---------------------------------------------------------------------------
+# inertia() against a dense eigenvalue reference
+
+
+def eigvalsh_triple(h):
+    """(n_pos, n_neg, n_zero) of h from eigvalsh with inertia's threshold
+    tau, and whether an eigenvalue lies within 1e-6 tau of +-tau, where the
+    two methods may round to different sides."""
+    n = h.shape[0]
+    eigs = np.linalg.eigvalsh(h)
+    tau = EIG_ZERO_SCALE * np.max(np.abs(h)) * n
+    n_pos = int(np.sum(eigs > tau))
+    n_neg = int(np.sum(eigs < -tau))
+    edge = bool(np.any(np.abs(np.abs(eigs) - tau) <= 1e-6 * tau))
+    return (n_pos, n_neg, n - n_pos - n_neg), edge
+
+
+def triple(ine):
+    return (ine.n_pos, ine.n_neg, ine.n_zero)
+
+
+def assert_inertia_matches_eigvalsh(h):
+    want, edge = eigvalsh_triple(h)
+    assume(not edge)
+    assert triple(inertia(h)) == want
+
+
+def tridiagonal(diag, sub):
+    sub = np.asarray(sub, dtype=complex)
+    return np.diag(np.asarray(diag, dtype=complex)) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
+
+
+ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_tridiagonals(draw):
+    n = draw(st.integers(1, 300))
+    diag = draw(st.lists(ENTRY, min_size=n, max_size=n))
+    re = draw(st.lists(ENTRY, min_size=n - 1, max_size=n - 1))
+    im = draw(st.lists(ENTRY, min_size=n - 1, max_size=n - 1))
+    cut = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    sub = [0.0 if c else complex(x, y) for x, y, c in zip(re, im, cut)]
+    return tridiagonal(diag, sub)
+
+
+@settings(deadline=None)
+@given(hermitian_tridiagonals())
+def test_inertia_of_hermitian_tridiagonal_matches_eigvalsh(h):
+    assert_inertia_matches_eigvalsh(h)
+
+
+def nudged(x, ulps):
+    """x moved by |ulps| floats toward the sign of ulps."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@st.composite
+def root_line_points(draw):
+    """(big_l, m, sum_line): the root line alpha1 + alpha2 = m pi / big_l
+    (sum_line) or alpha1 - alpha2 + pi = m pi / big_l, m != big_l."""
+    big_l = draw(st.integers(2, 300))
+    m = draw(st.integers(1, 2 * big_l - 2))
+    return big_l, m + (m >= big_l), draw(st.booleans())
+
+
+def on_root_line(line, t, half_turn):
+    """(alpha1, alpha2) on the root line `line`, in units where pi is
+    `half_turn` (math.pi, or Fraction(1) for exact multiples of pi), with
+    alpha1 at the fraction t of the range that keeps both in (0, pi)."""
+    big_l, m, sum_line = line
+    x = half_turn * m / big_l
+    lo, hi = max(0 * half_turn, x - half_turn), min(half_turn, x)
+    a1 = lo + t * (hi - lo)
+    return a1, (x - a1 if sum_line else a1 + half_turn - x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    root_line_points(),
+    st.sampled_from([1, -1]),
+    st.floats(0.01, 0.99),
+    st.one_of(
+        st.integers(-8, 8).map(lambda k: ("ulps", k)),
+        st.floats(1e-15, 1e-6).flatmap(
+            lambda d: st.sampled_from([("off", d), ("off", -d)])
+        ),
+    ),
+)
+def test_inertia_of_torus_H_near_root_line_matches_eigvalsh(line, sign, t, step):
+    a1, a2 = on_root_line(line, t, math.pi)
+    kind, amount = step
+    a2 = nudged(a2, amount) if kind == "ulps" else a2 + amount
+    assume(0.0 < a2 < math.pi)
+    alpha = AnglePair.from_radians(a1, a2)
+    assert_inertia_matches_eigvalsh(build_H(torus_seifert(sign * line[0]), list(alpha.omega())))
+
+
+@settings(deadline=None, max_examples=60)
+@given(root_line_points(), st.sampled_from([1, -1]), st.integers(2, 1000), st.data())
+def test_inertia_of_torus_H_on_root_line_matches_eigvalsh(line, sign, den, data):
+    t = Fraction(data.draw(st.integers(1, den - 1)), den)
+    alpha = angle_pair(*on_root_line(line, t, Fraction(1)))
+    ell = sign * line[0]
+    assert not is_defined(ell, alpha)
+    assert_inertia_matches_eigvalsh(build_H(torus_seifert(ell), list(alpha.omega())))
+
+
+def test_inertia_of_zero_matrix_is_all_nullity():
+    for n in (1, 2, 3, 7, 40):
+        assert triple(inertia(np.zeros((n, n)))) == (0, 0, n)
+
+
+def test_inertia_counts_strictly_at_the_threshold():
+    # max|h| = 1 and n = 2, so tau = 2 EIG_ZERO_SCALE, and a pivot of h + tau
+    # or tau - h is exactly 0; an eigenvalue at exactly +-tau is not counted
+    tau = EIG_ZERO_SCALE * 1.0 * 2
+    for h, want in (
+        (np.diag([1.0, -tau]), (1, 0, 1)),
+        (np.diag([-tau, 1.0]), (1, 0, 1)),
+        (np.diag([-1.0, tau]), (0, 1, 1)),
+        (tridiagonal([-tau, 1.0], [0.5]), (1, 1, 0)),
+        (tridiagonal([tau, -1.0], [0.5j]), (1, 1, 0)),
+    ):
+        assert triple(inertia(h)) == eigvalsh_triple(h)[0] == want
+
+
+def test_inertia_of_tridiagonal_is_scale_invariant():
+    # |e|^2 under- or overflows at these scales unless h is scaled first
+    rng = np.random.default_rng(31)
+    for n in (2, 19, 199):
+        h = tridiagonal(
+            rng.standard_normal(n), rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        )
+        want, edge = eigvalsh_triple(h)
+        assert not edge
+        for scale in (2.0**-600, 1.0, 2.0**600):
+            assert triple(inertia(h * scale)) == want
+
+
+def test_inertia_rejects_non_hermitian_tridiagonal():
+    h = tridiagonal([1.0, 2.0, 3.0], [1.0 + 1j, 2.0])
+    assert inertia(h).rank == 3
+    h[0, 1] = 1.0 + 1j  # the sub-diagonal holds 1 + 1j as well, not its conjugate
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(h)
+    h = tridiagonal([1.0, 2.0, 3.0], [1.0, 2.0])
+    h[1, 1] = 2.0 + 1e-3j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(h)
+
+
+def test_inertia_with_an_off_band_entry_matches_eigvalsh():
+    # zero on the band: counting the band alone would give (0, 0, 3)
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 2] = h[2, 0] = 1.0
+    assert triple(inertia(h)) == eigvalsh_triple(h)[0] == (1, 1, 1)
+    rng = np.random.default_rng(28)
+    for n in (3, 5, 19, 60):
+        h = tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        if j - i < 2:
+            i, j = 0, n - 1
+        h[i, j] = 0.5 - 0.25j
+        h[j, i] = 0.5 + 0.25j
+        want, edge = eigvalsh_triple(h)
+        assert not edge
+        assert triple(inertia(h)) == want
+    h[0, n - 1] += 1.0  # one off-band entry without its mirror
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(h)
+
+
+def test_sigma_eval_rank_199_at_tiny_angle():
+    # the leading minors underflow here; the pivots of the engine do not
+    rng = np.random.default_rng(29)
+    for ell in (200, -200):
+        s = torus_seifert(ell)
+        for a2 in (0.3, 1.0, 2.0, *rng.uniform(1e-3, math.pi - 1e-3, size=5)):
+            alpha = AnglePair.from_radians(1e-6, float(a2))
+            assert is_defined(ell, alpha)
+            if ell > 0:
+                assert delta_closed(ell, alpha, ell) == 0.0
+            assert sigma_eval(s, list(alpha.omega())) == sigma_torus_closed(ell, alpha)
+
+
+def test_seifert_system_stores_partners_as_read_only_transposes():
+    rng = np.random.default_rng(30)
+    for mu, rank in ((1, 3), (2, 4), (3, 2)):
+        given_mats = random_system(rng, mu, rank)
+        raw = {k: np.array(m) for k, m in given_mats.matrices.items()}
+        s = seifert_system(mu, raw)
+        for k, m in s.matrices.items():
+            assert not m.flags.writeable
+            nk = "".join("-" if c == "+" else "+" for c in k)
+            if k.startswith("+"):
+                assert s.matrices[nk].base is m
+                assert np.array_equal(s.matrices[nk], m.T)
+            with pytest.raises(ValueError):
+                m[0, 0] = 7
+        assert all(m.flags.writeable for m in raw.values())
+        data = seifert_to_json(s)
+        assert data["matrices"] == {k: raw[k].tolist() for k in raw}
+        assert seifert_to_json(seifert_from_json(data)) == data
