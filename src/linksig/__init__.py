@@ -50,7 +50,6 @@ from .torus_rep import (
     rep_count,
     solve_phi,
     torus_braid,
-    trace_set,
 )
 from .verify import (
     check_mod4_congruence,

@@ -1,0 +1,36 @@
+"""Slotted bases for the package's value classes.  A subclass names its fields
+in __slots__ and sets them in its own __init__; Record derives repr and == from
+them, and Frozen adds a hash and refuses assignment (set with object.__setattr__).
+"""
+
+
+class Record:
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __reduce__(self):
+        # rebuild through __init__, so copy and pickle never assign a frozen field
+        return (type(self), self._fields())
+
+
+class Frozen(Record):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__

@@ -17,9 +17,9 @@ representation-count invariant; all crossings carry the sign of ell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._values import Frozen
 from .chebyshev import eval_T
 from .errors import (
     DegeneratePhiError,
@@ -43,45 +43,48 @@ QUAT_PATH = "quaternion-path"
 CHEB_PATH = "chebyshev-path"
 
 
-@dataclass(frozen=True)
-class PillowPoint:
+class PillowPoint(Frozen):
     """(phi, theta) coordinates; phi strictly interior, theta reduced mod 2pi."""
 
-    phi: float
-    theta: float
+    __slots__ = ("phi", "theta")
 
-    def __post_init__(self):
-        if not 0.0 < self.phi < math.pi:
-            raise ValueError(f"phi = {self.phi} not in (0, pi)")
-        object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
+    def __init__(self, phi: float, theta: float):
+        if not 0.0 < phi < math.pi:
+            raise ValueError(f"phi = {phi} not in (0, pi)")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class PlaneData:
+class PlaneData(Frozen):
     """The plane n . x = d cutting the target circle out of the 2-sphere."""
 
-    normal: tuple[float, float, float]
-    offset: float
+    __slots__ = ("normal", "offset")
+
+    def __init__(self, normal: tuple[float, float, float], offset: float):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    points: tuple[PillowPoint, ...]
-    provenance: str
+class CurveSample(Frozen):
+    __slots__ = ("points", "provenance")
 
-    def __post_init__(self):
-        if self.provenance not in (QUAT_PATH, CHEB_PATH):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        phis = [p.phi for p in self.points]
+    def __init__(self, points: tuple[PillowPoint, ...], provenance: str):
+        if provenance not in (QUAT_PATH, CHEB_PATH):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        phis = [p.phi for p in points]
         if any(b <= a for a, b in zip(phis, phis[1:])):
             raise ValueError("phi must be strictly increasing along a curve")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class SignedIntersection:
-    point: PillowPoint
-    m: int
-    sign: int
+class SignedIntersection(Frozen):
+    __slots__ = ("point", "m", "sign")
+
+    def __init__(self, point: PillowPoint, m: int, sign: int):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "sign", sign)
 
 
 def plane(alpha: AnglePair, phi: float) -> PlaneData:

@@ -23,11 +23,11 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Mapping
 
+from ._values import Frozen
 from .chebyshev import eval_U
 from .errors import (
     BadSystemError,
@@ -51,13 +51,17 @@ def _neg_key(key: str) -> str:
     return "".join("-" if ch == "+" else "+" for ch in key)
 
 
-@dataclass(frozen=True, eq=False)
-class SeifertSystem:
+class SeifertSystem(Frozen):
     """The 2^mu integer Seifert matrices of a C-complex, keyed by sign vector."""
 
-    mu: int
-    rank: int
-    matrices: dict[str, np.ndarray]
+    __slots__ = ("mu", "rank", "matrices")
+    __eq__ = object.__eq__  # equal only to itself: the matrices are numpy arrays
+    __hash__ = object.__hash__
+
+    def __init__(self, mu: int, rank: int, matrices: dict[str, np.ndarray]):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "matrices", matrices)
 
 
 def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
@@ -163,11 +167,13 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class Inertia:
-    n_pos: int
-    n_neg: int
-    n_zero: int
+class Inertia(Frozen):
+    __slots__ = ("n_pos", "n_neg", "n_zero")
+
+    def __init__(self, n_pos: int, n_neg: int, n_zero: int):
+        object.__setattr__(self, "n_pos", n_pos)
+        object.__setattr__(self, "n_neg", n_neg)
+        object.__setattr__(self, "n_zero", n_zero)
 
     @property
     def signature(self) -> int:
@@ -298,6 +304,11 @@ def delta_recursive(ell: int, alpha: AnglePair, m: int) -> float:
     delta_1 = 1, delta_2 = 8 sin(a1) sin(a2) cos(a1+a2), and
     delta_{m+1} = 8 sin(a1) sin(a2) cos(a1+a2) delta_m
                   - 16 sin^2(a1) sin^2(a2) delta_{m-1}.
+
+    The minors scale like (4 sin a1 sin a2)^(m-1), so at rank ~60 and above
+    with small angles a nonzero minor underflows to +/-0.0 (delta_closed
+    too).  A zero from either is no evidence of the root locus: test that
+    with is_defined.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -313,7 +324,10 @@ def delta_recursive(ell: int, alpha: AnglePair, m: int) -> float:
 
 
 def delta_closed(ell: int, alpha: AnglePair, m: int) -> float:
-    """Closed form: delta_m = 4^{m-1} sin^{m-1}(a1) sin^{m-1}(a2) U_{m-1}(cos(a1+a2))."""
+    """Closed form: delta_m = 4^{m-1} sin^{m-1}(a1) sin^{m-1}(a2) U_{m-1}(cos(a1+a2)).
+
+    Underflows to +/-0.0 like delta_recursive; see there.
+    """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     if not 1 <= m <= ell:

@@ -10,30 +10,28 @@ words are applied letter by letter, left to right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._values import Frozen
 
 TAU_UNIT = 1e-12
 
 
-@dataclass(frozen=True)
-class UnitQuaternion:
+class UnitQuaternion(Frozen):
     """A quaternion of unit norm.  Renormalized on construction."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        n2 = self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+    def __init__(self, a: float, b: float, c: float, d: float):
+        n2 = a * a + b * b + c * c + d * d
         if n2 < 1e-30:
             raise ValueError("cannot normalize a (near-)zero quaternion")
         if abs(n2 - 1.0) > TAU_UNIT:
             n = math.sqrt(n2)
-            object.__setattr__(self, "a", self.a / n)
-            object.__setattr__(self, "b", self.b / n)
-            object.__setattr__(self, "c", self.c / n)
-            object.__setattr__(self, "d", self.d / n)
+            a, b, c, d = a / n, b / n, c / n, d / n
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
@@ -105,8 +103,7 @@ def from_axis_angle(angle: float, axis: tuple[float, float, float]) -> UnitQuate
 QuatTuple = tuple[UnitQuaternion, ...]
 
 
-@dataclass(frozen=True)
-class ColoredBraidWord:
+class ColoredBraidWord(Frozen):
     """A braid word with a strand coloring whose closure is a colored link.
 
     word holds signed generator indices (+i for the generator crossing
@@ -116,16 +113,15 @@ class ColoredBraidWord:
     is well-colored.
     """
 
-    strands: int
-    word: tuple[int, ...]
-    coloring: tuple[int, ...]
+    __slots__ = ("strands", "word", "coloring")
 
-    def __post_init__(self):
-        n = self.strands
+    def __init__(self, strands: int, word: tuple[int, ...], coloring: tuple[int, ...]):
+        n = strands
         if n < 1:
             raise ValueError("strands must be positive")
-        object.__setattr__(self, "word", tuple(self.word))
-        object.__setattr__(self, "coloring", tuple(self.coloring))
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", tuple(word))
+        object.__setattr__(self, "coloring", tuple(coloring))
         for w in self.word:
             if not 1 <= abs(w) < n:
                 raise ValueError(f"generator index {w} out of range for {n} strands")

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._values import Frozen
 from .chebyshev import eval_U
 from .errors import NotDefinedError, PositiveOnlyError, ZeroLinkingError
 from .su2 import ColoredBraidWord
@@ -40,17 +40,14 @@ def check_ell(ell: int) -> int:
     return ell
 
 
-@dataclass(frozen=True)
-class RationalAngle:
+class RationalAngle(Frozen):
     """The angle (p/q)*pi with 0 < p/q < 1, stored in lowest terms."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.q == 0:
+    def __init__(self, p: int, q: int):
+        if q == 0:
             raise ValueError("zero denominator")
-        p, q = self.p, self.q
         if q < 0:
             p, q = -p, -q
         g = math.gcd(p, q)
@@ -88,21 +85,21 @@ def _as_radians(a: Angle) -> float:
     return a.radians if isinstance(a, RationalAngle) else a
 
 
-@dataclass(frozen=True)
-class AnglePair:
+class AnglePair(Frozen):
     """Trace angles (alpha1, alpha2), each exact (rational multiple of pi) or float."""
 
-    alpha1: Angle
-    alpha2: Angle
+    __slots__ = ("alpha1", "alpha2")
 
-    def __post_init__(self):
-        for a in (self.alpha1, self.alpha2):
+    def __init__(self, alpha1: Angle, alpha2: Angle):
+        for a in (alpha1, alpha2):
             if isinstance(a, RationalAngle):
                 continue
             if not isinstance(a, float):
                 raise TypeError("angles must be RationalAngle or float radians")
             if not 0.0 < a < math.pi:
                 raise ValueError(f"angle {a} is outside (0, pi)")
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
 
     @classmethod
     def from_radians(cls, a1: float, a2: float) -> "AnglePair":
@@ -281,39 +278,6 @@ def _h_count(ell: int, alpha: AnglePair) -> int:
     found is_defined(ell, alpha) true."""
     count = len(_solution_range(ell, alpha))
     return count if ell > 0 else -count
-
-
-@dataclass(frozen=True)
-class TracePoint:
-    eps1: int
-    eps2: int
-    omega1: complex
-    omega2: complex
-
-
-@dataclass(frozen=True)
-class TraceSet:
-    """The four evaluation points (omega1^{e1}, omega2^{e2}), e_j = +/-1."""
-
-    points: tuple[TracePoint, ...]
-
-    def subset(self, j: int) -> tuple[TracePoint, ...]:
-        """Points with eps_j = +1 (j is 1 or 2)."""
-        if j not in (1, 2):
-            raise ValueError("j must be 1 or 2")
-        return tuple(
-            p for p in self.points if (p.eps1 if j == 1 else p.eps2) == 1
-        )
-
-
-def trace_set(alpha: AnglePair) -> TraceSet:
-    w1, w2 = alpha.omega()
-    points = tuple(
-        TracePoint(e1, e2, w1 if e1 == 1 else w1.conjugate(), w2 if e2 == 1 else w2.conjugate())
-        for e1 in (1, -1)
-        for e2 in (1, -1)
-    )
-    return TraceSet(points)
 
 
 def conway_potential_torus(ell: int, alpha: AnglePair) -> float:

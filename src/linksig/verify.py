@@ -8,8 +8,7 @@ report is deterministic given (ell, resolution) and serializes to JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._values import Record
 from .signature import _sigma_strip
 from .torus_rep import (
     AnglePair,
@@ -32,16 +31,26 @@ def _grid(resolution: int):
             yield p, q, AnglePair(a1, a2)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """Outcome of one main-identity sweep at a fixed ell and resolution."""
 
-    ell: int
-    resolution: int
-    checked: int = 0
-    failed: int = 0
-    skipped_on_roots: int = 0
-    points: list[dict] | None = None
+    __slots__ = ("ell", "resolution", "checked", "failed", "skipped_on_roots", "points")
+
+    def __init__(
+        self,
+        ell: int,
+        resolution: int,
+        checked: int = 0,
+        failed: int = 0,
+        skipped_on_roots: int = 0,
+        points: list[dict] | None = None,
+    ):
+        self.ell = ell
+        self.resolution = resolution
+        self.checked = checked
+        self.failed = failed
+        self.skipped_on_roots = skipped_on_roots
+        self.points = points
 
     @property
     def passed(self) -> bool:
@@ -91,13 +100,15 @@ def sweep_main_identity(
     return report
 
 
-@dataclass
-class RegionGrid:
+class RegionGrid(Record):
     """h values over the lattice; SENTINEL marks excluded root-locus cells."""
 
-    ell: int
-    resolution: int
-    values: list[list[int]] = field(default_factory=list)
+    __slots__ = ("ell", "resolution", "values")
+
+    def __init__(self, ell: int, resolution: int, values: list[list[int]] | None = None):
+        self.ell = ell
+        self.resolution = resolution
+        self.values = [] if values is None else values
 
 
 def region_grid(ell: int, resolution: int) -> RegionGrid:
@@ -117,14 +128,31 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
     return grid
 
 
-@dataclass
-class Mod4Report:
-    ell: int
-    resolution: int
-    checked: int = 0
-    failed: int = 0
-    skipped_on_roots: int = 0
-    skipped_zero_potential: int = 0
+class Mod4Report(Record):
+    __slots__ = (
+        "ell",
+        "resolution",
+        "checked",
+        "failed",
+        "skipped_on_roots",
+        "skipped_zero_potential",
+    )
+
+    def __init__(
+        self,
+        ell: int,
+        resolution: int,
+        checked: int = 0,
+        failed: int = 0,
+        skipped_on_roots: int = 0,
+        skipped_zero_potential: int = 0,
+    ):
+        self.ell = ell
+        self.resolution = resolution
+        self.checked = checked
+        self.failed = failed
+        self.skipped_on_roots = skipped_on_roots
+        self.skipped_zero_potential = skipped_zero_potential
 
     @property
     def passed(self) -> bool:
@@ -172,12 +200,20 @@ def check_mod4_congruence(ell: int, resolution: int) -> Mod4Report:
     return report
 
 
-@dataclass
-class JumpReport:
-    checked: int = 0
-    failed: int = 0
-    skipped_zero_potential: int = 0
-    failures: list[dict] = field(default_factory=list)
+class JumpReport(Record):
+    __slots__ = ("checked", "failed", "skipped_zero_potential", "failures")
+
+    def __init__(
+        self,
+        checked: int = 0,
+        failed: int = 0,
+        skipped_zero_potential: int = 0,
+        failures: list[dict] | None = None,
+    ):
+        self.checked = checked
+        self.failed = failed
+        self.skipped_zero_potential = skipped_zero_potential
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -22,12 +22,13 @@ def run(*args):
 
 
 # Runs linksig.cli.main in a fresh interpreter, then reports on stderr
-# whether numpy was imported along the way.
+# whether numpy and dataclasses were imported along the way.
 NUMPY_PROBE = """
 import sys
 import linksig.cli
 code = linksig.cli.main(sys.argv[1:])
 print(f"numpy_loaded={'numpy' in sys.modules}", file=sys.stderr)
+print(f"dataclasses_loaded={'dataclasses' in sys.modules}", file=sys.stderr)
 sys.exit(code)
 """
 
@@ -232,7 +233,10 @@ def test_only_sigma_imports_numpy(tmp_path):
     ):
         r = run_probed(*args)
         assert r.returncode == EXIT_OK
-        assert r.stderr.splitlines()[-1] == "numpy_loaded=False", args
+        assert r.stderr.splitlines()[-2:] == [
+            "numpy_loaded=False",
+            "dataclasses_loaded=False",
+        ], args
         assert r.stdout == run(*args).stdout
 
     path = tmp_path / "system.json"
@@ -240,5 +244,5 @@ def test_only_sigma_imports_numpy(tmp_path):
     args = ("sigma", "--system", str(path), "--alpha", "1/2", "1/2")
     r = run_probed(*args)
     assert r.returncode == EXIT_OK
-    assert r.stderr.splitlines()[-1] == "numpy_loaded=True"
+    assert r.stderr.splitlines()[-2:] == ["numpy_loaded=True", "dataclasses_loaded=False"]
     assert r.stdout == run(*args).stdout == "signature=-1 nullity=0\n"

@@ -17,7 +17,6 @@ from linksig.torus_rep import (
     rep_count,
     solve_phi,
     torus_braid,
-    trace_set,
 )
 from linksig.su2 import closure_linking_number
 
@@ -219,26 +218,6 @@ def test_h_invariant_examples_and_sign():
         h_invariant(0, P22)
     with pytest.raises(NotDefinedError):
         h_invariant(3, angle_pair("1/6", "1/6"))
-
-
-def test_trace_set():
-    ts = trace_set(angle_pair("1/3", "1/4"))
-    assert len(ts.points) == 4
-    w1 = cmath.exp(2j * math.pi / 3)
-    w2 = cmath.exp(1j * math.pi / 2)
-    by_eps = {(p.eps1, p.eps2): (p.omega1, p.omega2) for p in ts.points}
-    assert abs(by_eps[(1, 1)][0] - w1) < 1e-15
-    assert abs(by_eps[(-1, 1)][0] - w1.conjugate()) < 1e-15
-    assert abs(by_eps[(1, -1)][1] - w2.conjugate()) < 1e-15
-
-    degenerate = trace_set(P22)
-    assert len(degenerate.points) == 4
-    assert len({(p.eps1, p.eps2) for p in degenerate.points}) == 4
-    assert all(abs(p.omega1 + 1) < 1e-15 for p in degenerate.points)
-
-    assert len(ts.subset(1)) == 2
-    assert all(p.eps1 == 1 for p in ts.subset(1))
-    assert len(ts.subset(2)) == 2
 
 
 def test_conway_potential_examples():

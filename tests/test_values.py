@@ -1,0 +1,104 @@
+"""Value semantics of the package's small classes: equality, hashing,
+immutability, constructor defaults and validation."""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from linksig.pillowcase import PillowPoint
+from linksig.signature import Inertia, torus_seifert
+from linksig.su2 import UnitQuaternion
+from linksig.torus_rep import AnglePair, RationalAngle
+from linksig.verify import JumpReport, RegionGrid, SweepReport
+
+
+def test_equal_values_are_equal_and_hash_alike():
+    assert RationalAngle(2, 4) == RationalAngle(1, 2)
+    assert hash(RationalAngle(2, 4)) == hash(RationalAngle(1, 2))
+    assert RationalAngle(1, 3) != RationalAngle(1, 2)
+
+    pair = AnglePair(RationalAngle(1, 3), 0.5)
+    same = AnglePair(RationalAngle(2, 6), 0.5)
+    assert pair == same and hash(pair) == hash(same)
+    assert pair != AnglePair(RationalAngle(1, 3), 0.25)
+    assert pair != (RationalAngle(1, 3), 0.5)
+    assert len({pair, same, AnglePair(0.5, RationalAngle(1, 3))}) == 2
+
+    assert Inertia(2, 1, 0) == Inertia(2, 1, 0)
+    assert UnitQuaternion(2.0, 0.0, 0.0, 0.0) == UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+
+
+def test_frozen_fields_reject_assignment():
+    values = (
+        (RationalAngle(1, 2), "p"),
+        (AnglePair(0.5, 0.5), "alpha1"),
+        (UnitQuaternion(1.0, 0.0, 0.0, 0.0), "a"),
+        (Inertia(1, 0, 0), "n_pos"),
+        (PillowPoint(1.0, 0.0), "theta"),
+    )
+    for value, name in values:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+
+
+def test_seifert_system_is_equal_only_to_itself():
+    system = torus_seifert(2)
+    assert system == system
+    assert system != torus_seifert(2)
+    assert len({system, torus_seifert(2)}) == 2
+
+
+def test_keyword_construction_and_fresh_defaults():
+    report = SweepReport(ell=2, resolution=5)
+    assert report.points is None
+    assert (report.checked, report.failed, report.skipped_on_roots) == (0, 0, 0)
+    report.checked += 1
+    assert report.checked == 1
+
+    a, b = RegionGrid(3, 8), RegionGrid(3, 8)
+    assert a.values == [] and a.values is not b.values
+    a.values.append([1])
+    assert b.values == []
+    assert JumpReport().failures is not JumpReport().failures
+
+
+def test_copy_and_pickle_round_trip():
+    values = (
+        AnglePair(RationalAngle(1, 3), 0.5),
+        UnitQuaternion(0.5, 0.5, 0.5, 0.5),
+        PillowPoint(1.0, 2.0),
+        Inertia(1, 2, 0),
+        SweepReport(2, 5, checked=3, points=[{"h": 1}]),
+    )
+    for value in values:
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_repr_names_the_fields():
+    assert repr(RationalAngle(2, 4)) == "RationalAngle(p=1, q=2)"
+    assert repr(Inertia(1, 2, 0)) == "Inertia(n_pos=1, n_neg=2, n_zero=0)"
+    assert repr(RegionGrid(3, 8)) == "RegionGrid(ell=3, resolution=8, values=[])"
+
+
+def test_constructors_still_validate():
+    with pytest.raises(ValueError):
+        RationalAngle(1, 0)
+    with pytest.raises(ValueError):
+        RationalAngle(3, 2)
+    with pytest.raises(TypeError):
+        AnglePair(1, 0.5)
+    with pytest.raises(ValueError):
+        AnglePair(0.5, 4.0)
+    with pytest.raises(ValueError):
+        UnitQuaternion(0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        PillowPoint(0.0, 1.0)
+    assert PillowPoint(1.0, -1.0).theta == pytest.approx(2 * math.pi - 1.0)
