@@ -1,61 +1,44 @@
 """SU(2) representation invariants and multivariable signatures of
 two-component links, with closed-form coverage of the (2,2l)-torus family.
+
+The public names below load their module on first access (PEP 562), so
+`import linksig` is cheap and a command pays only for the modules it uses.
 """
 
-from .chebyshev import eval_T, eval_U, roots_U
-from .errors import (
-    BadSystemError,
-    DegeneratePhiError,
-    FitFailureError,
-    LinksigError,
-    NotDefinedError,
-    NullityWarning,
-    OmegaOneError,
-    PositiveOnlyError,
-    TransversalityFailureError,
-    ZeroLinkingError,
-)
-from .pillowcase import (
-    CurveSample,
-    PillowPoint,
-    SignedIntersection,
-    gamma_theta_chebyshev,
-    gamma_theta_quaternion,
-    intersections,
-    sample_curve,
-)
-from .signature import (
-    Inertia,
-    SeifertSystem,
-    build_H,
-    inertia,
-    levine_tristram_via_cf,
-    seifert_from_json,
-    seifert_system,
-    seifert_to_json,
-    sigma_eval,
-    sigma_torus_closed,
-    symmetrized_sigma,
-    torus_seifert,
-)
-from .su2 import ColoredBraidWord, UnitQuaternion, act, closure_linking_number
-from .torus_rep import (
-    AnglePair,
-    RationalAngle,
-    alexander_eval,
-    angle_pair,
-    conway_potential_torus,
-    h_invariant,
-    is_defined,
-    rep_count,
-    solve_phi,
-    torus_braid,
-)
-from .verify import (
-    check_mod4_congruence,
-    check_sigma_jump_dichotomy,
-    region_grid,
-    sweep_main_identity,
-)
+import importlib
 
+_EXPORTS = {
+    "chebyshev": "eval_T eval_U roots_U",
+    "errors": "BadSystemError DegeneratePhiError FitFailureError LinksigError "
+    "NotDefinedError NullityWarning OmegaOneError PositiveOnlyError "
+    "TransversalityFailureError ZeroLinkingError",
+    "pillowcase": "CurveSample PillowPoint SignedIntersection gamma_theta_chebyshev "
+    "gamma_theta_quaternion intersections sample_curve",
+    "signature": "Inertia SeifertSystem build_H inertia levine_tristram_via_cf "
+    "seifert_from_json seifert_system seifert_to_json sigma_eval symmetrized_sigma "
+    "torus_seifert",
+    "su2": "ColoredBraidWord UnitQuaternion act closure_linking_number",
+    "torus_rep": "AnglePair RationalAngle alexander_eval angle_pair conway_potential_torus "
+    "h_invariant is_defined rep_count sigma_torus_closed solve_phi torus_braid",
+    "verify": "check_mod4_congruence check_sigma_jump_dichotomy region_grid "
+    "sweep_main_identity",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, as `import linksig; linksig.verify` did
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

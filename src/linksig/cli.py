@@ -9,26 +9,24 @@ Exit codes: 0 success, 1 verification failure, 2 undefined invariant
 (angles on the Alexander root locus), 3 zero linking number, 64 usage
 error, 65 data-format error.  Output is byte-deterministic for fixed
 flags; floats print with 17 significant digits.
+
+Each subcommand imports the modules of its own route when it runs, so a
+cold `h`, `verify` or `regions` never loads the pillowcase, the
+quaternions or the Seifert engine.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
-import json
 import math
 import re
 import sys
-from fractions import Fraction
 
-from . import pillowcase, signature, verify
 from .errors import (
     BadSystemError,
     NotDefinedError,
     ZeroLinkingError,
 )
-from .signature import _sigma_strip
-from .torus_rep import AnglePair, RationalAngle, _h_count, is_defined
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -61,17 +59,25 @@ def _parse_angle(parser: _Parser, text: str, radians: bool):
         parser.error(
             f"angle {text!r} is not of the form p/q (use --radians for decimals)"
         )
+    from .torus_rep import RationalAngle
+
     num, _, den = text.partition("/")
     try:
-        frac = Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
+        p, q = int(num), int(den)
+    except ValueError:
         parser.error(f"bad rational angle {text!r}")
-    if not 0 < frac < 1:
+    if q == 0:
+        parser.error(f"bad rational angle {text!r}")
+    if q < 0:
+        p, q = -p, -q
+    if not 0 < p < q:
         parser.error(f"angle {text} is outside (0, pi)")
-    return RationalAngle.from_fraction(frac)
+    return RationalAngle(p, q)
 
 
-def _angle_pair(parser: _Parser, texts, radians: bool) -> AnglePair:
+def _angle_pair(parser: _Parser, texts, radians: bool):
+    from .torus_rep import AnglePair
+
     a1 = _parse_angle(parser, texts[0], radians)
     a2 = _parse_angle(parser, texts[1], radians)
     return AnglePair(a1, a2)
@@ -86,20 +92,22 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_h(parser: _Parser, args) -> int:
+    from .torus_rep import h_invariant, sigma_torus_closed
+
     alpha = _angle_pair(parser, args.alpha, args.radians)
-    # one check covers the flipped pair: the root locus is symmetric
-    # under alpha2 -> pi - alpha2
-    if not is_defined(args.ell, alpha):
-        raise NotDefinedError(UNDEFINED_MESSAGE)
-    h = _h_count(args.ell, alpha)
-    s1 = _sigma_strip(args.ell, alpha)
-    s2 = _sigma_strip(args.ell, alpha.flip_alpha2())
+    h = h_invariant(args.ell, alpha)
+    s1 = sigma_torus_closed(args.ell, alpha)
+    s2 = sigma_torus_closed(args.ell, alpha.flip_alpha2())
     print(f"h={h} sigma=({s1},{s2})")
     return EXIT_OK
 
 
 def _cmd_curve(parser: _Parser, args) -> int:
-    if args.samples < 1:
+    from . import pillowcase
+    from .torus_rep import is_defined
+
+    samples = pillowcase.DEFAULT_SAMPLES if args.samples is None else args.samples
+    if samples < 1:
         parser.error("samples must be positive")
     alpha = _angle_pair(parser, args.alpha, args.radians)
     if not is_defined(args.ell, alpha):
@@ -108,11 +116,11 @@ def _cmd_curve(parser: _Parser, args) -> int:
     footer = None
     if args.path in ("quat", "both"):
         curves.append(
-            pillowcase.sample_curve(args.ell, alpha, args.samples, pillowcase.QUAT_PATH)
+            pillowcase.sample_curve(args.ell, alpha, samples, pillowcase.QUAT_PATH)
         )
     if args.path in ("cheb", "both"):
         curves.append(
-            pillowcase.sample_curve(args.ell, alpha, args.samples, pillowcase.CHEB_PATH)
+            pillowcase.sample_curve(args.ell, alpha, samples, pillowcase.CHEB_PATH)
         )
     if args.path == "both":
         max_dtheta = max(
@@ -124,19 +132,21 @@ def _cmd_curve(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
-def _region_csv(grid: verify.RegionGrid) -> str:
+def _region_csv(grid) -> str:
     lines = [f"# ell={grid.ell} res={grid.resolution}"]
     lines.extend(",".join(str(v) for v in row) for row in grid.values)
     return "\n".join(lines) + "\n"
 
 
-def _region_svg(grid: verify.RegionGrid) -> str:
+def _region_svg(grid) -> str:
     """Heat map by direct tag emission; root-locus lines drawn on top."""
+    from .verify import SENTINEL
+
     res = grid.resolution
     cell = 6
     size = (res - 1) * cell
     values = sorted(
-        {v for row in grid.values for v in row if v != verify.SENTINEL}
+        {v for row in grid.values for v in row if v != SENTINEL}
     )
     palette = {}
     for v in values:
@@ -155,7 +165,7 @@ def _region_svg(grid: verify.RegionGrid) -> str:
     ]
     for i, row in enumerate(grid.values):
         for j, v in enumerate(row):
-            fill = "#000000" if v == verify.SENTINEL else palette[v]
+            fill = "#000000" if v == SENTINEL else palette[v]
             x = i * cell
             y = size - (j + 1) * cell
             parts.append(
@@ -187,13 +197,19 @@ def _region_svg(grid: verify.RegionGrid) -> str:
 
 
 def _cmd_regions(parser: _Parser, args) -> int:
-    grid = verify.region_grid(args.ell, args.res)
+    from .verify import region_grid
+
+    grid = region_grid(args.ell, args.res)
     text = _region_csv(grid) if args.format == "csv" else _region_svg(grid)
     _write_output(text, args.out)
     return EXIT_OK
 
 
 def _cmd_sigma(parser: _Parser, args) -> int:
+    import cmath
+
+    from . import signature
+
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
             system = signature.seifert_from_json(fh.read())
@@ -207,7 +223,7 @@ def _cmd_sigma(parser: _Parser, args) -> int:
     omegas = []
     for text in args.alpha:
         a = _parse_angle(parser, text, args.radians)
-        rad = a.radians if isinstance(a, RationalAngle) else a
+        rad = a if isinstance(a, float) else a.radians
         omegas.append(cmath.exp(2j * rad))
     ine = signature.inertia(signature.build_H(system, omegas))
     print(f"signature={ine.signature} nullity={ine.n_zero}")
@@ -237,10 +253,12 @@ def _parse_ell_range(parser: _Parser, text: str) -> list[int]:
 
 
 def _cmd_verify(parser: _Parser, args) -> int:
+    import json
+
+    from .verify import sweep_main_identity
+
     ells = _parse_ell_range(parser, args.ell)
-    reports = [
-        verify.sweep_main_identity(ell, args.res, verbose=args.verbose) for ell in ells
-    ]
+    reports = [sweep_main_identity(ell, args.res, verbose=args.verbose) for ell in ells]
     payload = {
         "resolution": args.res,
         "reports": [r.to_json() for r in reports],
@@ -271,7 +289,8 @@ def _build_parser() -> _Parser:
     p_curve = sub.add_parser("curve", help="export the graph curve as CSV")
     p_curve.add_argument("--ell", type=int, required=True)
     add_angle_flags(p_curve)
-    p_curve.add_argument("--samples", type=int, default=pillowcase.DEFAULT_SAMPLES)
+    # None means pillowcase.DEFAULT_SAMPLES, read when the command runs
+    p_curve.add_argument("--samples", type=int, default=None)
     p_curve.add_argument("--path", choices=("quat", "cheb", "both"), default="both")
     p_curve.add_argument("--out", default=None)
 

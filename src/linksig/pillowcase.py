@@ -24,13 +24,12 @@ from .chebyshev import eval_T
 from .errors import (
     DegeneratePhiError,
     FitFailureError,
-    NotDefinedError,
     PositiveOnlyError,
     TransversalityFailureError,
 )
 from .su2 import I as QI
 from .su2 import UnitQuaternion, act
-from .torus_rep import AnglePair, _phis, check_ell, is_defined, torus_braid
+from .torus_rep import AnglePair, check_ell, solve_phi, torus_braid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -262,10 +261,7 @@ def intersections(ell: int, alpha: AnglePair) -> list[SignedIntersection]:
     it at the reference point alpha = (pi/2, pi/2), |ell| = 2, by the
     numeric tangent-frame method.
     """
-    check_ell(ell)
-    if not is_defined(ell, alpha):
-        raise NotDefinedError("alpha on Alexander root locus")
-    sols = _phis(ell, alpha)
+    sols = solve_phi(ell, alpha)
     sign = 1 if ell > 0 else -1
     out = []
     for m, phi in sols:

@@ -14,7 +14,9 @@ For the (2,2l)-torus family everything is also available in closed form:
 the leading principal minors of H satisfy a three-term recurrence solved
 by Chebyshev polynomials of the second kind, which yields a piecewise
 constant signature formula in alpha1 + alpha2 (Sylvester's criterion).
-Both routes are kept and cross-checked by the test suite.
+That closed form, sigma_torus_closed, lives with the integer lattice kernel
+in torus_rep and is re-exported here.  Both routes are kept and
+cross-checked by the test suite.
 """
 
 from __future__ import annotations
@@ -23,19 +25,13 @@ import json
 import math
 import sys
 import warnings
-from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Mapping
 
 from ._values import Frozen
 from .chebyshev import eval_U
-from .errors import (
-    BadSystemError,
-    NotDefinedError,
-    NullityWarning,
-    OmegaOneError,
-)
-from .torus_rep import AnglePair, check_ell, is_defined
+from .errors import BadSystemError, NullityWarning, OmegaOneError
+from .torus_rep import AnglePair, check_ell, sigma_torus_closed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -337,63 +333,6 @@ def delta_closed(ell: int, alpha: AnglePair, m: int) -> float:
     return (4.0 * s) ** (m - 1) * eval_U(m - 1, math.cos(a1 + a2))
 
 
-def _u_sign(m: int, su: Fraction | float) -> int:
-    """Sign of U_m(cos(pi*su)) for su in (0, 2), by exact angle arithmetic.
-
-    sign(U_m(cos psi)) = sign(sin((m+1) psi) / sin(psi)); at su = 1 the
-    value is (-1)^m (m+1), positive exactly when m is even.
-    """
-    if su == 1:
-        return 1 if m % 2 == 0 else -1
-    t = ((m + 1) * su) % 2
-    if t == 0 or t == 1:
-        return 0
-    s = 1 if t < 1 else -1
-    return s if su < 1 else -s
-
-
-def _sigma_sylvester(big_l: int, su: Fraction | float) -> int:
-    """Signature of the rank (big_l - 1) torus matrix via leading minors.
-
-    sigma = sign(delta_2) + sum_{i=2}^{big_l-1} sign(delta_i delta_{i+1});
-    the minor signs come from the exact sign table of U_m(cos(pi su)).
-    """
-    signs = [_u_sign(m, su) for m in range(1, big_l)]  # delta_2 .. delta_big_l
-    if any(s == 0 for s in signs):
-        raise NotDefinedError("a leading minor vanishes: alpha on root locus")
-    return signs[0] + sum(signs[i - 1] * signs[i] for i in range(1, big_l - 1))
-
-
-def sigma_torus_closed(ell: int, alpha: AnglePair) -> int:
-    """Closed-form signature of the (2,2l)-torus link at omega from alpha.
-
-    Strictly inside the strip i*pi/|ell| < alpha1+alpha2 < (i+1)*pi/|ell|
-    the value is |ell|-2i-1 (i < |ell|) or -3|ell|+2i+1 (i >= |ell|); the
-    admissible interior line alpha1+alpha2 = pi routes through the Sylvester
-    minor-sign path instead.  Mirroring negates: sigma(-ell) = -sigma(ell).
-    """
-    check_ell(ell)
-    if not is_defined(ell, alpha):
-        raise NotDefinedError("alpha on Alexander root locus")
-    return _sigma_strip(ell, alpha)
-
-
-def _sigma_strip(ell: int, alpha: AnglePair) -> int:
-    """sigma_torus_closed without its root-locus check: the caller has
-    already found is_defined(ell, alpha) true."""
-    big_l = abs(ell)
-    sign_ell = 1 if ell > 0 else -1
-    if big_l == 1:
-        return 0
-    su = alpha.sum_over_pi()
-    if su == 1 or (isinstance(su, float) and abs(su - 1.0) < 1e-12):
-        value = _sigma_sylvester(big_l, Fraction(1))
-    else:
-        i = math.floor(su * big_l)
-        value = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
-    return sign_ell * value
-
-
 def sigma_eval(s: SeifertSystem, omegas: list[complex]) -> int:
     """Signature of H(omega) by the Hermitian eigenvalue engine.
 
@@ -418,6 +357,8 @@ def symmetrized_sigma(link, alpha: AnglePair) -> Fraction:
     SeifertSystem (generic engine).  Always a half-integer; an integer on
     the torus family.
     """
+    from fractions import Fraction
+
     if isinstance(link, SeifertSystem):
         w1, w2 = alpha.omega()
         s1 = sigma_eval(link, [w1, w2])

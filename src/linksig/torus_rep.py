@@ -14,19 +14,21 @@ away from the root locus of the two-variable Alexander polynomial
 sign(ell) times the count.
 
 Angles are rational multiples of pi whenever possible so that root-locus
-membership is an exact integer test, never a float comparison.
+membership is an exact integer test, never a float comparison.  An exact
+pair is the lattice point (p/res, q/res)*pi with res the lcm of its
+denominators, and every closed form on it is integer arithmetic on
+(p, q, res, |ell|): the lattice kernel below, which the grid sweeps call
+directly.  Float pairs keep their own code.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from ._values import Frozen
 from .chebyshev import eval_U
 from .errors import NotDefinedError, PositiveOnlyError, ZeroLinkingError
-from .su2 import ColoredBraidWord
 
 TAU_ROOT = 1e-9
 
@@ -64,6 +66,8 @@ class RationalAngle(Frozen):
 
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.p, self.q)
 
     @property
@@ -126,16 +130,10 @@ class AnglePair(Frozen):
             return AnglePair(self.alpha1, a2.complement())
         return AnglePair(self.alpha1, math.pi - a2)
 
-    def sum_over_pi(self) -> Fraction | float:
-        """(alpha1 + alpha2)/pi, exact when both angles are rational."""
-        if self.is_exact:
-            return self.alpha1.fraction + self.alpha2.fraction
-        a1, a2 = self.radians
-        return (a1 + a2) / math.pi
-
 
 def angle_pair(a1, a2) -> AnglePair:
     """Coerce a pair of angle-like values ("p/q", Fraction, RationalAngle, float)."""
+    from fractions import Fraction
 
     def coerce(a) -> Angle:
         if isinstance(a, RationalAngle):
@@ -154,6 +152,8 @@ def angle_pair(a1, a2) -> AnglePair:
 
 def torus_braid(ell: int) -> ColoredBraidWord:
     """sigma_1^(2*ell) in B_2 with coloring (1, 2); its closure is the torus link."""
+    from .su2 import ColoredBraidWord
+
     check_ell(ell)
     letter = 1 if ell > 0 else -1
     return ColoredBraidWord(2, (letter,) * (2 * abs(ell)), (1, 2))
@@ -171,11 +171,53 @@ def alexander_eval(ell: int, omega1: complex, omega2: complex) -> complex:
     return (z ** abs(ell) - 1.0) / (z - 1.0)
 
 
-def _excluded_exact(ell: int, x: Fraction) -> bool:
-    # x is an angle sum/(pi) in (0, 2); the locus is x = m/|ell| for
-    # 0 < m < 2|ell|, m != |ell|.
-    t = x * abs(ell)
-    return t.denominator == 1 and t.numerator != abs(ell)
+# The lattice kernel.  A point is (p/res, q/res)*pi with 0 < p, q < res, and
+# L = |ell|.  Its angle sum over pi is s/res with s = p + q, and the flipped
+# pair (alpha2 -> pi - alpha2) has angle sum d/res with d = p - q + res.
+
+
+def lattice_point(alpha: AnglePair) -> tuple[int, int, int]:
+    """(p, q, res) of an exact pair, with res the lcm of its denominators."""
+    a1, a2 = alpha.alpha1, alpha.alpha2
+    res = math.lcm(a1.q, a2.q)
+    return a1.p * (res // a1.q), a2.p * (res // a2.q), res
+
+
+def on_root_locus(ell: int, p: int, q: int, res: int) -> bool:
+    """True iff the lattice point lies on a line x = pi*m/L, 0 < m < 2L, m != L,
+    of either angle sum x."""
+    big_l = abs(ell)
+    s, d = p + q, p - q + res
+    return big_l > 1 and (
+        (s * big_l % res == 0 and s != res) or (d * big_l % res == 0 and d != res)
+    )
+
+
+def lattice_m_range(ell: int, p: int, q: int, res: int) -> range:
+    """The m of solve_phi at a lattice point off the root locus:
+    |p - q| L < m res < (res - |res - s|) L, and m < L."""
+    big_l = abs(ell)
+    s_top = (res - abs(res - p - q)) * big_l // res
+    return range(abs(p - q) * big_l // res + 1, min(big_l - 1, s_top) + 1)
+
+
+def lattice_h(ell: int, p: int, q: int, res: int) -> int:
+    """h at a lattice point off the root locus."""
+    count = len(lattice_m_range(ell, p, q, res))
+    return count if ell > 0 else -count
+
+
+def lattice_sigma(ell: int, s: int, res: int) -> int:
+    """Closed-form signature at a lattice point of angle sum s/res * pi."""
+    return _strip_value(ell, s * abs(ell) // res)
+
+
+def _strip_value(ell: int, i: int) -> int:
+    # strictly inside the strip i*pi/L < alpha1 + alpha2 < (i+1)*pi/L; the
+    # line alpha1 + alpha2 = pi lies between strips L-1 and L, which agree
+    big_l = abs(ell)
+    value = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
+    return value if ell > 0 else -value
 
 
 def _excluded_near(ell: int, x_rad: float, tau: float) -> bool:
@@ -195,33 +237,31 @@ def is_defined(ell: int, alpha: AnglePair, tau: float = TAU_ROOT) -> bool:
     of width tau (radians) around each excluded line.
     """
     check_ell(ell)
+    if alpha.is_exact:
+        return not on_root_locus(ell, *lattice_point(alpha))
     if abs(ell) == 1:
         return True
-    if alpha.is_exact:
-        f1, f2 = alpha.alpha1.fraction, alpha.alpha2.fraction
-        return not (
-            _excluded_exact(ell, f1 + f2) or _excluded_exact(ell, f1 - f2 + 1)
-        )
     a1, a2 = alpha.radians
     return not (
         _excluded_near(ell, a1 + a2, tau) or _excluded_near(ell, a1 - a2 + math.pi, tau)
     )
 
 
+def _check_defined(ell: int, alpha: AnglePair) -> None:
+    if not is_defined(ell, alpha):
+        raise NotDefinedError("alpha on Alexander root locus")
+
+
 def _solution_range(ell: int, alpha: AnglePair) -> range:
     """Integers m with |alpha1 - alpha2| < pi*m/|ell| < pi - |pi - (alpha1 + alpha2)|.
 
-    Both endpoint equalities land on the root locus, so on admissible input
-    the open and closed conditions agree and no tie-breaking is needed.
+    Both endpoint equalities land on the root locus, which is rejected here
+    (NotDefinedError), so the open and closed conditions agree.
     """
-    big_l = abs(ell)
+    _check_defined(ell, alpha)
     if alpha.is_exact:
-        f1, f2 = alpha.alpha1.fraction, alpha.alpha2.fraction
-        d = abs(f1 - f2) * big_l
-        s = (1 - abs(1 - (f1 + f2))) * big_l
-        m_min = d.numerator // d.denominator + 1
-        m_max = min(big_l - 1, s.numerator // s.denominator)
-        return range(m_min, m_max + 1)
+        return lattice_m_range(ell, *lattice_point(alpha))
+    big_l = abs(ell)
     a1, a2 = alpha.radians
     d = abs(a1 - a2) * big_l / math.pi
     s = (math.pi - abs(math.pi - (a1 + a2))) * big_l / math.pi
@@ -234,20 +274,12 @@ def solve_phi(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
     Each admissible m has a unique phi in (0, pi); pairs come back sorted
     by m (phi is then strictly decreasing).
     """
-    check_ell(ell)
-    if not is_defined(ell, alpha):
-        raise NotDefinedError("alpha on Alexander root locus")
-    return _phis(ell, alpha)
-
-
-def _phis(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
-    """solve_phi without its root-locus check: the caller has already
-    found is_defined(ell, alpha) true."""
+    m_range = _solution_range(ell, alpha)
     a1, a2 = alpha.radians
     c1c2 = math.cos(a1) * math.cos(a2)
     s1s2 = math.sin(a1) * math.sin(a2)
     out = []
-    for m in _solution_range(ell, alpha):
+    for m in m_range:
         cos_phi = (c1c2 - math.cos(math.pi * m / abs(ell))) / s1s2
         cos_phi = max(-1.0, min(1.0, cos_phi))
         out.append((m, math.acos(cos_phi)))
@@ -259,25 +291,30 @@ def rep_count(ell: int, alpha: AnglePair) -> int:
 
     Equal to len(solve_phi(ell, alpha)), counted without building the phis.
     """
-    check_ell(ell)
-    if not is_defined(ell, alpha):
-        raise NotDefinedError("alpha on Alexander root locus")
     return len(_solution_range(ell, alpha))
 
 
 def h_invariant(ell: int, alpha: AnglePair) -> int:
     """Signed representation count: sign(ell) times rep_count."""
-    check_ell(ell)
-    if not is_defined(ell, alpha):
-        raise NotDefinedError("alpha on Alexander root locus")
-    return _h_count(ell, alpha)
-
-
-def _h_count(ell: int, alpha: AnglePair) -> int:
-    """h_invariant without its root-locus check: the caller has already
-    found is_defined(ell, alpha) true."""
-    count = len(_solution_range(ell, alpha))
+    count = rep_count(ell, alpha)
     return count if ell > 0 else -count
+
+
+def sigma_torus_closed(ell: int, alpha: AnglePair) -> int:
+    """Closed-form signature of the (2,2l)-torus link at omega from alpha.
+
+    Strictly inside the strip i*pi/|ell| < alpha1+alpha2 < (i+1)*pi/|ell|
+    the value is |ell|-2i-1 (i < |ell|) or -3|ell|+2i+1 (i >= |ell|).  On
+    the admissible line alpha1+alpha2 = pi both neighbouring strips give
+    1-|ell|, the Sylvester minor-sign count there.  Mirroring negates:
+    sigma(-ell) = -sigma(ell).
+    """
+    _check_defined(ell, alpha)
+    if alpha.is_exact:
+        p, q, res = lattice_point(alpha)
+        return lattice_sigma(ell, p + q, res)
+    a1, a2 = alpha.radians
+    return _strip_value(ell, math.floor((a1 + a2) / math.pi * abs(ell)))
 
 
 def conway_potential_torus(ell: int, alpha: AnglePair) -> float:

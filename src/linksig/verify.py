@@ -1,23 +1,19 @@
 """Grid verification harness for the signature identity and its congruences.
 
 Sweeps run over the exact rational-angle lattice ((p/res) pi, (q/res) pi),
-1 <= p, q < res, so membership in the Alexander root locus is an integer
-test and excluded points are skipped exactly, never by tolerance.  Each
+1 <= p, q < res, on the integers (p, q, res) through the lattice kernel of
+torus_rep, so membership in the Alexander root locus is an integer test
+and excluded points are skipped exactly, never by tolerance.  Each
 report is deterministic given (ell, resolution) and serializes to JSON.
 """
 
 from __future__ import annotations
 
+import math
+
 from ._values import Record
-from .signature import _sigma_strip
-from .torus_rep import (
-    AnglePair,
-    RationalAngle,
-    _h_count,
-    check_ell,
-    conway_potential_torus,
-    is_defined,
-)
+from .chebyshev import eval_U
+from .torus_rep import check_ell, lattice_h, lattice_sigma, on_root_locus
 
 SENTINEL = -999
 
@@ -25,10 +21,9 @@ SENTINEL = -999
 def _grid(resolution: int):
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    angles = [RationalAngle(k, resolution) for k in range(1, resolution)]
-    for p, a1 in enumerate(angles, start=1):
-        for q, a2 in enumerate(angles, start=1):
-            yield p, q, AnglePair(a1, a2)
+    for p in range(1, resolution):
+        for q in range(1, resolution):
+            yield p, q
 
 
 class SweepReport(Record):
@@ -75,15 +70,14 @@ def sweep_main_identity(
     """Assert h = -(sigma(w1,w2) + sigma(w1,w2^{-1}))/2 over the exact grid."""
     check_ell(ell)
     report = SweepReport(ell, resolution, points=[] if verbose else None)
-    for p, q, alpha in _grid(resolution):
-        if not is_defined(ell, alpha):
+    for p, q in _grid(resolution):
+        if on_root_locus(ell, p, q, resolution):
             report.skipped_on_roots += 1
             continue
-        # the root locus is symmetric under alpha2 -> pi - alpha2, so the
-        # check above covers the flipped pair too
-        h = _h_count(ell, alpha)
-        s1 = _sigma_strip(ell, alpha)
-        s2 = _sigma_strip(ell, alpha.flip_alpha2())
+        # the flipped pair (p, resolution - q) has angle sum p - q + resolution
+        h = lattice_h(ell, p, q, resolution)
+        s1 = lattice_sigma(ell, p + q, resolution)
+        s2 = lattice_sigma(ell, p - q + resolution, resolution)
         ok = 2 * h == -(s1 + s2)
         report.checked += 1
         if not ok:
@@ -116,15 +110,15 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
     grid = RegionGrid(ell, resolution)
     row: list[int] = []
     last_p = 0
-    for p, q, alpha in _grid(resolution):
+    for p, q in _grid(resolution):
         if p != last_p:
             row = []
             grid.values.append(row)
             last_p = p
-        if is_defined(ell, alpha):
-            row.append(_h_count(ell, alpha))
-        else:
+        if on_root_locus(ell, p, q, resolution):
             row.append(SENTINEL)
+        else:
+            row.append(lattice_h(ell, p, q, resolution))
     return grid
 
 
@@ -184,12 +178,14 @@ def check_mod4_congruence(ell: int, resolution: int) -> Mod4Report:
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
     report = Mod4Report(ell, resolution)
-    for _, _, alpha in _grid(resolution):
-        if not is_defined(ell, alpha):
+    for p, q in _grid(resolution):
+        if on_root_locus(ell, p, q, resolution):
             report.skipped_on_roots += 1
             continue
+        # conway_potential_torus at the lattice point
+        potential = eval_U(ell - 1, math.cos(math.pi * (p + q) / resolution))
         verdict = _mod4_point_holds(
-            _sigma_strip(ell, alpha), ell, conway_potential_torus(ell, alpha)
+            lattice_sigma(ell, p + q, resolution), ell, potential
         )
         if verdict is None:
             report.skipped_zero_potential += 1

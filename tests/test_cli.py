@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 
+import pytest
 
+import linksig.cli
 from linksig.signature import seifert_to_json, torus_seifert
 
 EXIT_OK = 0
@@ -22,25 +24,32 @@ def run(*args):
 
 
 # Runs linksig.cli.main in a fresh interpreter, then reports on stderr
-# whether numpy and dataclasses were imported along the way.
+# which linksig modules were loaded, and whether numpy, dataclasses,
+# fractions and decimal were, along the way.
 NUMPY_PROBE = """
 import sys
 import linksig.cli
 code = linksig.cli.main(sys.argv[1:])
-print(f"numpy_loaded={'numpy' in sys.modules}", file=sys.stderr)
-print(f"dataclasses_loaded={'dataclasses' in sys.modules}", file=sys.stderr)
+mods = sorted(m for m in sys.modules if m.startswith("linksig."))
+print(f"linksig_modules={','.join(mods)}", file=sys.stderr)
+for name in ("numpy", "dataclasses", "fractions", "decimal"):
+    print(f"{name}_loaded={name in sys.modules}", file=sys.stderr)
 sys.exit(code)
 """
 
 
 def run_probed(*args):
+    """(completed process, {probe key: value}) from the probe's last five lines."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
+    r = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, *args],
         capture_output=True,
         text=True,
         env=env,
     )
+    probe = dict(line.split("=", 1) for line in r.stderr.splitlines()[-5:])
+    probe["linksig_modules"] = set(probe["linksig_modules"].split(","))
+    return r, probe
 
 
 def test_h_values():
@@ -225,24 +234,82 @@ def test_outputs_are_byte_deterministic():
 
 
 def test_only_sigma_imports_numpy(tmp_path):
-    for args in (
-        ("h", "--ell", "3", "--alpha", "1/2", "1/2"),
-        ("verify", "--ell", "3", "--res", "8"),
-        ("regions", "--ell", "3", "--res", "8", "--format", "svg"),
-        ("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16"),
-    ):
-        r = run_probed(*args)
-        assert r.returncode == EXIT_OK
-        assert r.stderr.splitlines()[-2:] == [
-            "numpy_loaded=False",
-            "dataclasses_loaded=False",
-        ], args
-        assert r.stdout == run(*args).stdout
-
+    """Each command loads only the modules of its own route."""
+    lattice_route = ("linksig.pillowcase", "linksig.su2", "linksig.signature")
     path = tmp_path / "system.json"
     path.write_text(json.dumps(seifert_to_json(torus_seifert(2))))
-    args = ("sigma", "--system", str(path), "--alpha", "1/2", "1/2")
-    r = run_probed(*args)
+    for args, numpy_loaded, not_loaded, light in (
+        (("h", "--ell", "3", "--alpha", "1/2", "1/2"), False, lattice_route, True),
+        (("verify", "--ell", "3", "--res", "8"), False, lattice_route, True),
+        (
+            ("regions", "--ell", "3", "--res", "8", "--format", "svg"),
+            False,
+            lattice_route,
+            True,
+        ),
+        (
+            ("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16"),
+            False,
+            ("linksig.signature", "linksig.verify"),
+            False,
+        ),
+        (
+            ("sigma", "--system", str(path), "--alpha", "1/2", "1/2"),
+            True,
+            ("linksig.pillowcase", "linksig.verify"),
+            False,
+        ),
+    ):
+        r, probe = run_probed(*args)
+        assert r.returncode == EXIT_OK
+        assert probe["numpy_loaded"] == str(numpy_loaded), args
+        assert probe["dataclasses_loaded"] == "False", args
+        assert not probe["linksig_modules"] & set(not_loaded), (args, probe)
+        if light:
+            assert probe["fractions_loaded"] == probe["decimal_loaded"] == "False", args
+        assert r.stdout == run(*args).stdout
+    assert r.stdout == "signature=-1 nullity=0\n"
+
+
+def test_h_on_the_half_turn_line_at_ell_one_million():
+    # alpha1 + alpha2 = pi: the closed form is the constant 1 - |ell| there
+    r = run("h", "--ell", "1000000", "--alpha", "1/3", "2/3")
     assert r.returncode == EXIT_OK
-    assert r.stderr.splitlines()[-2:] == ["numpy_loaded=True", "dataclasses_loaded=False"]
-    assert r.stdout == run(*args).stdout == "signature=-1 nullity=0\n"
+    assert r.stdout == "h=666666 sigma=(-999999,-333333)\n"
+
+
+# stderr of a rejected rational angle, recorded from the Fraction-based parse
+TOP_USAGE = "usage: linksig [-h] {h,curve,regions,sigma,verify} ...\n"
+ANGLE_ERRORS = {
+    "1/0": "linksig: error: bad rational angle '1/0'\n",
+    "a/b": "linksig: error: bad rational angle 'a/b'\n",
+    "3/2": "linksig: error: angle 3/2 is outside (0, pi)\n",
+    "0/5": "linksig: error: angle 0/5 is outside (0, pi)\n",
+    "-1/2": "linksig: error: angle -1/2 is outside (0, pi)\n",
+    "0.5": "linksig: error: angle '0.5' is not of the form p/q (use --radians for decimals)\n",
+    "1/-2": "linksig: error: angle 1/-2 is outside (0, pi)\n",
+    "1/2/3": "linksig: error: bad rational angle '1/2/3'\n",
+    "1/1": "linksig: error: angle 1/1 is outside (0, pi)\n",
+}
+
+
+def test_rational_angle_parse_errors(capsys):
+    parser = linksig.cli._build_parser()
+    for text, message in ANGLE_ERRORS.items():
+        with pytest.raises(SystemExit) as exc:
+            linksig.cli._parse_angle(parser, text, False)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == TOP_USAGE + message, text
+    for text, (p, q) in {"-1/-2": (1, 2), "2/4": (1, 2), " 1/2": (1, 2), "1_0/20": (1, 2)}.items():
+        angle = linksig.cli._parse_angle(parser, text, False)
+        assert (angle.p, angle.q) == (p, q)
+    # on the command line; "-1/2" reads as an option there
+    for text in ("1/0", "a/b", "3/2", "0/5", "0.5"):
+        r = run("h", "--ell", "3", "--alpha", text, "1/2")
+        assert (r.returncode, r.stderr) == (EXIT_USAGE, TOP_USAGE + ANGLE_ERRORS[text])
+    r = run("h", "--ell", "3", "--alpha", "-1/2", "1/2")
+    assert r.returncode == EXIT_USAGE
+    assert r.stderr == (
+        "usage: linksig h [-h] --ell ELL --alpha A A [--radians]\n"
+        "linksig h: error: argument --alpha: expected 2 arguments\n"
+    )

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksig.errors import NotDefinedError, PositiveOnlyError, ZeroLinkingError
 from linksig.torus_rep import (
@@ -14,7 +16,12 @@ from linksig.torus_rep import (
     conway_potential_torus,
     h_invariant,
     is_defined,
+    lattice_h,
+    lattice_m_range,
+    lattice_sigma,
+    on_root_locus,
     rep_count,
+    sigma_torus_closed,
     solve_phi,
     torus_braid,
 )
@@ -240,3 +247,114 @@ def test_torres_formula_modulus():
             w1 = cmath.exp(1j * rng.uniform(0.05, 2 * math.pi - 0.05))
             torres = (w1**ell - 1) / (w1 - 1)
             assert abs(abs(alexander_eval(ell, w1, 1.0 + 0j)) - abs(torres)) < 1e-9
+
+
+def sylvester_sigma(big_l, s, res):
+    """Signature of the rank (big_l - 1) torus matrix at alpha1 + alpha2 =
+    pi*s/res from the signs of its leading minors delta_2..delta_big_l,
+    sign(delta_{m+1}) = sign(U_m(cos psi)) = sign(sin((m+1) psi) / sin(psi)),
+    read exactly from (m+1)*s mod 2*res; at s = res, U_m(-1) = (-1)^m (m+1)."""
+    signs = []
+    for m in range(1, big_l):
+        if s == res:
+            signs.append(1 if m % 2 == 0 else -1)
+            continue
+        t = (m + 1) * s % (2 * res)
+        assert t % res != 0, "a leading minor vanishes"
+        sign = 1 if t < res else -1
+        signs.append(sign if s < res else -sign)
+    return signs[0] + sum(a * b for a, b in zip(signs, signs[1:]))
+
+
+def test_sigma_closed_form_matches_sylvester_minor_signs():
+    # at res = 127 no lattice point lies on a root line of |ell| <= 60, and
+    # s = 127 is the half-turn line alpha1 + alpha2 = pi
+    res = 127
+    for big_l in range(2, 61):
+        for s in range(2, 2 * res - 1):
+            p = max(1, s - res + 1)
+            alpha = angle_pair(Fraction(p, res), Fraction(s - p, res))
+            expected = sylvester_sigma(big_l, s, res)
+            assert sigma_torus_closed(big_l, alpha) == expected, (big_l, s)
+            assert sigma_torus_closed(-big_l, alpha) == -expected, (big_l, s)
+        for a1 in (0.3, 1.0, 2.5):
+            alpha = AnglePair.from_radians(a1, math.pi - a1)
+            assert sigma_torus_closed(big_l, alpha) == 1 - big_l
+
+
+# The exact-angle Fraction code the lattice kernel replaced, kept as the
+# reference: root-locus membership, the solution range and the strip
+# signature, with its minor-sign count on the line alpha1 + alpha2 = pi.
+def ref_excluded(ell, x):
+    t = x * abs(ell)
+    return t.denominator == 1 and t.numerator != abs(ell)
+
+
+def ref_is_defined(ell, f1, f2):
+    return abs(ell) == 1 or not (ref_excluded(ell, f1 + f2) or ref_excluded(ell, f1 - f2 + 1))
+
+
+def ref_solution_range(ell, f1, f2):
+    big_l = abs(ell)
+    d = abs(f1 - f2) * big_l
+    s = (1 - abs(1 - (f1 + f2))) * big_l
+    return range(d.numerator // d.denominator + 1, min(big_l - 1, s.numerator // s.denominator) + 1)
+
+
+def ref_u_sign(m, su):
+    if su == 1:
+        return 1 if m % 2 == 0 else -1
+    t = ((m + 1) * su) % 2
+    if t == 0 or t == 1:
+        return 0
+    s = 1 if t < 1 else -1
+    return s if su < 1 else -s
+
+
+def ref_sigma(ell, f1, f2):
+    big_l = abs(ell)
+    if big_l == 1:
+        return 0
+    su = f1 + f2
+    if su == 1:
+        signs = [ref_u_sign(m, su) for m in range(1, big_l)]
+        value = signs[0] + sum(signs[i - 1] * signs[i] for i in range(1, big_l - 1))
+    else:
+        i = math.floor(su * big_l)
+        value = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
+    return value if ell > 0 else -value
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 10**4), st.sampled_from([1, -1]), st.data())
+def test_lattice_kernel_matches_fraction_reference(res, sign, data):
+    p = data.draw(st.integers(1, res - 1))
+    kind = data.draw(st.sampled_from(["any", "sum_line", "difference_line", "half_turn"]))
+    q = res - p if kind == "half_turn" else data.draw(st.integers(1, res - 1))
+    big_l = data.draw(st.integers(1, 10**5))
+    if kind in ("sum_line", "difference_line"):
+        # the least |ell| that puts this angle sum on one of its root lines,
+        # times a multiplier; then perhaps one lattice step off the line
+        x = p + q if kind == "sum_line" else p - q + res
+        step = res // math.gcd(res, x)
+        big_l = step * data.draw(st.integers(1, max(1, 10**5 // step)))
+        q = min(res - 1, max(1, q + data.draw(st.sampled_from([-1, 0, 0, 1]))))
+    ell = sign * big_l
+    f1, f2 = Fraction(p, res), Fraction(q, res)
+    defined = ref_is_defined(ell, f1, f2)
+    assert on_root_locus(ell, p, q, res) is not defined
+    alpha = angle_pair(f1, f2)
+    assert is_defined(ell, alpha) is defined
+    if not defined:
+        for query in (h_invariant, rep_count, sigma_torus_closed):
+            with pytest.raises(NotDefinedError):
+                query(ell, alpha)
+        return
+    expected = ref_solution_range(ell, f1, f2)
+    assert lattice_m_range(ell, p, q, res) == expected
+    assert lattice_h(ell, p, q, res) == h_invariant(ell, alpha) == sign * len(expected)
+    assert rep_count(ell, alpha) == len(expected)
+    assert lattice_sigma(ell, p + q, res) == sigma_torus_closed(ell, alpha) == ref_sigma(ell, f1, f2)
+    flipped = ref_sigma(ell, f1, 1 - f2)
+    assert lattice_sigma(ell, p - q + res, res) == flipped
+    assert sigma_torus_closed(ell, alpha.flip_alpha2()) == flipped

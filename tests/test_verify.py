@@ -5,7 +5,7 @@ import pytest
 
 from linksig.errors import ZeroLinkingError
 from linksig.signature import sigma_eval, seifert_system, torus_seifert
-from linksig.torus_rep import angle_pair
+from linksig.torus_rep import angle_pair, h_invariant, sigma_torus_closed
 from linksig.verify import (
     SENTINEL,
     check_mod4_congruence,
@@ -192,3 +192,53 @@ def test_jump_dichotomy_synthetic_flipped_pair():
         [bad_alpha.omega()], sig_of(plus), sig_of(minus), lambda om: 0, pot_minus
     )
     assert report.skipped_zero_potential == 1
+
+
+def test_sweep_counts_pinned_at_res_120():
+    # (checked, failed, skipped_on_roots) of criterion 1, recorded from the
+    # Fraction-based sweep that the lattice kernel replaced
+    pinned = {
+        1: (14161, 0, 0),
+        2: (13925, 0, 236),
+        3: (13693, 0, 468),
+        4: (13465, 0, 696),
+        5: (13241, 0, 920),
+        6: (13021, 0, 1140),
+    }
+    for big_l, counts in pinned.items():
+        for ell in (big_l, -big_l):
+            r = sweep_main_identity(ell, 120)
+            assert (r.checked, r.failed, r.skipped_on_roots) == counts, ell
+
+
+def test_mod4_reports_pinned_at_res_64():
+    # (checked, failed, skipped_on_roots, skipped_zero_potential), recorded
+    # from the Fraction-based sweep that the lattice kernel replaced
+    pinned = {
+        1: (3969, 0, 0, 0),
+        2: (3845, 0, 124, 0),
+        3: (3969, 0, 0, 0),
+        4: (3609, 0, 360, 0),
+        5: (3969, 0, 0, 0),
+        6: (3845, 0, 124, 0),
+        7: (3969, 0, 0, 0),
+        8: (3185, 0, 784, 0),
+        9: (3969, 0, 0, 0),
+        10: (3845, 0, 124, 0),
+    }
+    for ell, counts in pinned.items():
+        r = check_mod4_congruence(ell, 64)
+        assert (r.checked, r.failed, r.skipped_on_roots, r.skipped_zero_potential) == counts
+
+
+def test_verbose_sweep_records_match_scalar_queries():
+    for ell, res in ((3, 24), (-4, 17)):
+        report = sweep_main_identity(ell, res, verbose=True)
+        assert len(report.points) == report.checked
+        for rec in report.points:
+            alpha = angle_pair(*rec["alpha"])
+            assert rec["h"] == h_invariant(ell, alpha)
+            assert rec["sigma"] == [
+                sigma_torus_closed(ell, alpha),
+                sigma_torus_closed(ell, alpha.flip_alpha2()),
+            ]
