@@ -8,15 +8,14 @@ The public names below load their module on first access (PEP 562), so
 import importlib
 
 _EXPORTS = {
-    "chebyshev": "eval_T eval_U roots_U",
+    "chebyshev": "eval_T eval_U",
     "errors": "BadSystemError DegeneratePhiError FitFailureError LinksigError "
     "NotDefinedError NullityWarning OmegaOneError PositiveOnlyError "
     "TransversalityFailureError ZeroLinkingError",
     "pillowcase": "CurveSample PillowPoint SignedIntersection gamma_theta_chebyshev "
     "gamma_theta_quaternion intersections sample_curve",
-    "signature": "Inertia SeifertSystem build_H inertia levine_tristram_via_cf "
-    "seifert_from_json seifert_system seifert_to_json sigma_eval symmetrized_sigma "
-    "torus_seifert",
+    "signature": "Inertia SeifertSystem build_H inertia seifert_from_json "
+    "seifert_system seifert_to_json sigma_eval symmetrized_sigma torus_seifert",
     "su2": "ColoredBraidWord UnitQuaternion act closure_linking_number",
     "torus_rep": "AnglePair RationalAngle alexander_eval angle_pair conway_potential_torus "
     "h_invariant is_defined rep_count sigma_torus_closed solve_phi torus_braid",

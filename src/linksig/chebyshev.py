@@ -2,9 +2,9 @@
 
 Evaluation goes through the defining trigonometric identities
 T_m(cos psi) = cos(m psi) and U_m(cos psi) sin(psi) = sin((m+1) psi)
-rather than the three-term recurrence: the downstream transversality
-computation divides by sqrt(1 - T^2) near its double roots, where
-recurrence cancellation is at its worst.
+rather than the three-term recurrence, so a value costs O(1) at any degree
+up to MAX_DEGREE: the curve route evaluates T_{2|ell|} once per sample, and
+the mod-4 check U_{ell-1} once per grid point.
 """
 
 from __future__ import annotations
@@ -54,19 +54,3 @@ def eval_U(m: int, x: float) -> float:
     t = math.acosh(-x)
     value = math.sinh((m + 1) * t) / math.sinh(t)
     return value if m % 2 == 0 else -value
-
-
-def deriv_T(m: int, x: float) -> float:
-    """T_m'(x) = m * U_{m-1}(x), used exactly (never by finite differences)."""
-    _check_degree(m)
-    if m == 0:
-        return 0.0
-    return m * eval_U(m - 1, x)
-
-
-def roots_U(m: int) -> list[float]:
-    """The m simple roots of U_m, cos(k pi/(m+1)) for k = 1..m, descending."""
-    _check_degree(m)
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    return [math.cos(k * math.pi / (m + 1)) for k in range(1, m + 1)]

@@ -54,16 +54,6 @@ class PillowPoint(Frozen):
         object.__setattr__(self, "theta", theta % (2.0 * math.pi))
 
 
-class PlaneData(Frozen):
-    """The plane n . x = d cutting the target circle out of the 2-sphere."""
-
-    __slots__ = ("normal", "offset")
-
-    def __init__(self, normal: tuple[float, float, float], offset: float):
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-
-
 class CurveSample(Frozen):
     __slots__ = ("points", "provenance")
 
@@ -86,8 +76,9 @@ class SignedIntersection(Frozen):
         object.__setattr__(self, "sign", sign)
 
 
-def plane(alpha: AnglePair, phi: float) -> PlaneData:
-    """Constraint plane for Q1 at a given phi.  Guarantees |d|/|n| < 1."""
+def plane(alpha: AnglePair, phi: float) -> tuple[tuple[float, float, float], float]:
+    """(n, d) of the plane n . x = d that cuts the target circle for Q1 out of
+    the 2-sphere at a given phi.  Guarantees |d|/|n| < 1."""
     if not 0.0 < phi < math.pi:
         raise DegeneratePhiError(f"phi = {phi} is not interior to (0, pi)")
     a1, a2 = alpha.radians
@@ -96,22 +87,7 @@ def plane(alpha: AnglePair, phi: float) -> PlaneData:
     sp, cp = math.sin(phi), math.cos(phi)
     normal = (s1 * c2 * cp + c1 * s2, s1 * c2 * sp, -s1 * s2 * sp)
     offset = s1 * c2 + c1 * s2 * cp
-    return PlaneData(normal, offset)
-
-
-def q1_param(alpha: AnglePair, phi: float, theta: float) -> np.ndarray:
-    """Point at angle theta from P1 on the circle where the plane cuts the sphere."""
-    import numpy as np
-
-    pl = plane(alpha, phi)
-    n = np.array(pl.normal)
-    d = pl.offset
-    n2 = float(n @ n)
-    center = (d / n2) * n
-    p1 = np.array([math.cos(phi), math.sin(phi), 0.0])
-    v1 = p1 - center
-    v2 = np.cross(n / math.sqrt(n2), v1)
-    return center + math.cos(theta) * v1 + math.sin(theta) * v2
+    return normal, offset
 
 
 def gamma_cos_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
@@ -128,9 +104,7 @@ def gamma_cos_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
     g = (x1 * x2) ** ell
     p1 = UnitQuaternion(0.0, cp, sp, 0.0)
     q1 = g * p1 * g.inverse()
-    pl = plane(alpha, phi)
-    nx, ny, nz = pl.normal
-    d = pl.offset
+    (nx, ny, nz), d = plane(alpha, phi)
     n2 = nx * nx + ny * ny + nz * nz
     num = (
         (n2 * cp - d * nx) * q1.b

@@ -368,15 +368,3 @@ def symmetrized_sigma(link, alpha: AnglePair) -> Fraction:
         s2 = sigma_torus_closed(link, alpha.flip_alpha2())
     return Fraction(-(s1 + s2), 2)
 
-
-def levine_tristram_via_cf(ell: int, omega: complex) -> int:
-    """One-variable signature of the torus link at omega, via the diagonal.
-
-    Uses sigma(omega) = sigma(omega, omega) - lk between the components.
-    """
-    check_ell(ell)
-    if abs(omega - 1.0) < 1e-12:
-        raise OmegaOneError("omega = 1 is outside the domain of the signature")
-    phase = math.atan2(omega.imag, omega.real) % (2.0 * math.pi)
-    alpha = AnglePair.from_radians(phase / 2.0, phase / 2.0)
-    return sigma_torus_closed(ell, alpha) - ell

@@ -58,22 +58,9 @@ class UnitQuaternion(Frozen):
     def inverse(self) -> "UnitQuaternion":
         return UnitQuaternion(self.a, -self.b, -self.c, -self.d)
 
-    conjugate = inverse
-
     @property
     def trace(self) -> float:
         return 2.0 * self.a
-
-    @property
-    def imag(self) -> tuple[float, float, float]:
-        return (self.b, self.c, self.d)
-
-    def axis(self) -> tuple[float, float, float]:
-        """Unit imaginary direction of q; undefined at q = +/-1."""
-        n = math.sqrt(self.b * self.b + self.c * self.c + self.d * self.d)
-        if n < 1e-12:
-            raise ValueError("axis undefined at q = +/-1")
-        return (self.b / n, self.c / n, self.d / n)
 
     def isclose(self, other: "UnitQuaternion", tol: float = 1e-10) -> bool:
         return (
@@ -88,16 +75,6 @@ ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 I = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
 J = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
 K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def from_axis_angle(angle: float, axis: tuple[float, float, float]) -> UnitQuaternion:
-    """cos(angle) + sin(angle) * (unit axis); axis need not be normalized."""
-    x, y, z = axis
-    n = math.sqrt(x * x + y * y + z * z)
-    if n < 1e-30:
-        raise ValueError("zero axis")
-    s = math.sin(angle) / n
-    return UnitQuaternion(math.cos(angle), s * x, s * y, s * z)
 
 
 QuatTuple = tuple[UnitQuaternion, ...]
@@ -134,10 +111,6 @@ class ColoredBraidWord(Frozen):
         if any(self.coloring[perm[p]] != self.coloring[p] for p in range(n)):
             raise ValueError("braid permutation does not preserve the coloring")
 
-    @property
-    def mu(self) -> int:
-        return max(self.coloring)
-
     def permutation(self) -> tuple[int, ...]:
         """Position -> strand map at the bottom of the braid."""
         pos = list(range(self.strands))
@@ -145,16 +118,6 @@ class ColoredBraidWord(Frozen):
             i = abs(w) - 1
             pos[i], pos[i + 1] = pos[i + 1], pos[i]
         return tuple(pos)
-
-    def __mul__(self, other: "ColoredBraidWord") -> "ColoredBraidWord":
-        if self.strands != other.strands or self.coloring != other.coloring:
-            raise ValueError("can only concatenate words in the same colored braid group")
-        return ColoredBraidWord(self.strands, self.word + other.word, self.coloring)
-
-    def inverse_word(self) -> "ColoredBraidWord":
-        return ColoredBraidWord(
-            self.strands, tuple(-w for w in reversed(self.word)), self.coloring
-        )
 
 
 def act(word: ColoredBraidWord, tup: QuatTuple) -> QuatTuple:

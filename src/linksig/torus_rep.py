@@ -60,10 +60,6 @@ class RationalAngle(Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "RationalAngle":
-        return cls(f.numerator, f.denominator)
-
     @property
     def fraction(self) -> Fraction:
         from fractions import Fraction
@@ -139,7 +135,7 @@ def angle_pair(a1, a2) -> AnglePair:
         if isinstance(a, RationalAngle):
             return a
         if isinstance(a, Fraction):
-            return RationalAngle.from_fraction(a)
+            return RationalAngle(a.numerator, a.denominator)
         if isinstance(a, str):
             num, _, den = a.partition("/")
             return RationalAngle(int(num), int(den or "1"))
@@ -220,21 +216,21 @@ def _strip_value(ell: int, i: int) -> int:
     return value if ell > 0 else -value
 
 
-def _excluded_near(ell: int, x_rad: float, tau: float) -> bool:
-    # x_rad is an angle sum in (0, 2*pi); band of width tau around each line.
+def _excluded_near(ell: int, x_rad: float) -> bool:
+    # x_rad is an angle sum in (0, 2*pi); band of width TAU_ROOT around each line.
     ell = abs(ell)
     t = x_rad * ell / math.pi
     m = round(t)
     if not 0 < m < 2 * ell or m == ell:
         return False
-    return abs(x_rad - math.pi * m / ell) < tau
+    return abs(x_rad - math.pi * m / ell) < TAU_ROOT
 
 
-def is_defined(ell: int, alpha: AnglePair, tau: float = TAU_ROOT) -> bool:
+def is_defined(ell: int, alpha: AnglePair) -> bool:
     """True iff alpha avoids the Alexander root locus of the torus link.
 
     Exact membership for rational angles; for float angles a rejection band
-    of width tau (radians) around each excluded line.
+    of width TAU_ROOT (radians) around each excluded line.
     """
     check_ell(ell)
     if alpha.is_exact:
@@ -243,7 +239,7 @@ def is_defined(ell: int, alpha: AnglePair, tau: float = TAU_ROOT) -> bool:
         return True
     a1, a2 = alpha.radians
     return not (
-        _excluded_near(ell, a1 + a2, tau) or _excluded_near(ell, a1 - a2 + math.pi, tau)
+        _excluded_near(ell, a1 + a2) or _excluded_near(ell, a1 - a2 + math.pi)
     )
 
 

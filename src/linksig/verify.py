@@ -26,50 +26,54 @@ def _grid(resolution: int):
             yield p, q
 
 
-class SweepReport(Record):
-    """Outcome of one main-identity sweep at a fixed ell and resolution."""
+class Report(Record):
+    """Outcome of one check.  A field the check does not use is None and is
+    left out of to_json, which keeps the others in slot order."""
 
-    __slots__ = ("ell", "resolution", "checked", "failed", "skipped_on_roots", "points")
+    __slots__ = (
+        "ell",
+        "resolution",
+        "checked",
+        "failed",
+        "skipped_on_roots",
+        "skipped_zero_potential",
+        "points",
+        "failures",
+    )
 
     def __init__(
         self,
-        ell: int,
-        resolution: int,
+        ell: int | None = None,
+        resolution: int | None = None,
         checked: int = 0,
         failed: int = 0,
-        skipped_on_roots: int = 0,
+        skipped_on_roots: int | None = None,
+        skipped_zero_potential: int | None = None,
         points: list[dict] | None = None,
+        failures: list[dict] | None = None,
     ):
         self.ell = ell
         self.resolution = resolution
         self.checked = checked
         self.failed = failed
         self.skipped_on_roots = skipped_on_roots
+        self.skipped_zero_potential = skipped_zero_potential
         self.points = points
+        self.failures = failures
 
     @property
     def passed(self) -> bool:
         return self.failed == 0
 
     def to_json(self) -> dict:
-        out = {
-            "ell": self.ell,
-            "resolution": self.resolution,
-            "checked": self.checked,
-            "failed": self.failed,
-            "skipped_on_roots": self.skipped_on_roots,
-        }
-        if self.points is not None:
-            out["points"] = self.points
-        return out
+        fields = zip(self.__slots__, self._fields())
+        return {name: value for name, value in fields if value is not None}
 
 
-def sweep_main_identity(
-    ell: int, resolution: int, verbose: bool = False
-) -> SweepReport:
+def sweep_main_identity(ell: int, resolution: int, verbose: bool = False) -> Report:
     """Assert h = -(sigma(w1,w2) + sigma(w1,w2^{-1}))/2 over the exact grid."""
     check_ell(ell)
-    report = SweepReport(ell, resolution, points=[] if verbose else None)
+    report = Report(ell, resolution, skipped_on_roots=0, points=[] if verbose else None)
     for p, q in _grid(resolution):
         if on_root_locus(ell, p, q, resolution):
             report.skipped_on_roots += 1
@@ -122,47 +126,6 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
     return grid
 
 
-class Mod4Report(Record):
-    __slots__ = (
-        "ell",
-        "resolution",
-        "checked",
-        "failed",
-        "skipped_on_roots",
-        "skipped_zero_potential",
-    )
-
-    def __init__(
-        self,
-        ell: int,
-        resolution: int,
-        checked: int = 0,
-        failed: int = 0,
-        skipped_on_roots: int = 0,
-        skipped_zero_potential: int = 0,
-    ):
-        self.ell = ell
-        self.resolution = resolution
-        self.checked = checked
-        self.failed = failed
-        self.skipped_on_roots = skipped_on_roots
-        self.skipped_zero_potential = skipped_zero_potential
-
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
-
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "resolution": self.resolution,
-            "checked": self.checked,
-            "failed": self.failed,
-            "skipped_on_roots": self.skipped_on_roots,
-            "skipped_zero_potential": self.skipped_zero_potential,
-        }
-
-
 def _mod4_point_holds(sigma: int, ell: int, potential: float) -> bool | None:
     """None when the hypothesis (nonzero potential) fails, else the verdict."""
     if potential == 0.0:
@@ -171,13 +134,13 @@ def _mod4_point_holds(sigma: int, ell: int, potential: float) -> bool | None:
     return (sigma - (2 + ell + nabla_sign)) % 4 == 0
 
 
-def check_mod4_congruence(ell: int, resolution: int) -> Mod4Report:
+def check_mod4_congruence(ell: int, resolution: int) -> Report:
     """sigma == 2 + ell + sign(conway potential) mod 4 wherever the potential
     is nonzero, over the exact admissible grid.  Requires ell > 0 (the
     potential normalization is pinned only there)."""
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
-    report = Mod4Report(ell, resolution)
+    report = Report(ell, resolution, skipped_on_roots=0, skipped_zero_potential=0)
     for p, q in _grid(resolution):
         if on_root_locus(ell, p, q, resolution):
             report.skipped_on_roots += 1
@@ -196,41 +159,13 @@ def check_mod4_congruence(ell: int, resolution: int) -> Mod4Report:
     return report
 
 
-class JumpReport(Record):
-    __slots__ = ("checked", "failed", "skipped_zero_potential", "failures")
-
-    def __init__(
-        self,
-        checked: int = 0,
-        failed: int = 0,
-        skipped_zero_potential: int = 0,
-        failures: list[dict] | None = None,
-    ):
-        self.checked = checked
-        self.failed = failed
-        self.skipped_zero_potential = skipped_zero_potential
-        self.failures = [] if failures is None else failures
-
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
-
-    def to_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "failed": self.failed,
-            "skipped_zero_potential": self.skipped_zero_potential,
-            "failures": self.failures,
-        }
-
-
 def check_sigma_jump_dichotomy(
     omegas,
     sigma_before,
     sigma_after,
     potential_sign_before,
     potential_sign_after,
-) -> JumpReport:
+) -> Report:
     """Crossing-change dichotomy: the signature difference after a negative
     crossing change is 0 where the two potentials agree in sign and -2 where
     they disagree.
@@ -240,7 +175,7 @@ def check_sigma_jump_dichotomy(
     with one (omega1, omega2) pair.  Points where either potential sign is
     zero fall outside the hypothesis and are skipped.
     """
-    report = JumpReport()
+    report = Report(skipped_zero_potential=0, failures=[])
     for omega in omegas:
         sb = potential_sign_before(omega)
         sa = potential_sign_after(omega)

@@ -271,6 +271,34 @@ def test_only_sigma_imports_numpy(tmp_path):
     assert r.stdout == "signature=-1 nullity=0\n"
 
 
+PUBLIC_NAMES = [
+    "AnglePair", "BadSystemError", "ColoredBraidWord", "CurveSample",
+    "DegeneratePhiError", "FitFailureError", "Inertia", "LinksigError",
+    "NotDefinedError", "NullityWarning", "OmegaOneError", "PillowPoint",
+    "PositiveOnlyError", "RationalAngle", "SeifertSystem", "SignedIntersection",
+    "TransversalityFailureError", "UnitQuaternion", "ZeroLinkingError", "act",
+    "alexander_eval", "angle_pair", "build_H", "check_mod4_congruence",
+    "check_sigma_jump_dichotomy", "closure_linking_number", "conway_potential_torus",
+    "eval_T", "eval_U", "gamma_theta_chebyshev", "gamma_theta_quaternion",
+    "h_invariant", "inertia", "intersections", "is_defined", "region_grid",
+    "rep_count", "sample_curve", "seifert_from_json", "seifert_system",
+    "seifert_to_json", "sigma_eval", "sigma_torus_closed", "solve_phi",
+    "sweep_main_identity", "symmetrized_sigma", "torus_braid", "torus_seifert",
+]  # fmt: skip
+
+
+def test_public_names_resolve_lazily():
+    """Every exported name loads through the package's __getattr__, and the
+    export list names nothing more."""
+    import linksig
+
+    assert linksig.__all__ == PUBLIC_NAMES
+    for name in linksig.__all__:
+        assert linksig.__getattr__(name) is getattr(linksig, name), name
+    for name in dir(linksig):
+        getattr(linksig, name)
+
+
 def test_h_on_the_half_turn_line_at_ell_one_million():
     # alpha1 + alpha2 = pi: the closed form is the constant 1 - |ell| there
     r = run("h", "--ell", "1000000", "--alpha", "1/3", "2/3")

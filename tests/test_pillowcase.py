@@ -22,7 +22,6 @@ from linksig.pillowcase import (
     leading_coeff_check,
     orientation_basis_determinant,
     plane,
-    q1_param,
     sample_curve,
 )
 from linksig.torus_rep import AnglePair, angle_pair, h_invariant, is_defined, solve_phi
@@ -40,11 +39,11 @@ def random_admissible(rng, ell):
 
 
 def test_plane_reference_values():
-    pl = plane(P22, math.pi / 2)
-    assert np.allclose(pl.normal, (0, 0, -1), atol=1e-15)
-    assert abs(pl.offset) < 1e-15
-    pl = plane(P22, math.pi / 4)
-    assert abs(pl.offset) < 1e-15  # both terms carry a cos(alpha) factor
+    normal, offset = plane(P22, math.pi / 2)
+    assert np.allclose(normal, (0, 0, -1), atol=1e-15)
+    assert abs(offset) < 1e-15
+    _, offset = plane(P22, math.pi / 4)
+    assert abs(offset) < 1e-15  # both terms carry a cos(alpha) factor
 
 
 def test_plane_distance_strictly_inside():
@@ -54,14 +53,16 @@ def test_plane_distance_strictly_inside():
             rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.05, math.pi - 0.05)
         )
         phi = rng.uniform(1e-3, math.pi - 1e-3)
-        pl = plane(alpha, phi)
-        n = np.array(pl.normal)
-        assert abs(pl.offset) / np.linalg.norm(n) < 1.0
+        normal, d = plane(alpha, phi)
+        n = np.array(normal)
+        assert abs(d) / np.linalg.norm(n) < 1.0
         # |n|^2 - d^2 = sin^2(a2) sin^2(phi)
         a2 = alpha.radians[1]
         assert abs(
-            float(n @ n) - pl.offset**2 - math.sin(a2) ** 2 * math.sin(phi) ** 2
+            float(n @ n) - d**2 - math.sin(a2) ** 2 * math.sin(phi) ** 2
         ) < 1e-12
+        # the circle passes through P1 = cos(phi) i + sin(phi) j
+        assert abs(n @ (math.cos(phi), math.sin(phi), 0.0) - d) < 1e-12
 
 
 def test_plane_degenerate_phi():
@@ -69,37 +70,6 @@ def test_plane_degenerate_phi():
         plane(P22, 0.0)
     with pytest.raises(DegeneratePhiError):
         plane(P22, math.pi)
-
-
-def test_q1_param_at_theta_zero_is_p1():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        alpha = AnglePair.from_radians(
-            rng.uniform(0.1, math.pi - 0.1), rng.uniform(0.1, math.pi - 0.1)
-        )
-        phi = rng.uniform(0.05, math.pi - 0.05)
-        q1 = q1_param(alpha, phi, 0.0)
-        assert np.allclose(q1, (math.cos(phi), math.sin(phi), 0.0), atol=1e-12)
-
-
-def test_q1_param_unit_and_on_plane():
-    rng = np.random.default_rng(32)
-    for _ in range(50):
-        alpha = AnglePair.from_radians(
-            rng.uniform(0.1, math.pi - 0.1), rng.uniform(0.1, math.pi - 0.1)
-        )
-        phi = rng.uniform(0.05, math.pi - 0.05)
-        theta = rng.uniform(0, 2 * math.pi)
-        q1 = q1_param(alpha, phi, theta)
-        pl = plane(alpha, phi)
-        assert abs(np.linalg.norm(q1) - 1.0) < 1e-10
-        assert abs(np.array(pl.normal) @ q1 - pl.offset) < 1e-10
-
-
-def test_q1_param_antipode():
-    # center is the origin at (pi/2, pi/2), so theta = pi is the true antipode
-    q1 = q1_param(P22, math.pi / 2, math.pi)
-    assert np.allclose(q1, (-math.cos(math.pi / 2), -1.0, 0.0), atol=1e-12)
 
 
 def test_quaternion_route_reference_curves():

@@ -20,7 +20,6 @@ from linksig.signature import (
     delta_closed,
     delta_recursive,
     inertia,
-    levine_tristram_via_cf,
     seifert_from_json,
     seifert_system,
     seifert_to_json,
@@ -260,26 +259,19 @@ def test_symmetrized_sigma_is_integer_on_torus_grid():
                 assert value.denominator == 1
 
 
-def test_levine_tristram_values():
-    assert levine_tristram_via_cf(2, -1.0 + 0j) == -3
-    assert levine_tristram_via_cf(1, -1.0 + 0j) == -1
-    assert levine_tristram_via_cf(3, -1.0 + 0j) == -5
-    with pytest.raises(OmegaOneError):
-        levine_tristram_via_cf(2, 1.0 + 0j)
-
-
 def test_averaged_one_variable_identity_at_minus_one():
     """At omega = -1 the invariant equals minus the average of the two
     one-variable signatures, one per orientation of the second component.
 
-    Reversing the second component turns sigma(w, w) into sigma(w, w^{-1})
-    and flips the linking number, so the reversed-orientation one-variable
-    value is sigma(w, w^{-1}) + ell.
+    The one-variable signature is sigma(w, w) - ell.  Reversing the second
+    component turns sigma(w, w) into sigma(w, w^{-1}) and flips the linking
+    number, so the reversed-orientation one-variable value is
+    sigma(w, w^{-1}) + ell.  At w = -1 both angles are pi/2.
     """
     from linksig.torus_rep import h_invariant
 
     for ell in (1, 2, 3, 5, -2, -4):
-        lt_same = levine_tristram_via_cf(ell, -1.0 + 0j)
+        lt_same = sigma_torus_closed(ell, P22) - ell
         lt_reversed = sigma_torus_closed(ell, P22.flip_alpha2()) + ell
         assert h_invariant(ell, P22) == -Fraction(lt_same + lt_reversed, 2)
 

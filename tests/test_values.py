@@ -11,7 +11,7 @@ from linksig.pillowcase import PillowPoint
 from linksig.signature import Inertia, torus_seifert
 from linksig.su2 import UnitQuaternion
 from linksig.torus_rep import AnglePair, RationalAngle
-from linksig.verify import JumpReport, RegionGrid, SweepReport
+from linksig.verify import RegionGrid, Report
 
 
 def test_equal_values_are_equal_and_hash_alike():
@@ -55,17 +55,20 @@ def test_seifert_system_is_equal_only_to_itself():
 
 
 def test_keyword_construction_and_fresh_defaults():
-    report = SweepReport(ell=2, resolution=5)
-    assert report.points is None
+    report = Report(ell=2, resolution=5, skipped_on_roots=0)
+    assert report.points is None and report.failures is None
     assert (report.checked, report.failed, report.skipped_on_roots) == (0, 0, 0)
     report.checked += 1
     assert report.checked == 1
+    assert report.to_json() == {
+        "ell": 2, "resolution": 5, "checked": 1, "failed": 0, "skipped_on_roots": 0
+    }
+    assert Report().to_json() == {"checked": 0, "failed": 0}
 
     a, b = RegionGrid(3, 8), RegionGrid(3, 8)
     assert a.values == [] and a.values is not b.values
     a.values.append([1])
     assert b.values == []
-    assert JumpReport().failures is not JumpReport().failures
 
 
 def test_copy_and_pickle_round_trip():
@@ -74,7 +77,8 @@ def test_copy_and_pickle_round_trip():
         UnitQuaternion(0.5, 0.5, 0.5, 0.5),
         PillowPoint(1.0, 2.0),
         Inertia(1, 2, 0),
-        SweepReport(2, 5, checked=3, points=[{"h": 1}]),
+        Report(2, 5, checked=3, skipped_on_roots=0, points=[{"h": 1}]),
+        Report(checked=1, failed=1, skipped_zero_potential=0, failures=[{"expected": 0}]),
     )
     for value in values:
         assert copy.copy(value) == value
@@ -86,6 +90,10 @@ def test_repr_names_the_fields():
     assert repr(RationalAngle(2, 4)) == "RationalAngle(p=1, q=2)"
     assert repr(Inertia(1, 2, 0)) == "Inertia(n_pos=1, n_neg=2, n_zero=0)"
     assert repr(RegionGrid(3, 8)) == "RegionGrid(ell=3, resolution=8, values=[])"
+    assert repr(Report(checked=2)) == (
+        "Report(ell=None, resolution=None, checked=2, failed=0, skipped_on_roots=None, "
+        "skipped_zero_potential=None, points=None, failures=None)"
+    )
 
 
 def test_constructors_still_validate():

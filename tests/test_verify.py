@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -242,3 +244,36 @@ def test_verbose_sweep_records_match_scalar_queries():
                 sigma_torus_closed(ell, alpha),
                 sigma_torus_closed(ell, alpha.flip_alpha2()),
             ]
+
+
+def test_mod4_report_json_pinned():
+    assert json.dumps(check_mod4_congruence(3, 24).to_json()) == (
+        '{"ell": 3, "resolution": 24, "checked": 445, "failed": 0, '
+        '"skipped_on_roots": 84, "skipped_zero_potential": 0}'
+    )
+
+
+def test_jump_report_json_pinned():
+    points = [(1j, 1j), (1j, -1 + 0j)]
+    report = check_sigma_jump_dichotomy(
+        points,
+        lambda om: 0,
+        lambda om: 0 if om == points[0] else 2,
+        lambda om: 1,
+        lambda om: 1,
+    )
+    assert json.dumps(report.to_json()) == (
+        '{"checked": 2, "failed": 1, "skipped_zero_potential": 0, "failures": '
+        '[{"omega": ["1j", "(-1+0j)"], "difference": 2, "expected": 0}]}'
+    )
+
+
+def test_verbose_sweep_json_pinned():
+    text = json.dumps(sweep_main_identity(3, 8, verbose=True).to_json())
+    assert text.startswith(
+        '{"ell": 3, "resolution": 8, "checked": 49, "failed": 0, "skipped_on_roots": 0, '
+        '"points": [{"alpha": ["1/8", "1/8"], "h": 0, "sigma": [2, -2], "pass": true}, '
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c298c49e48baddf0049ac5889256c4631f3179ce9675969b18f8c35d92a558b5"
+    )
