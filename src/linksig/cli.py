@@ -68,11 +68,10 @@ def _parse_angle(parser: _Parser, text: str, radians: bool):
         parser.error(f"bad rational angle {text!r}")
     if q == 0:
         parser.error(f"bad rational angle {text!r}")
-    if q < 0:
-        p, q = -p, -q
-    if not 0 < p < q:
+    try:
+        return RationalAngle(p, q)
+    except ValueError:
         parser.error(f"angle {text} is outside (0, pi)")
-    return RationalAngle(p, q)
 
 
 def _angle_pair(parser: _Parser, texts, radians: bool):

@@ -27,8 +27,7 @@ from .errors import (
     PositiveOnlyError,
     TransversalityFailureError,
 )
-from .su2 import I as QI
-from .su2 import UnitQuaternion, act
+from .su2 import I, J, K, UnitQuaternion, act
 from .torus_rep import AnglePair, check_ell, solve_phi, torus_braid
 
 if TYPE_CHECKING:
@@ -93,8 +92,7 @@ def plane(alpha: AnglePair, phi: float) -> tuple[tuple[float, float, float], flo
 def gamma_cos_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
     """cos(theta) on the graph curve by explicit quaternion conjugation."""
     check_ell(ell)
-    if not 0.0 < phi < math.pi:
-        raise DegeneratePhiError(f"phi = {phi} is not interior to (0, pi)")
+    (nx, ny, nz), d = plane(alpha, phi)
     a1, a2 = alpha.radians
     s1, c1 = math.sin(a1), math.cos(a1)
     s2, c2 = math.sin(a2), math.cos(a2)
@@ -104,7 +102,6 @@ def gamma_cos_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
     g = (x1 * x2) ** ell
     p1 = UnitQuaternion(0.0, cp, sp, 0.0)
     q1 = g * p1 * g.inverse()
-    (nx, ny, nz), d = plane(alpha, phi)
     n2 = nx * nx + ny * ny + nz * nz
     num = (
         (n2 * cp - d * nx) * q1.b
@@ -262,43 +259,21 @@ def intersections(ell: int, alpha: AnglePair) -> list[SignedIntersection]:
 # ---------------------------------------------------------------------------
 
 
-def _qmul_raw(x, y) -> np.ndarray:
-    import numpy as np
-
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return np.array(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ]
-    )
-
-
-_RI = (0.0, 1.0, 0.0, 0.0)
-_RJ = (0.0, 0.0, 1.0, 0.0)
-_RK = (0.0, 0.0, 0.0, 1.0)
 _R0 = (0.0, 0.0, 0.0, 0.0)
 
 
 def _flat(quads) -> np.ndarray:
     import numpy as np
 
-    return np.concatenate([np.asarray(q, dtype=float) for q in quads])
+    return np.array(
+        [q if q is _R0 else (q.a, q.b, q.c, q.d) for q in quads], dtype=float
+    ).ravel()
 
 
-def _fd_tangent(path, t0: float, step: float = FD_STEP) -> np.ndarray:
-    plus = path(t0 + step)
-    minus = path(t0 - step)
-    return (_flat(plus) - _flat(minus)) / (2.0 * step)
-
-
-def _quat_raw(q: UnitQuaternion) -> np.ndarray:
-    import numpy as np
-
-    return np.array([q.a, q.b, q.c, q.d])
+def _fd_tangent(path, t0: float) -> np.ndarray:
+    plus = path(t0 + FD_STEP)
+    minus = path(t0 - FD_STEP)
+    return (_flat(plus) - _flat(minus)) / (2.0 * FD_STEP)
 
 
 def _i_exp_mk(t: float) -> UnitQuaternion:
@@ -306,34 +281,25 @@ def _i_exp_mk(t: float) -> UnitQuaternion:
     return UnitQuaternion(0.0, math.cos(t), math.sin(t), 0.0)
 
 
-def _i_exp_pk(t: float) -> UnitQuaternion:
-    # i e^{k t} = cos(t) i - sin(t) j
-    return UnitQuaternion(0.0, math.cos(t), -math.sin(t), 0.0)
-
-
 def _reference_frame() -> dict[str, np.ndarray]:
-    point = (_RJ, _RI, _RJ, _RI)
+    point = (J, I, J, I)
 
     def commutator_frame(e):
-        return [_qmul_raw(e, q) - _qmul_raw(q, e) for q in point]
+        # products of basis units are exact
+        return _flat([e * q for q in point]) - _flat([q * e for q in point])
 
     def chart(phi, theta):
-        return (
-            _quat_raw(_i_exp_mk(phi)),
-            _RI,
-            _quat_raw(_i_exp_mk(phi - theta)),
-            _quat_raw(_i_exp_pk(theta)),
-        )
+        return (_i_exp_mk(phi), I, _i_exp_mk(phi - theta), _i_exp_mk(-theta))
 
     half_pi = math.pi / 2.0
     u1 = _fd_tangent(lambda t: chart(t, 0.0), half_pi)
     u2 = _fd_tangent(lambda t: chart(half_pi, t), 0.0)
-    v1 = _flat(commutator_frame(_RI))
-    v2 = _flat(commutator_frame(_RJ))
-    v3 = _flat(commutator_frame(_RK))
-    w1 = _flat([_RK, _R0, _R0, _R0])
-    w2 = _flat([_R0, _RK, _R0, _R0])
-    w3 = _flat([_R0, _RJ, _R0, _R0])
+    v1 = commutator_frame(I)
+    v2 = commutator_frame(J)
+    v3 = commutator_frame(K)
+    w1 = _flat([K, _R0, _R0, _R0])
+    w2 = _flat([_R0, K, _R0, _R0])
+    w3 = _flat([_R0, J, _R0, _R0])
     return {"u1": u1, "u2": u2, "v1": v1, "v2": v2, "v3": v3, "w1": w1, "w2": w2, "w3": w3}
 
 
@@ -344,14 +310,14 @@ def orientation_basis_determinant() -> float:
 
     fr = _reference_frame()
     std = [
-        _flat([_RI, _R0, _R0, _R0]),
-        _flat([_RK, _R0, _R0, _R0]),
-        _flat([_R0, _RJ, _R0, _R0]),
-        _flat([_R0, (0.0, 0.0, 0.0, -1.0), _R0, _R0]),
-        _flat([_R0, _R0, _RI, _R0]),
-        _flat([_R0, _R0, _RK, _R0]),
-        _flat([_R0, _R0, _R0, _RJ]),
-        _flat([_R0, _R0, _R0, (0.0, 0.0, 0.0, -1.0)]),
+        _flat([I, _R0, _R0, _R0]),
+        _flat([K, _R0, _R0, _R0]),
+        _flat([_R0, J, _R0, _R0]),
+        _flat([_R0, K.inverse(), _R0, _R0]),
+        _flat([_R0, _R0, I, _R0]),
+        _flat([_R0, _R0, K, _R0]),
+        _flat([_R0, _R0, _R0, J]),
+        _flat([_R0, _R0, _R0, K.inverse()]),
     ]
     basis = [fr[name] for name in ("w1", "w2", "w3", "u1", "u2", "v1", "v2", "v3")]
     matrix = np.array([[e @ b for b in basis] for e in std])
@@ -378,12 +344,11 @@ def frame_intersection_sign(ell: int) -> int:
 
     def diag_path(phi):
         x1 = _i_exp_mk(phi)
-        return (_quat_raw(x1), _RI, _quat_raw(x1), _RI)
+        return (x1, I, x1, I)
 
     def graph_path(phi):
         x1 = _i_exp_mk(phi)
-        y1, y2 = act(word, (x1, QI))
-        return (_quat_raw(x1), _RI, _quat_raw(y1), _quat_raw(y2))
+        return (x1, I, *act(word, (x1, I)))
 
     psi1 = _fd_tangent(diag_path, half_pi)
     psi2 = _fd_tangent(graph_path, half_pi)

@@ -77,10 +77,20 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
     rank = None
     for k in keys:
         try:
-            m = np.asarray(matrices[k])
-            if m.size and not np.issubdtype(m.dtype, np.integer):
-                if not np.all(m == np.round(m)):
-                    raise BadSystemError(f"matrix {k} has non-integer entries")
+            m = matrices[k]
+            if not (isinstance(m, np.ndarray) and m.dtype.kind == "i"):
+                # numpy would wrap an entry beyond int64, read true as 1 and
+                # drop an imaginary part, so each entry is checked first
+                m = np.array(m, dtype=object)
+                for v in m.flat:
+                    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer)):
+                        raise TypeError(f"entry {v!r}")
+                    if isinstance(v, float) and not v.is_integer():
+                        raise BadSystemError(f"matrix {k} has non-integer entries")
+                    if not -(2**63) <= int(v) < 2**63:
+                        raise BadSystemError(
+                            f"matrix {k} entry {v!r} is outside the int64 range [-2^63, 2^63)"
+                        )
             m = m.astype(np.int64)
         except BadSystemError:
             raise

@@ -58,10 +58,6 @@ class UnitQuaternion(Frozen):
     def inverse(self) -> "UnitQuaternion":
         return UnitQuaternion(self.a, -self.b, -self.c, -self.d)
 
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.a
-
     def isclose(self, other: "UnitQuaternion", tol: float = 1e-10) -> bool:
         return (
             abs(self.a - other.a) <= tol

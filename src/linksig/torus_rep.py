@@ -61,12 +61,6 @@ class RationalAngle(Frozen):
         object.__setattr__(self, "q", q)
 
     @property
-    def fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.p, self.q)
-
-    @property
     def radians(self) -> float:
         return math.pi * self.p / self.q
 

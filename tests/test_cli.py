@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -195,6 +196,17 @@ def test_sigma_data_errors(tmp_path):
     assert r.returncode == EXIT_DATA
 
 
+def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
+    path = tmp_path / "system.json"
+    for entry in ("1e30", "9223372036854775808", "true"):
+        path.write_text(f'{{"mu":1,"rank":1,"matrices":{{"+":[[{entry}]],"-":[[{entry}]]}}}}')
+        r = run("sigma", "--system", str(path), "--alpha", "1/3")
+        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), entry
+    path.write_text('{"mu":1,"rank":1,"matrices":{"+":[[5]],"-":[[5]]}}')
+    r = run("sigma", "--system", str(path), "--alpha", "1/3")
+    assert (r.returncode, r.stdout) == (EXIT_OK, "signature=1 nullity=0\n")
+
+
 def test_verify_subcommand(tmp_path):
     r = run("verify", "--ell", "3", "--res", "7")
     assert r.returncode == EXIT_OK
@@ -341,3 +353,25 @@ def test_rational_angle_parse_errors(capsys):
         "usage: linksig h [-h] --ell ELL --alpha A A [--radians]\n"
         "linksig h: error: argument --alpha: expected 2 arguments\n"
     )
+
+
+# SHA-256 of stdout at float angles, where the expected pools of the
+# benchmark hold no command; curve also runs the quaternion route there.
+RADIAN_DIGESTS = {
+    ("h", "--ell", "3", "--alpha", "1.1", "0.7", "--radians"):
+        "9f6697df4aff3e19b3b5b5920fc84fa64cbcfb7f767d91637e4103818d832984",
+    ("curve", "--ell", "3", "--alpha", "0.9", "1.3", "--radians",
+     "--path", "both", "--samples", "64"):
+        "e79cf6e9f1ff1a9d9e4177fd742a1707808c5313fa26b7255dbdbef289caf6a7",
+    ("sigma", "--system", "{torus3}", "--alpha", "0.9", "1.3", "--radians"):
+        "66c2395b2d2f443538243cb7744ce6ea050932c59c6bc444a5d0cc7b1eb5cfc1",
+}
+
+
+def test_float_angle_output_digests(tmp_path):
+    path = tmp_path / "torus3.json"
+    path.write_text(json.dumps(seifert_to_json(torus_seifert(3))))
+    for args, digest in RADIAN_DIGESTS.items():
+        r = run(*(str(path) if a == "{torus3}" else a for a in args))
+        assert r.returncode == EXIT_OK, args
+        assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == digest, args

@@ -222,7 +222,7 @@ def test_transversality_guard_near_root_locus():
 
 
 def test_orientation_determinant_and_frame_signs():
-    assert abs(orientation_basis_determinant() - (-8.0)) < 1e-6
+    assert abs(orientation_basis_determinant() - (-7.999999999838151)) < 1e-12
     assert frame_intersection_sign(2) == 1
     assert frame_intersection_sign(-2) == -1
     with pytest.raises(ValueError):

@@ -63,6 +63,26 @@ def test_system_validation():
         seifert_system(2, {"++": [[1]], "+-": [[0]], "-+": [[0]], "--": [[-1]]})
     with pytest.raises(BadSystemError, match="square"):
         seifert_system(1, {"+": [[1, 2]], "-": [[1], [2]]})
+    # numpy would wrap the first two to -2^63, drop the imaginary part of the
+    # third and read true as 1
+    for entry, message in (
+        (1e30, "int64 range"),
+        (2**63, "int64 range"),
+        (-(2**63) - 1, "int64 range"),
+        (2**70, "int64 range"),
+        (1 + 1j, "not numeric"),
+        (True, "not numeric"),
+        (float("nan"), "non-integer"),
+        (2.5, "non-integer"),
+    ):
+        with pytest.raises(BadSystemError, match=message):
+            seifert_system(1, {"+": [[entry]], "-": [[entry]]})
+    with pytest.raises(BadSystemError, match="not numeric"):
+        seifert_system(1, {"+": [[True, 2], [0, 1]], "-": [[True, 0], [2, 1]]})
+    # integral floats and both ends of the int64 range are kept exactly
+    plus = [[5.0, 2**63 - 1], [-(2**63), 0]]
+    edge = seifert_system(1, {"+": plus, "-": [list(r) for r in zip(*plus)]})
+    assert edge.matrices["+"].tolist() == [[5, 2**63 - 1], [-(2**63), 0]]
 
 
 def test_build_H_rank_one_torus():

@@ -114,10 +114,10 @@ def test_act_preserves_product_and_traces():
         assert before.isclose(after, tol=1e-10)
         for color in (1, 2):
             tr_before = sorted(
-                q.trace for q, c in zip(tup, word.coloring) if c == color
+                2.0 * q.a for q, c in zip(tup, word.coloring) if c == color
             )
             tr_after = sorted(
-                q.trace for q, c in zip(out, word.coloring) if c == color
+                2.0 * q.a for q, c in zip(out, word.coloring) if c == color
             )
             assert np.allclose(tr_before, tr_after, atol=1e-10)
 
