@@ -205,9 +205,8 @@ def _cmd_regions(parser: _Parser, args) -> int:
 
 
 def _cmd_sigma(parser: _Parser, args) -> int:
-    import cmath
-
     from . import signature
+    from .torus_rep import omega_of
 
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
@@ -219,11 +218,7 @@ def _cmd_sigma(parser: _Parser, args) -> int:
         parser.error(
             f"system has {system.mu} color(s) but {len(args.alpha)} angle(s) were given"
         )
-    omegas = []
-    for text in args.alpha:
-        a = _parse_angle(parser, text, args.radians)
-        rad = a if isinstance(a, float) else a.radians
-        omegas.append(cmath.exp(2j * rad))
+    omegas = [omega_of(_parse_angle(parser, text, args.radians)) for text in args.alpha]
     ine = signature.inertia(signature.build_H(system, omegas))
     print(f"signature={ine.signature} nullity={ine.n_zero}")
     if ine.n_zero > 0:

@@ -48,23 +48,35 @@ def _neg_key(key: str) -> str:
 
 
 class SeifertSystem(Frozen):
-    """The 2^mu integer Seifert matrices of a C-complex, keyed by sign vector."""
+    """The 2^mu integer Seifert matrices of a C-complex, keyed by sign vector.
 
-    __slots__ = ("mu", "rank", "matrices")
+    Built by seifert_system, which also records in `nonzero` the keys of the
+    matrices with a nonzero entry, in the order of `matrices`.
+    """
+
+    __slots__ = ("mu", "rank", "matrices", "nonzero")
     __eq__ = object.__eq__  # equal only to itself: the matrices are numpy arrays
     __hash__ = object.__hash__
 
-    def __init__(self, mu: int, rank: int, matrices: dict[str, np.ndarray]):
+    def __init__(
+        self, mu: int, rank: int, matrices: dict[str, np.ndarray], nonzero: tuple[str, ...]
+    ):
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "nonzero", nonzero)
+
+    def __reduce__(self):
+        # rebuild through seifert_system, so a copy or an unpickled system is
+        # validated, read-only and derives its own record
+        return (seifert_system, (self.mu, self.matrices))
 
 
 def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
     """Validate and freeze a Seifert system; raises BadSystemError on violation."""
     import numpy as np
 
-    if not isinstance(mu, int) or mu < 1:
+    if not isinstance(mu, int) or isinstance(mu, bool) or mu < 1:
         raise BadSystemError("mu must be a positive integer")
     keys = _eps_keys(mu)
     missing = [k for k in keys if k not in matrices]
@@ -116,7 +128,8 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
             )
         mats[k].flags.writeable = False
         mats[nk] = mats[k].T
-    return SeifertSystem(mu, rank, mats)
+    nonzero = tuple(k for k, m in mats.items() if m.any())
+    return SeifertSystem(mu, rank, mats, nonzero)
 
 
 def seifert_to_json(s: SeifertSystem) -> dict:
@@ -139,6 +152,8 @@ def seifert_from_json(data) -> SeifertSystem:
     for field in ("mu", "rank", "matrices"):
         if field not in data:
             raise BadSystemError(f"missing field {field!r}")
+    if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
+        raise BadSystemError("rank must be an integer")
     system = seifert_system(data["mu"], data["matrices"])
     if system.rank != data["rank"]:
         raise BadSystemError(
@@ -156,15 +171,18 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> np.ndarray:
     for w in omegas:
         if abs(w - 1.0) < 1e-12:
             raise OmegaOneError("omega_i = 1 is outside the domain of the signature")
-        if abs(abs(w) - 1.0) > 1e-9:
+        if not abs(abs(w) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"omega value {w} is not on the unit circle")
+    # with every coefficient finite, a zero matrix would add only +-0 to
+    # entries that never hold -0, so summing the nonzero ones alone gives
+    # the same bits
     acc = np.zeros((s.rank, s.rank), dtype=complex)
-    for key, mat in s.matrices.items():
+    for key in s.nonzero:
         coeff = 1.0 + 0.0j
         for ch, w in zip(key, omegas):
             if ch == "-":
                 coeff *= -w
-        acc += coeff * mat
+        acc += coeff * s.matrices[key]
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()

@@ -79,6 +79,11 @@ def _as_radians(a: Angle) -> float:
     return a.radians if isinstance(a, RationalAngle) else a
 
 
+def omega_of(a: Angle) -> complex:
+    """The unit complex number exp(2i*a) that the signature takes at trace angle a."""
+    return cmath.exp(2j * _as_radians(a))
+
+
 class AnglePair(Frozen):
     """Trace angles (alpha1, alpha2), each exact (rational multiple of pi) or float."""
 
@@ -110,8 +115,7 @@ class AnglePair(Frozen):
         return (_as_radians(self.alpha1), _as_radians(self.alpha2))
 
     def omega(self) -> tuple[complex, complex]:
-        a1, a2 = self.radians
-        return (cmath.exp(2j * a1), cmath.exp(2j * a2))
+        return (omega_of(self.alpha1), omega_of(self.alpha2))
 
     def flip_alpha2(self) -> "AnglePair":
         """Replace alpha2 by pi - alpha2, i.e. omega2 by its inverse."""

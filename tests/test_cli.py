@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,14 @@ def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
     assert (r.returncode, r.stdout) == (EXIT_OK, "signature=1 nullity=0\n")
 
 
+def test_sigma_rejects_a_bool_or_float_mu_and_rank(tmp_path):
+    path = tmp_path / "system.json"
+    for mu, rank in (("true", "true"), ("true", "1"), ("1", "true"), ("1", "1.0")):
+        path.write_text(f'{{"mu":{mu},"rank":{rank},"matrices":{{"+":[[5]],"-":[[5]]}}}}')
+        r = run("sigma", "--system", str(path), "--alpha", "1/3")
+        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), (mu, rank)
+
+
 def test_verify_subcommand(tmp_path):
     r = run("verify", "--ell", "3", "--res", "7")
     assert r.returncode == EXIT_OK
@@ -375,3 +384,23 @@ def test_float_angle_output_digests(tmp_path):
         r = run(*(str(path) if a == "{torus3}" else a for a in args))
         assert r.returncode == EXIT_OK, args
         assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == digest, args
+
+
+def test_sigma_replays_the_benchmark_pools(tmp_path, capsys):
+    """Every sigma command of the benchmark's expected pools, in-process, gives
+    its recorded exit code and stdout SHA-256."""
+    expected = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text(encoding="utf-8")
+    )
+    files = {}
+    for name, system in expected["systems"].items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(system), encoding="utf-8")
+        files["{" + name + "}"] = str(path)
+    entries = expected["queries"]["sigma_torus"] + expected["queries"]["sigma_nontorus"]
+    assert len(entries) == 96
+    for entry in entries:
+        code = linksig.cli.main([files.get(a, a) for a in entry["argv"]])
+        out = capsys.readouterr().out
+        assert code == entry["exit"], entry["argv"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"], entry["argv"]

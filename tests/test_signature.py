@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,58 @@ def test_system_validation():
     plus = [[5.0, 2**63 - 1], [-(2**63), 0]]
     edge = seifert_system(1, {"+": plus, "-": [list(r) for r in zip(*plus)]})
     assert edge.matrices["+"].tolist() == [[5, 2**63 - 1], [-(2**63), 0]]
+    # true equals 1 and 1.0 == 1, but neither is an integer count
+    five = {"+": [[5]], "-": [[5]]}
+    with pytest.raises(BadSystemError, match="mu must"):
+        seifert_system(True, five)
+    for header, message in (
+        ({"mu": True, "rank": 1}, "mu must"),
+        ({"mu": 1, "rank": True}, "rank must"),
+        ({"mu": 1, "rank": 1.0}, "rank must"),
+    ):
+        with pytest.raises(BadSystemError, match=message):
+            seifert_from_json({**header, "matrices": five})
+
+
+def build_H_over_every_matrix(s, omegas):
+    """build_H as a sum over all 2^mu matrices, zero ones included."""
+    acc = np.zeros((s.rank, s.rank), dtype=complex)
+    for key, mat in s.matrices.items():
+        coeff = 1.0 + 0.0j
+        for ch, w in zip(key, omegas):
+            if ch == "-":
+                coeff *= -w
+        acc += coeff * mat
+    scale = 1.0 + 0.0j
+    for w in omegas:
+        scale *= 1.0 - w.conjugate()
+    np.multiply(scale, acc, out=acc)
+    return acc
+
+
+def test_build_H_is_bitwise_the_sum_over_every_matrix():
+    rng = np.random.default_rng(23)
+    zero = np.zeros((3, 3), dtype=np.int64)
+    mixed = rng.integers(-3, 4, size=(3, 3))
+    systems = [torus_seifert(ell) for ell in (2, 3, 50, -50, 200, -200)] + [
+        seifert_system(2, {"++": zero, "+-": mixed, "-+": mixed.T, "--": zero}),
+        random_system(rng, 2, 5),
+        random_system(rng, 1, 4),
+        random_system(rng, 3, 3),
+        seifert_system(2, {k: zero for k in ("++", "+-", "-+", "--")}),
+    ]
+    assert systems[0].nonzero == ("++", "--")
+    assert systems[6].nonzero == ("+-", "-+")
+    assert systems[-1].nonzero == ()
+    for s in systems:
+        assert s.nonzero == tuple(k for k, m in s.matrices.items() if m.any())
+        for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[-1.0 + 0j] * s.mu]:
+            expected = build_H_over_every_matrix(s, omegas).tobytes()
+            assert build_H(s, omegas).tobytes() == expected
+            for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+                assert twin.nonzero == s.nonzero
+                assert not any(m.flags.writeable for m in twin.matrices.values())
+                assert build_H(twin, omegas).tobytes() == expected
 
 
 def test_build_H_rank_one_torus():
@@ -118,6 +172,12 @@ def test_build_H_rank_zero_and_omega_one():
     assert inertia(h).signature == 0
     with pytest.raises(OmegaOneError):
         build_H(torus_seifert(2), [1.0 + 0j, 1j])
+
+
+def test_build_H_rejects_omega_off_the_unit_circle():
+    for w in (2j, 0j, complex("nan"), complex("inf"), float("nan")):
+        with pytest.raises(ValueError, match="unit circle"):
+            build_H(torus_seifert(5), [w, 1j])
 
 
 def test_build_H_hermitian_random_systems():
