@@ -6,9 +6,11 @@ Seifert system), verify (identity sweeps).  Angles are rational multiples
 of pi by default ("1/2" means pi/2); pass --radians for decimal radians.
 
 Exit codes: 0 success, 1 verification failure, 2 undefined invariant
-(angles on the Alexander root locus), 3 zero linking number, 64 usage
-error, 65 data-format error.  Output is byte-deterministic for fixed
-flags; floats print with 17 significant digits.
+(angles on the Alexander root locus, or for sigma an omega_i = exp(2i
+alpha_i) within 1e-12 of 1, where H is not defined), 3 zero linking
+number, 64 usage error, 65 data-format error.  Output is
+byte-deterministic for fixed flags; floats print with 17 significant
+digits.
 
 Each subcommand imports the modules of its own route when it runs, so a
 cold `h`, `verify` or `regions` never loads the pillowcase, the
@@ -25,6 +27,7 @@ import sys
 from .errors import (
     BadSystemError,
     NotDefinedError,
+    OmegaOneError,
     ZeroLinkingError,
 )
 
@@ -347,6 +350,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](parser, args)
     except NotDefinedError:
         print(UNDEFINED_MESSAGE, file=sys.stderr)
+        return EXIT_UNDEFINED
+    except OmegaOneError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except ZeroLinkingError as exc:
         print(f"error: {exc}", file=sys.stderr)

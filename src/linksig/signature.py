@@ -223,9 +223,9 @@ def inertia(h: np.ndarray) -> Inertia:
     n = h.shape[0]
     if n == 0:
         return Inertia(0, 0, 0)
-    bands = _tridiagonal_bands(h)
-    if bands is not None:
-        return _inertia_tridiagonal(*bands)
+    counted = _tridiagonal_inertia(h)
+    if counted is not None:
+        return counted
     hmax = np.max(np.abs(h))
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, hmax):
         raise ValueError("matrix is not Hermitian")
@@ -236,37 +236,31 @@ def inertia(h: np.ndarray) -> Inertia:
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
 
 
-def _tridiagonal_bands(h: np.ndarray):
-    """(sub, diag, super) of a square h that is zero off those three
-    diagonals, else None; compared by counts of nonzero real and imaginary
-    parts."""
-    import numpy as np
+def _tridiagonal_inertia(h: np.ndarray) -> Inertia | None:
+    """inertia() of a square h that is zero off its three diagonals, else None.
 
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        return None
-    bands = tuple(h.diagonal(k) for k in (-1, 0, 1))
-    on_band = sum(np.count_nonzero(b.real) + np.count_nonzero(b.imag) for b in bands)
-    parts = np.ascontiguousarray(h).view(np.float64)
-    return bands if np.count_nonzero(parts != 0) == on_band else None
-
-
-def _inertia_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Inertia:
-    """inertia() of a tridiagonal h from its three diagonals.
-
-    The Hermitian check on the band is the whole check, since every other
-    entry is zero.  Like eigvalsh, the count reads the lower triangle.  It
+    The sub-, main and super-diagonals are copied once into one band vector,
+    and h is tridiagonal when the band holds as many nonzero real and
+    imaginary parts as h does.  The Hermitian check on the band is then the
+    whole check.  Like eigvalsh, the count reads the lower triangle.  It
     works on h / max|h|, so |e|^2 neither underflows nor overflows, and it
     carries pivot ratios only: the leading minors themselves underflow
     (rank 199 at small angles).
     """
     import numpy as np
 
-    n = diag.size
-    hmax = max(np.max(np.abs(b), initial=0.0) for b in (sub, diag, sup))
-    skew = max(
-        np.max(np.abs(diag - diag.conj())),
-        np.max(np.abs(sup - sub.conj()), initial=0.0),
-    )
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        return None
+    n = h.shape[0]
+    band = np.concatenate((h.diagonal(-1), h.diagonal(), h.diagonal(1)))
+    # counting a comparison's bools is several times faster than counting floats
+    parts = np.ascontiguousarray(h).view(np.float64)
+    if np.count_nonzero(band.view(np.float64) != 0.0) != np.count_nonzero(parts != 0.0):
+        return None
+    sub, diag, sup = band[: n - 1], band[n - 1 : 2 * n - 1], band[2 * n - 1 :]
+    hmax = np.abs(band).max()
+    # |d - conj(d)| is exactly 2|Im d|
+    skew = np.abs(sup - sub.conj()).max(initial=2.0 * np.abs(diag.imag).max())
     if skew > 1e-12 * max(1.0, hmax):
         raise ValueError("matrix is not Hermitian")
     if hmax == 0.0:

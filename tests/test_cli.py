@@ -216,6 +216,17 @@ def test_sigma_rejects_a_bool_or_float_mu_and_rank(tmp_path):
         assert (r.returncode, r.stdout) == (EXIT_DATA, ""), (mu, rank)
 
 
+def test_sigma_at_omega_one_exits_undefined(tmp_path):
+    # omega = exp(2i alpha) within 1e-12 of 1, where H is not defined
+    path = tmp_path / "torus6.json"
+    path.write_text(json.dumps(seifert_to_json(torus_seifert(6))))
+    for angle in ("1e-13", "3.14159265358979"):
+        r = run("sigma", "--system", str(path), "--radians", "--alpha", angle, "0.5")
+        assert (r.returncode, r.stdout) == (EXIT_UNDEFINED, ""), angle
+        assert r.stderr == "error: omega_i = 1 is outside the domain of the signature\n"
+        assert "Traceback" not in r.stderr
+
+
 def test_verify_subcommand(tmp_path):
     r = run("verify", "--ell", "3", "--res", "7")
     assert r.returncode == EXIT_OK

@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -612,6 +613,61 @@ def test_sigma_eval_rank_199_at_tiny_angle():
             if ell > 0:
                 assert delta_closed(ell, alpha, ell) == 0.0
             assert sigma_eval(s, list(alpha.omega())) == sigma_torus_closed(ell, alpha)
+
+
+def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
+    # a slip in the band test would only fall back, silently, to eigvalsh
+    rng = np.random.default_rng(32)
+    cases = []
+    for ell in (2, 3, -5, 20, 200):
+        h = build_H(torus_seifert(ell), random_omegas(rng, 2))
+        assert h.flags.c_contiguous
+        want, edge = eigvalsh_triple(h)
+        assert not edge
+        signed_zero = h.copy()
+        i, j = np.indices(h.shape)
+        signed_zero[abs(i - j) > 1] = complex(-0.0, -0.0)
+        cases.append((h, want, (h.T, np.asfortranarray(h), h[::-1, ::-1], signed_zero)))
+    off_band = tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
+    off_band[0, 2] = off_band[2, 0] = 0.25
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        inertia(off_band)
+    for h, want, layouts in cases:
+        counted = inertia(h)
+        assert triple(counted) == want
+        for variant in layouts:
+            assert inertia(variant) == counted
+
+
+def test_sigma_eval_equals_closed_form_at_engine_ranks():
+    # the engine benchmark's systems and kinds of point: lattice angles
+    # (p/P) pi with P a prime in 401..2000, and float pairs
+    primes = [n for n in range(401, 2001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    rng = random.Random(33)
+    for ell in (3, -3, 5, -5, 20, -20, 50, -50, 200, -200):
+        s = torus_seifert(ell)
+        points = []
+        for _ in range(12):
+            big_p = rng.choice(primes)
+            points.append(
+                angle_pair(
+                    Fraction(rng.randint(1, big_p - 1), big_p),
+                    Fraction(rng.randint(1, big_p - 1), big_p),
+                )
+            )
+        for _ in range(4):
+            points.append(
+                AnglePair.from_radians(*(rng.uniform(1e-6, math.pi - 1e-6) for _ in range(2)))
+            )
+        for alpha in points:
+            assert is_defined(ell, alpha), (ell, alpha)
+            engine = sigma_eval(s, list(alpha.omega()))
+            assert engine == sigma_torus_closed(ell, alpha), (ell, alpha)
 
 
 def test_seifert_system_stores_partners_as_read_only_transposes():
