@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 import warnings
-from itertools import product
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 from ._values import Frozen
 from .chebyshev import eval_U
@@ -37,10 +38,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 EIG_ZERO_SCALE = 1e-9
+_SIGNS = str.maketrans("01", "+-")
+
+
+def _eps_key(mu: int, i: int) -> str:
+    """The i-th of the 2^mu sign vectors, whose "-" signs are the 1 bits of i."""
+    return format(i, f"0{mu}b").translate(_SIGNS)
 
 
 def _eps_keys(mu: int) -> list[str]:
-    return ["".join(chars) for chars in product("+-", repeat=mu)]
+    return [_eps_key(mu, i) for i in range(2**mu)]
 
 
 def _neg_key(key: str) -> str:
@@ -78,13 +85,28 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
 
     if not isinstance(mu, int) or isinstance(mu, bool) or mu < 1:
         raise BadSystemError("mu must be a positive integer")
-    keys = _eps_keys(mu)
-    missing = [k for k in keys if k not in matrices]
-    if missing:
-        raise BadSystemError(f"missing sign-vector keys: {missing}")
-    extra = [k for k in matrices if k not in keys]
+    if not isinstance(matrices, Mapping):
+        raise BadSystemError("matrices must map sign vectors to matrices")
+    # each key is checked on its own, and the 2^mu sign vectors are listed
+    # only once there are as many matrices: a large mu never forms 2^mu
+    extra = [
+        k for k in matrices
+        if not (isinstance(k, str) and len(k) == mu and not k.strip("+-"))
+    ]
     if extra:
-        raise BadSystemError(f"unexpected keys: {extra}")
+        shown = ", ".join(reprlib.repr(k) for k in extra[:3])
+        raise BadSystemError(f"unexpected keys: {shown} ({len(extra)} in all)")
+    count = len(matrices)
+    if count.bit_length() <= mu:  # count < 2^mu
+        message = f"missing sign-vector keys: {count} of 2^{mu} given"
+        # one of the first count + 1 is missing; forming it costs no more than
+        # the input, which holds a key of length mu unless it is empty
+        if count:
+            keys = (_eps_key(mu, i) for i in range(count + 1))
+            first = next(k for k in keys if k not in matrices)
+            message += f", the first is {reprlib.repr(first)}"
+        raise BadSystemError(message)
+    keys = _eps_keys(mu)
     mats = {}
     rank = None
     for k in keys:
@@ -117,7 +139,8 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
             rank = m.shape[0]
         elif m.shape[0] != rank:
             raise BadSystemError(f"matrix {k} has rank {m.shape[0]}, expected {rank}")
-        mats[k] = m
+        # a zero matrix is stored as a read-only broadcast of one 0
+        mats[k] = m if m.any() else np.broadcast_to(np.int64(0), m.shape)
     # keys[:half] lead with "+" and their partners with "-"; keep one copy
     # per pair and store the partner as its read-only transpose
     for k in keys[: len(keys) // 2]:
@@ -177,12 +200,15 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> np.ndarray:
     # entries that never hold -0, so summing the nonzero ones alone gives
     # the same bits
     acc = np.zeros((s.rank, s.rank), dtype=complex)
+    # summing into H's real and imaginary views needs one real n x n temporary
+    re, im = acc.real, acc.imag
     for key in s.nonzero:
         coeff = 1.0 + 0.0j
         for ch, w in zip(key, omegas):
             if ch == "-":
                 coeff *= -w
-        acc += coeff * s.matrices[key]
+        re += coeff.real * s.matrices[key]
+        im += coeff.imag * s.matrices[key]
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()

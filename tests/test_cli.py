@@ -203,6 +203,18 @@ def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
         path.write_text(f'{{"mu":1,"rank":1,"matrices":{{"+":[[{entry}]],"-":[[{entry}]]}}}}')
         r = run("sigma", "--system", str(path), "--alpha", "1/3")
         assert (r.returncode, r.stdout) == (EXIT_DATA, ""), entry
+    # matrices that are no mapping, and 2^18 sign vectors with one given: the
+    # error names a few keys, not 2^18
+    for document in (
+        '{"mu":1,"rank":1,"matrices":null}',
+        '{"mu":1,"rank":1,"matrices":7}',
+        '{"mu":18,"rank":1,"matrices":{"+":[[1]]}}',
+        '{"mu":18,"rank":1,"matrices":{"++++++++++++++++++":[[1]]}}',
+    ):
+        path.write_text(document)
+        r = run("sigma", "--system", str(path), "--alpha", "1/3")
+        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), document
+        assert len(r.stderr) < 1024 and "Traceback" not in r.stderr, document
     path.write_text('{"mu":1,"rank":1,"matrices":{"+":[[5]],"-":[[5]]}}')
     r = run("sigma", "--system", str(path), "--alpha", "1/3")
     assert (r.returncode, r.stdout) == (EXIT_OK, "signature=1 nullity=0\n")

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,18 @@ def test_system_validation():
         seifert_system(2, {"++": [[1]], "+-": [[0]], "-+": [[0]], "--": [[-1]]})
     with pytest.raises(BadSystemError, match="square"):
         seifert_system(1, {"+": [[1, 2]], "-": [[1], [2]]})
+    # the keys are checked before any of the 2^mu sign vectors is listed
+    for mu, matrices, message in (
+        (1, None, "must map"),
+        (1, 3, "must map"),
+        (1, [[[1]], [[1]]], "must map"),
+        (2, {"++": [[0]], "+-": [[0]], "-+": [[0]], "--": [[0]], "+": [[0]]}, r"'\+' \(1 in"),
+        (18, {"+": [[1]]}, r"unexpected keys: '\+' \(1 in all\)$"),
+        (18, {"+" * 18: [[1]]}, r"1 of 2\^18 given, the first is '\+{17}-'$"),
+        (18, {}, r"0 of 2\^18 given$"),
+    ):
+        with pytest.raises(BadSystemError, match=message):
+            seifert_system(mu, matrices)
     # numpy would wrap the first two to -2^63, drop the imaginary part of the
     # third and read true as 1
     for entry, message in (
@@ -131,13 +144,33 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
     assert systems[-1].nonzero == ()
     for s in systems:
         assert s.nonzero == tuple(k for k, m in s.matrices.items() if m.any())
-        for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[-1.0 + 0j] * s.mu]:
+        # 1j, -1j and exp(2 pi i/3) give coefficients with a zero part, where a
+        # complex product and a sum of real and imaginary parts can differ in
+        # the sign of a zero
+        fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
+        for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
             expected = build_H_over_every_matrix(s, omegas).tobytes()
             assert build_H(s, omegas).tobytes() == expected
             for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
                 assert twin.nonzero == s.nonzero
                 assert not any(m.flags.writeable for m in twin.matrices.values())
                 assert build_H(twin, omegas).tobytes() == expected
+
+
+def test_build_H_holds_one_real_temporary():
+    # a call holds H and one real n x n product; a complex product would
+    # take the peak to 2.2 times H
+    for ell in (200, -200):
+        s = torus_seifert(ell)
+        for omegas in ([cmath.exp(0.8j), cmath.exp(1.8j)], [1j, -1j]):
+            build_H(s, omegas)
+            tracemalloc.start()
+            try:
+                build_H(s, omegas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * s.rank**2 * 16, (ell, omegas, peak)
 
 
 def test_build_H_rank_one_torus():
@@ -668,6 +701,16 @@ def test_sigma_eval_equals_closed_form_at_engine_ranks():
             assert is_defined(ell, alpha), (ell, alpha)
             engine = sigma_eval(s, list(alpha.omega()))
             assert engine == sigma_torus_closed(ell, alpha), (ell, alpha)
+
+
+def test_zero_matrices_take_no_storage():
+    for ell in (200, -200):
+        s = torus_seifert(ell)
+        for k in ("+-", "-+"):
+            m = s.matrices[k]
+            assert m.shape == (199, 199) and not m.any() and not m.flags.writeable
+            assert m.strides == (0, 0)
+        assert s.matrices["++"].strides == (8 * 199, 8)
 
 
 def test_seifert_system_stores_partners_as_read_only_transposes():
