@@ -108,10 +108,11 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
         raise BadSystemError(message)
     keys = _eps_keys(mu)
     mats = {}
+    borrowed = set()  # keys whose matrix is still the caller's array
     rank = None
     for k in keys:
         try:
-            m = matrices[k]
+            m = given = matrices[k]
             if not (isinstance(m, np.ndarray) and m.dtype.kind == "i"):
                 # numpy would wrap an entry beyond int64, read true as 1 and
                 # drop an imaginary part, so each entry is checked first
@@ -125,7 +126,7 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
                         raise BadSystemError(
                             f"matrix {k} entry {v!r} is outside the int64 range [-2^63, 2^63)"
                         )
-            m = m.astype(np.int64)
+            m = m.astype(np.int64, copy=False)
         except BadSystemError:
             raise
         except (TypeError, ValueError) as exc:
@@ -139,19 +140,28 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
             rank = m.shape[0]
         elif m.shape[0] != rank:
             raise BadSystemError(f"matrix {k} has rank {m.shape[0]}, expected {rank}")
-        # a zero matrix is stored as a read-only broadcast of one 0
-        mats[k] = m if m.any() else np.broadcast_to(np.int64(0), m.shape)
-    # keys[:half] lead with "+" and their partners with "-"; keep one copy
-    # per pair and store the partner as its read-only transpose
+        mats[k] = m
+        if m is given:
+            borrowed.add(k)
+    # keys[:half] lead with "+" and their partners with "-"; keep one matrix
+    # per pair, copied if it is the caller's array, store the partner as its
+    # read-only transpose and a zero pair as a read-only broadcast of one 0,
+    # so the caller's arrays stay untouched
+    zero = set()
     for k in keys[: len(keys) // 2]:
         nk = _neg_key(k)
         if not np.array_equal(mats[nk], mats[k].T):
             raise BadSystemError(
                 f"transpose invariant violated for sign pair ({k}, {nk})"
             )
-        mats[k].flags.writeable = False
-        mats[nk] = mats[k].T
-    nonzero = tuple(k for k, m in mats.items() if m.any())
+        if mats[k].any():
+            m = mats[k].copy() if k in borrowed else mats[k]
+            m.flags.writeable = False
+        else:
+            m = np.broadcast_to(np.int64(0), mats[k].shape)
+            zero.update((k, nk))
+        mats[k], mats[nk] = m, m.T
+    nonzero = tuple(k for k in mats if k not in zero)
     return SeifertSystem(mu, rank, mats, nonzero)
 
 
@@ -333,9 +343,10 @@ def torus_seifert(ell: int) -> SeifertSystem:
 
     check_ell(ell)
     rank = abs(ell) - 1
-    app = -np.eye(rank, dtype=np.int64) + np.eye(rank, k=1, dtype=np.int64)
-    if ell < 0:
-        app = -app
+    sign = 1 if ell > 0 else -1
+    app = np.zeros((rank, rank), dtype=np.int64)
+    np.fill_diagonal(app, -sign)
+    np.fill_diagonal(app[:, 1:], sign)
     zero = np.zeros((rank, rank), dtype=np.int64)
     return seifert_system(
         2, {"++": app, "+-": zero, "-+": zero, "--": app.T}

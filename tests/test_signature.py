@@ -703,14 +703,29 @@ def test_sigma_eval_equals_closed_form_at_engine_ranks():
             assert engine == sigma_torus_closed(ell, alpha), (ell, alpha)
 
 
-def test_zero_matrices_take_no_storage():
+def test_seifert_system_keeps_one_matrix_per_nonzero_pair():
+    # one copy of each nonzero sign pair and none of a zero pair, and
+    # torus_seifert builds A^{++} in place: a rank-199 system keeps one int64
+    # matrix, and building it takes A^{++}, the zero matrix and the copy
+    size = 199 * 199 * 8
+    torus_seifert(5)
     for ell in (200, -200):
-        s = torus_seifert(ell)
-        for k in ("+-", "-+"):
-            m = s.matrices[k]
-            assert m.shape == (199, 199) and not m.any() and not m.flags.writeable
-            assert m.strides == (0, 0)
-        assert s.matrices["++"].strides == (8 * 199, 8)
+        tracemalloc.start()
+        try:
+            s = torus_seifert(ell)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.nonzero == ("++", "--")
+        assert kept < 1.1 * size and peak < 3.5 * size, (ell, kept / size, peak / size)
+    # the caller's arrays are read, never stored
+    rng = np.random.default_rng(31)
+    given = random_system(rng, 2, 4).matrices
+    for dtype in (np.int64, np.int32):
+        raw = {k: np.array(m, dtype=dtype) for k, m in given.items()}
+        s = seifert_system(2, raw)
+        assert all(np.array_equal(s.matrices[k], raw[k]) for k in raw)
+        assert not any(np.shares_memory(m, r) for m in s.matrices.values() for r in raw.values())
 
 
 def test_seifert_system_stores_partners_as_read_only_transposes():
