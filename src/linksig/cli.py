@@ -94,13 +94,13 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_h(parser: _Parser, args) -> int:
-    from .torus_rep import h_invariant, sigma_torus_closed
+    from .torus_rep import defined_strips, strip_h, strip_sigma
 
     alpha = _angle_pair(parser, args.alpha, args.radians)
-    h = h_invariant(args.ell, alpha)
-    s1 = sigma_torus_closed(args.ell, alpha)
-    s2 = sigma_torus_closed(args.ell, alpha.flip_alpha2())
-    print(f"h={h} sigma=({s1},{s2})")
+    # j, the strip of the flipped sum, is that of (alpha1, pi - alpha2)
+    i, j = defined_strips(args.ell, alpha)
+    h = strip_h(args.ell, i, j)
+    print(f"h={h} sigma=({strip_sigma(args.ell, i)},{strip_sigma(args.ell, j)})")
     return EXIT_OK
 
 

@@ -14,8 +14,8 @@ For the (2,2l)-torus family everything is also available in closed form:
 the leading principal minors of H satisfy a three-term recurrence solved
 by Chebyshev polynomials of the second kind, which yields a piecewise
 constant signature formula in alpha1 + alpha2 (Sylvester's criterion).
-That closed form, sigma_torus_closed, lives with the integer lattice kernel
-in torus_rep and is re-exported here.  Both routes are kept and
+That closed form, sigma_torus_closed, lives with the strip kernel in
+torus_rep and is re-exported here.  Both routes are kept and
 cross-checked by the test suite.
 """
 
@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING
 from ._values import Frozen
 from .chebyshev import eval_U
 from .errors import BadSystemError, NullityWarning, OmegaOneError
-from .torus_rep import AnglePair, check_ell, sigma_torus_closed
+from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
+from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -423,7 +424,7 @@ def symmetrized_sigma(link, alpha: AnglePair) -> Fraction:
         s1 = sigma_eval(link, [w1, w2])
         s2 = sigma_eval(link, [w1, w2.conjugate()])
     else:
-        s1 = sigma_torus_closed(link, alpha)
-        s2 = sigma_torus_closed(link, alpha.flip_alpha2())
+        # the flipped pair's angle sum lies in the second strip
+        s1, s2 = (strip_sigma(link, i) for i in defined_strips(link, alpha))
     return Fraction(-(s1 + s2), 2)
 

@@ -13,12 +13,15 @@ away from the root locus of the two-variable Alexander polynomial
 ((t1 t2)^|ell| - 1)/(t1 t2 - 1), and the signed invariant is
 sign(ell) times the count.
 
-Angles are rational multiples of pi whenever possible so that root-locus
-membership is an exact integer test, never a float comparison.  An exact
-pair is the lattice point (p/res, q/res)*pi with res the lcm of its
-denominators, and every closed form on it is integer arithmetic on
-(p, q, res, |ell|): the lattice kernel below, which the grid sweeps call
-directly.  Float pairs keep their own code.
+Off the root locus, h and the closed-form signatures depend only on the
+strips, in steps of pi/|ell|, of the angle sum alpha1 + alpha2 and of the
+flipped sum alpha1 - alpha2 + pi.  The strip kernel below finds both strips
+and the root-locus test together, once per point, and each closed form is
+one formula on them, shared by exact and float angles.  Exact angles make
+the root-locus test an integer one: the strips of a lattice point
+(p/res, q/res)*pi are two integer divisions, which the grid sweeps call
+directly.  Float angles use floor and a band of width TAU_ROOT around each
+root line.
 """
 
 from __future__ import annotations
@@ -165,9 +168,13 @@ def alexander_eval(ell: int, omega1: complex, omega2: complex) -> complex:
     return (z ** abs(ell) - 1.0) / (z - 1.0)
 
 
-# The lattice kernel.  A point is (p/res, q/res)*pi with 0 < p, q < res, and
-# L = |ell|.  Its angle sum over pi is s/res with s = p + q, and the flipped
-# pair (alpha2 -> pi - alpha2) has angle sum d/res with d = p - q + res.
+# The strip kernel.  With L = |ell|, the angle sum x = alpha1 + alpha2 lies in
+# strip i = floor(x L / pi), and the flipped sum alpha1 - alpha2 + pi (the
+# angle sum once alpha2 -> pi - alpha2) in strip j.  The root locus is the
+# lines x = pi*m/L, 0 < m < 2L, m != L, of either sum, and off it h and both
+# signatures depend on (ell, i, j) alone.  An exact pair is the lattice point
+# (p/res, q/res)*pi, whose sums over pi are s/res and d/res with s = p + q
+# and d = p - q + res.
 
 
 def lattice_point(alpha: AnglePair) -> tuple[int, int, int]:
@@ -177,89 +184,85 @@ def lattice_point(alpha: AnglePair) -> tuple[int, int, int]:
     return a1.p * (res // a1.q), a2.p * (res // a2.q), res
 
 
-def on_root_locus(ell: int, p: int, q: int, res: int) -> bool:
-    """True iff the lattice point lies on a line x = pi*m/L, 0 < m < 2L, m != L,
-    of either angle sum x."""
+def lattice_strips(ell: int, p: int, q: int, res: int) -> tuple[int, int] | None:
+    """Strips (i, j) of a lattice point, or None on the root locus."""
     big_l = abs(ell)
-    s, d = p + q, p - q + res
-    return big_l > 1 and (
-        (s * big_l % res == 0 and s != res) or (d * big_l % res == 0 and d != res)
-    )
+    i, s_rem = divmod((p + q) * big_l, res)
+    j, d_rem = divmod((p - q + res) * big_l, res)
+    if (s_rem == 0 and i != big_l) or (d_rem == 0 and j != big_l):
+        return None
+    return i, j
 
 
-def lattice_m_range(ell: int, p: int, q: int, res: int) -> range:
-    """The m of solve_phi at a lattice point off the root locus:
-    |p - q| L < m res < (res - |res - s|) L, and m < L."""
-    big_l = abs(ell)
-    s_top = (res - abs(res - p - q)) * big_l // res
-    return range(abs(p - q) * big_l // res + 1, min(big_l - 1, s_top) + 1)
-
-
-def lattice_h(ell: int, p: int, q: int, res: int) -> int:
-    """h at a lattice point off the root locus."""
-    count = len(lattice_m_range(ell, p, q, res))
-    return count if ell > 0 else -count
-
-
-def lattice_sigma(ell: int, s: int, res: int) -> int:
-    """Closed-form signature at a lattice point of angle sum s/res * pi."""
-    return _strip_value(ell, s * abs(ell) // res)
-
-
-def _strip_value(ell: int, i: int) -> int:
-    # strictly inside the strip i*pi/L < alpha1 + alpha2 < (i+1)*pi/L; the
-    # line alpha1 + alpha2 = pi lies between strips L-1 and L, which agree
-    big_l = abs(ell)
-    value = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
-    return value if ell > 0 else -value
-
-
-def _excluded_near(ell: int, x_rad: float) -> bool:
-    # x_rad is an angle sum in (0, 2*pi); band of width TAU_ROOT around each line.
-    ell = abs(ell)
-    t = x_rad * ell / math.pi
+def _float_strip(big_l: int, x_rad: float) -> int | None:
+    # x_rad is an angle sum in (0, 2*pi); None inside the band of width
+    # TAU_ROOT around each of its root lines.
+    t = x_rad / math.pi * big_l
     m = round(t)
-    if not 0 < m < 2 * ell or m == ell:
-        return False
-    return abs(x_rad - math.pi * m / ell) < TAU_ROOT
+    if 0 < m < 2 * big_l and m != big_l and abs(x_rad - math.pi * m / big_l) < TAU_ROOT:
+        return None
+    return math.floor(t)
 
 
-def is_defined(ell: int, alpha: AnglePair) -> bool:
-    """True iff alpha avoids the Alexander root locus of the torus link.
+def strips(ell: int, alpha: AnglePair) -> tuple[int, int] | None:
+    """Strips (i, j) of alpha, or None on the Alexander root locus.
 
     Exact membership for rational angles; for float angles a rejection band
     of width TAU_ROOT (radians) around each excluded line.
     """
     check_ell(ell)
     if alpha.is_exact:
-        return not on_root_locus(ell, *lattice_point(alpha))
-    if abs(ell) == 1:
-        return True
-    a1, a2 = alpha.radians
-    return not (
-        _excluded_near(ell, a1 + a2) or _excluded_near(ell, a1 - a2 + math.pi)
-    )
-
-
-def _check_defined(ell: int, alpha: AnglePair) -> None:
-    if not is_defined(ell, alpha):
-        raise NotDefinedError("alpha on Alexander root locus")
-
-
-def _solution_range(ell: int, alpha: AnglePair) -> range:
-    """Integers m with |alpha1 - alpha2| < pi*m/|ell| < pi - |pi - (alpha1 + alpha2)|.
-
-    Both endpoint equalities land on the root locus, which is rejected here
-    (NotDefinedError), so the open and closed conditions agree.
-    """
-    _check_defined(ell, alpha)
-    if alpha.is_exact:
-        return lattice_m_range(ell, *lattice_point(alpha))
+        return lattice_strips(ell, *lattice_point(alpha))
     big_l = abs(ell)
     a1, a2 = alpha.radians
-    d = abs(a1 - a2) * big_l / math.pi
-    s = (math.pi - abs(math.pi - (a1 + a2))) * big_l / math.pi
-    return range(math.floor(d) + 1, min(big_l - 1, math.floor(s)) + 1)
+    i = _float_strip(big_l, a1 + a2)
+    j = _float_strip(big_l, a1 - a2 + math.pi)
+    return None if i is None or j is None else (i, j)
+
+
+def is_defined(ell: int, alpha: AnglePair) -> bool:
+    """True iff alpha avoids the Alexander root locus of the torus link."""
+    return strips(ell, alpha) is not None
+
+
+def defined_strips(ell: int, alpha: AnglePair) -> tuple[int, int]:
+    """strips(ell, alpha), raising NotDefinedError on the root locus."""
+    ij = strips(ell, alpha)
+    if ij is None:
+        raise NotDefinedError("alpha on Alexander root locus")
+    return ij
+
+
+def strip_m_range(ell: int, i: int, j: int) -> range:
+    """The m of solve_phi off the root locus: lo < m <= hi, with
+    lo = floor(|alpha1 - alpha2| L/pi) and
+    hi = min(L - 1, floor((pi - |pi - (alpha1 + alpha2)|) L/pi)); strict and
+    non-strict bounds agree there.  Empty, perhaps with stop < start, if hi <= lo."""
+    big_l = abs(ell)
+    lo = j - big_l if j >= big_l else big_l - 1 - j
+    hi = i if i < big_l else 2 * big_l - 1 - i
+    return range(lo + 1, hi + 1)
+
+
+def strip_h(ell: int, i: int, j: int) -> int:
+    """h off the root locus: sign(ell) times the size of strip_m_range,
+    counted without len(), which overflows past sys.maxsize."""
+    m_range = strip_m_range(ell, i, j)
+    count = max(0, m_range.stop - m_range.start)
+    return count if ell > 0 else -count
+
+
+def strip_sigma(ell: int, i: int) -> int:
+    """Closed-form signature in strip i of the angle sum, off the root locus.
+
+    Strictly inside the strip i*pi/L < alpha1+alpha2 < (i+1)*pi/L the value
+    is L-2i-1 (i < L) or -3L+2i+1 (i >= L).  On the admissible line
+    alpha1+alpha2 = pi both neighbouring strips give 1-L, the Sylvester
+    minor-sign count there.  Mirroring negates: sigma(-ell) = -sigma(ell).
+    """
+    big_l = abs(ell)
+    value = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
+    return value if ell > 0 else -value
 
 
 def solve_phi(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
@@ -268,7 +271,7 @@ def solve_phi(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
     Each admissible m has a unique phi in (0, pi); pairs come back sorted
     by m (phi is then strictly decreasing).
     """
-    m_range = _solution_range(ell, alpha)
+    m_range = strip_m_range(ell, *defined_strips(ell, alpha))
     a1, a2 = alpha.radians
     c1c2 = math.cos(a1) * math.cos(a2)
     s1s2 = math.sin(a1) * math.sin(a2)
@@ -285,30 +288,19 @@ def rep_count(ell: int, alpha: AnglePair) -> int:
 
     Equal to len(solve_phi(ell, alpha)), counted without building the phis.
     """
-    return len(_solution_range(ell, alpha))
+    return abs(h_invariant(ell, alpha))
 
 
 def h_invariant(ell: int, alpha: AnglePair) -> int:
     """Signed representation count: sign(ell) times rep_count."""
-    count = rep_count(ell, alpha)
-    return count if ell > 0 else -count
+    return strip_h(ell, *defined_strips(ell, alpha))
 
 
 def sigma_torus_closed(ell: int, alpha: AnglePair) -> int:
-    """Closed-form signature of the (2,2l)-torus link at omega from alpha.
-
-    Strictly inside the strip i*pi/|ell| < alpha1+alpha2 < (i+1)*pi/|ell|
-    the value is |ell|-2i-1 (i < |ell|) or -3|ell|+2i+1 (i >= |ell|).  On
-    the admissible line alpha1+alpha2 = pi both neighbouring strips give
-    1-|ell|, the Sylvester minor-sign count there.  Mirroring negates:
-    sigma(-ell) = -sigma(ell).
-    """
-    _check_defined(ell, alpha)
-    if alpha.is_exact:
-        p, q, res = lattice_point(alpha)
-        return lattice_sigma(ell, p + q, res)
-    a1, a2 = alpha.radians
-    return _strip_value(ell, math.floor((a1 + a2) / math.pi * abs(ell)))
+    """Closed-form signature of the (2,2l)-torus link at omega from alpha
+    (strip_sigma in the strip of alpha1 + alpha2)."""
+    i, _ = defined_strips(ell, alpha)
+    return strip_sigma(ell, i)
 
 
 def conway_potential_torus(ell: int, alpha: AnglePair) -> float:

@@ -1,10 +1,11 @@
 """Grid verification harness for the signature identity and its congruences.
 
 Sweeps run over the exact rational-angle lattice ((p/res) pi, (q/res) pi),
-1 <= p, q < res, on the integers (p, q, res) through the lattice kernel of
-torus_rep, so membership in the Alexander root locus is an integer test
-and excluded points are skipped exactly, never by tolerance.  Each
-report is deterministic given (ell, resolution) and serializes to JSON.
+1 <= p, q < res.  Each point makes one lattice_strips call of torus_rep's
+strip kernel, two integer divisions that give its strips and its
+root-locus membership together, so excluded points are skipped exactly,
+never by tolerance, and h and sigma are read off the strips.  Each report
+is deterministic given (ell, resolution) and serializes to JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 from ._values import Record
 from .chebyshev import eval_U
-from .torus_rep import check_ell, lattice_h, lattice_sigma, on_root_locus
+from .torus_rep import check_ell, lattice_strips, strip_h, strip_sigma
 
 SENTINEL = -999
 
@@ -75,13 +76,12 @@ def sweep_main_identity(ell: int, resolution: int, verbose: bool = False) -> Rep
     check_ell(ell)
     report = Report(ell, resolution, skipped_on_roots=0, points=[] if verbose else None)
     for p, q in _grid(resolution):
-        if on_root_locus(ell, p, q, resolution):
+        ij = lattice_strips(ell, p, q, resolution)
+        if ij is None:
             report.skipped_on_roots += 1
             continue
-        # the flipped pair (p, resolution - q) has angle sum p - q + resolution
-        h = lattice_h(ell, p, q, resolution)
-        s1 = lattice_sigma(ell, p + q, resolution)
-        s2 = lattice_sigma(ell, p - q + resolution, resolution)
+        i, j = ij  # j is the strip of the flipped pair (p, resolution - q)
+        h, s1, s2 = strip_h(ell, i, j), strip_sigma(ell, i), strip_sigma(ell, j)
         ok = 2 * h == -(s1 + s2)
         report.checked += 1
         if not ok:
@@ -119,10 +119,8 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
             row = []
             grid.values.append(row)
             last_p = p
-        if on_root_locus(ell, p, q, resolution):
-            row.append(SENTINEL)
-        else:
-            row.append(lattice_h(ell, p, q, resolution))
+        ij = lattice_strips(ell, p, q, resolution)
+        row.append(SENTINEL if ij is None else strip_h(ell, *ij))
     return grid
 
 
@@ -142,14 +140,13 @@ def check_mod4_congruence(ell: int, resolution: int) -> Report:
         raise ValueError("mod-4 congruence check requires positive ell")
     report = Report(ell, resolution, skipped_on_roots=0, skipped_zero_potential=0)
     for p, q in _grid(resolution):
-        if on_root_locus(ell, p, q, resolution):
+        ij = lattice_strips(ell, p, q, resolution)
+        if ij is None:
             report.skipped_on_roots += 1
             continue
         # conway_potential_torus at the lattice point
         potential = eval_U(ell - 1, math.cos(math.pi * (p + q) / resolution))
-        verdict = _mod4_point_holds(
-            lattice_sigma(ell, p + q, resolution), ell, potential
-        )
+        verdict = _mod4_point_holds(strip_sigma(ell, ij[0]), ell, potential)
         if verdict is None:
             report.skipped_zero_potential += 1
             continue

@@ -350,6 +350,34 @@ def test_h_on_the_half_turn_line_at_ell_one_million():
     assert r.stdout == "h=666666 sigma=(-999999,-333333)\n"
 
 
+def test_h_past_sys_maxsize():
+    # the h range has more members than a Python range can len()
+    r = run("h", "--ell", "100000000000000000000", "--alpha", "1/3", "1/5")
+    assert r.returncode == EXIT_OK
+    assert r.stdout == "h=40000000000000000000 sigma=(-6666666666666666667,-73333333333333333333)\n"
+
+
+@pytest.mark.parametrize("alpha,radians", [(("1/3", "1/5"), False), (("1.1", "0.7"), True)])
+def test_one_root_locus_check_per_query(alpha, radians, monkeypatch, capsys):
+    from linksig import torus_rep
+    from linksig.signature import symmetrized_sigma
+
+    calls = []
+    for name in ("strips", "lattice_strips"):
+        real = getattr(torus_rep, name)
+        monkeypatch.setattr(
+            torus_rep, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
+        )
+    expected = ["strips"] if radians else ["strips", "lattice_strips"]
+    argv = ["h", "--ell", "5", "--alpha", *alpha] + (["--radians"] if radians else [])
+    assert linksig.cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("h=")
+    assert calls == expected
+    calls.clear()
+    symmetrized_sigma(5, torus_rep.angle_pair(*(map(float, alpha) if radians else alpha)))
+    assert calls == expected
+
+
 # stderr of a rejected rational angle, recorded from the Fraction-based parse
 TOP_USAGE = "usage: linksig [-h] {h,curve,regions,sigma,verify} ...\n"
 ANGLE_ERRORS = {

@@ -16,13 +16,14 @@ from linksig.torus_rep import (
     conway_potential_torus,
     h_invariant,
     is_defined,
-    lattice_h,
-    lattice_m_range,
-    lattice_sigma,
-    on_root_locus,
+    lattice_strips,
     rep_count,
     sigma_torus_closed,
     solve_phi,
+    strip_h,
+    strip_m_range,
+    strip_sigma,
+    strips,
     torus_braid,
 )
 from linksig.su2 import closure_linking_number
@@ -282,7 +283,7 @@ def test_sigma_closed_form_matches_sylvester_minor_signs():
             assert sigma_torus_closed(big_l, alpha) == 1 - big_l
 
 
-# The exact-angle Fraction code the lattice kernel replaced, kept as the
+# The exact-angle Fraction code the strip kernel replaced, kept as the
 # reference: root-locus membership, the solution range and the strip
 # signature, with its minor-sign count on the line alpha1 + alpha2 = pi.
 def ref_excluded(ell, x):
@@ -316,7 +317,9 @@ def ref_sigma(ell, f1, f2):
     if big_l == 1:
         return 0
     su = f1 + f2
-    if su == 1:
+    # the minor-sign count takes O(L) steps; past 10^5 the line su = 1 takes
+    # the strip above it, which the count matches below that
+    if su == 1 and big_l <= 10**5:
         signs = [ref_u_sign(m, su) for m in range(1, big_l)]
         value = signs[0] + sum(signs[i - 1] * signs[i] for i in range(1, big_l - 1))
     else:
@@ -326,35 +329,49 @@ def ref_sigma(ell, f1, f2):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.integers(2, 10**4), st.sampled_from([1, -1]), st.data())
-def test_lattice_kernel_matches_fraction_reference(res, sign, data):
+@given(st.integers(2, 10**4), st.sampled_from([1, -1]), st.booleans(), st.data())
+def test_lattice_kernel_matches_fraction_reference(res, sign, huge, data):
+    # a huge L is past sys.maxsize, where a range has no len()
+    low, high = (2**63, 2**80) if huge else (1, 10**5)
     p = data.draw(st.integers(1, res - 1))
     kind = data.draw(st.sampled_from(["any", "sum_line", "difference_line", "half_turn"]))
     q = res - p if kind == "half_turn" else data.draw(st.integers(1, res - 1))
-    big_l = data.draw(st.integers(1, 10**5))
+    big_l = data.draw(st.integers(low, high))
     if kind in ("sum_line", "difference_line"):
         # the least |ell| that puts this angle sum on one of its root lines,
         # times a multiplier; then perhaps one lattice step off the line
         x = p + q if kind == "sum_line" else p - q + res
         step = res // math.gcd(res, x)
-        big_l = step * data.draw(st.integers(1, max(1, 10**5 // step)))
+        big_l = step * data.draw(st.integers(-(-low // step), max(1, high // step)))
         q = min(res - 1, max(1, q + data.draw(st.sampled_from([-1, 0, 0, 1]))))
     ell = sign * big_l
     f1, f2 = Fraction(p, res), Fraction(q, res)
     defined = ref_is_defined(ell, f1, f2)
-    assert on_root_locus(ell, p, q, res) is not defined
+    ij = lattice_strips(ell, p, q, res)
+    assert (ij is not None) is defined
     alpha = angle_pair(f1, f2)
+    assert strips(ell, alpha) == ij
     assert is_defined(ell, alpha) is defined
+    floats = AnglePair.from_radians(math.pi * p / res, math.pi * q / res)
     if not defined:
         for query in (h_invariant, rep_count, sigma_torus_closed):
             with pytest.raises(NotDefinedError):
                 query(ell, alpha)
+        assert not is_defined(ell, floats)
         return
+    i, j = ij
     expected = ref_solution_range(ell, f1, f2)
-    assert lattice_m_range(ell, p, q, res) == expected
-    assert lattice_h(ell, p, q, res) == h_invariant(ell, alpha) == sign * len(expected)
-    assert rep_count(ell, alpha) == len(expected)
-    assert lattice_sigma(ell, p + q, res) == sigma_torus_closed(ell, alpha) == ref_sigma(ell, f1, f2)
-    flipped = ref_sigma(ell, f1, 1 - f2)
-    assert lattice_sigma(ell, p - q + res, res) == flipped
-    assert sigma_torus_closed(ell, alpha.flip_alpha2()) == flipped
+    count = max(0, expected.stop - expected.start)
+    assert strip_m_range(ell, i, j) == expected
+    assert strip_h(ell, i, j) == h_invariant(ell, alpha) == sign * count
+    assert rep_count(ell, alpha) == count
+    sigmas = (ref_sigma(ell, f1, f2), ref_sigma(ell, f1, 1 - f2))
+    assert (strip_sigma(ell, i), strip_sigma(ell, j)) == sigmas
+    assert sigma_torus_closed(ell, alpha) == sigmas[0]
+    assert sigma_torus_closed(ell, alpha.flip_alpha2()) == sigmas[1]
+    # the float pair may sit in the strip below on s = res or d = res, where
+    # both strips give the same values
+    if is_defined(ell, floats):
+        assert h_invariant(ell, floats) == sign * count
+        assert sigma_torus_closed(ell, floats) == sigmas[0]
+        assert sigma_torus_closed(ell, floats.flip_alpha2()) == sigmas[1]
