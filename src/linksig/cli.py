@@ -88,9 +88,13 @@ def _angle_pair(parser: _Parser, texts, radians: bool):
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        # a usage error (exit 64), not a failed identity (exit 1)
+        raise ValueError(f"cannot write {out_path}: {exc}") from None
 
 
 def _cmd_h(parser: _Parser, args) -> int:
@@ -114,16 +118,13 @@ def _cmd_curve(parser: _Parser, args) -> int:
     alpha = _angle_pair(parser, args.alpha, args.radians)
     if not is_defined(args.ell, alpha):
         raise NotDefinedError(UNDEFINED_MESSAGE)
-    curves = []
+    routes = (("quat", pillowcase.QUAT_PATH), ("cheb", pillowcase.CHEB_PATH))
+    curves = [
+        pillowcase.sample_curve(args.ell, alpha, samples, path)
+        for name, path in routes
+        if args.path in (name, "both")
+    ]
     footer = None
-    if args.path in ("quat", "both"):
-        curves.append(
-            pillowcase.sample_curve(args.ell, alpha, samples, pillowcase.QUAT_PATH)
-        )
-    if args.path in ("cheb", "both"):
-        curves.append(
-            pillowcase.sample_curve(args.ell, alpha, samples, pillowcase.CHEB_PATH)
-        )
     if args.path == "both":
         max_dtheta = max(
             abs(a.theta - b.theta)
@@ -173,25 +174,24 @@ def _region_svg(grid) -> str:
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>'
             )
-    # alpha1 + alpha2 = pi*m/L and alpha1 - alpha2 = pi*(m/L - 1) in cell units
+    # alpha1 + alpha2 = pi*m/L and alpha1 - alpha2 = pi*(m/L - 1) in cell units,
+    # each drawn from (p, q) = (x0, q0) to (x1, q1)
     big_l = abs(grid.ell)
+    segments = []
     for m in range(1, 2 * big_l):
         if m == big_l:
             continue
         c = res * m / big_l  # p + q = c
         x0, x1 = max(0.0, c - res), min(float(res), c)
-        if x0 < x1:
-            parts.append(
-                f'<line x1="{(x0 - 1) * cell:.2f}" y1="{size - (c - x0 - 1) * cell:.2f}" '
-                f'x2="{(x1 - 1) * cell:.2f}" y2="{size - (c - x1 - 1) * cell:.2f}" '
-                'stroke="black" stroke-width="1"/>'
-            )
+        segments.append((x0, c - x0, x1, c - x1))
         d = res * (m / big_l - 1.0)  # p - q = d
         x0, x1 = max(0.0, d), min(float(res), res + d)
+        segments.append((x0, x0 - d, x1, x1 - d))
+    for x0, q0, x1, q1 in segments:
         if x0 < x1:
             parts.append(
-                f'<line x1="{(x0 - 1) * cell:.2f}" y1="{size - (x0 - d - 1) * cell:.2f}" '
-                f'x2="{(x1 - 1) * cell:.2f}" y2="{size - (x1 - d - 1) * cell:.2f}" '
+                f'<line x1="{(x0 - 1) * cell:.2f}" y1="{size - (q0 - 1) * cell:.2f}" '
+                f'x2="{(x1 - 1) * cell:.2f}" y2="{size - (q1 - 1) * cell:.2f}" '
                 'stroke="black" stroke-width="1"/>'
             )
     parts.append("</svg>")

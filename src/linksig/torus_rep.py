@@ -196,12 +196,14 @@ def lattice_strips(ell: int, p: int, q: int, res: int) -> tuple[int, int] | None
 
 def _float_strip(big_l: int, x_rad: float) -> int | None:
     # x_rad is an angle sum in (0, 2*pi); None inside the band of width
-    # TAU_ROOT around each of its root lines.
-    t = x_rad / math.pi * big_l
-    m = round(t)
-    if 0 < m < 2 * big_l and m != big_l and abs(x_rad - math.pi * m / big_l) < TAU_ROOT:
-        return None
-    return math.floor(t)
+    # TAU_ROOT around each of its root lines.  The lines m = i-1 .. i+2 always
+    # hold the nearest root line, also when the admissible m = L is nearer
+    # still and pi/L < TAU_ROOT puts L-1 or L+1 inside the band.
+    i = math.floor(x_rad / math.pi * big_l)
+    for m in range(i - 1, i + 3):
+        if 0 < m < 2 * big_l and m != big_l and abs(x_rad - math.pi * m / big_l) < TAU_ROOT:
+            return None
+    return i
 
 
 def strips(ell: int, alpha: AnglePair) -> tuple[int, int] | None:

@@ -1,11 +1,13 @@
 """Grid verification harness for the signature identity and its congruences.
 
 Sweeps run over the exact rational-angle lattice ((p/res) pi, (q/res) pi),
-1 <= p, q < res.  Each point makes one lattice_strips call of torus_rep's
-strip kernel, two integer divisions that give its strips and its
-root-locus membership together, so excluded points are skipped exactly,
-never by tolerance, and h and sigma are read off the strips.  Each report
-is deterministic given (ell, resolution) and serializes to JSON.
+1 <= p, q < res, in one walk, _lattice, shared by the identity sweep, the
+mod-4 check and the region grid.  It checks ell and res, then visits the
+points row by row with one lattice_strips call each: two integer divisions
+that give the strips and the root-locus membership together, so excluded
+points are skipped exactly, never by tolerance, and h and sigma are read
+off the strips.  Each report is deterministic given (ell, resolution) and
+serializes to JSON.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from .torus_rep import check_ell, lattice_strips, strip_h, strip_sigma
 SENTINEL = -999
 
 
-def _grid(resolution: int):
+def _lattice(ell: int, resolution: int):
+    """(p, q, strips) row by row over 1 <= p, q < res; strips None on the root locus."""
+    check_ell(ell)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     for p in range(1, resolution):
         for q in range(1, resolution):
-            yield p, q
+            yield p, q, lattice_strips(ell, p, q, resolution)
 
 
 class Report(Record):
@@ -73,10 +77,8 @@ class Report(Record):
 
 def sweep_main_identity(ell: int, resolution: int, verbose: bool = False) -> Report:
     """Assert h = -(sigma(w1,w2) + sigma(w1,w2^{-1}))/2 over the exact grid."""
-    check_ell(ell)
     report = Report(ell, resolution, skipped_on_roots=0, points=[] if verbose else None)
-    for p, q in _grid(resolution):
-        ij = lattice_strips(ell, p, q, resolution)
+    for p, q, ij in _lattice(ell, resolution):
         if ij is None:
             report.skipped_on_roots += 1
             continue
@@ -110,18 +112,10 @@ class RegionGrid(Record):
 
 
 def region_grid(ell: int, resolution: int) -> RegionGrid:
-    check_ell(ell)
-    grid = RegionGrid(ell, resolution)
-    row: list[int] = []
-    last_p = 0
-    for p, q in _grid(resolution):
-        if p != last_p:
-            row = []
-            grid.values.append(row)
-            last_p = p
-        ij = lattice_strips(ell, p, q, resolution)
-        row.append(SENTINEL if ij is None else strip_h(ell, *ij))
-    return grid
+    walk = _lattice(ell, resolution)
+    cells = [SENTINEL if ij is None else strip_h(ell, *ij) for *_, ij in walk]
+    n = resolution - 1  # cells per row of the walk
+    return RegionGrid(ell, resolution, [cells[k : k + n] for k in range(0, len(cells), n)])
 
 
 def _mod4_point_holds(sigma: int, ell: int, potential: float) -> bool | None:
@@ -139,8 +133,7 @@ def check_mod4_congruence(ell: int, resolution: int) -> Report:
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
     report = Report(ell, resolution, skipped_on_roots=0, skipped_zero_potential=0)
-    for p, q in _grid(resolution):
-        ij = lattice_strips(ell, p, q, resolution)
+    for p, q, ij in _lattice(ell, resolution):
         if ij is None:
             report.skipped_on_roots += 1
             continue

@@ -350,6 +350,44 @@ def test_h_on_the_half_turn_line_at_ell_one_million():
     assert r.stdout == "h=666666 sigma=(-999999,-333333)\n"
 
 
+def test_h_float_point_beside_two_root_lines_in_the_band():
+    # at ell 1e10 the root lines L - 1 and L + 1 lie 3.1e-10 rad from the half-turn line
+    half = "1.5707963267948966"
+    r = run("h", "--ell", "10000000000", "--radians", "--alpha", half, half)
+    assert (r.returncode, r.stdout) == (EXIT_UNDEFINED, "")
+    assert r.stderr == "undefined: alpha on Alexander root locus\n"
+
+
+def test_curve_degree_limit():
+    # the Chebyshev route evaluates T_{2|ell|}, whose degree is capped at 10^6
+    args = ("curve", "--ell", "500001", "--alpha", "1/3", "2/7", "--samples", "4")
+    r = run(*args)
+    assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
+    assert r.stderr == "error: degree 1000002 exceeds guard limit 1000000\n"
+    assert run(*args, "--path", "cheb").returncode == EXIT_USAGE
+    r = run(*args, "--path", "quat")
+    assert r.returncode == EXIT_OK and r.stdout.count("quaternion-path") == 4
+    r = run("curve", "--ell", "500000", "--alpha", "1/3", "2/7", "--samples", "4")
+    assert r.returncode == EXIT_OK and r.stdout.count("chebyshev-path") == 4
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--ell", "3", "--res", "8"),
+        ("regions", "--ell", "3", "--res", "8"),
+        ("curve", "--ell", "3", "--alpha", "1/3", "1/5", "--samples", "4"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, args):
+    out = tmp_path / "missing" / "out"
+    r = run(*args, "--out", str(out))
+    assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
+    assert r.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1
+    assert not out.parent.exists()
+
+
 def test_h_past_sys_maxsize():
     # the h range has more members than a Python range can len()
     r = run("h", "--ell", "100000000000000000000", "--alpha", "1/3", "1/5")
@@ -437,9 +475,9 @@ def test_float_angle_output_digests(tmp_path):
         assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == digest, args
 
 
-def test_sigma_replays_the_benchmark_pools(tmp_path, capsys):
-    """Every sigma command of the benchmark's expected pools, in-process, gives
-    its recorded exit code and stdout SHA-256."""
+def test_replays_the_benchmark_pools(tmp_path, capsys):
+    """Every command of the benchmark's expected pools, in-process, gives its
+    recorded exit code and stdout SHA-256."""
     expected = json.loads(
         (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text(encoding="utf-8")
     )
@@ -448,8 +486,8 @@ def test_sigma_replays_the_benchmark_pools(tmp_path, capsys):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(system), encoding="utf-8")
         files["{" + name + "}"] = str(path)
-    entries = expected["queries"]["sigma_torus"] + expected["queries"]["sigma_nontorus"]
-    assert len(entries) == 96
+    entries = [entry for pool in expected["queries"].values() for entry in pool]
+    assert len(expected["queries"]) == 11 and len(entries) == 528
     for entry in entries:
         code = linksig.cli.main([files.get(a, a) for a in entry["argv"]])
         out = capsys.readouterr().out

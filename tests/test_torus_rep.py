@@ -120,6 +120,16 @@ def test_is_defined_float_band():
     assert not is_defined(2, near)
 
 
+def test_is_defined_float_band_past_the_line_spacing():
+    # Both sums are pi, on the admissible line m = L.  Once pi/L < TAU_ROOT
+    # (|ell| above about 3.2e9) the root lines L - 1 and L + 1 lie inside
+    # the band although m = L is the nearest line.
+    half_turn = AnglePair.from_radians(math.pi / 2, math.pi / 2)
+    assert is_defined(10**9, half_turn)
+    assert not is_defined(10**10, half_turn)
+    assert not is_defined(-(10**10), half_turn)
+
+
 def brute_force_phi(ell, alpha):
     """Scan the defining equation directly with float interval membership."""
     a1, a2 = alpha.radians

@@ -7,7 +7,13 @@ import pytest
 
 from linksig.errors import ZeroLinkingError
 from linksig.signature import sigma_eval, seifert_system, torus_seifert
-from linksig.torus_rep import angle_pair, h_invariant, sigma_torus_closed
+from linksig.torus_rep import (
+    angle_pair,
+    h_invariant,
+    lattice_strips,
+    sigma_torus_closed,
+    strip_h,
+)
 from linksig.verify import (
     SENTINEL,
     check_mod4_congruence,
@@ -57,6 +63,21 @@ def test_region_grid_values():
     assert grid3.values[11][11] == 2  # innermost region of ell = 3
     assert grid3.values[2][2] == 0
     assert grid3.values[5][5] == 1  # middle band between the root lines
+
+
+def test_region_grid_is_the_kernel_row_by_row():
+    for ell, res in ((3, 2), (-4, 7), (5, 9)):
+        expected = []
+        for p in range(1, res):
+            row = [lattice_strips(ell, p, q, res) for q in range(1, res)]
+            expected.append([SENTINEL if ij is None else strip_h(ell, *ij) for ij in row])
+        assert region_grid(ell, res).values == expected
+
+
+def test_every_grid_check_rejects_a_resolution_below_two():
+    for check in (sweep_main_identity, region_grid, check_mod4_congruence):
+        with pytest.raises(ValueError, match="resolution must be at least 2"):
+            check(2, 1)
 
 
 def _lines_between(ell, res, s_low, s_high):
