@@ -14,7 +14,7 @@ import math
 MAX_DEGREE = 10**6
 
 
-def _check_degree(m: int) -> None:
+def check_degree(m: int) -> None:
     if not isinstance(m, int):
         raise TypeError("degree must be an integer")
     if m < 0:
@@ -25,7 +25,7 @@ def _check_degree(m: int) -> None:
 
 def eval_T(m: int, x: float) -> float:
     """T_m(x), the degree-m Chebyshev polynomial of the first kind."""
-    _check_degree(m)
+    check_degree(m)
     if -1.0 <= x <= 1.0:
         return math.cos(m * math.acos(x))
     if x > 1.0:
@@ -40,7 +40,7 @@ def eval_U(m: int, x: float) -> float:
     The removable singularities at x = +/-1 are filled with the limit
     values +/-(m+1).
     """
-    _check_degree(m)
+    check_degree(m)
     if x == 1.0:
         return float(m + 1)
     if x == -1.0:

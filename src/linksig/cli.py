@@ -109,7 +109,7 @@ def _cmd_h(parser: _Parser, args) -> int:
 
 
 def _cmd_curve(parser: _Parser, args) -> int:
-    from . import pillowcase
+    from . import chebyshev, pillowcase
     from .torus_rep import is_defined
 
     samples = pillowcase.DEFAULT_SAMPLES if args.samples is None else args.samples
@@ -118,6 +118,9 @@ def _cmd_curve(parser: _Parser, args) -> int:
     alpha = _angle_pair(parser, args.alpha, args.radians)
     if not is_defined(args.ell, alpha):
         raise NotDefinedError(UNDEFINED_MESSAGE)
+    if args.path != "quat":
+        # the Chebyshev route evaluates T_{2|ell|}: refuse before any sampling
+        chebyshev.check_degree(2 * abs(args.ell))
     routes = (("quat", pillowcase.QUAT_PATH), ("cheb", pillowcase.CHEB_PATH))
     curves = [
         pillowcase.sample_curve(args.ell, alpha, samples, path)

@@ -10,6 +10,14 @@ A^eps), assembles the Hermitian matrix
 and reports its inertia.  The signature of H is the multivariable
 (Cimasoni-Florens) signature of the colored link at omega.
 
+A system is stored as the nonzero integer entries of its matrices.  When
+they all lie on the three diagonals, as for every (2,2l)-torus system and
+every system of rank <= 2, H is tridiagonal: build_H returns its diagonals
+as a Band, and inertia counts the band by Sturm sequences in pure Python.
+A tridiagonal count is exact for entries with small relative errors
+(Barth, Martin and Wilkinson 1967), so nothing is lost against the
+eigenvalues.  Only any other system is assembled and solved with numpy.
+
 For the (2,2l)-torus family everything is also available in closed form:
 the leading principal minors of H satisfy a three-term recurrence solved
 by Chebyshev polynomials of the second kind, which yields a piecewise
@@ -27,9 +35,12 @@ import reprlib
 import sys
 import warnings
 from collections.abc import Mapping
+from itertools import chain
+from operator import mul
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from ._values import Frozen
+from ._values import Frozen, Record
 from .chebyshev import eval_U
 from .errors import BadSystemError, NullityWarning, OmegaOneError
 from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
@@ -58,32 +69,101 @@ def _neg_key(key: str) -> str:
 class SeifertSystem(Frozen):
     """The 2^mu integer Seifert matrices of a C-complex, keyed by sign vector.
 
-    Built by seifert_system, which also records in `nonzero` the keys of the
-    matrices with a nonzero entry, in the order of `matrices`.
+    `entries` maps each sign vector to the nonzero entries (i, j, v) of its
+    matrix, row by row, and `nonzero` lists the keys with an entry.  Systems
+    compare by mu, rank and entries.  Built by seifert_system, which
+    validates its input, and by torus_seifert.
+
+    The rest is derived for build_H.  `columns` holds, for each position of
+    H that it fills, the entries of the nonzero matrices there, in `nonzero`
+    order.  When every entry lies on the three diagonals, `cells` is None and
+    the positions are the whole band: the sub-, main and super-diagonal in
+    turn.  Otherwise `cells` lists the positions that some entry fills.
     """
 
-    __slots__ = ("mu", "rank", "matrices", "nonzero")
-    __eq__ = object.__eq__  # equal only to itself: the matrices are numpy arrays
-    __hash__ = object.__hash__
+    __slots__ = ("mu", "rank", "entries", "nonzero", "cells", "columns")
 
-    def __init__(
-        self, mu: int, rank: int, matrices: dict[str, np.ndarray], nonzero: tuple[str, ...]
-    ):
+    def __init__(self, mu: int, rank: int, entries):
+        entries = dict(entries)  # a mapping, or its items as _fields gives them
+        nonzero = tuple(k for k, e in entries.items() if e)
+        pattern = {}
+        for slot, key in enumerate(nonzero):
+            for i, j, v in entries[key]:
+                pattern.setdefault((i, j), [0] * len(nonzero))[slot] = v
+        if all(-1 <= i - j <= 1 for i, j in pattern):
+            cells = None
+            band = [(i + 1, i) for i in range(rank - 1)] + [(i, i) for i in range(rank)]
+            band += [(i, i + 1) for i in range(rank - 1)]
+        else:
+            cells = band = tuple(sorted(pattern))
+        zero = (0,) * len(nonzero)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "nonzero", nonzero)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "columns", tuple(tuple(pattern.get(c, zero)) for c in band))
 
-    def __reduce__(self):
-        # rebuild through seifert_system, so a copy or an unpickled system is
-        # validated, read-only and derives its own record
-        return (seifert_system, (self.mu, self.matrices))
+    def _fields(self) -> tuple:
+        # equality, hash, copy and pickle read these; the rest is derived
+        return (self.mu, self.rank, tuple(self.entries.items()))
+
+    def matrix(self, key: str) -> list[list[int]]:
+        """The matrix A^key as nested lists."""
+        rows = [[0] * self.rank for _ in range(self.rank)]
+        for i, j, v in self.entries[key]:
+            rows[i][j] = v
+        return rows
+
+
+def _entry(key: str, v) -> int:
+    """One matrix entry as an int; raises TypeError if it is no number."""
+    if type(v) is not int:
+        if hasattr(v, "tolist"):  # a numpy scalar
+            v = v.tolist()
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise TypeError(f"entry {v!r}")
+        if isinstance(v, float) and not v.is_integer():
+            raise BadSystemError(f"matrix {key} has non-integer entries")
+    if not -(2**63) <= v < 2**63:
+        raise BadSystemError(
+            f"matrix {key} entry {v!r} is outside the int64 range [-2^63, 2^63)"
+        )
+    return int(v)
+
+
+def _matrix_entries(key: str, m) -> tuple[int, tuple]:
+    """The rank and the nonzero entries (i, j, v), row by row, of one matrix
+    given as nested lists or a numpy array; every entry is checked first."""
+    if hasattr(m, "tolist"):  # a numpy array, read without importing numpy
+        m = m.tolist()
+    square = isinstance(m, (list, tuple))
+    rows = m if square else [m]
+    entries, size = [], 0
+    for i, row in enumerate(rows):
+        if hasattr(row, "tolist"):
+            row = row.tolist()
+        if not isinstance(row, (list, tuple)):  # m is a number or a vector
+            row, square = [row], False
+        square = square and len(row) == len(rows)
+        size += len(row)
+        for j, v in enumerate(row):
+            v = _entry(key, v)
+            if v:
+                entries.append((i, j, v))
+    if not size:
+        return 0, ()
+    if not square:
+        raise BadSystemError(f"matrix {key} is not square")
+    return len(rows), tuple(entries)
 
 
 def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
-    """Validate and freeze a Seifert system; raises BadSystemError on violation."""
-    import numpy as np
+    """Validate a Seifert system; raises BadSystemError on violation.
 
+    Each matrix may be nested lists or a numpy array of integers; integral
+    floats are accepted, and every entry must fit in int64.
+    """
     if not isinstance(mu, int) or isinstance(mu, bool) or mu < 1:
         raise BadSystemError("mu must be a positive integer")
     if not isinstance(matrices, Mapping):
@@ -108,69 +188,32 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
             message += f", the first is {reprlib.repr(first)}"
         raise BadSystemError(message)
     keys = _eps_keys(mu)
-    mats = {}
-    borrowed = set()  # keys whose matrix is still the caller's array
+    entries = {}
     rank = None
     for k in keys:
         try:
-            m = given = matrices[k]
-            if not (isinstance(m, np.ndarray) and m.dtype.kind == "i"):
-                # numpy would wrap an entry beyond int64, read true as 1 and
-                # drop an imaginary part, so each entry is checked first
-                m = np.array(m, dtype=object)
-                for v in m.flat:
-                    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer)):
-                        raise TypeError(f"entry {v!r}")
-                    if isinstance(v, float) and not v.is_integer():
-                        raise BadSystemError(f"matrix {k} has non-integer entries")
-                    if not -(2**63) <= int(v) < 2**63:
-                        raise BadSystemError(
-                            f"matrix {k} entry {v!r} is outside the int64 range [-2^63, 2^63)"
-                        )
-            m = m.astype(np.int64, copy=False)
-        except BadSystemError:
-            raise
-        except (TypeError, ValueError) as exc:
+            n, entries[k] = _matrix_entries(k, matrices[k])
+        except TypeError as exc:
             raise BadSystemError(f"matrix {k} is not numeric: {exc}") from exc
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            if m.size == 0:
-                m = m.reshape(0, 0)
-            else:
-                raise BadSystemError(f"matrix {k} is not square")
         if rank is None:
-            rank = m.shape[0]
-        elif m.shape[0] != rank:
-            raise BadSystemError(f"matrix {k} has rank {m.shape[0]}, expected {rank}")
-        mats[k] = m
-        if m is given:
-            borrowed.add(k)
-    # keys[:half] lead with "+" and their partners with "-"; keep one matrix
-    # per pair, copied if it is the caller's array, store the partner as its
-    # read-only transpose and a zero pair as a read-only broadcast of one 0,
-    # so the caller's arrays stay untouched
-    zero = set()
+            rank = n
+        elif n != rank:
+            raise BadSystemError(f"matrix {k} has rank {n}, expected {rank}")
+    # keys[:half] lead with "+" and their partners with "-"
     for k in keys[: len(keys) // 2]:
         nk = _neg_key(k)
-        if not np.array_equal(mats[nk], mats[k].T):
+        if entries[nk] != tuple(sorted((j, i, v) for i, j, v in entries[k])):
             raise BadSystemError(
                 f"transpose invariant violated for sign pair ({k}, {nk})"
             )
-        if mats[k].any():
-            m = mats[k].copy() if k in borrowed else mats[k]
-            m.flags.writeable = False
-        else:
-            m = np.broadcast_to(np.int64(0), mats[k].shape)
-            zero.update((k, nk))
-        mats[k], mats[nk] = m, m.T
-    nonzero = tuple(k for k in mats if k not in zero)
-    return SeifertSystem(mu, rank, mats, nonzero)
+    return SeifertSystem(mu, rank, entries)
 
 
 def seifert_to_json(s: SeifertSystem) -> dict:
     return {
         "mu": s.mu,
         "rank": s.rank,
-        "matrices": {k: s.matrices[k].tolist() for k in _eps_keys(s.mu)},
+        "matrices": {k: s.matrix(k) for k in _eps_keys(s.mu)},
     }
 
 
@@ -196,10 +239,23 @@ def seifert_from_json(data) -> SeifertSystem:
     return system
 
 
-def build_H(s: SeifertSystem, omegas: list[complex]) -> np.ndarray:
-    """The Hermitian matrix H(omega) of the system at unit omega, all != 1."""
-    import numpy as np
+class Band(Record):
+    """A tridiagonal matrix by its sub-, main and super-diagonal, each a list
+    of complex numbers; `shape` is that of the matrix."""
 
+    __slots__ = ("sub", "diag", "sup")
+
+    def __init__(self, sub: list[complex], diag: list[complex], sup: list[complex]):
+        self.sub, self.diag, self.sup = sub, diag, sup
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diag), len(self.diag))
+
+
+def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | np.ndarray:
+    """The Hermitian matrix H(omega) of the system at unit omega, all != 1:
+    a Band when s.cells is None, else a numpy array."""
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -207,25 +263,28 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> np.ndarray:
             raise OmegaOneError("omega_i = 1 is outside the domain of the signature")
         if not abs(abs(w) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"omega value {w} is not on the unit circle")
-    # with every coefficient finite, a zero matrix would add only +-0 to
-    # entries that never hold -0, so summing the nonzero ones alone gives
-    # the same bits
-    acc = np.zeros((s.rank, s.rank), dtype=complex)
-    # summing into H's real and imaginary views needs one real n x n temporary
-    re, im = acc.real, acc.imag
+    coeffs = []
     for key in s.nonzero:
         coeff = 1.0 + 0.0j
         for ch, w in zip(key, omegas):
             if ch == "-":
                 coeff *= -w
-        re += coeff.real * s.matrices[key]
-        im += coeff.imag * s.matrices[key]
+        coeffs.append(coeff)
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()
-    # in place, scale first: numpy rounds acc * scale differently
-    np.multiply(scale, acc, out=acc)
-    return acc
+    # one pass over the positions the nonzero matrices fill: a zero matrix
+    # would add nothing
+    values = [scale * sum(map(mul, coeffs, col)) for col in s.columns]
+    n = s.rank
+    if s.cells is None:
+        m = max(n - 1, 0)
+        return Band(values[:m], values[m : m + n], values[m + n :])
+    import numpy as np
+
+    h = np.zeros((n, n), dtype=complex)
+    h[tuple(zip(*s.cells))] = values
+    return h
 
 
 class Inertia(Frozen):
@@ -245,24 +304,22 @@ class Inertia(Frozen):
         return self.n_pos + self.n_neg + self.n_zero
 
 
-def inertia(h: np.ndarray) -> Inertia:
+def inertia(h: Band | np.ndarray) -> Inertia:
     """Eigenvalue counts of a Hermitian matrix; zero threshold scales with size.
 
     With tau = EIG_ZERO_SCALE * max|h| * n the counts are strict:
-    n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  A tridiagonal h
-    (every torus system gives one) is counted by Sturm sequences in O(n),
-    after one vectorised pass that finds no entry off its band; any other
-    h by its eigenvalues.
+    n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  A Band is counted
+    by Sturm sequences in O(n), without numpy; any other h, taken as a
+    dense matrix, by its eigenvalues.
     """
+    if isinstance(h, Band):
+        return _band_inertia(h)
     import numpy as np
 
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
     if n == 0:
         return Inertia(0, 0, 0)
-    counted = _tridiagonal_inertia(h)
-    if counted is not None:
-        return counted
     hmax = np.max(np.abs(h))
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, hmax):
         raise ValueError("matrix is not Hermitian")
@@ -273,40 +330,37 @@ def inertia(h: np.ndarray) -> Inertia:
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
 
 
-def _tridiagonal_inertia(h: np.ndarray) -> Inertia | None:
-    """inertia() of a square h that is zero off its three diagonals, else None.
+def _band_inertia(h: Band) -> Inertia:
+    """inertia() of a band.
 
-    The sub-, main and super-diagonals are copied once into one band vector,
-    and h is tridiagonal when the band holds as many nonzero real and
-    imaginary parts as h does.  The Hermitian check on the band is then the
-    whole check.  Like eigvalsh, the count reads the lower triangle.  It
-    works on h / max|h|, so |e|^2 neither underflows nor overflows, and it
-    carries pivot ratios only: the leading minors themselves underflow
-    (rank 199 at small angles).
+    The super-diagonal is checked against the conjugate sub-diagonal, and,
+    like eigvalsh, the count reads the lower triangle.  It works on
+    h / max|h|, so |e|^2 neither underflows nor overflows, and it carries
+    pivot ratios only: the leading minors themselves underflow (rank 199 at
+    small angles).
     """
-    import numpy as np
-
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        return None
-    n = h.shape[0]
-    band = np.concatenate((h.diagonal(-1), h.diagonal(), h.diagonal(1)))
-    # counting a comparison's bools is several times faster than counting floats
-    parts = np.ascontiguousarray(h).view(np.float64)
-    if np.count_nonzero(band.view(np.float64) != 0.0) != np.count_nonzero(parts != 0.0):
-        return None
-    sub, diag, sup = band[: n - 1], band[n - 1 : 2 * n - 1], band[2 * n - 1 :]
-    hmax = np.abs(band).max()
+    n = len(h.diag)
+    if n == 0:
+        return Inertia(0, 0, 0)
+    hmax = max(map(abs, chain(h.sub, h.diag, h.sup)))
     # |d - conj(d)| is exactly 2|Im d|
-    skew = np.abs(sup - sub.conj()).max(initial=2.0 * np.abs(diag.imag).max())
+    skew = max(
+        (abs(u - e.conjugate()) for e, u in zip(h.sub, h.sup)),
+        default=0.0,
+    )
+    skew = max(skew, 2.0 * max(abs(d.imag) for d in h.diag))
     if skew > 1e-12 * max(1.0, hmax):
         raise ValueError("matrix is not Hermitian")
     if hmax == 0.0:
         return Inertia(0, 0, n)
     t = EIG_ZERO_SCALE * n  # tau / max|h|
-    a = diag.real / hmax
-    off2 = [0.0] + (np.abs(sub / hmax) ** 2).tolist()
-    n_neg = _negative_pivots((a + t).tolist(), off2)  # T + t: #(lambda < -tau)
-    n_pos = _negative_pivots((t - a).tolist(), off2)  # t - T: #(lambda > tau)
+    a = [d.real / hmax for d in h.diag]
+    off2 = [0.0]
+    for e in h.sub:
+        r = abs(e / hmax)
+        off2.append(r * r)
+    n_neg = _negative_pivots([x + t for x in a], off2)  # T + t: #(lambda < -tau)
+    n_pos = _negative_pivots([t - x for x in a], off2)  # t - T: #(lambda > tau)
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
 
 
@@ -340,18 +394,16 @@ def torus_seifert(ell: int) -> SeifertSystem:
     matrices zero.  The mirror (ell < 0) flips every sign, which reproduces
     the determinant recurrence shifted by pi.
     """
-    import numpy as np
-
     check_ell(ell)
     rank = abs(ell) - 1
     sign = 1 if ell > 0 else -1
-    app = np.zeros((rank, rank), dtype=np.int64)
-    np.fill_diagonal(app, -sign)
-    np.fill_diagonal(app[:, 1:], sign)
-    zero = np.zeros((rank, rank), dtype=np.int64)
-    return seifert_system(
-        2, {"++": app, "+-": zero, "-+": zero, "--": app.T}
-    )
+    upper = []
+    for i in range(rank):
+        upper.append((i, i, -sign))
+        if i + 1 < rank:
+            upper.append((i, i + 1, sign))
+    lower = tuple(sorted((j, i, v) for i, j, v in upper))
+    return SeifertSystem(2, rank, {"++": tuple(upper), "+-": (), "-+": (), "--": lower})
 
 
 def delta_recursive(ell: int, alpha: AnglePair, m: int) -> float:

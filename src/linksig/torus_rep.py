@@ -316,4 +316,10 @@ def conway_potential_torus(ell: int, alpha: AnglePair) -> float:
     if ell < 0:
         raise PositiveOnlyError("Conway potential normalization fixed for ell > 0 only")
     a1, a2 = alpha.radians
-    return eval_U(ell - 1, math.cos(a1 + a2))
+    return conway_potential_of_sum(ell, a1 + a2)
+
+
+def conway_potential_of_sum(ell: int, angle_sum: float) -> float:
+    """conway_potential_torus as a function of alpha1 + alpha2 in radians,
+    for ell > 0 (unchecked)."""
+    return eval_U(ell - 1, math.cos(angle_sum))

@@ -15,8 +15,13 @@ from __future__ import annotations
 import math
 
 from ._values import Record
-from .chebyshev import eval_U
-from .torus_rep import check_ell, lattice_strips, strip_h, strip_sigma
+from .torus_rep import (
+    check_ell,
+    conway_potential_of_sum,
+    lattice_strips,
+    strip_h,
+    strip_sigma,
+)
 
 SENTINEL = -999
 
@@ -137,8 +142,7 @@ def check_mod4_congruence(ell: int, resolution: int) -> Report:
         if ij is None:
             report.skipped_on_roots += 1
             continue
-        # conway_potential_torus at the lattice point
-        potential = eval_U(ell - 1, math.cos(math.pi * (p + q) / resolution))
+        potential = conway_potential_of_sum(ell, math.pi * (p + q) / resolution)
         verdict = _mod4_point_holds(strip_sigma(ell, ij[0]), ell, potential)
         if verdict is None:
             report.skipped_zero_potential += 1

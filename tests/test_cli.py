@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import linksig.cli
+import linksig.pillowcase
 from linksig.signature import seifert_to_json, torus_seifert
 
 EXIT_OK = 0
@@ -278,10 +279,17 @@ def test_outputs_are_byte_deterministic():
 
 
 def test_only_sigma_imports_numpy(tmp_path):
-    """Each command loads only the modules of its own route."""
+    """Each command loads only the modules of its own route, and only sigma
+    on a system that is not tridiagonal loads numpy."""
     lattice_route = ("linksig.pillowcase", "linksig.su2", "linksig.signature")
-    path = tmp_path / "system.json"
-    path.write_text(json.dumps(seifert_to_json(torus_seifert(2))))
+    torus = tmp_path / "torus.json"
+    # rank 3: the band has both off-diagonals
+    torus.write_text(json.dumps(seifert_to_json(torus_seifert(4))))
+    expected = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text(encoding="utf-8")
+    )
+    nontorus = tmp_path / "nontorus.json"
+    nontorus.write_text(json.dumps(expected["systems"]["nontorus"]))
     for args, numpy_loaded, not_loaded, light in (
         (("h", "--ell", "3", "--alpha", "1/2", "1/2"), False, lattice_route, True),
         (("verify", "--ell", "3", "--res", "8"), False, lattice_route, True),
@@ -298,8 +306,14 @@ def test_only_sigma_imports_numpy(tmp_path):
             False,
         ),
         (
-            ("sigma", "--system", str(path), "--alpha", "1/2", "1/2"),
+            ("sigma", "--system", str(nontorus), "--alpha", "1/3", "2/7"),
             True,
+            ("linksig.pillowcase", "linksig.verify"),
+            False,
+        ),
+        (
+            ("sigma", "--system", str(torus), "--alpha", "1/2", "1/2"),
+            False,
             ("linksig.pillowcase", "linksig.verify"),
             False,
         ),
@@ -312,7 +326,7 @@ def test_only_sigma_imports_numpy(tmp_path):
         if light:
             assert probe["fractions_loaded"] == probe["decimal_loaded"] == "False", args
         assert r.stdout == run(*args).stdout
-    assert r.stdout == "signature=-1 nullity=0\n"
+    assert r.stdout == "signature=-3 nullity=0\n"
 
 
 PUBLIC_NAMES = [
@@ -369,6 +383,19 @@ def test_curve_degree_limit():
     assert r.returncode == EXIT_OK and r.stdout.count("quaternion-path") == 4
     r = run("curve", "--ell", "500000", "--alpha", "1/3", "2/7", "--samples", "4")
     assert r.returncode == EXIT_OK and r.stdout.count("chebyshev-path") == 4
+
+
+def test_curve_degree_limit_is_checked_before_sampling(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(linksig.pillowcase, "sample_curve", refuse)
+    for path in ("both", "cheb"):
+        args = ["curve", "--ell", "-500001", "--alpha", "1/3", "2/7", "--path", path]
+        assert linksig.cli.main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree 1000002 exceeds guard limit 1000000\n"
 
 
 @pytest.mark.parametrize(

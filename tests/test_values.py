@@ -47,11 +47,12 @@ def test_frozen_fields_reject_assignment():
             value.extra = 0
 
 
-def test_seifert_system_is_equal_only_to_itself():
+def test_seifert_systems_compare_by_value():
+    # the matrices are stored as integer entries, so equal systems are equal
     system = torus_seifert(2)
-    assert system == system
-    assert system != torus_seifert(2)
-    assert len({system, torus_seifert(2)}) == 2
+    assert system == torus_seifert(2) and hash(system) == hash(torus_seifert(2))
+    assert system != torus_seifert(-2) and system != torus_seifert(3)
+    assert len({system, torus_seifert(2), torus_seifert(-2)}) == 2
 
 
 def test_keyword_construction_and_fresh_defaults():
@@ -77,6 +78,7 @@ def test_copy_and_pickle_round_trip():
         UnitQuaternion(0.5, 0.5, 0.5, 0.5),
         PillowPoint(1.0, 2.0),
         Inertia(1, 2, 0),
+        torus_seifert(4),
         Report(2, 5, checked=3, skipped_on_roots=0, points=[{"h": 1}]),
         Report(checked=1, failed=1, skipped_zero_potential=0, failures=[{"expected": 0}]),
     )
