@@ -16,11 +16,10 @@ _EXPORTS = {
     "gamma_theta_quaternion intersections sample_curve",
     "signature": "Inertia SeifertSystem build_H inertia seifert_from_json "
     "seifert_system seifert_to_json sigma_eval symmetrized_sigma torus_seifert",
-    "su2": "ColoredBraidWord UnitQuaternion act closure_linking_number",
-    "torus_rep": "AnglePair RationalAngle alexander_eval angle_pair conway_potential_torus "
-    "h_invariant is_defined rep_count sigma_torus_closed solve_phi torus_braid",
-    "verify": "check_mod4_congruence check_sigma_jump_dichotomy region_grid "
-    "sweep_main_identity",
+    "su2": "UnitQuaternion act",
+    "torus_rep": "AnglePair RationalAngle angle_pair h_invariant is_defined rep_count "
+    "sigma_torus_closed solve_phi torus_braid",
+    "verify": "check_mod4_congruence region_grid sweep_main_identity",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

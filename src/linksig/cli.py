@@ -215,11 +215,12 @@ def _cmd_sigma(parser: _Parser, args) -> int:
     from .torus_rep import omega_of
 
     try:
-        with open(args.system, "r", encoding="utf-8") as fh:
-            system = signature.seifert_from_json(fh.read())
+        with open(args.system, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
-        print(f"cannot read {args.system}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.system}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    system = signature.seifert_from_json(data)
     if len(args.alpha) != system.mu:
         parser.error(
             f"system has {system.mu} color(s) but {len(args.alpha)} angle(s) were given"

@@ -218,11 +218,12 @@ def seifert_to_json(s: SeifertSystem) -> dict:
 
 
 def seifert_from_json(data) -> SeifertSystem:
-    """Load a Seifert system from a JSON string or an already-parsed dict."""
+    """Load a Seifert system from JSON text, its UTF-8 bytes, or an already-parsed dict."""
     if isinstance(data, (str, bytes)):
         try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
+            data = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        # ValueError covers bytes that do not decode; RecursionError, deep nesting
+        except (ValueError, RecursionError) as exc:
             raise BadSystemError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise BadSystemError("top-level JSON value must be an object")

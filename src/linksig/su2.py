@@ -1,4 +1,4 @@
-"""Unit quaternions as SU(2), colored braid words, and the braid action.
+"""Unit quaternions as SU(2), and the braid action on tuples of them.
 
 SU(2) is identified with the unit quaternions throughout; an element is
 written q = a + b*i + c*j + d*k with trace 2a.  Braid generators act on
@@ -76,52 +76,17 @@ K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 QuatTuple = tuple[UnitQuaternion, ...]
 
 
-class ColoredBraidWord(Frozen):
-    """A braid word with a strand coloring whose closure is a colored link.
+def act(word: tuple[int, ...], tup: QuatTuple) -> QuatTuple:
+    """Apply a braid word to a quaternion tuple, one letter at a time.
 
-    word holds signed generator indices (+i for the generator crossing
-    strand i+1 over strand i, -i for its inverse, 1-based).  coloring
-    assigns colors 1..mu to the strand starting positions; the word's
-    underlying permutation must preserve the coloring so that the closure
-    is well-colored.
+    word holds signed generator indices: +i for the generator crossing
+    strand i+1 over strand i, -i for its inverse (1-based, below len(tup)).
     """
-
-    __slots__ = ("strands", "word", "coloring")
-
-    def __init__(self, strands: int, word: tuple[int, ...], coloring: tuple[int, ...]):
-        n = strands
-        if n < 1:
-            raise ValueError("strands must be positive")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "word", tuple(word))
-        object.__setattr__(self, "coloring", tuple(coloring))
-        for w in self.word:
-            if not 1 <= abs(w) < n:
-                raise ValueError(f"generator index {w} out of range for {n} strands")
-        if len(self.coloring) != n:
-            raise ValueError("coloring length must equal strand count")
-        mu = max(self.coloring)
-        if set(self.coloring) != set(range(1, mu + 1)):
-            raise ValueError("coloring must be surjective onto {1..mu}")
-        perm = self.permutation()
-        if any(self.coloring[perm[p]] != self.coloring[p] for p in range(n)):
-            raise ValueError("braid permutation does not preserve the coloring")
-
-    def permutation(self) -> tuple[int, ...]:
-        """Position -> strand map at the bottom of the braid."""
-        pos = list(range(self.strands))
-        for w in self.word:
-            i = abs(w) - 1
-            pos[i], pos[i + 1] = pos[i + 1], pos[i]
-        return tuple(pos)
-
-
-def act(word: ColoredBraidWord, tup: QuatTuple) -> QuatTuple:
-    """Apply a braid word to a quaternion tuple, one letter at a time."""
-    if len(tup) != word.strands:
-        raise ValueError(f"tuple length {len(tup)} != strand count {word.strands}")
+    n = len(tup)
     xs = list(tup)
-    for w in word.word:
+    for w in word:
+        if not 1 <= abs(w) < n:
+            raise ValueError(f"generator index {w} out of range for {n} strands")
         i = abs(w) - 1
         a, b = xs[i], xs[i + 1]
         if w > 0:
@@ -129,29 +94,3 @@ def act(word: ColoredBraidWord, tup: QuatTuple) -> QuatTuple:
         else:
             xs[i], xs[i + 1] = b, b.inverse() * a * b
     return tuple(xs)
-
-
-def closure_linking_number(word: ColoredBraidWord, color_a: int, color_b: int) -> int:
-    """Linking number between the two colored sublinks of the closure.
-
-    Equals half the signed count of crossings between strands of the two
-    colors; the closure arcs contribute no crossings.
-    """
-    if color_a == color_b:
-        raise ValueError("colors must be distinct")
-    present = set(word.coloring)
-    for c in (color_a, color_b):
-        if c not in present:
-            raise ValueError(f"unknown color {c}")
-    pos = list(range(word.strands))
-    pair = {color_a, color_b}
-    total = 0
-    for w in word.word:
-        i = abs(w) - 1
-        s, t = pos[i], pos[i + 1]
-        if {word.coloring[s], word.coloring[t]} == pair:
-            total += 1 if w > 0 else -1
-        pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    if total % 2:
-        raise ValueError("odd signed crossing count; word is not well-colored")
-    return total // 2

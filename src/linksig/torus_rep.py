@@ -31,7 +31,7 @@ import math
 
 from ._values import Frozen
 from .chebyshev import eval_U
-from .errors import NotDefinedError, PositiveOnlyError, ZeroLinkingError
+from .errors import NotDefinedError, ZeroLinkingError
 
 TAU_ROOT = 1e-9
 
@@ -147,25 +147,11 @@ def angle_pair(a1, a2) -> AnglePair:
     return AnglePair(coerce(a1), coerce(a2))
 
 
-def torus_braid(ell: int) -> ColoredBraidWord:
-    """sigma_1^(2*ell) in B_2 with coloring (1, 2); its closure is the torus link."""
-    from .su2 import ColoredBraidWord
-
+def torus_braid(ell: int) -> tuple[int, ...]:
+    """The letters of sigma_1^(2*ell) in B_2; its closure is the torus link."""
     check_ell(ell)
     letter = 1 if ell > 0 else -1
-    return ColoredBraidWord(2, (letter,) * (2 * abs(ell)), (1, 2))
-
-
-def alexander_eval(ell: int, omega1: complex, omega2: complex) -> complex:
-    """The two-variable Alexander polynomial ((t1 t2)^|ell| - 1)/(t1 t2 - 1).
-
-    At omega1*omega2 = 1 the quotient is extended by its limit |ell|.
-    """
-    check_ell(ell)
-    z = omega1 * omega2
-    if abs(z - 1.0) < 1e-13:
-        return complex(abs(ell))
-    return (z ** abs(ell) - 1.0) / (z - 1.0)
+    return (letter,) * (2 * abs(ell))
 
 
 # The strip kernel.  With L = |ell|, the angle sum x = alpha1 + alpha2 lies in
@@ -305,21 +291,12 @@ def sigma_torus_closed(ell: int, alpha: AnglePair) -> int:
     return strip_sigma(ell, i)
 
 
-def conway_potential_torus(ell: int, alpha: AnglePair) -> float:
-    """Real value of the Conway potential at (e^{i alpha1}, e^{i alpha2}).
+def conway_potential_of_sum(ell: int, angle_sum: float) -> float:
+    """Real value of the Conway potential at (e^{i alpha1}, e^{i alpha2}),
+    a function of angle_sum = alpha1 + alpha2 in radians.
 
     Normalized as U_{ell-1}(cos(alpha1 + alpha2)), the unit that makes the
     mod-4 signature congruence hold.  Only the positive-linking normalization
-    is pinned down, hence the restriction to ell > 0.
+    is pinned down, so ell > 0 (unchecked).
     """
-    check_ell(ell)
-    if ell < 0:
-        raise PositiveOnlyError("Conway potential normalization fixed for ell > 0 only")
-    a1, a2 = alpha.radians
-    return conway_potential_of_sum(ell, a1 + a2)
-
-
-def conway_potential_of_sum(ell: int, angle_sum: float) -> float:
-    """conway_potential_torus as a function of alpha1 + alpha2 in radians,
-    for ell > 0 (unchecked)."""
     return eval_U(ell - 1, math.cos(angle_sum))

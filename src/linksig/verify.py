@@ -1,4 +1,4 @@
-"""Grid verification harness for the signature identity and its congruences.
+"""Grid verification harness for the signature identity and the mod-4 congruence.
 
 Sweeps run over the exact rational-angle lattice ((p/res) pi, (q/res) pi),
 1 <= p, q < res, in one walk, _lattice, shared by the identity sweep, the
@@ -48,7 +48,6 @@ class Report(Record):
         "skipped_on_roots",
         "skipped_zero_potential",
         "points",
-        "failures",
     )
 
     def __init__(
@@ -60,7 +59,6 @@ class Report(Record):
         skipped_on_roots: int | None = None,
         skipped_zero_potential: int | None = None,
         points: list[dict] | None = None,
-        failures: list[dict] | None = None,
     ):
         self.ell = ell
         self.resolution = resolution
@@ -69,7 +67,6 @@ class Report(Record):
         self.skipped_on_roots = skipped_on_roots
         self.skipped_zero_potential = skipped_zero_potential
         self.points = points
-        self.failures = failures
 
     @property
     def passed(self) -> bool:
@@ -150,42 +147,4 @@ def check_mod4_congruence(ell: int, resolution: int) -> Report:
         report.checked += 1
         if not verdict:
             report.failed += 1
-    return report
-
-
-def check_sigma_jump_dichotomy(
-    omegas,
-    sigma_before,
-    sigma_after,
-    potential_sign_before,
-    potential_sign_after,
-) -> Report:
-    """Crossing-change dichotomy: the signature difference after a negative
-    crossing change is 0 where the two potentials agree in sign and -2 where
-    they disagree.
-
-    Caller supplies the two signature functions and the two potential-sign
-    functions (for instance built from user Seifert JSON); each is called
-    with one (omega1, omega2) pair.  Points where either potential sign is
-    zero fall outside the hypothesis and are skipped.
-    """
-    report = Report(skipped_zero_potential=0, failures=[])
-    for omega in omegas:
-        sb = potential_sign_before(omega)
-        sa = potential_sign_after(omega)
-        if sb == 0 or sa == 0:
-            report.skipped_zero_potential += 1
-            continue
-        diff = sigma_after(omega) - sigma_before(omega)
-        expected = 0 if sb * sa > 0 else -2
-        report.checked += 1
-        if diff != expected:
-            report.failed += 1
-            report.failures.append(
-                {
-                    "omega": [repr(omega[0]), repr(omega[1])],
-                    "difference": diff,
-                    "expected": expected,
-                }
-            )
     return report

@@ -196,6 +196,16 @@ def test_sigma_data_errors(tmp_path):
     assert run("sigma", "--system", str(path), "--alpha", "1/2", "1/2").returncode == EXIT_DATA
     r = run("sigma", "--system", str(tmp_path / "missing.json"), "--alpha", "1/2", "1/2")
     assert r.returncode == EXIT_DATA
+    assert r.stderr.startswith("error: cannot read ") and r.stderr.count("\n") == 1
+
+    # bytes that are not UTF-8, and nesting past the parser's recursion limit
+    deep = '{"mu":1,"rank":1,"matrices":{"+":' + "[" * 100_000 + "]" * 100_000 + "}}"
+    for document in (b"\xff", deep.encode()):
+        path.write_bytes(document)
+        r = run("sigma", "--system", str(path), "--alpha", "1/3")
+        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), document[:8]
+        assert r.stderr.startswith("error: malformed JSON: "), document[:8]
+        assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr, document[:8]
 
 
 def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
@@ -330,18 +340,17 @@ def test_only_sigma_imports_numpy(tmp_path):
 
 
 PUBLIC_NAMES = [
-    "AnglePair", "BadSystemError", "ColoredBraidWord", "CurveSample",
-    "DegeneratePhiError", "FitFailureError", "Inertia", "LinksigError",
-    "NotDefinedError", "NullityWarning", "OmegaOneError", "PillowPoint",
-    "PositiveOnlyError", "RationalAngle", "SeifertSystem", "SignedIntersection",
+    "AnglePair", "BadSystemError", "CurveSample", "DegeneratePhiError",
+    "FitFailureError", "Inertia", "LinksigError", "NotDefinedError",
+    "NullityWarning", "OmegaOneError", "PillowPoint", "PositiveOnlyError",
+    "RationalAngle", "SeifertSystem", "SignedIntersection",
     "TransversalityFailureError", "UnitQuaternion", "ZeroLinkingError", "act",
-    "alexander_eval", "angle_pair", "build_H", "check_mod4_congruence",
-    "check_sigma_jump_dichotomy", "closure_linking_number", "conway_potential_torus",
-    "eval_T", "eval_U", "gamma_theta_chebyshev", "gamma_theta_quaternion",
-    "h_invariant", "inertia", "intersections", "is_defined", "region_grid",
-    "rep_count", "sample_curve", "seifert_from_json", "seifert_system",
-    "seifert_to_json", "sigma_eval", "sigma_torus_closed", "solve_phi",
-    "sweep_main_identity", "symmetrized_sigma", "torus_braid", "torus_seifert",
+    "angle_pair", "build_H", "check_mod4_congruence", "eval_T", "eval_U",
+    "gamma_theta_chebyshev", "gamma_theta_quaternion", "h_invariant", "inertia",
+    "intersections", "is_defined", "region_grid", "rep_count", "sample_curve",
+    "seifert_from_json", "seifert_system", "seifert_to_json", "sigma_eval",
+    "sigma_torus_closed", "solve_phi", "sweep_main_identity", "symmetrized_sigma",
+    "torus_braid", "torus_seifert",
 ]  # fmt: skip
 
 

@@ -523,6 +523,11 @@ def test_seifert_json_roundtrip():
 def test_seifert_json_validation():
     with pytest.raises(BadSystemError, match="malformed"):
         seifert_from_json("{not json")
+    with pytest.raises(BadSystemError, match="malformed JSON: 'utf-8' codec"):
+        seifert_from_json(b"\xff")
+    deep = '{"mu":1,"rank":1,"matrices":{"+":' + "[" * 100_000 + "]" * 100_000 + "}}"
+    with pytest.raises(BadSystemError, match="malformed JSON: maximum recursion"):
+        seifert_from_json(deep)
     with pytest.raises(BadSystemError, match="missing field"):
         seifert_from_json({"mu": 2, "rank": 1})
     good = seifert_to_json(torus_seifert(2))

@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from linksig.su2 import (
-    I,
-    J,
-    K,
-    ONE,
-    ColoredBraidWord,
-    UnitQuaternion,
-    act,
-    closure_linking_number,
-)
+from linksig.su2 import I, J, K, ONE, UnitQuaternion, act
+from linksig.torus_rep import torus_braid
 
 
 def random_unit(rng) -> UnitQuaternion:
@@ -62,24 +54,37 @@ def test_integer_powers():
         assert (q**0).isclose(ONE)
 
 
-def sigma1_squared_word(ell: int) -> ColoredBraidWord:
-    letter = 1 if ell > 0 else -1
-    return ColoredBraidWord(2, (letter,) * (2 * abs(ell)), (1, 2))
+def closure_components(word: tuple[int, ...], strands: int) -> tuple[int, ...]:
+    """The closure component through each top strand, numbered from 1: the
+    cycles of the braid's permutation."""
+    pos = list(range(strands))
+    for w in word:
+        i = abs(w) - 1
+        pos[i], pos[i + 1] = pos[i + 1], pos[i]
+    colors = [0] * strands
+    count = 0
+    for start in range(strands):
+        if colors[start]:
+            continue
+        count += 1
+        k = start
+        while not colors[k]:
+            colors[k] = count
+            k = pos[k]
+    return tuple(colors)
 
 
 def test_act_generator_on_j_i():
     # hand oracle: j * i * j^{-1} = (-k) * (-j) = kj = -i
-    word = ColoredBraidWord(2, (1,), (1, 1))
-    out = act(word, (J, I))
+    out = act((1,), (J, I))
     assert out[0].isclose(UnitQuaternion(0, -1, 0, 0))
     assert out[1].isclose(J)
 
 
 def test_act_inverse_roundtrip():
     rng = np.random.default_rng(3)
-    word = ColoredBraidWord(4, (1, -2, 3, 3, -1), (1,) * 4)
-    inverse = tuple(-w for w in reversed(word.word))
-    back = ColoredBraidWord(4, word.word + inverse, word.coloring)
+    word = (1, -2, 3, 3, -1)
+    back = word + tuple(-w for w in reversed(word))
     tup = tuple(random_unit(rng) for _ in range(4))
     out = act(back, tup)
     for a, b in zip(out, tup):
@@ -91,43 +96,46 @@ def test_act_even_power_is_conjugation_by_product_power(ell):
     rng = np.random.default_rng(4 + ell)
     for _ in range(4):
         x1, x2 = random_unit(rng), random_unit(rng)
-        y1, y2 = act(sigma1_squared_word(ell), (x1, x2))
+        y1, y2 = act(torus_braid(ell), (x1, x2))
         g = (x1 * x2) ** ell
         assert y1.isclose(g * x1 * g.inverse(), tol=1e-10)
         assert y2.isclose(g * x2 * g.inverse(), tol=1e-10)
 
 
 def test_act_length_mismatch():
-    word = ColoredBraidWord(3, (1, 2), (1, 1, 1))
-    with pytest.raises(ValueError):
-        act(word, (I, J))
+    with pytest.raises(ValueError, match="out of range for 2 strands"):
+        act((1, 2), (I, J))
+    with pytest.raises(ValueError, match="generator index 2 out of range"):
+        act((2,), (I, J))
 
 
 def test_act_preserves_product_and_traces():
     rng = np.random.default_rng(5)
-    word = ColoredBraidWord(4, (1, 1, -3, 2, 2, 3, 3), (1, 1, 2, 2))
+    word = (1, 1, -3, 2, 2, 3, 3)
+    coloring = closure_components(word, 4)
+    assert coloring == (1, 2, 3, 3)
     for _ in range(10):
         tup = tuple(random_unit(rng) for _ in range(4))
         out = act(word, tup)
         before = tup[0] * tup[1] * tup[2] * tup[3]
         after = out[0] * out[1] * out[2] * out[3]
         assert before.isclose(after, tol=1e-10)
-        for color in (1, 2):
+        for color in set(coloring):
             tr_before = sorted(
-                2.0 * q.a for q, c in zip(tup, word.coloring) if c == color
+                2.0 * q.a for q, c in zip(tup, coloring) if c == color
             )
             tr_after = sorted(
-                2.0 * q.a for q, c in zip(out, word.coloring) if c == color
+                2.0 * q.a for q, c in zip(out, coloring) if c == color
             )
             assert np.allclose(tr_before, tr_after, atol=1e-10)
 
 
 def test_act_is_right_action():
     rng = np.random.default_rng(6)
-    w1 = ColoredBraidWord(3, (1, -2, 1), (1, 1, 1))
-    w2 = ColoredBraidWord(3, (2, 2, -1), (1, 1, 1))
+    w1 = (1, -2, 1)
+    w2 = (2, 2, -1)
     tup = tuple(random_unit(rng) for _ in range(3))
-    combined = act(ColoredBraidWord(3, w1.word + w2.word, (1, 1, 1)), tup)
+    combined = act(w1 + w2, tup)
     staged = act(w2, act(w1, tup))
     for a, b in zip(combined, staged):
         assert a.isclose(b, tol=1e-10)
@@ -135,7 +143,7 @@ def test_act_is_right_action():
 
 def test_act_conjugation_equivariance():
     rng = np.random.default_rng(7)
-    word = ColoredBraidWord(3, (1, 2, -1, 2), (1, 1, 1))
+    word = (1, 2, -1, 2)
     g = random_unit(rng)
     tup = tuple(random_unit(rng) for _ in range(3))
     conj_tup = tuple(g * q * g.inverse() for q in tup)
@@ -143,57 +151,3 @@ def test_act_conjugation_equivariance():
     rhs = tuple(g * q * g.inverse() for q in act(word, tup))
     for a, b in zip(lhs, rhs):
         assert a.isclose(b, tol=1e-10)
-
-
-def crossing_count_oracle(word: ColoredBraidWord, ca: int, cb: int) -> int:
-    """Walk the word tracking strand positions and count signed crossings."""
-    pos = list(range(word.strands))
-    signed = 0
-    for w in word.word:
-        i = abs(w) - 1
-        colors = {word.coloring[pos[i]], word.coloring[pos[i + 1]]}
-        if colors == {ca, cb}:
-            signed += 1 if w > 0 else -1
-        pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    assert signed % 2 == 0
-    return signed // 2
-
-
-def test_closure_linking_number_examples():
-    assert closure_linking_number(sigma1_squared_word(3), 1, 2) == 3
-    assert closure_linking_number(ColoredBraidWord(2, (), (1, 2)), 1, 2) == 0
-    assert closure_linking_number(sigma1_squared_word(-2), 1, 2) == -2
-
-
-def test_closure_linking_number_against_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        n = 4
-        coloring = (1, 1, 2, 2)
-        letters = []
-        for _ in range(rng.integers(0, 12)):
-            letters.append(int(rng.choice([-3, -2, -1, 1, 2, 3])))
-        # square the word so the permutation is even enough to fix colors often;
-        # retry until the coloring is preserved
-        try:
-            word = ColoredBraidWord(n, tuple(letters + letters), coloring)
-        except ValueError:
-            continue
-        assert closure_linking_number(word, 1, 2) == crossing_count_oracle(word, 1, 2)
-
-
-def test_closure_linking_number_unknown_color():
-    word = sigma1_squared_word(2)
-    with pytest.raises(ValueError):
-        closure_linking_number(word, 1, 3)
-    with pytest.raises(ValueError):
-        closure_linking_number(word, 2, 2)
-
-
-def test_colored_word_validation():
-    with pytest.raises(ValueError):
-        ColoredBraidWord(2, (2,), (1, 2))  # index out of range
-    with pytest.raises(ValueError):
-        ColoredBraidWord(2, (), (1, 3))  # not surjective
-    with pytest.raises(ValueError):
-        ColoredBraidWord(2, (1,), (1, 2))  # odd power swaps the colors

@@ -46,3 +46,20 @@ def test_every_module_level_name_is_used():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_every_traced_name_resolves():
+    """The benchmark tracer wraps these names; deleting one breaks `--trace 1`."""
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, *_ in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+        cls_name, _, name = attr.rpartition(".")
+        # the tracer reads a method from its class's own __dict__
+        owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
+        assert name in owner, (module_name, attr)

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksig.errors import NotDefinedError, PositiveOnlyError, ZeroLinkingError
+from linksig.errors import NotDefinedError, ZeroLinkingError
 from linksig.torus_rep import (
     AnglePair,
     RationalAngle,
-    alexander_eval,
     angle_pair,
-    conway_potential_torus,
+    conway_potential_of_sum,
     h_invariant,
     is_defined,
     lattice_strips,
@@ -26,7 +25,7 @@ from linksig.torus_rep import (
     strips,
     torus_braid,
 )
-from linksig.su2 import closure_linking_number
+from linksig.verify import check_mod4_congruence
 
 P22 = angle_pair("1/2", "1/2")
 
@@ -71,31 +70,12 @@ def test_angle_pair_validation_and_flip():
 
 
 def test_torus_braid_closure_has_linking_number_ell():
+    # every crossing of a 2-strand braid is between the two strands, and the
+    # linking number is half the signed crossing count
     for ell in (1, 3, -4):
-        assert closure_linking_number(torus_braid(ell), 1, 2) == ell
+        assert sum(torus_braid(ell)) == 2 * ell
     with pytest.raises(ZeroLinkingError):
         torus_braid(0)
-
-
-def test_alexander_eval_examples():
-    # any |ell|-th root of unity other than 1 kills the polynomial
-    w = cmath.exp(2j * math.pi / 3)
-    assert abs(alexander_eval(3, w, 1.0 + 0j)) < 1e-12
-    assert abs(alexander_eval(2, -1.0 + 0j, 1.0 + 0j)) < 1e-12
-    for ell in (1, 5, -7):
-        assert alexander_eval(ell, 0.6 + 0.8j, (0.6 + 0.8j).conjugate()) == abs(ell)
-
-
-def test_alexander_eval_matches_geometric_sum():
-    rng = np.random.default_rng(11)
-    for ell in (2, 3, -5):
-        for _ in range(10):
-            t = rng.uniform(0, 2 * math.pi)
-            w1 = cmath.exp(1j * t)
-            w2 = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            z = w1 * w2
-            oracle = sum(z**k for k in range(abs(ell)))
-            assert abs(alexander_eval(ell, w1, w2) - oracle) < 1e-9
 
 
 def test_is_defined_exact():
@@ -227,6 +207,26 @@ def test_rep_count_constant_on_components():
     )
 
 
+def test_root_locus_is_the_alexander_zero_set():
+    """lattice_strips is None exactly where the Alexander polynomial
+    ((t1 t2)^L - 1)/(t1 t2 - 1) = sum_{k<L} (t1 t2)^k vanishes at
+    (omega1, omega2) or at (omega1, omega2^-1), L = |ell|."""
+    for ell in (*range(1, 9), -3, -6, 12):
+        big_l = abs(ell)
+        for res in (2, 3, 7, 12, 24, 30):
+            for p in range(1, res):
+                for q in range(1, res):
+                    on_locus = any(
+                        abs(sum(z**k for k in range(big_l))) < 1e-9
+                        for z in (
+                            cmath.exp(2j * math.pi * (p + q) / res),
+                            cmath.exp(2j * math.pi * (p - q) / res),
+                        )
+                    )
+                    ij = lattice_strips(ell, p, q, res)
+                    assert (ij is None) == on_locus, (ell, p, q, res)
+
+
 def test_h_invariant_examples_and_sign():
     assert h_invariant(1, angle_pair("1/3", "1/4")) == 0
     assert h_invariant(3, P22) == 2
@@ -239,25 +239,16 @@ def test_h_invariant_examples_and_sign():
 
 
 def test_conway_potential_examples():
-    assert conway_potential_torus(1, angle_pair("2/7", "3/5")) == 1.0
+    assert conway_potential_of_sum(1, math.pi * (2 / 7 + 3 / 5)) == 1.0
     # U_2(0) = -1 at alpha1 + alpha2 = pi/2
-    assert abs(conway_potential_torus(3, angle_pair("1/4", "1/4")) - (-1.0)) < 1e-12
+    assert abs(conway_potential_of_sum(3, math.pi / 2) - (-1.0)) < 1e-12
     # U_1(1/2) = 1 at alpha1 + alpha2 = pi/3
-    assert abs(conway_potential_torus(2, angle_pair("1/6", "1/6")) - 1.0) < 1e-12
-    with pytest.raises(PositiveOnlyError):
-        conway_potential_torus(-2, P22)
-    with pytest.raises(ZeroLinkingError):
-        conway_potential_torus(0, P22)
-
-
-def test_torres_formula_modulus():
-    # |Delta(w1, 1)| agrees with |(w1^ell - 1)/(w1 - 1)| up to the unit ambiguity
-    rng = np.random.default_rng(15)
-    for ell in (2, 5, -3):
-        for _ in range(25):
-            w1 = cmath.exp(1j * rng.uniform(0.05, 2 * math.pi - 0.05))
-            torres = (w1**ell - 1) / (w1 - 1)
-            assert abs(abs(alexander_eval(ell, w1, 1.0 + 0j)) - abs(torres)) < 1e-9
+    assert abs(conway_potential_of_sum(2, math.pi / 3) - 1.0) < 1e-12
+    # the normalization is pinned for ell > 0 only, and its one caller says so
+    with pytest.raises(ValueError, match="positive ell"):
+        check_mod4_congruence(-2, 8)
+    with pytest.raises(ValueError, match="positive ell"):
+        check_mod4_congruence(0, 8)
 
 
 def sylvester_sigma(big_l, s, res):

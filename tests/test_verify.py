@@ -1,12 +1,10 @@
 import hashlib
 import json
-import math
 from fractions import Fraction
 
 import pytest
 
 from linksig.errors import ZeroLinkingError
-from linksig.signature import sigma_eval, seifert_system, torus_seifert
 from linksig.torus_rep import (
     angle_pair,
     h_invariant,
@@ -17,7 +15,6 @@ from linksig.torus_rep import (
 from linksig.verify import (
     SENTINEL,
     check_mod4_congruence,
-    check_sigma_jump_dichotomy,
     region_grid,
     sweep_main_identity,
     _mod4_point_holds,
@@ -142,81 +139,6 @@ def test_mod4_strip_hand_values():
     assert report.passed
 
 
-def _diag_omegas(res=40):
-    out = []
-    for p in range(1, res):
-        for q in range(1, res):
-            alpha = angle_pair(Fraction(p, res), Fraction(q, res))
-            out.append((alpha, alpha.omega()))
-    return out
-
-
-def test_jump_dichotomy_identical_pair():
-    import warnings
-
-    from linksig.errors import NullityWarning
-
-    s = torus_seifert(2)
-    points = [om for _, om in _diag_omegas(12)]
-
-    def sig(om):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NullityWarning)
-            return sigma_eval(s, list(om))
-
-    def pot(om):
-        # sign of U_1(cos(sum)) recovered from the omega product
-        z = om[0] * om[1]
-        c = z.real
-        value = 2 * math.cos(math.acos(max(-1, min(1, c))) / 2) * (
-            1 if z.imag >= 0 else -1
-        )
-        return 1 if value > 0 else (-1 if value < 0 else 0)
-
-    report = check_sigma_jump_dichotomy(points, sig, sig, pot, pot)
-    assert report.failed == 0
-    assert report.checked > 0
-
-
-def test_jump_dichotomy_synthetic_flipped_pair():
-    """1x1 systems with opposite diagonal signs; restricted to the region where
-    the first signature is +1 the difference is exactly -2."""
-    plus = seifert_system(2, {"++": [[-1]], "+-": [[0]], "-+": [[0]], "--": [[-1]]})
-    minus = seifert_system(2, {"++": [[1]], "+-": [[0]], "-+": [[0]], "--": [[1]]})
-    res = 16
-    points = []
-    for p in range(1, res):
-        for q in range(1, res):
-            if p + q < res // 2:  # sum < pi/2 keeps cos(sum) > 0
-                alpha = angle_pair(Fraction(p, res), Fraction(q, res))
-                points.append(alpha.omega())
-
-    def sig_of(system):
-        return lambda om: sigma_eval(system, list(om))
-
-    pot_plus = lambda om: 1  # potentials have opposite signs on this region
-    pot_minus = lambda om: -1
-    report = check_sigma_jump_dichotomy(
-        points, sig_of(plus), sig_of(minus), pot_plus, pot_minus
-    )
-    assert report.checked == len(points)
-    assert report.failed == 0
-
-    # outside that region the dichotomy is genuinely violated and reported
-    bad_alpha = angle_pair(Fraction(7, 16), Fraction(7, 16))  # sum > pi/2
-    report = check_sigma_jump_dichotomy(
-        [bad_alpha.omega()], sig_of(plus), sig_of(minus), pot_plus, pot_minus
-    )
-    assert report.failed == 1
-    assert report.failures[0]["difference"] == 2
-
-    # zero potential sign falls outside the hypothesis
-    report = check_sigma_jump_dichotomy(
-        [bad_alpha.omega()], sig_of(plus), sig_of(minus), lambda om: 0, pot_minus
-    )
-    assert report.skipped_zero_potential == 1
-
-
 def test_sweep_counts_pinned_at_res_120():
     # (checked, failed, skipped_on_roots) of criterion 1, recorded from the
     # Fraction-based sweep that the lattice kernel replaced
@@ -271,21 +193,6 @@ def test_mod4_report_json_pinned():
     assert json.dumps(check_mod4_congruence(3, 24).to_json()) == (
         '{"ell": 3, "resolution": 24, "checked": 445, "failed": 0, '
         '"skipped_on_roots": 84, "skipped_zero_potential": 0}'
-    )
-
-
-def test_jump_report_json_pinned():
-    points = [(1j, 1j), (1j, -1 + 0j)]
-    report = check_sigma_jump_dichotomy(
-        points,
-        lambda om: 0,
-        lambda om: 0 if om == points[0] else 2,
-        lambda om: 1,
-        lambda om: 1,
-    )
-    assert json.dumps(report.to_json()) == (
-        '{"checked": 2, "failed": 1, "skipped_zero_potential": 0, "failures": '
-        '[{"omega": ["1j", "(-1+0j)"], "difference": 2, "expected": 0}]}'
     )
 
 
