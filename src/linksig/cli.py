@@ -129,10 +129,7 @@ def _cmd_curve(parser: _Parser, args) -> int:
     ]
     footer = None
     if args.path == "both":
-        max_dtheta = max(
-            abs(a.theta - b.theta)
-            for a, b in zip(curves[0].points, curves[1].points)
-        )
+        max_dtheta = max(abs(a - b) for a, b in zip(curves[0].thetas, curves[1].thetas))
         footer = f"max_abs_dtheta={max_dtheta:.17g}"
     _write_output(pillowcase.curves_to_csv(curves, footer), args.out)
     return EXIT_OK

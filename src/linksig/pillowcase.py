@@ -10,6 +10,12 @@ here by two independent routes:
     (X1 X2)^ell and project onto the circle frame of the constraint plane;
   * closed form: cos(theta) = T_{2|ell|}(cos a1 cos a2 - cos(phi) sin a1 sin a2).
 
+Each route is one loop over a list of phi values, with the trigonometry of
+alpha done once before it; the quaternion route multiplies plain 4-tuples
+(su2.qmul).  sample_curve runs a loop over its uniform phi grid and the
+gamma_* functions run it at one phi, so each route's formula is written
+once.  A CurveSample holds its phi and theta values as float tuples.
+
 The signed count of the curve's crossings through theta = 0 is the
 representation-count invariant; all crossings carry the sign of ell.
 """
@@ -27,7 +33,7 @@ from .errors import (
     PositiveOnlyError,
     TransversalityFailureError,
 )
-from .su2 import I, J, K, UnitQuaternion, act
+from .su2 import I, J, K, UnitQuaternion, _unit, act, qinv, qmul, qpow
 from .torus_rep import AnglePair, check_ell, solve_phi, torus_braid
 
 if TYPE_CHECKING:
@@ -54,16 +60,27 @@ class PillowPoint(Frozen):
 
 
 class CurveSample(Frozen):
-    __slots__ = ("points", "provenance")
+    """theta in [0, pi] at strictly increasing phi in (0, pi), by one route."""
 
-    def __init__(self, points: tuple[PillowPoint, ...], provenance: str):
+    __slots__ = ("phis", "thetas", "provenance")
+
+    def __init__(self, phis: tuple[float, ...], thetas: tuple[float, ...], provenance: str):
         if provenance not in (QUAT_PATH, CHEB_PATH):
             raise ValueError(f"unknown provenance {provenance!r}")
-        phis = [p.phi for p in points]
+        if len(phis) != len(thetas):
+            raise ValueError("a curve needs one theta per phi")
         if any(b <= a for a, b in zip(phis, phis[1:])):
             raise ValueError("phi must be strictly increasing along a curve")
-        object.__setattr__(self, "points", points)
+        if phis and not (0.0 < phis[0] and phis[-1] < math.pi):
+            raise ValueError("phi must lie in (0, pi)")
+        object.__setattr__(self, "phis", phis)
+        object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "provenance", provenance)
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The (phi, theta) pairs."""
+        return tuple(zip(self.phis, self.thetas))
 
 
 class SignedIntersection(Frozen):
@@ -75,40 +92,67 @@ class SignedIntersection(Frozen):
         object.__setattr__(self, "sign", sign)
 
 
-def plane(alpha: AnglePair, phi: float) -> tuple[tuple[float, float, float], float]:
-    """(n, d) of the plane n . x = d that cuts the target circle for Q1 out of
-    the 2-sphere at a given phi.  Guarantees |d|/|n| < 1."""
-    if not 0.0 < phi < math.pi:
-        raise DegeneratePhiError(f"phi = {phi} is not interior to (0, pi)")
+def _plane_at(alpha: AnglePair):
+    """plane(alpha, .) with the trigonometry of alpha done once: a function of
+    phi that returns (sin phi, cos phi, n, d)."""
     a1, a2 = alpha.radians
     s1, c1 = math.sin(a1), math.cos(a1)
     s2, c2 = math.sin(a2), math.cos(a2)
-    sp, cp = math.sin(phi), math.cos(phi)
-    normal = (s1 * c2 * cp + c1 * s2, s1 * c2 * sp, -s1 * s2 * sp)
-    offset = s1 * c2 + c1 * s2 * cp
-    return normal, offset
+    s1c2, c1s2, ms1s2 = s1 * c2, c1 * s2, -s1 * s2
+
+    def at(phi: float):
+        if not 0.0 < phi < math.pi:
+            raise DegeneratePhiError(f"phi = {phi} is not interior to (0, pi)")
+        sp, cp = math.sin(phi), math.cos(phi)
+        return sp, cp, (s1c2 * cp + c1s2, s1c2 * sp, ms1s2 * sp), s1c2 + c1s2 * cp
+
+    return at
+
+
+def plane(alpha: AnglePair, phi: float) -> tuple[tuple[float, float, float], float]:
+    """(n, d) of the plane n . x = d that cuts the target circle for Q1 out of
+    the 2-sphere at a given phi.  Guarantees |d|/|n| < 1."""
+    return _plane_at(alpha)(phi)[2:]
+
+
+def _quaternion_cosines(ell: int, alpha: AnglePair, phis) -> list[float]:
+    """cos(theta) at each phi by explicit quaternion conjugation: conjugate
+    P1 = cos(phi) i + sin(phi) j by (X1 X2)^ell and project onto the plane."""
+    check_ell(ell)
+    at = _plane_at(alpha)
+    a1, a2 = alpha.radians
+    s1, c1 = math.sin(a1), math.cos(a1)
+    s2, c2 = math.sin(a2), math.cos(a2)
+    x2 = _unit(c2, s2, 0.0, 0.0)
+    s2s2 = s2 * s2
+    out = []
+    for phi in phis:
+        sp, cp, (nx, ny, nz), d = at(phi)
+        g = qpow(qmul(_unit(c1, s1 * cp, s1 * sp, 0.0), x2), ell)
+        _, qb, qc, qd = qmul(qmul(g, _unit(0.0, cp, sp, 0.0)), qinv(g))
+        n2 = nx * nx + ny * ny + nz * nz
+        num = (n2 * cp - d * nx) * qb + (n2 * sp - d * ny) * qc + (-d * nz) * qd
+        out.append(num / (s2s2 * sp * sp))
+    return out
+
+
+def _chebyshev_cosines(ell: int, alpha: AnglePair, phis) -> list[float]:
+    """cos(theta) = T_{2|ell|}(cos a1 cos a2 - cos(phi) sin a1 sin a2) at each phi."""
+    check_ell(ell)
+    a1, a2 = alpha.radians
+    s1, s2, c1c2 = math.sin(a1), math.sin(a2), math.cos(a1) * math.cos(a2)
+    m = 2 * abs(ell)
+    return [eval_T(m, c1c2 - math.cos(phi) * s1 * s2) for phi in phis]
+
+
+def _theta(c: float) -> float:
+    # the cosine may exceed 1 by a few ulp exactly at the crossings
+    return math.acos(max(-1.0, min(1.0, c)))
 
 
 def gamma_cos_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
     """cos(theta) on the graph curve by explicit quaternion conjugation."""
-    check_ell(ell)
-    (nx, ny, nz), d = plane(alpha, phi)
-    a1, a2 = alpha.radians
-    s1, c1 = math.sin(a1), math.cos(a1)
-    s2, c2 = math.sin(a2), math.cos(a2)
-    sp, cp = math.sin(phi), math.cos(phi)
-    x1 = UnitQuaternion(c1, s1 * cp, s1 * sp, 0.0)
-    x2 = UnitQuaternion(c2, s2, 0.0, 0.0)
-    g = (x1 * x2) ** ell
-    p1 = UnitQuaternion(0.0, cp, sp, 0.0)
-    q1 = g * p1 * g.inverse()
-    n2 = nx * nx + ny * ny + nz * nz
-    num = (
-        (n2 * cp - d * nx) * q1.b
-        + (n2 * sp - d * ny) * q1.c
-        + (-d * nz) * q1.d
-    )
-    return num / (s2 * s2 * sp * sp)
+    return _quaternion_cosines(ell, alpha, (phi,))[0]
 
 
 def gamma_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
@@ -117,8 +161,7 @@ def gamma_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
     The cosine may exceed 1 by a few ulp exactly at the crossings, so it is
     clamped before arccos.
     """
-    c = gamma_cos_theta_quaternion(ell, alpha, phi)
-    return math.acos(max(-1.0, min(1.0, c)))
+    return _theta(gamma_cos_theta_quaternion(ell, alpha, phi))
 
 
 def gamma_cos_theta_chebyshev(ell: int, alpha: AnglePair, phi: float) -> float:
@@ -127,15 +170,11 @@ def gamma_cos_theta_chebyshev(ell: int, alpha: AnglePair, phi: float) -> float:
     Even degree makes the curve identical for ell and -ell; the sign of ell
     enters only through orientations.  Extends continuously to phi in {0, pi}.
     """
-    check_ell(ell)
-    a1, a2 = alpha.radians
-    x = math.cos(a1) * math.cos(a2) - math.cos(phi) * math.sin(a1) * math.sin(a2)
-    return eval_T(2 * abs(ell), x)
+    return _chebyshev_cosines(ell, alpha, (phi,))[0]
 
 
 def gamma_theta_chebyshev(ell: int, alpha: AnglePair, phi: float) -> float:
-    c = gamma_cos_theta_chebyshev(ell, alpha, phi)
-    return math.acos(max(-1.0, min(1.0, c)))
+    return _theta(gamma_cos_theta_chebyshev(ell, alpha, phi))
 
 
 def sample_curve(
@@ -147,27 +186,24 @@ def sample_curve(
     """Sample the graph curve at `samples` uniform interior phi values."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    fn = gamma_theta_quaternion if path == QUAT_PATH else gamma_theta_chebyshev
     if path not in (QUAT_PATH, CHEB_PATH):
         raise ValueError(f"unknown provenance {path!r}")
-    points = []
-    for k in range(samples):
-        phi = math.pi * (k + 1) / (samples + 1)
-        points.append(PillowPoint(phi, fn(ell, alpha, phi)))
-    return CurveSample(tuple(points), path)
+    cosines = _quaternion_cosines if path == QUAT_PATH else _chebyshev_cosines
+    phis = tuple(math.pi * (k + 1) / (samples + 1) for k in range(samples))
+    thetas = tuple(map(_theta, cosines(ell, alpha, phis)))
+    return CurveSample(phis, thetas, path)
 
 
 def curves_to_csv(curves: list[CurveSample], footer: str | None = None) -> str:
     """CSV with header phi,theta,provenance; curves interleaved by phi index."""
     lines = ["phi,theta,provenance"]
-    lengths = {len(c.points) for c in curves}
+    lengths = {len(c.phis) for c in curves}
     if len(lengths) > 1:
         raise ValueError("curves must have equal sample counts to interleave")
     count = lengths.pop() if lengths else 0
     for k in range(count):
         for c in curves:
-            p = c.points[k]
-            lines.append(f"{p.phi:.17g},{p.theta:.17g},{c.provenance}")
+            lines.append(f"{c.phis[k]:.17g},{c.thetas[k]:.17g},{c.provenance}")
     if footer is not None:
         lines.append(f"# {footer}")
     return "\n".join(lines) + "\n"

@@ -13,10 +13,14 @@ and reports its inertia.  The signature of H is the multivariable
 A system is stored as the nonzero integer entries of its matrices.  When
 they all lie on the three diagonals, as for every (2,2l)-torus system and
 every system of rank <= 2, H is tridiagonal: build_H returns its diagonals
-as a Band, and inertia counts the band by Sturm sequences in pure Python.
-A tridiagonal count is exact for entries with small relative errors
-(Barth, Martin and Wilkinson 1967), so nothing is lost against the
-eigenvalues.  Only any other system is assembled and solved with numpy.
+as a Band, and inertia counts the band by Sturm sequences in O(n).  A
+tridiagonal count is exact for entries with small relative errors (Barth,
+Martin and Wilkinson 1967), so nothing is lost against the eigenvalues.
+Any other system gives a Dense, its rows as lists, which inertia counts by
+Bunch-Kaufman pivoted LDL^H factorisations in O(n^3) (Bunch and Kaufman
+1977, Math. Comp. 31).  Neither count computes an eigenvalue: by
+Sylvester's law of inertia the signs of the pivots are those of the
+eigenvalues.  Nothing here imports numpy.
 
 For the (2,2l)-torus family everything is also available in closed form:
 the leading principal minors of H satisfy a three-term recurrence solved
@@ -29,6 +33,7 @@ cross-checked by the test suite.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import reprlib
@@ -38,16 +43,12 @@ from collections.abc import Mapping
 from itertools import chain
 from operator import mul
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 from ._values import Frozen, Record
 from .chebyshev import eval_U
 from .errors import BadSystemError, NullityWarning, OmegaOneError
 from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
 from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EIG_ZERO_SCALE = 1e-9
 _SIGNS = str.maketrans("01", "+-")
@@ -254,9 +255,23 @@ class Band(Record):
         return (len(self.diag), len(self.diag))
 
 
-def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | np.ndarray:
+class Dense(Record):
+    """A square matrix by its rows, each a list of complex numbers; `shape`
+    is that of the matrix."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[list[complex]]):
+        self.rows = rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), len(self.rows))
+
+
+def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
     """The Hermitian matrix H(omega) of the system at unit omega, all != 1:
-    a Band when s.cells is None, else a numpy array."""
+    a Band when s.cells is None, else a Dense."""
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -281,11 +296,10 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | np.ndarray:
     if s.cells is None:
         m = max(n - 1, 0)
         return Band(values[:m], values[m : m + n], values[m + n :])
-    import numpy as np
-
-    h = np.zeros((n, n), dtype=complex)
-    h[tuple(zip(*s.cells))] = values
-    return h
+    rows = [[0j] * n for _ in range(n)]
+    for (i, j), v in zip(s.cells, values):
+        rows[i][j] = v
+    return Dense(rows)
 
 
 class Inertia(Frozen):
@@ -305,30 +319,125 @@ class Inertia(Frozen):
         return self.n_pos + self.n_neg + self.n_zero
 
 
-def inertia(h: Band | np.ndarray) -> Inertia:
+def inertia(h: Band | Dense | list[list[complex]]) -> Inertia:
     """Eigenvalue counts of a Hermitian matrix; zero threshold scales with size.
 
     With tau = EIG_ZERO_SCALE * max|h| * n the counts are strict:
     n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  A Band is counted
-    by Sturm sequences in O(n), without numpy; any other h, taken as a
-    dense matrix, by its eigenvalues.
+    by Sturm sequences in O(n); any other h, a Dense, nested lists or an
+    array with tolist(), by pivoted LDL^H factorisations in O(n^3).  Neither
+    needs numpy.
     """
     if isinstance(h, Band):
         return _band_inertia(h)
-    import numpy as np
+    return _dense_inertia(h.rows if isinstance(h, Dense) else h)
 
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
+
+def _dense_inertia(rows) -> Inertia:
+    """inertia() of a dense matrix.
+
+    Like _band_inertia it counts the negative eigenvalues of h + tau I and
+    of tau I - h, on h / max|h|; each count is a Bunch-Kaufman LDL^H
+    factorisation (_negative_eigenvalues).  Like eigvalsh it reads the lower
+    triangle, once h is checked to be Hermitian.
+    """
+    if hasattr(rows, "tolist"):  # a numpy array, read without importing numpy
+        rows = rows.tolist()
+    n = len(rows)
+    if not all(isinstance(row, (list, tuple)) and len(row) == n for row in rows):
+        raise ValueError("matrix is not square")
     if n == 0:
         return Inertia(0, 0, 0)
-    hmax = np.max(np.abs(h))
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, hmax):
+    flat = [x for row in rows for x in row]
+    if not all(map(cmath.isfinite, flat)):
+        raise ValueError("matrix has a non-finite entry")
+    hmax = max(map(abs, flat))
+    skew = max(abs(rows[i][j] - rows[j][i].conjugate()) for i in range(n) for j in range(i + 1))
+    if skew > 1e-12 * max(1.0, hmax):
         raise ValueError("matrix is not Hermitian")
-    eigs = np.linalg.eigvalsh(h)
-    tau = EIG_ZERO_SCALE * hmax * n
-    n_pos = int(np.sum(eigs > tau))
-    n_neg = int(np.sum(eigs < -tau))
+    if hmax == 0.0:
+        return Inertia(0, 0, n)
+    t = EIG_ZERO_SCALE * n  # tau / max|h|
+    full = [
+        [(rows[i][j] if j <= i else rows[j][i].conjugate()) / hmax for j in range(n)]
+        for i in range(n)
+    ]
+    counts = []
+    for sign in (1.0, -1.0):  # h + tau I, then tau I - h
+        shifted = [[sign * x for x in row] for row in full]
+        for i, row in enumerate(shifted):
+            row[i] = sign * full[i][i].real + t
+        counts.append(_negative_eigenvalues(shifted))
+    n_neg, n_pos = counts  # #(lambda < -tau), #(lambda > tau)
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+_BK_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
+
+
+def _negative_eigenvalues(a: list[list[complex]]) -> int:
+    """Number of negative eigenvalues of the Hermitian matrix `a` (full rows,
+    overwritten), by the Bunch-Kaufman factorisation P a P^T = L D L^H with
+    1x1 and 2x2 pivots (Bunch and Kaufman 1977, Math. Comp. 31) and
+    Sylvester's law of inertia: the count is that of D.
+
+    A 1x1 pivot adds one when it is negative, and a pivot column that is
+    zero adds nothing.  A 2x2 pivot adds one when its determinant is
+    negative, and otherwise two if its leading entry is negative, none if
+    not.
+    """
+    n = len(a)
+    count = 0
+    k = 0
+    while k < n:
+        akk = abs(a[k][k].real)
+        lam, r = 0.0, k
+        for i in range(k + 1, n):
+            v = abs(a[i][k])
+            if v > lam:
+                lam, r = v, i
+        if lam == 0.0 and akk == 0.0:
+            k += 1  # a zero column: D gets a 0
+            continue
+        size, swap = 1, k
+        if akk < _BK_ALPHA * lam:
+            # sigma, the largest off-diagonal modulus in column r
+            sigma = max(abs(a[j][r]) for j in range(k, n) if j != r)
+            if akk * sigma < _BK_ALPHA * lam * lam:
+                if abs(a[r][r].real) >= _BK_ALPHA * sigma:
+                    swap = r
+                else:
+                    size, swap = 2, r
+        p = k + size - 1  # row and column p trade places with `swap`
+        if swap != p:
+            a[p], a[swap] = a[swap], a[p]
+            for row in a:
+                row[p], row[swap] = row[swap], row[p]
+        k += size  # the rows and columns k.. that remain
+        if size == 1:
+            d = a[p][p].real
+            if d < 0.0:
+                count += 1
+            pivot = a[p][k:]
+            for row in a[k:]:
+                f = row[p] / d
+                if f:
+                    row[k:] = [x - f * y for x, y in zip(row[k:], pivot)]
+        else:
+            e11, e22, e21 = a[p - 1][p - 1].real, a[p][p].real, a[p][p - 1]
+            det = e11 * e22 - (e21.real * e21.real + e21.imag * e21.imag)
+            if det < 0.0:
+                count += 1
+            elif det > 0.0 and e11 < 0.0:
+                count += 2
+            pivot1, pivot2 = a[p - 1][k:], a[p][k:]
+            for row in a[k:]:
+                c1, c2 = row[p - 1], row[p]
+                # (c1, c2) E^-1, with E^-1 = [[e22, -conj(e21)], [-e21, e11]] / det
+                w1 = (c1 * e22 - c2 * e21) / det
+                w2 = (c2 * e11 - c1 * e21.conjugate()) / det
+                row[k:] = [x - w1 * y1 - w2 * y2 for x, y1, y2 in zip(row[k:], pivot1, pivot2)]
+    return count
 
 
 def _band_inertia(h: Band) -> Inertia:

@@ -46,7 +46,6 @@ class Report(Record):
         "checked",
         "failed",
         "skipped_on_roots",
-        "skipped_zero_potential",
         "points",
     )
 
@@ -57,7 +56,6 @@ class Report(Record):
         checked: int = 0,
         failed: int = 0,
         skipped_on_roots: int | None = None,
-        skipped_zero_potential: int | None = None,
         points: list[dict] | None = None,
     ):
         self.ell = ell
@@ -65,7 +63,6 @@ class Report(Record):
         self.checked = checked
         self.failed = failed
         self.skipped_on_roots = skipped_on_roots
-        self.skipped_zero_potential = skipped_zero_potential
         self.points = points
 
     @property
@@ -120,31 +117,27 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
     return RegionGrid(ell, resolution, [cells[k : k + n] for k in range(0, len(cells), n)])
 
 
-def _mod4_point_holds(sigma: int, ell: int, potential: float) -> bool | None:
-    """None when the hypothesis (nonzero potential) fails, else the verdict."""
-    if potential == 0.0:
-        return None
+def _mod4_point_holds(sigma: int, ell: int, potential: float) -> bool:
+    """The verdict at one point; a potential of 0.0 fails it.  Off the root
+    locus the potential U_{ell-1}(cos x) = sin(ell x) / sin x is nonzero: it
+    vanishes only on the root lines x = m pi / ell."""
     nabla_sign = 1 if potential > 0 else -1
-    return (sigma - (2 + ell + nabla_sign)) % 4 == 0
+    return potential != 0.0 and (sigma - (2 + ell + nabla_sign)) % 4 == 0
 
 
 def check_mod4_congruence(ell: int, resolution: int) -> Report:
-    """sigma == 2 + ell + sign(conway potential) mod 4 wherever the potential
-    is nonzero, over the exact admissible grid.  Requires ell > 0 (the
+    """sigma == 2 + ell + sign(conway potential) mod 4 over the exact
+    admissible grid, where the potential is nonzero.  Requires ell > 0 (the
     potential normalization is pinned only there)."""
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
-    report = Report(ell, resolution, skipped_on_roots=0, skipped_zero_potential=0)
+    report = Report(ell, resolution, skipped_on_roots=0)
     for p, q, ij in _lattice(ell, resolution):
         if ij is None:
             report.skipped_on_roots += 1
             continue
         potential = conway_potential_of_sum(ell, math.pi * (p + q) / resolution)
-        verdict = _mod4_point_holds(strip_sigma(ell, ij[0]), ell, potential)
-        if verdict is None:
-            report.skipped_zero_potential += 1
-            continue
         report.checked += 1
-        if not verdict:
+        if not _mod4_point_holds(strip_sigma(ell, ij[0]), ell, potential):
             report.failed += 1
     return report

@@ -288,9 +288,9 @@ def test_outputs_are_byte_deterministic():
         assert first.returncode == second.returncode
 
 
-def test_only_sigma_imports_numpy(tmp_path):
-    """Each command loads only the modules of its own route, and only sigma
-    on a system that is not tridiagonal loads numpy."""
+def test_no_command_imports_numpy(tmp_path):
+    """Each command loads only the modules of its own route, and none loads
+    numpy: not even sigma on a system that is not tridiagonal."""
     lattice_route = ("linksig.pillowcase", "linksig.su2", "linksig.signature")
     torus = tmp_path / "torus.json"
     # rank 3: the band has both off-diagonals
@@ -300,43 +300,43 @@ def test_only_sigma_imports_numpy(tmp_path):
     )
     nontorus = tmp_path / "nontorus.json"
     nontorus.write_text(json.dumps(expected["systems"]["nontorus"]))
-    for args, numpy_loaded, not_loaded, light in (
-        (("h", "--ell", "3", "--alpha", "1/2", "1/2"), False, lattice_route, True),
-        (("verify", "--ell", "3", "--res", "8"), False, lattice_route, True),
+    printed = {}
+    for args, not_loaded, light in (
+        (("h", "--ell", "3", "--alpha", "1/2", "1/2"), lattice_route, True),
+        (("verify", "--ell", "3", "--res", "8"), lattice_route, True),
         (
             ("regions", "--ell", "3", "--res", "8", "--format", "svg"),
-            False,
             lattice_route,
             True,
         ),
         (
             ("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16"),
-            False,
             ("linksig.signature", "linksig.verify"),
             False,
         ),
         (
             ("sigma", "--system", str(nontorus), "--alpha", "1/3", "2/7"),
-            True,
             ("linksig.pillowcase", "linksig.verify"),
             False,
         ),
         (
             ("sigma", "--system", str(torus), "--alpha", "1/2", "1/2"),
-            False,
             ("linksig.pillowcase", "linksig.verify"),
             False,
         ),
     ):
         r, probe = run_probed(*args)
         assert r.returncode == EXIT_OK
-        assert probe["numpy_loaded"] == str(numpy_loaded), args
+        assert probe["numpy_loaded"] == "False", args
         assert probe["dataclasses_loaded"] == "False", args
         assert not probe["linksig_modules"] & set(not_loaded), (args, probe)
         if light:
             assert probe["fractions_loaded"] == probe["decimal_loaded"] == "False", args
         assert r.stdout == run(*args).stdout
-    assert r.stdout == "signature=-3 nullity=0\n"
+        printed[args[0], args[2]] = r.stdout
+    # the dense system is counted without eigenvalues, to the same bytes
+    assert printed["sigma", str(nontorus)] == "signature=-2 nullity=0\n"
+    assert printed["sigma", str(torus)] == "signature=-3 nullity=0\n"
 
 
 PUBLIC_NAMES = [

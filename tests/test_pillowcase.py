@@ -17,6 +17,7 @@ from linksig.pillowcase import (
     frame_intersection_sign,
     gamma_cos_theta_chebyshev,
     gamma_cos_theta_quaternion,
+    gamma_theta_chebyshev,
     gamma_theta_quaternion,
     intersections,
     leading_coeff_check,
@@ -232,23 +233,56 @@ def test_orientation_determinant_and_frame_signs():
 def test_sample_curve_and_csv():
     curve = sample_curve(2, P22, samples=16, path=QUAT_PATH)
     assert curve.provenance == QUAT_PATH
-    phis = [p.phi for p in curve.points]
-    assert all(a < b for a, b in zip(phis, phis[1:]))
+    assert len(curve.phis) == len(curve.thetas) == len(curve.points) == 16
+    assert all(a < b for a, b in zip(curve.phis, curve.phis[1:]))
+    assert curve.points[3] == (curve.phis[3], curve.thetas[3])
     other = sample_curve(2, P22, samples=16, path=CHEB_PATH)
     text = curves_to_csv([curve, other], footer="max_abs_dtheta=0")
     lines = text.splitlines()
     assert lines[0] == "phi,theta,provenance"
-    assert lines[1].endswith(QUAT_PATH)
-    assert lines[2].endswith(CHEB_PATH)
+    assert lines[1] == f"{curve.phis[0]:.17g},{curve.thetas[0]:.17g},{QUAT_PATH}"
+    assert lines[2] == f"{other.phis[0]:.17g},{other.thetas[0]:.17g},{CHEB_PATH}"
     assert lines[-1].startswith("# ")
     assert len(lines) == 2 + 32
+    with pytest.raises(ValueError, match="equal sample counts"):
+        curves_to_csv([curve, sample_curve(2, P22, samples=15)])
 
 
 def test_curve_sample_validation():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CurveSample((0.5, 0.4), (0.0, 0.0), QUAT_PATH)
+    with pytest.raises(ValueError, match="unknown provenance"):
+        CurveSample((), (), "mystery-path")
+    for phis in ((0.0,), (0.5, math.pi)):
+        with pytest.raises(ValueError, match="in \\(0, pi\\)"):
+            CurveSample(phis, (0.0,) * len(phis), CHEB_PATH)
+    with pytest.raises(ValueError, match="one theta per phi"):
+        CurveSample((0.5, 0.6), (0.0,), CHEB_PATH)
     with pytest.raises(ValueError):
-        CurveSample((PillowPoint(0.5, 0.0), PillowPoint(0.4, 0.0)), QUAT_PATH)
-    with pytest.raises(ValueError):
-        CurveSample((), "mystery-path")
+        sample_curve(2, P22, samples=0)
+    with pytest.raises(ValueError, match="unknown provenance"):
+        sample_curve(2, P22, samples=4, path="mystery-path")
     with pytest.raises(ValueError):
         PillowPoint(0.0, 0.0)
     assert PillowPoint(0.5, 2 * math.pi + 0.25).theta == pytest.approx(0.25)
+
+
+def test_sample_curve_is_bitwise_the_one_point_routes():
+    # each route is one loop: sample_curve runs it over the grid and the
+    # gamma_theta_* functions at one phi, so the two agree to the bit
+    alphas = (
+        angle_pair("1/3", "1/5"),
+        angle_pair("2/7", "3/8"),
+        AnglePair.from_radians(1e-9, 2.5),
+        AnglePair.from_radians(0.7, math.pi - 1e-9),
+        AnglePair.from_radians(3e-7, math.pi - 2e-8),
+    )
+    routes = ((QUAT_PATH, gamma_theta_quaternion), (CHEB_PATH, gamma_theta_chebyshev))
+    for ell in (1, -1, 2, -17, 500, 10**5):
+        for alpha in alphas:
+            for path, theta in routes:
+                curve = sample_curve(ell, alpha, samples=23, path=path)
+                assert curve.phis == tuple(math.pi * k / 24 for k in range(1, 24))
+                want = [theta(ell, alpha, phi) for phi in curve.phis]
+                assert [t.hex() for t in curve.thetas] == [t.hex() for t in want], (
+                    ell, alpha, path)

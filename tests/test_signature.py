@@ -22,6 +22,7 @@ from linksig.errors import (
 from linksig.signature import (
     EIG_ZERO_SCALE,
     Band,
+    Dense,
     Inertia,
     build_H,
     delta_closed,
@@ -152,6 +153,8 @@ def build_H_over_every_matrix(s, omegas):
 
 def dense(h):
     """h as a numpy array; a Band is filled in on its three diagonals."""
+    if isinstance(h, Dense):
+        return np.asarray(h.rows)
     if not isinstance(h, Band):
         return np.asarray(h)
     return sum(
@@ -164,7 +167,7 @@ def entries_of(h):
     """The entries build_H computed: a band's three diagonals, or every row."""
     if isinstance(h, Band):
         return [h.sub, h.diag, h.sup]
-    return h.tolist()
+    return h.rows
 
 
 def band_of(rows):
@@ -201,8 +204,11 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
         fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
         for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
             h = build_H(s, omegas)
-            assert isinstance(h, Band) == (s.cells is None)
+            assert isinstance(h, Band) == (s.cells is None) != isinstance(h, Dense)
             assert h.shape == (s.rank, s.rank)
+            if isinstance(h, Dense):  # complex rows, 0j where no matrix has an entry
+                assert len(h.rows) == s.rank
+                assert all(type(x) is complex for row in h.rows for x in row)
             # == on complex numbers is bitwise equality but for the sign of a zero
             expected = build_H_over_every_matrix(s, omegas)
             expected = band_of(expected) if isinstance(h, Band) else expected
@@ -654,6 +660,46 @@ def test_inertia_of_torus_H_on_root_line_matches_eigvalsh(line, sign, den, data)
     assert_inertia_matches_eigvalsh(build_H(torus_seifert(ell), list(alpha.omega())))
 
 
+@st.composite
+def hermitian_dense(draw):
+    """A Hermitian matrix of rank 0..30 as a numpy array, nested lists or a
+    Dense: full, with a zero diagonal (every pivot 2x2 until the diagonal
+    fills in), sparse, of low rank (V D V^H), integral, or zero."""
+    n = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["full", "zero diagonal", "sparse", "low rank", "integer", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "low rank":
+        r = draw(st.integers(0, n))
+        v = a[:, :r]
+        h = (v * rng.standard_normal(r)) @ v.conj().T
+    elif kind == "integer":
+        h = rng.integers(-2, 3, size=(n, n)).astype(complex)
+    elif kind == "zero":
+        h = np.zeros((n, n), dtype=complex)
+    else:
+        h = a
+        if kind == "sparse":
+            h = h * (rng.random((n, n)) < 0.15)
+    h = (h + h.conj().T) / 2
+    if kind == "zero diagonal":
+        np.fill_diagonal(h, 0.0)
+    form = draw(st.sampled_from(["array", "lists", "dense"]))
+    return h if form == "array" else h.tolist() if form == "lists" else Dense(h.tolist())
+
+
+@settings(deadline=None, max_examples=150)
+@given(hermitian_dense())
+def test_dense_inertia_matches_eigvalsh(h):
+    array = dense(h)
+    if not array.any():  # rank 0, or the zero matrix, where tau is 0
+        assert triple(inertia(h)) == (0, 0, len(array))
+        return
+    want, edge = eigvalsh_triple(h)
+    assume(not edge)
+    assert triple(inertia(h)) == want
+
+
 def test_inertia_of_zero_matrix_is_all_nullity():
     for n in (1, 2, 3, 7, 40):
         assert triple(inertia(np.zeros((n, n)))) == (0, 0, n)
@@ -717,6 +763,13 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     h[0, n - 1] += 1.0  # one off-band entry without its mirror
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(h)
+    # eigvalsh returned NaN here, which counted as nullity 2
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            inertia([[1.0, v], [v, 2.0]])
+    for rows in ([[1.0, 0.0]], [[1.0], [0.0, 1.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="not square"):
+            inertia(rows)
 
 
 def test_sigma_eval_rank_199_at_tiny_angle():
@@ -733,7 +786,7 @@ def test_sigma_eval_rank_199_at_tiny_angle():
 
 
 def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
-    # a band is counted without numpy, whichever way it is laid out: its
+    # no H reaches eigvalsh.  A band is counted whichever way it is laid out: its
     # transpose (conj H), its reversal (J H J) and the band whose upper
     # diagonal is rebuilt from the lower one have the eigenvalues of H
     rng = np.random.default_rng(32)
@@ -754,13 +807,16 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
         cases.append((h, want, layouts))
     off_band = dense(tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]))
     off_band[0, 2] = off_band[2, 0] = 0.25
+    off_band_want, edge = eigvalsh_triple(off_band)
+    assert not edge
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
+    # no H reaches eigvalsh: a dense one is counted by pivoted LDL^H
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    with pytest.raises(AssertionError, match="eigvalsh called"):
-        inertia(off_band)
+    assert triple(inertia(off_band)) == off_band_want
+    assert inertia(off_band.tolist()) == inertia(Dense(off_band.tolist()))
     for h, want, layouts in cases:
         counted = inertia(h)
         assert triple(counted) == want

@@ -4,6 +4,10 @@ benchmark harness or the package's export table.  A name that nothing
 reads is surface no command, route or criterion needs."""
 
 import ast
+import contextlib
+import importlib
+import importlib.util
+import io
 from pathlib import Path
 
 import linksig
@@ -48,14 +52,16 @@ def test_every_module_level_name_is_used():
     assert unused == []
 
 
-def test_every_traced_name_resolves():
-    """The benchmark tracer wraps these names; deleting one breaks `--trace 1`."""
-    import importlib
-    import importlib.util
-
+def load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    """The benchmark tracer wraps these names; deleting one breaks `--trace 1`."""
+    tracing = load_tracing()
     assert tracing.TARGETS
     for module_name, attr, *_ in tracing.TARGETS:
         module = importlib.import_module(module_name)
@@ -63,3 +69,46 @@ def test_every_traced_name_resolves():
         # the tracer reads a method from its class's own __dict__
         owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
         assert name in owner, (module_name, attr)
+
+
+def test_traced_hooks_read_the_real_results():
+    """Each describe or tally hook of the tracer takes what its target really
+    returns: a band H and a dense H, both curve routes, a grid and a sweep."""
+    from linksig.pillowcase import CHEB_PATH, QUAT_PATH
+    from linksig.signature import Band, build_H, seifert_system, torus_seifert
+    from linksig.torus_rep import angle_pair
+
+    tracing = load_tracing()
+    m = [[1, 0, 2], [0, -1, 0], [1, 0, 1]]  # off the band
+    dense_system = seifert_system(1, {"+": m, "-": [list(r) for r in zip(*m)]})
+    band_system = torus_seifert(4)
+    alpha = angle_pair("1/3", "1/5")
+    omegas = {1: [0.6 + 0.8j], 2: list(alpha.omega())}
+    systems = [(s, omegas[s.mu]) for s in (band_system, dense_system)]
+    hs = [build_H(*args) for args in systems]
+    assert [isinstance(h, Band) for h in hs] == [True, False]
+    calls = {
+        "main": [(["h", "--ell", "3", "--alpha", "1/3", "1/5"],)],
+        "sweep_main_identity": [(3, 8)],
+        "region_grid": [(3, 8)],
+        "sample_curve": [(2, alpha, 16, QUAT_PATH), (2, alpha, 16, CHEB_PATH)],
+        "sigma_eval": systems,
+        "build_H": systems,
+        "inertia": [(h,) for h in hs],
+        "is_defined": [(3, alpha)],
+        "solve_phi": [(3, alpha)],
+    }
+    described = set()
+    for module_name, attr, kind, _, hook in tracing.TARGETS:
+        if hook is None:
+            continue
+        fn = getattr(importlib.import_module(module_name), attr)
+        for args in calls[attr]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                result = fn(*args)
+            if kind == tracing.SPAN:
+                assert isinstance(hook(args, result), dict), attr
+            else:
+                int(hook(result))
+            described.add(attr)
+    assert described >= {"sample_curve", "build_H", "inertia", "sigma_eval"}

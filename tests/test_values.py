@@ -80,7 +80,7 @@ def test_copy_and_pickle_round_trip():
         Inertia(1, 2, 0),
         torus_seifert(4),
         Report(2, 5, checked=3, skipped_on_roots=0, points=[{"h": 1}]),
-        Report(checked=1, failed=1, skipped_zero_potential=0),
+        Report(checked=1, failed=1, skipped_on_roots=0),
     )
     for value in values:
         assert copy.copy(value) == value
@@ -94,7 +94,7 @@ def test_repr_names_the_fields():
     assert repr(RegionGrid(3, 8)) == "RegionGrid(ell=3, resolution=8, values=[])"
     assert repr(Report(checked=2)) == (
         "Report(ell=None, resolution=None, checked=2, failed=0, skipped_on_roots=None, "
-        "skipped_zero_potential=None, points=None)"
+        "points=None)"
     )
 
 

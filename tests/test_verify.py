@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import linksig.verify
 from linksig.errors import ZeroLinkingError
 from linksig.torus_rep import (
     angle_pair,
@@ -120,17 +121,25 @@ def test_mod4_congruence_small():
     for ell in (1, 2, 5):
         report = check_mod4_congruence(ell, 64)
         assert report.failed == 0
-        assert report.skipped_zero_potential == 0
         assert report.checked > 0
     with pytest.raises(ValueError):
         check_mod4_congruence(-2, 16)
 
 
 def test_mod4_point_guard():
-    assert _mod4_point_holds(1, 2, 0.0) is None  # hypothesis fails, skip
+    assert _mod4_point_holds(1, 2, 0.0) is False  # hypothesis fails: a failure
     assert _mod4_point_holds(1, 2, 2.0) is True  # 1 == 2+2+1 mod 4
     assert _mod4_point_holds(-1, 2, -2.0) is True  # -1 == 3 mod 4
     assert _mod4_point_holds(0, 2, 2.0) is False
+
+
+def test_mod4_counts_a_zero_potential_as_a_failure(monkeypatch):
+    # off the root locus the potential is never 0.0; were it, the point fails
+    monkeypatch.setattr(linksig.verify, "conway_potential_of_sum", lambda ell, x: 0.0)
+    report = check_mod4_congruence(2, 8)
+    assert report.checked > 0
+    assert report.failed == report.checked
+    assert not report.passed
 
 
 def test_mod4_strip_hand_values():
@@ -157,23 +166,23 @@ def test_sweep_counts_pinned_at_res_120():
 
 
 def test_mod4_reports_pinned_at_res_64():
-    # (checked, failed, skipped_on_roots, skipped_zero_potential), recorded
-    # from the Fraction-based sweep that the lattice kernel replaced
+    # (checked, failed, skipped_on_roots), recorded from the Fraction-based
+    # sweep that the lattice kernel replaced
     pinned = {
-        1: (3969, 0, 0, 0),
-        2: (3845, 0, 124, 0),
-        3: (3969, 0, 0, 0),
-        4: (3609, 0, 360, 0),
-        5: (3969, 0, 0, 0),
-        6: (3845, 0, 124, 0),
-        7: (3969, 0, 0, 0),
-        8: (3185, 0, 784, 0),
-        9: (3969, 0, 0, 0),
-        10: (3845, 0, 124, 0),
+        1: (3969, 0, 0),
+        2: (3845, 0, 124),
+        3: (3969, 0, 0),
+        4: (3609, 0, 360),
+        5: (3969, 0, 0),
+        6: (3845, 0, 124),
+        7: (3969, 0, 0),
+        8: (3185, 0, 784),
+        9: (3969, 0, 0),
+        10: (3845, 0, 124),
     }
     for ell, counts in pinned.items():
         r = check_mod4_congruence(ell, 64)
-        assert (r.checked, r.failed, r.skipped_on_roots, r.skipped_zero_potential) == counts
+        assert (r.checked, r.failed, r.skipped_on_roots) == counts
 
 
 def test_verbose_sweep_records_match_scalar_queries():
@@ -192,7 +201,7 @@ def test_verbose_sweep_records_match_scalar_queries():
 def test_mod4_report_json_pinned():
     assert json.dumps(check_mod4_congruence(3, 24).to_json()) == (
         '{"ell": 3, "resolution": 24, "checked": 445, "failed": 0, '
-        '"skipped_on_roots": 84, "skipped_zero_potential": 0}'
+        '"skipped_on_roots": 84}'
     )
 
 
