@@ -13,14 +13,14 @@ and reports its inertia.  The signature of H is the multivariable
 A system is stored as the nonzero integer entries of its matrices.  When
 they all lie on the three diagonals, as for every (2,2l)-torus system and
 every system of rank <= 2, H is tridiagonal: build_H returns its diagonals
-as a Band, and inertia counts the band by Sturm sequences in O(n).  A
-tridiagonal count is exact for entries with small relative errors (Barth,
-Martin and Wilkinson 1967), so nothing is lost against the eigenvalues.
-Any other system gives a Dense, its rows as lists, which inertia counts by
-Bunch-Kaufman pivoted LDL^H factorisations in O(n^3) (Bunch and Kaufman
-1977, Math. Comp. 31).  Neither count computes an eigenvalue: by
-Sylvester's law of inertia the signs of the pivots are those of the
-eigenvalues.  Nothing here imports numpy.
+as a Band.  Any other system gives a Dense, its rows as lists, which
+inertia first reduces to a band by Householder reflections in O(n^3), a
+backward stable step (Wilkinson 1965, The Algebraic Eigenvalue Problem).
+Every band is then counted by Sturm sequences in O(n).  A tridiagonal count
+is exact for entries with small relative errors (Barth, Martin and
+Wilkinson 1967), so nothing is lost against the eigenvalues, and it
+computes none: by Sylvester's law of inertia the signs of the pivots are
+those of the eigenvalues.  Nothing here imports numpy.
 
 For the (2,2l)-torus family everything is also available in closed form:
 the leading principal minors of H satisfy a three-term recurrence solved
@@ -323,155 +323,99 @@ def inertia(h: Band | Dense | list[list[complex]]) -> Inertia:
     """Eigenvalue counts of a Hermitian matrix; zero threshold scales with size.
 
     With tau = EIG_ZERO_SCALE * max|h| * n the counts are strict:
-    n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  A Band is counted
-    by Sturm sequences in O(n); any other h, a Dense, nested lists or an
-    array with tolist(), by pivoted LDL^H factorisations in O(n^3).  Neither
-    needs numpy.
+    n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  Every layout is
+    checked the same way: square, finite, and Hermitian to within
+    1e-12 * max(1, max|h|); a ValueError names the first check that fails.
+    Like eigvalsh the count then reads the lower triangle, of h / max|h| so
+    that |h_ij|^2 neither under- nor overflows at any scale of h.  A Band
+    gives its diagonals directly.  Any other h, a Dense, nested lists or an
+    array with tolist(), is first reduced to a band by Householder
+    reflections in O(n^3) (_householder_band).  Two Sturm counts of the
+    band, in O(n), give the inertia.  None of it needs numpy.
     """
+    # `parts` chain to every entry; `lower` runs over the lower triangle and
+    # `upper` over the entries that mirror it
     if isinstance(h, Band):
-        return _band_inertia(h)
-    return _dense_inertia(h.rows if isinstance(h, Dense) else h)
-
-
-def _dense_inertia(rows) -> Inertia:
-    """inertia() of a dense matrix.
-
-    Like _band_inertia it counts the negative eigenvalues of h + tau I and
-    of tau I - h, on h / max|h|; each count is a Bunch-Kaufman LDL^H
-    factorisation (_negative_eigenvalues).  Like eigvalsh it reads the lower
-    triangle, once h is checked to be Hermitian.
-    """
-    if hasattr(rows, "tolist"):  # a numpy array, read without importing numpy
-        rows = rows.tolist()
-    n = len(rows)
-    if not all(isinstance(row, (list, tuple)) and len(row) == n for row in rows):
+        n = len(h.diag)
+        square = len(h.sub) == len(h.sup) == max(n - 1, 0)
+        parts = (h.sub, h.diag, h.sup)
+        lower, upper = chain(h.sub, h.diag), chain(h.sup, h.diag)
+    else:
+        rows = h.rows if isinstance(h, Dense) else h
+        if hasattr(rows, "tolist"):  # a numpy array, read without importing numpy
+            rows = rows.tolist()
+        n = len(rows)
+        square = all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
+        parts = rows
+        lower = (rows[i][j] for i in range(n) for j in range(i + 1))
+        upper = (rows[j][i] for i in range(n) for j in range(i + 1))
+    if not square:
         raise ValueError("matrix is not square")
     if n == 0:
         return Inertia(0, 0, 0)
-    flat = [x for row in rows for x in row]
-    if not all(map(cmath.isfinite, flat)):
+    if not all(map(cmath.isfinite, chain(*parts))):
         raise ValueError("matrix has a non-finite entry")
-    hmax = max(map(abs, flat))
-    skew = max(abs(rows[i][j] - rows[j][i].conjugate()) for i in range(n) for j in range(i + 1))
+    hmax = max(map(abs, chain(*parts)))
+    skew = max(abs(x - y.conjugate()) for x, y in zip(lower, upper))
     if skew > 1e-12 * max(1.0, hmax):
         raise ValueError("matrix is not Hermitian")
     if hmax == 0.0:
         return Inertia(0, 0, n)
+    if isinstance(h, Band):
+        a = [d.real / hmax for d in h.diag]
+        off2 = [0.0]
+        for e in h.sub:
+            r = abs(e / hmax)
+            off2.append(r * r)
+    else:
+        a, off2 = _householder_band([
+            [x / hmax for x in row[:i]] + [row[i].real / hmax]
+            + [rows[j][i].conjugate() / hmax for j in range(i + 1, n)]
+            for i, row in enumerate(rows)
+        ])
     t = EIG_ZERO_SCALE * n  # tau / max|h|
-    full = [
-        [(rows[i][j] if j <= i else rows[j][i].conjugate()) / hmax for j in range(n)]
-        for i in range(n)
-    ]
-    counts = []
-    for sign in (1.0, -1.0):  # h + tau I, then tau I - h
-        shifted = [[sign * x for x in row] for row in full]
-        for i, row in enumerate(shifted):
-            row[i] = sign * full[i][i].real + t
-        counts.append(_negative_eigenvalues(shifted))
-    n_neg, n_pos = counts  # #(lambda < -tau), #(lambda > tau)
-    return Inertia(n_pos, n_neg, n - n_pos - n_neg)
-
-
-_BK_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
-
-
-def _negative_eigenvalues(a: list[list[complex]]) -> int:
-    """Number of negative eigenvalues of the Hermitian matrix `a` (full rows,
-    overwritten), by the Bunch-Kaufman factorisation P a P^T = L D L^H with
-    1x1 and 2x2 pivots (Bunch and Kaufman 1977, Math. Comp. 31) and
-    Sylvester's law of inertia: the count is that of D.
-
-    A 1x1 pivot adds one when it is negative, and a pivot column that is
-    zero adds nothing.  A 2x2 pivot adds one when its determinant is
-    negative, and otherwise two if its leading entry is negative, none if
-    not.
-    """
-    n = len(a)
-    count = 0
-    k = 0
-    while k < n:
-        akk = abs(a[k][k].real)
-        lam, r = 0.0, k
-        for i in range(k + 1, n):
-            v = abs(a[i][k])
-            if v > lam:
-                lam, r = v, i
-        if lam == 0.0 and akk == 0.0:
-            k += 1  # a zero column: D gets a 0
-            continue
-        size, swap = 1, k
-        if akk < _BK_ALPHA * lam:
-            # sigma, the largest off-diagonal modulus in column r
-            sigma = max(abs(a[j][r]) for j in range(k, n) if j != r)
-            if akk * sigma < _BK_ALPHA * lam * lam:
-                if abs(a[r][r].real) >= _BK_ALPHA * sigma:
-                    swap = r
-                else:
-                    size, swap = 2, r
-        p = k + size - 1  # row and column p trade places with `swap`
-        if swap != p:
-            a[p], a[swap] = a[swap], a[p]
-            for row in a:
-                row[p], row[swap] = row[swap], row[p]
-        k += size  # the rows and columns k.. that remain
-        if size == 1:
-            d = a[p][p].real
-            if d < 0.0:
-                count += 1
-            pivot = a[p][k:]
-            for row in a[k:]:
-                f = row[p] / d
-                if f:
-                    row[k:] = [x - f * y for x, y in zip(row[k:], pivot)]
-        else:
-            e11, e22, e21 = a[p - 1][p - 1].real, a[p][p].real, a[p][p - 1]
-            det = e11 * e22 - (e21.real * e21.real + e21.imag * e21.imag)
-            if det < 0.0:
-                count += 1
-            elif det > 0.0 and e11 < 0.0:
-                count += 2
-            pivot1, pivot2 = a[p - 1][k:], a[p][k:]
-            for row in a[k:]:
-                c1, c2 = row[p - 1], row[p]
-                # (c1, c2) E^-1, with E^-1 = [[e22, -conj(e21)], [-e21, e11]] / det
-                w1 = (c1 * e22 - c2 * e21) / det
-                w2 = (c2 * e11 - c1 * e21.conjugate()) / det
-                row[k:] = [x - w1 * y1 - w2 * y2 for x, y1, y2 in zip(row[k:], pivot1, pivot2)]
-    return count
-
-
-def _band_inertia(h: Band) -> Inertia:
-    """inertia() of a band.
-
-    The super-diagonal is checked against the conjugate sub-diagonal, and,
-    like eigvalsh, the count reads the lower triangle.  It works on
-    h / max|h|, so |e|^2 neither underflows nor overflows, and it carries
-    pivot ratios only: the leading minors themselves underflow (rank 199 at
-    small angles).
-    """
-    n = len(h.diag)
-    if n == 0:
-        return Inertia(0, 0, 0)
-    hmax = max(map(abs, chain(h.sub, h.diag, h.sup)))
-    # |d - conj(d)| is exactly 2|Im d|
-    skew = max(
-        (abs(u - e.conjugate()) for e, u in zip(h.sub, h.sup)),
-        default=0.0,
-    )
-    skew = max(skew, 2.0 * max(abs(d.imag) for d in h.diag))
-    if skew > 1e-12 * max(1.0, hmax):
-        raise ValueError("matrix is not Hermitian")
-    if hmax == 0.0:
-        return Inertia(0, 0, n)
-    t = EIG_ZERO_SCALE * n  # tau / max|h|
-    a = [d.real / hmax for d in h.diag]
-    off2 = [0.0]
-    for e in h.sub:
-        r = abs(e / hmax)
-        off2.append(r * r)
     n_neg = _negative_pivots([x + t for x in a], off2)  # T + t: #(lambda < -tau)
     n_pos = _negative_pivots([t - x for x in a], off2)  # t - T: #(lambda > tau)
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+def _householder_band(a: list[list[complex]]) -> tuple[list[float], list[float]]:
+    """The diagonal and the squared off-diagonal moduli off2[1:] of a
+    tridiagonal matrix unitarily similar to the Hermitian `a` (full rows,
+    overwritten), in the form _negative_pivots reads.
+
+    Column k is reduced by the reflection I - w w^H that maps the entries
+    x below the diagonal to -e^{i arg x_0} |x| e_1, so the k-th
+    off-diagonal modulus is |x|, and the trailing block B becomes
+    B - w q^H - q w^H with p = B w and q = p - (w^H p / 2) w.  A column
+    already zero below its first entry (or so small that the squares of
+    those entries underflow) is left as it is, and so is the last one.
+    """
+    n = len(a)
+    diag, off2 = [], [0.0]
+    for k in range(n - 1):
+        diag.append(a[k][k].real)
+        m = k + 1
+        block = a[m:]
+        x = [row[k] for row in block]
+        r0 = abs(x[0])
+        s = sum(v.real * v.real + v.imag * v.imag for v in x[1:])
+        off2.append(r0 * r0 + s)
+        if s <= sys.float_info.min:
+            continue
+        norm = math.sqrt(r0 * r0 + s)
+        x[0] += (x[0] / r0 if r0 else 1.0) * norm  # v = x - alpha e_1
+        c = 1.0 / math.sqrt(norm * (norm + r0))  # sqrt(2 / v^H v)
+        w = [c * v for v in x]
+        wc = [v.conjugate() for v in w]
+        p = [sum(map(mul, row[m:], w)) for row in block]
+        half = 0.5 * sum(map(mul, wc, p)).real
+        q = [pi - half * wi for pi, wi in zip(p, w)]
+        qc = [v.conjugate() for v in q]
+        for row, wi, qi in zip(block, w, q):
+            row[m:] = [b - wi * y - qi * z for b, y, z in zip(row[m:], qc, wc)]
+    diag.append(a[n - 1][n - 1].real)
+    return diag, off2
 
 
 def _negative_pivots(diag: list[float], off2: list[float]) -> int:

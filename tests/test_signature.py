@@ -657,14 +657,17 @@ def test_inertia_of_torus_H_on_root_line_matches_eigvalsh(line, sign, den, data)
     alpha = angle_pair(*on_root_line(line, t, Fraction(1)))
     ell = sign * line[0]
     assert not is_defined(ell, alpha)
-    assert_inertia_matches_eigvalsh(build_H(torus_seifert(ell), list(alpha.omega())))
+    h = build_H(torus_seifert(ell), list(alpha.omega()))
+    assert_inertia_matches_eigvalsh(h)
+    # the band laid out as dense rows is reduced to the same band
+    assert inertia(Dense(dense(h).tolist())) == inertia(h)
 
 
 @st.composite
 def hermitian_dense(draw):
     """A Hermitian matrix of rank 0..30 as a numpy array, nested lists or a
-    Dense: full, with a zero diagonal (every pivot 2x2 until the diagonal
-    fills in), sparse, of low rank (V D V^H), integral, or zero."""
+    Dense: full, with a zero diagonal, sparse, of low rank (V D V^H),
+    integral, or zero."""
     n = draw(st.integers(0, 30))
     kind = draw(st.sampled_from(["full", "zero diagonal", "sparse", "low rank", "integer", "zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -721,7 +724,8 @@ def test_inertia_counts_strictly_at_the_threshold():
 
 
 def test_inertia_of_tridiagonal_is_scale_invariant():
-    # |e|^2 under- or overflows at these scales unless h is scaled first
+    # |e|^2 under- or overflows at these scales unless h is scaled first; a
+    # dense h is scaled before its Householder reduction
     rng = np.random.default_rng(31)
     for n in (2, 19, 199):
         diag = rng.standard_normal(n)
@@ -730,6 +734,12 @@ def test_inertia_of_tridiagonal_is_scale_invariant():
         assert not edge
         for scale in (2.0**-600, 1.0, 2.0**600):
             assert triple(inertia(tridiagonal(diag * scale, sub * scale))) == want
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h = (a + a.conj().T) / 2
+    want, edge = eigvalsh_triple(h)
+    assert not edge
+    for scale in (2.0**-600, 1.0, 2.0**600):
+        assert triple(inertia(h * scale)) == want
 
 
 def test_inertia_rejects_non_hermitian_tridiagonal():
@@ -763,13 +773,22 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     h[0, n - 1] += 1.0  # one off-band entry without its mirror
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(h)
-    # eigvalsh returned NaN here, which counted as nullity 2
+    # eigvalsh returned NaN here, which counted as nullity 2; a band is
+    # checked the same way
     for v in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            inertia([[1.0, v], [v, 2.0]])
-    for rows in ([[1.0, 0.0]], [[1.0], [0.0, 1.0]], [1.0, 2.0]):
+        for bad in ([[1.0, v], [v, 2.0]], Band([v], [1.0, 2.0], [v]), Band([], [v], [])):
+            with pytest.raises(ValueError, match="non-finite"):
+                inertia(bad)
+    for bad in (
+        [[1.0, 0.0]],
+        [[1.0], [0.0, 1.0]],
+        [1.0, 2.0],
+        Band([], [1.0, -1.0], []),
+        Band([0.5], [1.0, 2.0], []),
+        Band([0.5], [1.0], [0.5]),
+    ):
         with pytest.raises(ValueError, match="not square"):
-            inertia(rows)
+            inertia(bad)
 
 
 def test_sigma_eval_rank_199_at_tiny_angle():
@@ -787,8 +806,8 @@ def test_sigma_eval_rank_199_at_tiny_angle():
 
 def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
     # no H reaches eigvalsh.  A band is counted whichever way it is laid out: its
-    # transpose (conj H), its reversal (J H J) and the band whose upper
-    # diagonal is rebuilt from the lower one have the eigenvalues of H
+    # transpose (conj H), its reversal (J H J), the band whose upper diagonal
+    # is rebuilt from the lower one and its dense rows have the eigenvalues of H
     rng = np.random.default_rng(32)
     band = [[2, -1, 0, 0], [3, 1, 1, 0], [0, -2, 0, 1], [0, 0, 1, -1]]
     systems = [torus_seifert(ell) for ell in (2, 3, -5, 20, 200)]
@@ -803,6 +822,7 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
             Band(h.sup, h.diag, h.sub),
             Band(h.sup[::-1], h.diag[::-1], h.sub[::-1]),
             Band(h.sub, h.diag, [e.conjugate() for e in h.sub]),
+            Dense(dense(h).tolist()),
         )
         cases.append((h, want, layouts))
     off_band = dense(tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]))
@@ -813,7 +833,8 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
-    # no H reaches eigvalsh: a dense one is counted by pivoted LDL^H
+    # no H reaches eigvalsh: a dense one is reduced to a band by Householder
+    # reflections, then counted as a band is
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert triple(inertia(off_band)) == off_band_want
     assert inertia(off_band.tolist()) == inertia(Dense(off_band.tolist()))
