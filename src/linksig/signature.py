@@ -10,10 +10,11 @@ A^eps), assembles the Hermitian matrix
 and reports its inertia.  The signature of H is the multivariable
 (Cimasoni-Florens) signature of the colored link at omega.
 
-A system is stored as the nonzero integer entries of its matrices.  When
-they all lie on the three diagonals, as for every (2,2l)-torus system and
-every system of rank <= 2, H is tridiagonal: build_H returns its diagonals
-as a Band.  Any other system gives a Dense, its rows as lists, which
+A system is stored as the nonzero integer entries of its matrices, with
+A^{-eps} = (A^eps)^T checked once when it is built.  When they all lie on
+the three diagonals, as for every (2,2l)-torus system and every system of
+rank <= 2, H is tridiagonal: build_H returns its lower band as a Band,
+Hermitian by type.  Any other system gives a Dense, its rows as lists, which
 inertia first reduces to a band by Householder reflections in O(n^3), a
 backward stable step (Wilkinson 1965, The Algebraic Eigenvalue Problem).
 Every band is then counted by Sturm sequences in O(n).  A tridiagonal count
@@ -75,17 +76,22 @@ class SeifertSystem(Frozen):
     compare by mu, rank and entries.  Built by seifert_system, which
     validates its input, and by torus_seifert.
 
-    The rest is derived for build_H.  `columns` holds, for each position of
-    H that it fills, the entries of the nonzero matrices there, in `nonzero`
-    order.  When every entry lies on the three diagonals, `cells` is None and
-    the positions are the whole band: the sub-, main and super-diagonal in
-    turn.  Otherwise `cells` lists the positions that some entry fills.
+    Building one checks A^{-eps} = (A^eps)^T, so every H(omega) is
+    Hermitian.  The rest is derived for build_H.  `columns` holds, for
+    each position of H that it fills, the entries of the nonzero matrices
+    there, in `nonzero` order.  When every entry lies on the three diagonals,
+    `cells` is None and the positions are the sub- and main diagonal in turn.
+    Otherwise `cells` lists the positions that some entry fills.
     """
 
     __slots__ = ("mu", "rank", "entries", "nonzero", "cells", "columns")
 
     def __init__(self, mu: int, rank: int, entries):
         entries = dict(entries)  # a mapping, or its items as _fields gives them
+        for k, e in entries.items():  # each pair twice; a "+" key, listed first, names it
+            if sorted(entries.get(_neg_key(k), ())) != sorted((j, i, v) for i, j, v in e):
+                pair = f"({k}, {_neg_key(k)})"
+                raise BadSystemError(f"transpose invariant violated for sign pair {pair}")
         nonzero = tuple(k for k, e in entries.items() if e)
         pattern = {}
         for slot, key in enumerate(nonzero):
@@ -94,7 +100,6 @@ class SeifertSystem(Frozen):
         if all(-1 <= i - j <= 1 for i, j in pattern):
             cells = None
             band = [(i + 1, i) for i in range(rank - 1)] + [(i, i) for i in range(rank)]
-            band += [(i, i + 1) for i in range(rank - 1)]
         else:
             cells = band = tuple(sorted(pattern))
         zero = (0,) * len(nonzero)
@@ -188,10 +193,9 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
             first = next(k for k in keys if k not in matrices)
             message += f", the first is {reprlib.repr(first)}"
         raise BadSystemError(message)
-    keys = _eps_keys(mu)
     entries = {}
     rank = None
-    for k in keys:
+    for k in _eps_keys(mu):
         try:
             n, entries[k] = _matrix_entries(k, matrices[k])
         except TypeError as exc:
@@ -200,13 +204,6 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
             rank = n
         elif n != rank:
             raise BadSystemError(f"matrix {k} has rank {n}, expected {rank}")
-    # keys[:half] lead with "+" and their partners with "-"
-    for k in keys[: len(keys) // 2]:
-        nk = _neg_key(k)
-        if entries[nk] != tuple(sorted((j, i, v) for i, j, v in entries[k])):
-            raise BadSystemError(
-                f"transpose invariant violated for sign pair ({k}, {nk})"
-            )
     return SeifertSystem(mu, rank, entries)
 
 
@@ -242,13 +239,15 @@ def seifert_from_json(data) -> SeifertSystem:
 
 
 class Band(Record):
-    """A tridiagonal matrix by its sub-, main and super-diagonal, each a list
-    of complex numbers; `shape` is that of the matrix."""
+    """A Hermitian tridiagonal matrix by its lower band: the sub-diagonal, a
+    list of complex numbers, and the diagonal, a list of reals.  The upper
+    diagonal is conj(sub), so the matrix is Hermitian by type; `shape` is
+    that of the matrix."""
 
-    __slots__ = ("sub", "diag", "sup")
+    __slots__ = ("sub", "diag")
 
-    def __init__(self, sub: list[complex], diag: list[complex], sup: list[complex]):
-        self.sub, self.diag, self.sup = sub, diag, sup
+    def __init__(self, sub: list[complex], diag: list[float]):
+        self.sub, self.diag = sub, diag
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -271,7 +270,7 @@ class Dense(Record):
 
 def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
     """The Hermitian matrix H(omega) of the system at unit omega, all != 1:
-    a Band when s.cells is None, else a Dense."""
+    a Band, its diagonal real, when s.cells is None, else a Dense."""
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -295,7 +294,7 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
     n = s.rank
     if s.cells is None:
         m = max(n - 1, 0)
-        return Band(values[:m], values[m : m + n], values[m + n :])
+        return Band(values[:m], [v.real for v in values[m:]])
     rows = [[0j] * n for _ in range(n)]
     for (i, j), v in zip(s.cells, values):
         rows[i][j] = v
@@ -323,23 +322,24 @@ def inertia(h: Band | Dense | list[list[complex]]) -> Inertia:
     """Eigenvalue counts of a Hermitian matrix; zero threshold scales with size.
 
     With tau = EIG_ZERO_SCALE * max|h| * n the counts are strict:
-    n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  Every layout is
-    checked the same way: square, finite, and Hermitian to within
-    1e-12 * max(1, max|h|); a ValueError names the first check that fails.
-    Like eigvalsh the count then reads the lower triangle, of h / max|h| so
-    that |h_ij|^2 neither under- nor overflows at any scale of h.  A Band
-    gives its diagonals directly.  Any other h, a Dense, nested lists or an
-    array with tolist(), is first reduced to a band by Householder
-    reflections in O(n^3) (_householder_band).  Two Sturm counts of the
-    band, in O(n), give the inertia.  None of it needs numpy.
+    n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).  h must be square,
+    finite and Hermitian to within 1e-12 * max(1, max|h|); a ValueError names
+    the first check that fails.  A Band's upper diagonal is conj(sub), so only
+    its diagonal can fail the last; any other layout, a Dense, nested lists
+    or an array with tolist(), has each entry checked against its mirror.
+    Like eigvalsh the count reads the lower triangle, of h / max|h| so that
+    |h_ij|^2 neither under- nor overflows at any scale of h.  A Band gives
+    its diagonals directly; any other h is first reduced to a band by
+    Householder reflections in O(n^3) (_householder_band).  Two Sturm counts
+    of the band, in O(n), give the inertia.  None of it needs numpy.
     """
-    # `parts` chain to every entry; `lower` runs over the lower triangle and
-    # `upper` over the entries that mirror it
+    # `parts` chain to every entry; `lower` runs over the entries that the
+    # layout does not make Hermitian and `upper` over those that mirror them
     if isinstance(h, Band):
         n = len(h.diag)
-        square = len(h.sub) == len(h.sup) == max(n - 1, 0)
-        parts = (h.sub, h.diag, h.sup)
-        lower, upper = chain(h.sub, h.diag), chain(h.sup, h.diag)
+        square = len(h.sub) == max(n - 1, 0)
+        parts = (h.sub, h.diag)
+        lower = upper = h.diag
     else:
         rows = h.rows if isinstance(h, Dense) else h
         if hasattr(rows, "tolist"):  # a numpy array, read without importing numpy

@@ -44,11 +44,10 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _dense(band):
-    """The matrix of a band as a numpy array."""
-    return sum(
-        np.diag(np.asarray(part, dtype=complex), k)
-        for part, k in ((band.sub, -1), (band.diag, 0), (band.sup, 1))
-    )
+    """The matrix of a band as a numpy array; its upper diagonal is conj(sub)."""
+    sub = np.asarray(band.sub, dtype=complex)
+    diag = np.asarray(band.diag, dtype=complex)
+    return np.diag(sub, -1) + np.diag(diag) + np.diag(sub.conj(), 1)
 
 
 def _admissible_grid(resolution, ell):

@@ -24,6 +24,7 @@ from linksig.signature import (
     Band,
     Dense,
     Inertia,
+    SeifertSystem,
     build_H,
     delta_closed,
     delta_recursive,
@@ -152,33 +153,33 @@ def build_H_over_every_matrix(s, omegas):
 
 
 def dense(h):
-    """h as a numpy array; a Band is filled in on its three diagonals."""
+    """h as a numpy array; a Band is filled in on its three diagonals, the
+    upper one conj(sub)."""
     if isinstance(h, Dense):
         return np.asarray(h.rows)
     if not isinstance(h, Band):
         return np.asarray(h)
+    sub = np.asarray(h.sub, dtype=complex)
     return sum(
-        np.diag(np.asarray(part, dtype=complex), k)
-        for part, k in ((h.sub, -1), (h.diag, 0), (h.sup, 1))
+        np.diag(part, k)
+        for part, k in ((sub, -1), (np.asarray(h.diag, dtype=complex), 0), (sub.conj(), 1))
     )
 
 
 def entries_of(h):
-    """The entries build_H computed: a band's three diagonals, or every row."""
+    """The entries build_H computed: a band's sub-diagonal and real diagonal,
+    or every row."""
     if isinstance(h, Band):
-        return [h.sub, h.diag, h.sup]
+        return [h.sub, h.diag]
     return h.rows
 
 
 def band_of(rows):
-    """The three diagonals of nested lists that are zero off them."""
+    """The sub-diagonal and the real part of the diagonal of nested lists
+    that are zero off the three diagonals."""
     n = len(rows)
     assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1)
-    return [
-        [rows[i + 1][i] for i in range(n - 1)],
-        [rows[i][i] for i in range(n)],
-        [rows[i][i + 1] for i in range(n - 1)],
-    ]
+    return [[rows[i + 1][i] for i in range(n - 1)], [rows[i][i].real for i in range(n)]]
 
 
 def test_build_H_is_bitwise_the_sum_over_every_matrix():
@@ -217,6 +218,40 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
                 assert twin == s and twin.nonzero == s.nonzero
                 assert entries_of(build_H(twin, omegas)) == expected
     assert [s.cells is None for s in systems] == [True] * 6 + [False] * 4 + [True] * 2
+
+
+def bits(xs):
+    """Each number of xs by its type and the bits of its real and imaginary
+    parts, so that == tells -0.0 from 0.0 and a float from a complex."""
+    return [(type(x), x.real.hex(), x.imag.hex()) for x in xs]
+
+
+def random_band_system(rng, mu, rank):
+    """A Seifert system whose random integer matrices are tridiagonal."""
+    keys = sign_keys(mu)
+    band = np.abs(np.subtract.outer(range(rank), range(rank))) <= 1
+    matrices = {}
+    for k, nk in zip(keys[: len(keys) // 2], keys[::-1]):
+        m = rng.integers(-3, 4, size=(rank, rank)) * band
+        matrices[k], matrices[nk] = m, m.T
+    return seifert_system(mu, matrices)
+
+
+def test_build_H_of_a_tridiagonal_system_is_bitwise_the_lower_band_of_the_sum():
+    # the upper diagonal of a Band is conj(sub) by type, so build_H returns
+    # the sub-diagonal and the real diagonal, each exactly as the sum over
+    # every matrix gives it
+    rng = np.random.default_rng(41)
+    systems = [torus_seifert(ell) for ell in (2, 3, -7, 50, -200)]
+    systems += [random_band_system(rng, mu, rank) for mu in (1, 2, 3) for rank in (3, 8)]
+    fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
+    for s in systems:
+        assert s.cells is None
+        for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
+            h = build_H(s, omegas)
+            rows = build_H_over_every_matrix(s, omegas)
+            assert bits(h.sub) == bits(rows[i + 1][i] for i in range(s.rank - 1))
+            assert bits(h.diag) == bits(rows[i][i].real for i in range(s.rank))
 
 
 def test_build_H_of_a_tridiagonal_system_holds_no_matrix():
@@ -310,7 +345,7 @@ def test_inertia_examples():
     assert (ine.n_pos, ine.n_neg, ine.n_zero) == (0, 1, 0)
     assert ine.signature == -1
     assert inertia(np.zeros((0, 0))).rank == 0
-    assert inertia(Band([], [], [])).rank == 0
+    assert inertia(Band([], [])).rank == 0
     for h in (np.diag([2.0, -3.0, 0.0]), tridiagonal([2.0, -3.0, 0.0], [0.0, 0.0])):
         ine = inertia(h)
         assert (ine.n_pos, ine.n_neg, ine.n_zero) == (1, 1, 1)
@@ -337,10 +372,13 @@ def test_torus_seifert_negative_ell_determinant():
         a1 = rng.uniform(0.1, math.pi - 0.1)
         a2 = rng.uniform(0.1, math.pi - 0.1)
         alpha = AnglePair.from_radians(a1, a2)
-        (h,) = build_H(s, list(alpha.omega())).diag
+        omegas = list(alpha.omega())
+        (h,) = build_H(s, omegas).diag
         expected = 8 * math.sin(a1) * math.sin(a2) * math.cos(math.pi + a1 + a2)
-        assert abs(h.real - expected) < 1e-10
-        assert abs(h.imag) < 1e-10
+        assert abs(h - expected) < 1e-10
+        # the Band keeps the real part; the sum itself is real to rounding
+        ((full,),) = build_H_over_every_matrix(s, omegas)
+        assert full.real == h and abs(full.imag) < 1e-10
 
 
 def test_delta_examples():
@@ -576,9 +614,9 @@ def assert_inertia_matches_eigvalsh(h):
 
 
 def tridiagonal(diag, sub):
-    """The Hermitian band with diagonal `diag` and sub-diagonal `sub`."""
-    sub = [complex(e) for e in sub]
-    return Band(sub, [complex(d) for d in diag], [e.conjugate() for e in sub])
+    """The Hermitian band with diagonal `diag` and sub-diagonal `sub`; its
+    upper diagonal is conj(sub)."""
+    return Band([complex(e) for e in sub], [float(d) for d in diag])
 
 
 ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -743,15 +781,28 @@ def test_inertia_of_tridiagonal_is_scale_invariant():
 
 
 def test_inertia_rejects_non_hermitian_tridiagonal():
-    h = tridiagonal([1.0, 2.0, 3.0], [1.0 + 1j, 2.0])
-    assert inertia(h).rank == 3
-    h.sup[0] = 1.0 + 1j  # the sub-diagonal holds 1 + 1j as well, not its conjugate
-    with pytest.raises(ValueError, match="not Hermitian"):
-        inertia(h)
+    # a band's upper diagonal is conj(sub) by type; its diagonal is checked
+    assert inertia(tridiagonal([1.0, 2.0, 3.0], [1.0 + 1j, 2.0])).rank == 3
     h = tridiagonal([1.0, 2.0, 3.0], [1.0, 2.0])
     h.diag[1] = 2.0 + 1e-3j
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(h)
+
+
+def test_inertia_rejects_a_user_built_band_by_the_rules_for_any_matrix():
+    # a Band is Hermitian by type but for its diagonal, which may be complex
+    for bad in (Band([], [1.0, 2.0]), Band([0.5, 0.5], [1.0, 2.0]), Band([0.5], [])):
+        with pytest.raises(ValueError, match="not square"):
+            inertia(bad)
+    for v in (math.nan, -math.inf, complex(0.0, math.nan), complex(math.inf, 0.0)):
+        for bad in (Band([v], [1.0, 2.0]), Band([0.5], [1.0, v])):
+            with pytest.raises(ValueError, match="non-finite"):
+                inertia(bad)
+    # 2 |Im d| against 1e-12 * max(1, max|h|): 2e-12 here, and 1e-12 below
+    assert inertia(Band([0.5], [1.0, 2.0 + 0.9e-12j])) == Inertia(2, 0, 0)
+    for bad in (Band([0.5], [1.0, 2.0 + 1.1e-12j]), Band([], [1e-3 - 0.6e-12j])):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            inertia(bad)
 
 
 def test_inertia_with_an_off_band_entry_matches_eigvalsh():
@@ -776,16 +827,16 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     # eigvalsh returned NaN here, which counted as nullity 2; a band is
     # checked the same way
     for v in (math.nan, math.inf):
-        for bad in ([[1.0, v], [v, 2.0]], Band([v], [1.0, 2.0], [v]), Band([], [v], [])):
+        for bad in ([[1.0, v], [v, 2.0]], Band([v], [1.0, 2.0]), Band([], [v])):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     for bad in (
         [[1.0, 0.0]],
         [[1.0], [0.0, 1.0]],
         [1.0, 2.0],
-        Band([], [1.0, -1.0], []),
-        Band([0.5], [1.0, 2.0], []),
-        Band([0.5], [1.0], [0.5]),
+        Band([], [1.0, -1.0]),
+        Band([0.5, 0.5], [1.0, 2.0]),
+        Band([0.5], [1.0]),
     ):
         with pytest.raises(ValueError, match="not square"):
             inertia(bad)
@@ -806,8 +857,8 @@ def test_sigma_eval_rank_199_at_tiny_angle():
 
 def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
     # no H reaches eigvalsh.  A band is counted whichever way it is laid out: its
-    # transpose (conj H), its reversal (J H J), the band whose upper diagonal
-    # is rebuilt from the lower one and its dense rows have the eigenvalues of H
+    # transpose (conj H), its reversal (J H J) and its dense rows have the
+    # eigenvalues of H
     rng = np.random.default_rng(32)
     band = [[2, -1, 0, 0], [3, 1, 1, 0], [0, -2, 0, 1], [0, 0, 1, -1]]
     systems = [torus_seifert(ell) for ell in (2, 3, -5, 20, 200)]
@@ -819,9 +870,8 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
         want, edge = eigvalsh_triple(h)
         assert not edge
         layouts = (
-            Band(h.sup, h.diag, h.sub),
-            Band(h.sup[::-1], h.diag[::-1], h.sub[::-1]),
-            Band(h.sub, h.diag, [e.conjugate() for e in h.sub]),
+            Band([e.conjugate() for e in h.sub], h.diag),
+            Band([e.conjugate() for e in h.sub[::-1]], h.diag[::-1]),
             Dense(dense(h).tolist()),
         )
         cases.append((h, want, layouts))
@@ -939,6 +989,23 @@ def test_sigma_eval_equals_closed_form_at_ell_one_thousand():
                 assert caught and abs(engine - sigma_torus_closed(ell, alpha)) == 1, alpha
             else:
                 assert not caught and engine == sigma_torus_closed(ell, alpha), alpha
+
+
+def test_seifert_system_enforces_the_transpose_invariant_at_construction():
+    # a system built directly, without seifert_system, is checked as well
+    upper = ((0, 0, -1), (0, 1, 1), (1, 1, -1))
+    lower = ((0, 0, -1), (1, 0, 1), (1, 1, -1))
+    assert SeifertSystem(2, 2, {"++": upper, "+-": (), "-+": (), "--": lower}) == torus_seifert(3)
+    assert SeifertSystem(1, 2, {"-": lower[::-1], "+": upper}).rank == 2
+    for mu, entries, pair in (
+        (2, {"++": upper, "+-": (), "-+": (), "--": upper}, "(++, --)"),
+        (2, {"++": upper, "+-": ((0, 1, 2),), "-+": ((0, 1, 2),), "--": lower}, "(+-, -+)"),
+        (1, {"+": upper, "-": lower[:2]}, "(+, -)"),
+        (1, {"-": lower}, "(-, +)"),  # its partner is missing
+    ):
+        with pytest.raises(BadSystemError) as caught:
+            SeifertSystem(mu, 2, entries)
+        assert str(caught.value) == f"transpose invariant violated for sign pair {pair}"
 
 
 def test_seifert_system_keeps_only_nonzero_entries():
