@@ -8,14 +8,16 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from curve_selfchecks import (
+    frame_intersection_sign,
+    leading_coeff_check,
+    orientation_basis_determinant,
+)
 
 from linksig.pillowcase import (
-    frame_intersection_sign,
     gamma_cos_theta_chebyshev,
     gamma_cos_theta_quaternion,
     intersections,
-    leading_coeff_check,
-    orientation_basis_determinant,
 )
 from linksig.signature import (
     build_H,

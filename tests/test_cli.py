@@ -166,6 +166,20 @@ def test_sigma_subcommand(tmp_path):
     assert "root locus" in r.stderr
 
 
+def test_sigma_near_a_root_line_agrees_with_h(tmp_path):
+    # (1/1999 + 9/1999) pi lies about 8e-6 rad from the root line pi/200 of
+    # the rank-199 torus system.  Its smallest eigenvalue, 1.2e-7 max|H|,
+    # fell inside a zero band of 1e-9 * 199 max|H| and was read as nullity;
+    # it is far above the rounding error of the count, so sigma reads the
+    # closed form that h prints, with no warning
+    path = tmp_path / "torus200.json"
+    path.write_text(json.dumps(seifert_to_json(torus_seifert(200))))
+    r = run("sigma", "--system", str(path), "--alpha", "1/1999", "9/1999")
+    assert (r.returncode, r.stdout, r.stderr) == (EXIT_OK, "signature=197 nullity=0\n", "")
+    r = run("h", "--ell", "200", "--alpha", "1/1999", "9/1999")
+    assert (r.returncode, r.stdout) == (EXIT_OK, "h=1 sigma=(197,-199)\n")
+
+
 def test_sigma_of_all_zero_system(tmp_path):
     path = tmp_path / "zero.json"
     zero = [[0] * 3 for _ in range(3)]

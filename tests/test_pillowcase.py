@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from curve_selfchecks import (
+    frame_intersection_sign,
+    leading_coeff_check,
+    orientation_basis_determinant,
+)
 
 from linksig.errors import (
     DegeneratePhiError,
@@ -14,14 +19,11 @@ from linksig.pillowcase import (
     CurveSample,
     PillowPoint,
     curves_to_csv,
-    frame_intersection_sign,
     gamma_cos_theta_chebyshev,
     gamma_cos_theta_quaternion,
     gamma_theta_chebyshev,
     gamma_theta_quaternion,
     intersections,
-    leading_coeff_check,
-    orientation_basis_determinant,
     plane,
     sample_curve,
 )

@@ -40,6 +40,9 @@ from linksig.signature import (
 from linksig.torus_rep import AnglePair, angle_pair, is_defined
 
 P22 = angle_pair("1/2", "1/2")
+# the primes P of the lattice angles (p/P) pi: none lies on a root line of
+# a torus link with |ell| < 401
+LATTICE_PRIMES = [n for n in range(401, 2001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 def random_omegas(rng, mu):
@@ -62,7 +65,7 @@ def random_system(rng, mu, rank):
         mats[k] = m
         mats[nk] = m.T if nk != k else m + m.T  # self-paired key must be symmetric
         done.update({k, nk})
-    return seifert_system(mu, mats)
+    return seifert_system(mu, {k: m.tolist() for k, m in mats.items()})
 
 
 def test_system_validation():
@@ -104,14 +107,16 @@ def test_system_validation():
     plus = [[5.0, 2**63 - 1], [-(2**63), 0]]
     edge = seifert_system(1, {"+": plus, "-": [list(r) for r in zip(*plus)]})
     assert edge.matrix("+") == [[5, 2**63 - 1], [-(2**63), 0]]
-    # numpy input is read through tolist(): integer arrays and scalars pass,
-    # a bool array does not
+    # a matrix is nested lists, the shape JSON gives: a numpy array, an
+    # integer scalar of numpy or a bool array is no number
     ints = np.array([[1, 2], [0, 3]], dtype=np.int32)
-    assert seifert_system(1, {"+": ints, "-": ints.T}) == seifert_system(
-        1, {"+": [[np.int64(1), 2], [0, 3]], "-": [[1, 0], [2, 3]]}
-    )
-    with pytest.raises(BadSystemError, match="not numeric"):
-        seifert_system(1, {"+": np.ones((1, 1), dtype=bool), "-": [[1]]})
+    for plus, minus in (
+        (ints, ints.T),
+        ([[np.int64(1), 2], [0, 3]], [[1, 0], [2, 3]]),
+        (np.ones((1, 1), dtype=bool), [[1]]),
+    ):
+        with pytest.raises(BadSystemError, match="not numeric"):
+            seifert_system(1, {"+": plus, "-": minus})
     for shape in ([[1], [2, 3]], [1, 2], 7, [[[1]]]):
         with pytest.raises(BadSystemError, match="not square|not numeric"):
             seifert_system(1, {"+": shape, "-": shape})
@@ -187,9 +192,10 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
     zero = np.zeros((3, 3), dtype=np.int64)
     mixed = rng.integers(-3, 4, size=(3, 3))
     mixed[0, 2] = 1  # off the band
+    zero, mixed, mixed_t = zero.tolist(), mixed.tolist(), mixed.T.tolist()
     band = [[1, -2, 0], [3, 0, 1], [0, -1, 2]]
     systems = [torus_seifert(ell) for ell in (2, 3, 50, -50, 200, -200)] + [
-        seifert_system(2, {"++": zero, "+-": mixed, "-+": mixed.T, "--": zero}),
+        seifert_system(2, {"++": zero, "+-": mixed, "-+": mixed_t, "--": zero}),
         random_system(rng, 2, 5),
         random_system(rng, 1, 4),
         random_system(rng, 3, 3),
@@ -233,7 +239,7 @@ def random_band_system(rng, mu, rank):
     matrices = {}
     for k, nk in zip(keys[: len(keys) // 2], keys[::-1]):
         m = rng.integers(-3, 4, size=(rank, rank)) * band
-        matrices[k], matrices[nk] = m, m.T
+        matrices[k], matrices[nk] = m.tolist(), m.T.tolist()
     return seifert_system(mu, matrices)
 
 
@@ -344,9 +350,9 @@ def test_inertia_examples():
     ine = inertia(h)
     assert (ine.n_pos, ine.n_neg, ine.n_zero) == (0, 1, 0)
     assert ine.signature == -1
-    assert inertia(np.zeros((0, 0))).rank == 0
+    assert inertia(Dense([])).rank == 0
     assert inertia(Band([], [])).rank == 0
-    for h in (np.diag([2.0, -3.0, 0.0]), tridiagonal([2.0, -3.0, 0.0], [0.0, 0.0])):
+    for h in (Dense(np.diag([2.0, -3.0, 0.0]).tolist()), tridiagonal([2.0, -3.0, 0.0], [0.0, 0.0])):
         ine = inertia(h)
         assert (ine.n_pos, ine.n_neg, ine.n_zero) == (1, 1, 1)
 
@@ -703,9 +709,8 @@ def test_inertia_of_torus_H_on_root_line_matches_eigvalsh(line, sign, den, data)
 
 @st.composite
 def hermitian_dense(draw):
-    """A Hermitian matrix of rank 0..30 as a numpy array, nested lists or a
-    Dense: full, with a zero diagonal, sparse, of low rank (V D V^H),
-    integral, or zero."""
+    """A Hermitian Dense of rank 0..30: full, with a zero diagonal, sparse,
+    of low rank (V D V^H), integral, or zero."""
     n = draw(st.integers(0, 30))
     kind = draw(st.sampled_from(["full", "zero diagonal", "sparse", "low rank", "integer", "zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -725,8 +730,7 @@ def hermitian_dense(draw):
     h = (h + h.conj().T) / 2
     if kind == "zero diagonal":
         np.fill_diagonal(h, 0.0)
-    form = draw(st.sampled_from(["array", "lists", "dense"]))
-    return h if form == "array" else h.tolist() if form == "lists" else Dense(h.tolist())
+    return Dense(h.tolist())
 
 
 @settings(deadline=None, max_examples=150)
@@ -743,7 +747,7 @@ def test_dense_inertia_matches_eigvalsh(h):
 
 def test_inertia_of_zero_matrix_is_all_nullity():
     for n in (1, 2, 3, 7, 40):
-        assert triple(inertia(np.zeros((n, n)))) == (0, 0, n)
+        assert triple(inertia(Dense(np.zeros((n, n)).tolist()))) == (0, 0, n)
         assert triple(inertia(tridiagonal([0.0] * n, [0.0] * (n - 1)))) == (0, 0, n)
 
 
@@ -777,7 +781,7 @@ def test_inertia_of_tridiagonal_is_scale_invariant():
     want, edge = eigvalsh_triple(h)
     assert not edge
     for scale in (2.0**-600, 1.0, 2.0**600):
-        assert triple(inertia(h * scale)) == want
+        assert triple(inertia(Dense((h * scale).tolist()))) == want
 
 
 def test_inertia_rejects_non_hermitian_tridiagonal():
@@ -809,7 +813,7 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     # zero on the band: counting the band alone would give (0, 0, 3)
     h = np.zeros((3, 3), dtype=complex)
     h[0, 2] = h[2, 0] = 1.0
-    assert triple(inertia(h)) == eigvalsh_triple(h)[0] == (1, 1, 1)
+    assert triple(inertia(Dense(h.tolist()))) == eigvalsh_triple(h)[0] == (1, 1, 1)
     rng = np.random.default_rng(28)
     for n in (3, 5, 19, 60):
         h = dense(tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1)))
@@ -820,20 +824,20 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
         h[j, i] = 0.5 + 0.25j
         want, edge = eigvalsh_triple(h)
         assert not edge
-        assert triple(inertia(h)) == want
+        assert triple(inertia(Dense(h.tolist()))) == want
     h[0, n - 1] += 1.0  # one off-band entry without its mirror
     with pytest.raises(ValueError, match="not Hermitian"):
-        inertia(h)
+        inertia(Dense(h.tolist()))
     # eigvalsh returned NaN here, which counted as nullity 2; a band is
     # checked the same way
     for v in (math.nan, math.inf):
-        for bad in ([[1.0, v], [v, 2.0]], Band([v], [1.0, 2.0]), Band([], [v])):
+        for bad in (Dense([[1.0, v], [v, 2.0]]), Band([v], [1.0, 2.0]), Band([], [v])):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     for bad in (
-        [[1.0, 0.0]],
-        [[1.0], [0.0, 1.0]],
-        [1.0, 2.0],
+        Dense([[1.0, 0.0]]),
+        Dense([[1.0], [0.0, 1.0]]),
+        Dense([1.0, 2.0]),
         Band([], [1.0, -1.0]),
         Band([0.5, 0.5], [1.0, 2.0]),
         Band([0.5], [1.0]),
@@ -886,8 +890,11 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
     # no H reaches eigvalsh: a dense one is reduced to a band by Householder
     # reflections, then counted as a band is
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    assert triple(inertia(off_band)) == off_band_want
-    assert inertia(off_band.tolist()) == inertia(Dense(off_band.tolist()))
+    assert triple(inertia(Dense(off_band.tolist()))) == off_band_want
+    # a matrix is a Band or a Dense: its rows alone, or an array, are not
+    for layout in (off_band, off_band.tolist()):
+        with pytest.raises(TypeError, match="takes a Band or a Dense"):
+            inertia(layout)
     for h, want, layouts in cases:
         counted = inertia(h)
         assert triple(counted) == want
@@ -940,13 +947,12 @@ def test_band_inertia_of_tridiagonal_systems_matches_eigvalsh(drawn):
 def test_sigma_eval_equals_closed_form_at_engine_ranks():
     # the engine benchmark's systems and kinds of point: lattice angles
     # (p/P) pi with P a prime in 401..2000, and float pairs
-    primes = [n for n in range(401, 2001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
     rng = random.Random(33)
     for ell in (3, -3, 5, -5, 20, -20, 50, -50, 200, -200):
         s = torus_seifert(ell)
         points = []
         for _ in range(12):
-            big_p = rng.choice(primes)
+            big_p = rng.choice(LATTICE_PRIMES)
             points.append(
                 angle_pair(
                     Fraction(rng.randint(1, big_p - 1), big_p),
@@ -964,16 +970,14 @@ def test_sigma_eval_equals_closed_form_at_engine_ranks():
 
 
 def test_sigma_eval_equals_closed_form_at_ell_one_thousand():
-    """Rank 999 at prime-lattice points.  Within about 1e-5 rad of a root
-    line the size-scaled threshold (ROADMAP item 2) takes the smallest
-    eigenvalue for zero, so the engine is off by one there; it then reports
-    the nullity with a NullityWarning, at the three such points named here
-    as everywhere else, and is never silently wrong."""
-    primes = [n for n in range(401, 2001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    """Rank 999 at prime-lattice points, three of them within about 1e-5
+    rad of a root line.  The zero band is the rounding error of the count,
+    8 * 999 * 2^-53 * max|H|, about 9e-13 * max|H|, so every point, the
+    near-line ones too, reads the closed form with no NullityWarning."""
     rng = random.Random(34)
     points = [
         angle_pair(*(Fraction(rng.randint(1, big_p - 1), big_p) for _ in range(2)))
-        for big_p in (rng.choice(primes) for _ in range(20))
+        for big_p in (rng.choice(LATTICE_PRIMES) for _ in range(20))
     ]
     near_line = [angle_pair(*pair) for pair in (
         ("193/571", "382/571"), ("24/991", "964/991"), ("617/991", "373/991")
@@ -985,10 +989,97 @@ def test_sigma_eval_equals_closed_form_at_ell_one_thousand():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", NullityWarning)
                 engine = sigma_eval(s, list(alpha.omega()))
-            if alpha in near_line:
-                assert caught and abs(engine - sigma_torus_closed(ell, alpha)) == 1, alpha
-            else:
-                assert not caught and engine == sigma_torus_closed(ell, alpha), alpha
+            assert not caught and engine == sigma_torus_closed(ell, alpha), alpha
+
+
+def congruent_torus_sum(ells, perm, signs, moves):
+    """The direct sum of torus_seifert(ell) over `ells`, with every sign
+    matrix A taken to P^T A P.  P is the signed permutation
+    (perm, signs) times the moves (i, j, s): column c_j += s c_i."""
+    n = sum(abs(ell) - 1 for ell in ells)
+    matrices = {}
+    for key in sign_keys(2):
+        block = [[0] * n for _ in range(n)]
+        offset = 0
+        for ell in ells:
+            for i, row in enumerate(seifert_to_json(torus_seifert(ell))["matrices"][key]):
+                block[offset + i][offset : offset + len(row)] = row
+            offset += abs(ell) - 1
+        a = [[signs[i] * signs[j] * block[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        for i, j, sign in moves:
+            for row in a:
+                row[j] += sign * row[i]
+            a[j] = [x + sign * y for x, y in zip(a[j], a[i])]
+        matrices[key] = a
+    return seifert_system(2, matrices)
+
+
+@st.composite
+def congruent_torus_sums(draw):
+    """(system, ells): one or two torus systems of total rank <= 49 in a
+    basis changed by a unimodular P, a random signed permutation times up
+    to 20 moves c_j += +-c_i.  H(omega) goes to P^T H(omega) P, which keeps
+    its inertia (Sylvester's law), and a direct sum adds inertias; so the
+    engine must read the closed form, or the sum of two.  A permuted system
+    of rank >= 3 mostly leaves the band, so this checks the dense route."""
+    first = draw(st.integers(2, 50))
+    ells = [first]
+    if first < 49 and draw(st.booleans()):
+        ells.append(draw(st.integers(2, 51 - first)))
+    ells = [ell * draw(st.sampled_from([1, -1])) for ell in ells]
+    n = sum(abs(ell) - 1 for ell in ells)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    moves = []
+    if n > 1:
+        move = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from([1, -1]))
+        moves = [(i, (i + d) % n, sign) for i, d, sign in draw(st.lists(move, max_size=20))]
+    return congruent_torus_sum(ells, perm, signs, moves), ells
+
+
+@settings(deadline=None, max_examples=25)
+@given(congruent_torus_sums(), st.data())
+def test_engine_on_congruent_torus_sums_reads_the_closed_form(drawn, data):
+    s, ells = drawn
+    for _ in range(2):  # prime-lattice points
+        alpha = angle_pair(*(
+            Fraction(data.draw(st.integers(1, big_p - 1)), big_p)
+            for big_p in (data.draw(st.sampled_from(LATTICE_PRIMES)) for _ in range(2))
+        ))
+        assert all(is_defined(ell, alpha) for ell in ells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NullityWarning)
+            engine = sigma_eval(s, list(alpha.omega()))
+        assert engine == sum(sigma_torus_closed(ell, alpha) for ell in ells), alpha
+    # a rational point on a root line a1 + a2 = m pi / L of the first
+    # summand, which may lie on one of the second summand's as well.  Where
+    # all of H vanishes, as the ell = +-2 torus H does there, max|H| is its
+    # own rounding error and a zero band relative to it reads nothing as
+    # zero (ROADMAP item 10), so the nullity is checked where it is < rank
+    big_l = abs(ells[0])
+    m = data.draw(st.integers(1, 2 * big_l - 2))
+    den = data.draw(st.integers(2, 1000))
+    t = Fraction(data.draw(st.integers(1, den - 1)), den)
+    a1, a2 = on_root_line((big_l, m + (m >= big_l), True), t, Fraction(1))
+    x = a1 + a2
+    nullity = sum((x * abs(ell)).denominator == 1 and x != 1 for ell in ells)
+    if nullity < s.rank:
+        assert inertia(build_H(s, list(angle_pair(a1, a2).omega()))).n_zero == nullity
+
+
+def test_engine_on_a_permuted_rank_199_torus_system():
+    # the ell-200 torus system, relabelled by a signed permutation, takes the
+    # dense route; 8e-6 rad from a root line it reads the closed form 197
+    # with no warning, as the band does (a zero band of 1e-9 * n read 198)
+    rng = random.Random(36)
+    perm = list(range(199))
+    rng.shuffle(perm)
+    s = congruent_torus_sum([200], perm, [rng.choice([1, -1]) for _ in perm], [])
+    assert s.cells is not None
+    alpha = angle_pair("1/1999", "9/1999")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NullityWarning)
+        assert sigma_eval(s, list(alpha.omega())) == sigma_torus_closed(200, alpha) == 197
 
 
 def test_seifert_system_enforces_the_transpose_invariant_at_construction():
@@ -1023,28 +1114,35 @@ def test_seifert_system_keeps_only_nonzero_entries():
         assert s.nonzero == ("++", "--")
         assert [len(e) for e in s.entries.values()] == [397, 0, 0, 397]
         assert kept < 0.5 * size and peak < size, (ell, kept / size, peak / size)
-    # the caller's arrays are read, never stored: the entries are plain ints
+    # the caller's lists are read, never stored: the entries are plain ints,
+    # from integral floats too, and a numpy array is no matrix
     rng = np.random.default_rng(31)
     given = random_system(rng, 2, 4)
-    for dtype in (np.int64, np.int32):
-        raw = {k: np.array(given.matrix(k), dtype=dtype) for k in given.entries}
+    for number in (int, float):
+        raw = {k: [[number(v) for v in row] for row in given.matrix(k)] for k in given.entries}
         s = seifert_system(2, raw)
         assert s == given
         assert {type(x) for e in s.entries.values() for entry in e for x in entry} == {int}
+    for dtype in (np.int64, np.int32):
+        raw = {k: np.array(given.matrix(k), dtype=dtype) for k in given.entries}
+        with pytest.raises(BadSystemError, match="not numeric"):
+            seifert_system(2, raw)
 
 
 def test_seifert_system_stores_partners_as_read_only_transposes():
     rng = np.random.default_rng(30)
     for mu, rank in ((1, 3), (2, 4), (3, 2)):
         given = random_system(rng, mu, rank)
-        raw = {k: np.array(given.matrix(k)) for k in given.entries}
+        raw = {k: given.matrix(k) for k in given.entries}
         s = seifert_system(mu, raw)
         for k, e in s.entries.items():
             nk = "".join("-" if c == "+" else "+" for c in k)
             assert s.entries[nk] == tuple(sorted((j, i, v) for i, j, v in e))
-            assert s.matrix(k) == raw[k].tolist()
+            assert s.matrix(k) == raw[k]
             with pytest.raises(TypeError):
                 s.entries[k] = ()
         data = seifert_to_json(s)
-        assert data["matrices"] == {k: raw[k].tolist() for k in raw}
+        assert data["matrices"] == raw
+        with pytest.raises(BadSystemError, match="not numeric"):
+            seifert_system(mu, {k: np.array(m) for k, m in raw.items()})
         assert seifert_to_json(seifert_from_json(data)) == data

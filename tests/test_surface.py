@@ -7,7 +7,11 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import linksig
@@ -50,6 +54,53 @@ def test_every_module_level_name_is_used():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_every_exported_annotation_resolves():
+    """typing.get_type_hints resolves the annotations of every exported
+    function and of every method of an exported class."""
+    functions = []
+    for name in linksig.__all__:
+        obj = getattr(linksig, name)
+        if inspect.isclass(obj):
+            functions += [f for f in vars(obj).values() if inspect.isfunction(f)]
+        elif inspect.isfunction(obj):
+            functions.append(obj)
+    assert linksig.symmetrized_sigma in functions
+    for f in functions:
+        typing.get_type_hints(f)
+
+
+# Imports every linksig submodule but __main__, which runs the command line,
+# with numpy blocked: `import numpy` raises ImportError.
+NO_NUMPY = """
+import importlib
+import pkgutil
+import sys
+sys.modules["numpy"] = None
+import linksig
+names = sorted(m.name for m in pkgutil.iter_modules(linksig.__path__) if m.name != "__main__")
+for name in names:
+    importlib.import_module(f"linksig.{name}")
+print(" ".join(names))
+"""
+
+
+def test_every_module_imports_without_numpy():
+    """numpy is no runtime dependency: every module imports with it blocked,
+    and no function imports it when called, not even a self-check."""
+    r = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert r.stdout.split() == [p.stem for p in sources if p.stem not in ("__init__", "__main__")]
+    imported = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+    assert imported == []
 
 
 def load_tracing():
