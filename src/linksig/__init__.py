@@ -9,9 +9,8 @@ import importlib
 
 _EXPORTS = {
     "chebyshev": "eval_T eval_U",
-    "errors": "BadSystemError DegeneratePhiError FitFailureError LinksigError "
-    "NotDefinedError NullityWarning OmegaOneError PositiveOnlyError "
-    "TransversalityFailureError ZeroLinkingError",
+    "errors": "BadSystemError DegeneratePhiError LinksigError NotDefinedError "
+    "NullityWarning OmegaOneError TransversalityFailureError ZeroLinkingError",
     "pillowcase": "CurveSample PillowPoint SignedIntersection gamma_theta_chebyshev "
     "gamma_theta_quaternion intersections sample_curve",
     "signature": "Inertia SeifertSystem build_H inertia seifert_from_json "

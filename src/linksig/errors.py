@@ -25,14 +25,6 @@ class BadSystemError(LinksigError):
     """A Seifert system violates its schema or the transpose symmetry."""
 
 
-class PositiveOnlyError(LinksigError):
-    """Operation is normalized only for positive linking number."""
-
-
-class FitFailureError(LinksigError):
-    """Polynomial fit residual exceeded tolerance."""
-
-
 class TransversalityFailureError(LinksigError):
     """An intersection is numerically non-transversal (angles too near a root line)."""
 

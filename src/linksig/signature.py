@@ -17,13 +17,15 @@ rank <= 2, H is tridiagonal: build_H returns its lower band as a Band,
 Hermitian by type.  Any other system gives a Dense, its rows as lists, which
 inertia first reduces to a band by Householder reflections in O(n^3), a
 backward stable step (Wilkinson 1965, The Algebraic Eigenvalue Problem).
-Every band is then counted by Sturm sequences in O(n).  A tridiagonal count
-is exact for entries with small relative errors (Barth, Martin and
-Wilkinson 1967), so nothing is lost against the eigenvalues, and it
-computes none: by Sylvester's law of inertia the signs of the pivots are
-those of the eigenvalues.  Its zero band is that rounding error (see
-inertia).  A matrix is nested lists, the shape JSON gives, and nothing here
-imports numpy.
+Every band is then counted in one O(n) pass that runs two Sturm sequences.
+A tridiagonal count is exact for entries with small relative errors (Barth,
+Martin and Wilkinson 1967), so nothing is lost against the eigenvalues, and
+it computes none: by Sylvester's law of inertia the signs of the pivots are
+those of the eigenvalues.  Its zero band is that rounding error, or
+build_H's own where that is larger: H carries the size of the terms summed
+into its entries, so an H(omega) that vanishes reads as zero (see inertia).
+A matrix is nested lists, the shape JSON gives, and nothing here imports
+numpy.
 
 For the (2,2l)-torus family everything is also available in closed form:
 the leading principal minors of H satisfy a three-term recurrence solved
@@ -84,10 +86,11 @@ class SeifertSystem(Frozen):
     each position of H that it fills, the entries of the nonzero matrices
     there, in `nonzero` order.  When every entry lies on the three diagonals,
     `cells` is None and the positions are the sub- and main diagonal in turn.
-    Otherwise `cells` lists the positions that some entry fills.
+    Otherwise `cells` lists the positions that some entry fills.  `bound`
+    is the largest sum of |A^eps_ij| over eps at one of these positions.
     """
 
-    __slots__ = ("mu", "rank", "entries", "nonzero", "cells", "columns")
+    __slots__ = ("mu", "rank", "entries", "nonzero", "cells", "columns", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
         entries = dict(entries)  # a mapping, or its items as _fields gives them
@@ -112,6 +115,9 @@ class SeifertSystem(Frozen):
         object.__setattr__(self, "nonzero", nonzero)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "columns", tuple(tuple(pattern.get(c, zero)) for c in band))
+        object.__setattr__(
+            self, "bound", max((sum(map(abs, c)) for c in pattern.values()), default=0)
+        )
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -239,12 +245,14 @@ class Band(Record):
     """A Hermitian tridiagonal matrix by its lower band: the sub-diagonal, a
     list of complex numbers, and the diagonal, a list of reals.  The upper
     diagonal is conj(sub), so the matrix is Hermitian by type; `shape` is
-    that of the matrix."""
+    that of the matrix.  `size` bounds the total modulus of the terms that
+    build_H summed into any one entry; it is None, read as max|h|, for a
+    band built otherwise."""
 
-    __slots__ = ("sub", "diag")
+    __slots__ = ("sub", "diag", "size")
 
-    def __init__(self, sub: list[complex], diag: list[float]):
-        self.sub, self.diag = sub, diag
+    def __init__(self, sub: list[complex], diag: list[float], size: float | None = None):
+        self.sub, self.diag, self.size = sub, diag, size
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -253,12 +261,12 @@ class Band(Record):
 
 class Dense(Record):
     """A square matrix by its rows, each a list of complex numbers; `shape`
-    is that of the matrix."""
+    is that of the matrix, and `size` is as for a Band."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "size")
 
-    def __init__(self, rows: list[list[complex]]):
-        self.rows = rows
+    def __init__(self, rows: list[list[complex]], size: float | None = None):
+        self.rows, self.size = rows, size
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -267,7 +275,9 @@ class Dense(Record):
 
 def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
     """The Hermitian matrix H(omega) of the system at unit omega, all != 1:
-    a Band, its diagonal real, when s.cells is None, else a Dense."""
+    a Band, its diagonal real, when s.cells is None, else a Dense.  Its
+    `size`, |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed
+    into any entry."""
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -289,13 +299,14 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
     # would add nothing
     values = [scale * sum(map(mul, coeffs, col)) for col in s.columns]
     n = s.rank
+    size = abs(scale) * s.bound
     if s.cells is None:
         m = max(n - 1, 0)
-        return Band(values[:m], [v.real for v in values[m:]])
+        return Band(values[:m], [v.real for v in values[m:]], size)
     rows = [[0j] * n for _ in range(n)]
     for (i, j), v in zip(s.cells, values):
         rows[i][j] = v
-    return Dense(rows)
+    return Dense(rows, size)
 
 
 class Inertia(Frozen):
@@ -320,78 +331,114 @@ def inertia(h: Band | Dense) -> Inertia:
     TypeError.  h must be square, finite and Hermitian to within
     1e-12 * max(1, max|h|), or a ValueError names the first check that
     fails.  A Band's upper diagonal is conj(sub), so only its diagonal can
-    fail the last; a Dense has each entry checked against its mirror.  Like
-    eigvalsh the count reads the lower triangle, of h / max|h| so that
-    |h_ij|^2 neither under- nor overflows.  A Band gives its diagonals
-    directly; a Dense is first reduced to a band by Householder reflections
-    in O(n^3) (_householder_band).  Two Sturm counts of the band, in O(n),
-    give n_pos = #(lambda > tau) and n_neg = #(lambda < -tau).
+    fail the last, and a diagonal of floats, as build_H gives, is real; a
+    Dense has each entry checked against its mirror.  Like eigvalsh the
+    count reads the lower triangle, of h / max|h| so that |h_ij|^2 neither
+    under- nor overflows.  A Band gives its diagonals directly; a Dense is
+    first reduced to a band by Householder reflections in O(n^3)
+    (_householder_band).  One pass over the band, in O(n), runs the Sturm
+    counts of T + t and t - T together: n_neg = #(lambda < -tau) and
+    n_pos = #(lambda > tau).  A Band whose diagonal is floats, as build_H's
+    is, has no entry checked on its own, yet the checks stay exact: an
+    infinity makes max|h| infinite, a NaN, which max may skip, makes every
+    later pivot NaN, and a zero max|h| has every entry checked.
 
-    tau = EIG_ZERO_SCALE * n * max|h| is the rounding error of the count:
-    t = tau / max|h| = c n u with u = 2^-53 and c = 8.  The Sturm count of
-    a tridiagonal T is the exact count of a T' whose entries differ from T's
-    by a few ulp in relative terms (Kahan 1966; Barth, Martin and Wilkinson
-    1967), as the scaling by 1 / max|h| does.  A row of T holds at most
-    three entries of modulus <= 1, so ||T' - T||_2 <= ||T' - T||_inf is a
-    few u, below t, and by Weyl's inequality no eigenvalue moves by t: a
-    count of +-1 is the sign of its eigenvalue, and an eigenvalue counted
-    as zero lies within 2 tau of 0.  A Dense adds the Householder backward error,
+    tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
+    size of the terms build_H summed into an entry (max|h| when None).  The
+    max|h| term is the rounding error of the count: t = c n u with u = 2^-53
+    and c = 8, in units of max|h|.  The Sturm count of a tridiagonal T is
+    the exact count of a T' whose entries differ from T's by a few ulp in
+    relative terms (Kahan 1966; Barth, Martin and Wilkinson 1967), as the
+    scaling by 1 / max|h| does.  A row of T holds at most three entries of
+    modulus <= 1, so ||T' - T||_2 <= ||T' - T||_inf is a few u, below t,
+    and by Weyl's inequality no eigenvalue moves by t: a count of +-1 is
+    the sign of its eigenvalue, and an eigenvalue counted as zero lies
+    within 2 tau of 0.  The size term is build_H's own rounding: each entry
+    is a sum of terms of total modulus <= size, computed to a few u * size,
+    so where H(omega) vanishes, max|h| is that rounding and the whole of h
+    reads as zero.  A Dense adds the Householder backward error,
     a band unitarily similar to h + E with ||E||_2 <= p(n) u ||h||_2 and
     ||h||_2 <= n max|h| (Higham 2002, Accuracy and Stability of Numerical
     Algorithms, ch. 19).  The worst case p(n) grows like n^2, but the
     measured error, the band's eigenvalues against eigvalsh of random
     Hermitian h of rank 6 to 199, stays below 3.5 n u max|h|, inside t.
     """
-    # `parts` chain to every entry; `lower` runs over the entries that the
-    # layout does not make Hermitian and `upper` over those that mirror them
+    # `parts` chain to every entry; `pairs` yields each entry that the layout
+    # does not make Hermitian with its mirror, and is None if there is none
     if isinstance(h, Band):
         n = len(h.diag)
         square = len(h.sub) == max(n - 1, 0)
         parts = (h.sub, h.diag)
-        lower = upper = h.diag
+        pairs = None if set(map(type, h.diag)) == {float} else zip(h.diag, h.diag)
     elif isinstance(h, Dense):
         rows = h.rows
         n = len(rows)
         square = all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
         parts = rows
-        lower = (rows[i][j] for i in range(n) for j in range(i + 1))
-        upper = (rows[j][i] for i in range(n) for j in range(i + 1))
+        pairs = ((rows[i][j], rows[j][i]) for i in range(n) for j in range(i + 1))
     else:
         raise TypeError(f"inertia takes a Band or a Dense, not {type(h).__name__}")
     if not square:
         raise ValueError("matrix is not square")
     if n == 0:
         return Inertia(0, 0, 0)
-    if not all(map(cmath.isfinite, chain(*parts))):
-        raise ValueError("matrix has a non-finite entry")
     hmax = max(map(abs, chain(*parts)))
-    skew = max(abs(x - y.conjugate()) for x, y in zip(lower, upper))
-    if skew > 1e-12 * max(1.0, hmax):
-        raise ValueError("matrix is not Hermitian")
+    if pairs is not None or hmax == 0.0:
+        finite = all(map(cmath.isfinite, chain(*parts)))
+    else:  # a NaN is caught by the last pivot
+        finite = math.isfinite(hmax)
+    if not finite:
+        raise ValueError("matrix has a non-finite entry")
+    if pairs is not None:
+        skew = max(abs(x - y.conjugate()) for x, y in pairs)
+        if skew > 1e-12 * max(1.0, hmax):
+            raise ValueError("matrix is not Hermitian")
     if hmax == 0.0:
         return Inertia(0, 0, n)
+    t = EIG_ZERO_SCALE * n  # tau / max|h|
+    if h.size is not None and h.size > hmax:
+        t *= h.size / hmax
     if isinstance(h, Band):
-        a = [d.real / hmax for d in h.diag]
-        off2 = [0.0]
-        for e in h.sub:
-            r = abs(e / hmax)
-            off2.append(r * r)
+        sub, diag = h.sub, h.diag
+        if pairs is not None:
+            diag = [x.real for x in diag]
     else:
-        a, off2 = _householder_band([
+        sub, diag = _householder_band([
             [x / hmax for x in row[:i]] + [row[i].real / hmax]
             + [rows[j][i].conjugate() / hmax for j in range(i + 1, n)]
             for i, row in enumerate(rows)
         ])
-    t = EIG_ZERO_SCALE * n  # tau / max|h|
-    n_neg = _negative_pivots([x + t for x in a], off2)  # T + t: #(lambda < -tau)
-    n_pos = _negative_pivots([t - x for x in a], off2)  # t - T: #(lambda > tau)
+        hmax = 1.0  # the band is scaled already
+    # The pivots d_i = a_i - |e_i|^2 / d_{i-1} of T + t (`lo`) and of t - T
+    # (`hi`), whose negative ones count the eigenvalues below -tau and above
+    # tau (Sylvester's law of inertia).  The pivots of M - xI fall as x
+    # grows, so one that is exactly 0 at x = 0 is positive for x just below
+    # 0: taking it as the least positive float counts eigenvalues strictly
+    # below 0, and the next pivot falls to about -|e|^2 / 0.
+    n_pos = n_neg = 0
+    lo = hi = 1.0
+    for x, e in zip(diag, chain((0.0,), sub)):
+        a = x / hmax
+        r = abs(e / hmax)
+        r *= r
+        lo = a + t - r / lo
+        hi = t - a - r / hi
+        if lo < 0.0:
+            n_neg += 1
+        elif lo == 0.0:
+            lo = sys.float_info.min
+        if hi < 0.0:
+            n_pos += 1
+        elif hi == 0.0:
+            hi = sys.float_info.min
+    if lo != lo:  # NaN
+        raise ValueError("matrix has a non-finite entry")
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
 
 
 def _householder_band(a: list[list[complex]]) -> tuple[list[float], list[float]]:
-    """The diagonal and the squared off-diagonal moduli off2[1:] of a
-    tridiagonal matrix unitarily similar to the Hermitian `a` (full rows,
-    overwritten), in the form _negative_pivots reads.
+    """The off-diagonal moduli and the diagonal of a tridiagonal matrix
+    unitarily similar to the Hermitian `a` (full rows, overwritten).
 
     Column k is reduced by the reflection I - w w^H that maps the entries
     x below the diagonal to -e^{i arg x_0} |x| e_1, so the k-th
@@ -401,7 +448,7 @@ def _householder_band(a: list[list[complex]]) -> tuple[list[float], list[float]]
     those entries underflow) is left as it is, and so is the last one.
     """
     n = len(a)
-    diag, off2 = [], [0.0]
+    diag, sub = [], []
     for k in range(n - 1):
         diag.append(a[k][k].real)
         m = k + 1
@@ -409,10 +456,10 @@ def _householder_band(a: list[list[complex]]) -> tuple[list[float], list[float]]
         x = [row[k] for row in block]
         r0 = abs(x[0])
         s = sum(v.real * v.real + v.imag * v.imag for v in x[1:])
-        off2.append(r0 * r0 + s)
+        norm = math.sqrt(r0 * r0 + s)
+        sub.append(norm)
         if s <= sys.float_info.min:
             continue
-        norm = math.sqrt(r0 * r0 + s)
         x[0] += (x[0] / r0 if r0 else 1.0) * norm  # v = x - alpha e_1
         c = 1.0 / math.sqrt(norm * (norm + r0))  # sqrt(2 / v^H v)
         w = [c * v for v in x]
@@ -424,29 +471,7 @@ def _householder_band(a: list[list[complex]]) -> tuple[list[float], list[float]]
         for row, wi, qi in zip(block, w, q):
             row[m:] = [b - wi * y - qi * z for b, y, z in zip(row[m:], qc, wc)]
     diag.append(a[n - 1][n - 1].real)
-    return diag, off2
-
-
-def _negative_pivots(diag: list[float], off2: list[float]) -> int:
-    """Number of negative eigenvalues of the Hermitian tridiagonal matrix
-    with real diagonal `diag` and squared off-diagonal moduli off2[1:].
-
-    It is the number of negative pivots d_i = diag_i - off2_i / d_{i-1} of
-    its LDL^H factorisation (Sylvester's law of inertia).  The pivots of
-    M - xI fall as x grows, so one that is exactly 0 at x = 0 is positive
-    for x just below 0.  Taking it as the least positive float therefore
-    counts eigenvalues strictly below 0, and the next pivot then falls to
-    about -off2 / 0.
-    """
-    count = 0
-    d = 1.0
-    for a, e2 in zip(diag, off2):
-        d = a - e2 / d
-        if d < 0.0:
-            count += 1
-        elif d == 0.0:
-            d = sys.float_info.min
-    return count
+    return sub, diag
 
 
 def torus_seifert(ell: int) -> SeifertSystem:

@@ -9,12 +9,20 @@ import math
 
 import numpy as np
 
-from linksig.errors import FitFailureError, PositiveOnlyError, TransversalityFailureError
+from linksig.errors import LinksigError, TransversalityFailureError
 from linksig.pillowcase import gamma_cos_theta_quaternion
 from linksig.su2 import I, J, K, UnitQuaternion, act
 from linksig.torus_rep import AnglePair, check_ell, torus_braid
 
 FD_STEP = 1e-5
+
+
+class PositiveOnlyError(LinksigError):
+    """Operation is normalized only for positive linking number."""
+
+
+class FitFailureError(LinksigError):
+    """Polynomial fit residual exceeded tolerance."""
 
 
 def leading_coeff_check(ell: int, alpha: AnglePair) -> tuple[int, float]:

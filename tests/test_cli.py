@@ -180,6 +180,22 @@ def test_sigma_near_a_root_line_agrees_with_h(tmp_path):
     assert (r.returncode, r.stdout) == (EXIT_OK, "h=1 sigma=(197,-199)\n")
 
 
+def test_sigma_where_all_of_H_vanishes_reads_nullity(tmp_path):
+    # the ell = +-2 torus H (rank 1) is zero on its root line a1 + a2 = pi/2,
+    # so max|H| is rounding error; the zero band is set by the size of the
+    # terms build_H sums, and sigma warns as h refuses
+    warning = "warning: nullity > 0, omega lies on or near the Alexander root locus\n"
+    for ell in (2, -2):
+        path = tmp_path / f"torus{ell}.json"
+        path.write_text(json.dumps(seifert_to_json(torus_seifert(ell))))
+        for alpha in (("1/4", "1/4"), ("1/3", "1/6")):
+            r = run("sigma", "--system", str(path), "--alpha", *alpha)
+            assert (r.returncode, r.stdout, r.stderr) == (
+                EXIT_OK, "signature=0 nullity=1\n", warning
+            ), (ell, alpha)
+            assert run("h", "--ell", str(ell), "--alpha", *alpha).returncode == EXIT_UNDEFINED
+
+
 def test_sigma_of_all_zero_system(tmp_path):
     path = tmp_path / "zero.json"
     zero = [[0] * 3 for _ in range(3)]
@@ -354,10 +370,9 @@ def test_no_command_imports_numpy(tmp_path):
 
 
 PUBLIC_NAMES = [
-    "AnglePair", "BadSystemError", "CurveSample", "DegeneratePhiError",
-    "FitFailureError", "Inertia", "LinksigError", "NotDefinedError",
-    "NullityWarning", "OmegaOneError", "PillowPoint", "PositiveOnlyError",
-    "RationalAngle", "SeifertSystem", "SignedIntersection",
+    "AnglePair", "BadSystemError", "CurveSample", "DegeneratePhiError", "Inertia",
+    "LinksigError", "NotDefinedError", "NullityWarning", "OmegaOneError",
+    "PillowPoint", "RationalAngle", "SeifertSystem", "SignedIntersection",
     "TransversalityFailureError", "UnitQuaternion", "ZeroLinkingError", "act",
     "angle_pair", "build_H", "check_mod4_congruence", "eval_T", "eval_U",
     "gamma_theta_chebyshev", "gamma_theta_quaternion", "h_invariant", "inertia",

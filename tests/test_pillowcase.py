@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 from curve_selfchecks import (
+    PositiveOnlyError,
     frame_intersection_sign,
     leading_coeff_check,
     orientation_basis_determinant,
 )
 
-from linksig.errors import (
-    DegeneratePhiError,
-    NotDefinedError,
-    PositiveOnlyError,
-)
+from linksig.errors import DegeneratePhiError, NotDefinedError
 from linksig.pillowcase import (
     CHEB_PATH,
     QUAT_PATH,

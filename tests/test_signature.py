@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -597,12 +598,15 @@ def test_seifert_json_validation():
 
 def eigvalsh_triple(h):
     """(n_pos, n_neg, n_zero) of h from eigvalsh with inertia's threshold
-    tau, and whether an eigenvalue lies within 1e-6 tau of +-tau, where the
-    two methods may round to different sides."""
+    tau, which reads the term size of a Band or Dense from build_H, and
+    whether an eigenvalue lies within 1e-6 tau of +-tau, where the two
+    methods may round to different sides."""
+    size = getattr(h, "size", None)
     h = dense(h)
     n = h.shape[0]
     eigs = np.linalg.eigvalsh(h)
-    tau = EIG_ZERO_SCALE * np.max(np.abs(h)) * n
+    hmax = np.max(np.abs(h))
+    tau = EIG_ZERO_SCALE * n * (hmax if size is None else max(hmax, size))
     n_pos = int(np.sum(eigs > tau))
     n_neg = int(np.sum(eigs < -tau))
     edge = bool(np.any(np.abs(np.abs(eigs) - tau) <= 1e-6 * tau))
@@ -703,8 +707,9 @@ def test_inertia_of_torus_H_on_root_line_matches_eigvalsh(line, sign, den, data)
     assert not is_defined(ell, alpha)
     h = build_H(torus_seifert(ell), list(alpha.omega()))
     assert_inertia_matches_eigvalsh(h)
-    # the band laid out as dense rows is reduced to the same band
-    assert inertia(Dense(dense(h).tolist())) == inertia(h)
+    # the band laid out as dense rows, with its term size, is reduced to the
+    # same band
+    assert inertia(Dense(dense(h).tolist(), h.size)) == inertia(h)
 
 
 @st.composite
@@ -844,6 +849,73 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     ):
         with pytest.raises(ValueError, match="not square"):
             inertia(bad)
+
+
+def test_inertia_finds_a_nan_that_max_skips():
+    # max|h| is NaN when a NaN is the first entry it reads, and passes over
+    # one anywhere else.  Where every other entry is zero, the zero-h
+    # shortcut reads each entry first; elsewhere the NaN makes the pivots
+    # from its row on NaN, the last too
+    for bad in (
+        Band([0.0], [0.0, math.nan]),
+        Band([0.5], [1.0, math.nan]),
+        Band([], [math.nan]),
+        Band([0.5, 0.5], [math.nan, 1.0, 1.0]),
+        Band([0.5, complex(0.0, math.nan)], [1.0, 1.0, 1.0]),
+        Band([0.0], [5e-324, math.nan], 1.0),  # tau / max|h| overflows to inf
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            inertia(bad)
+
+
+def two_pass_inertia(h):
+    """The Sturm count of a Band as two passes over fresh lists: the scaled
+    diagonal a, the squared moduli off2 of the scaled sub-diagonal, then the
+    negative pivots of T + t and of t - T, tau = EIG_ZERO_SCALE * n * max|h|."""
+    n = len(h.diag)
+    hmax = max(map(abs, [*h.sub, *h.diag]))
+    if hmax == 0.0:
+        return Inertia(0, 0, n)
+    a = [d.real / hmax for d in h.diag]
+    off2 = [0.0]
+    for e in h.sub:
+        r = abs(e / hmax)
+        off2.append(r * r)
+
+    def negative_pivots(diag):
+        count, d = 0, 1.0
+        for x, e2 in zip(diag, off2):
+            d = x - e2 / d
+            if d < 0.0:
+                count += 1
+            elif d == 0.0:
+                d = sys.float_info.min
+        return count
+
+    t = EIG_ZERO_SCALE * n
+    n_neg = negative_pivots([x + t for x in a])
+    n_pos = negative_pivots([t - x for x in a])
+    return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+@st.composite
+def integer_bands(draw):
+    """A Band with integral entries, some of its diagonal moved to exactly
+    +-tau, so that pivots of T + t and of t - T are exactly 0."""
+    n = draw(st.integers(1, 40))
+    diag = [float(x) for x in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    parts = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    sub = [complex(*p) for p in draw(st.lists(parts, min_size=n - 1, max_size=n - 1))]
+    tau = EIG_ZERO_SCALE * n * max(map(abs, [*sub, *diag]))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        diag[i] = draw(st.sampled_from([tau, -tau]))
+    return Band(sub, diag)
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_bands())
+def test_one_pass_inertia_equals_the_two_pass_count(h):
+    assert inertia(h) == two_pass_inertia(h)
 
 
 def test_sigma_eval_rank_199_at_tiny_angle():
@@ -1052,10 +1124,9 @@ def test_engine_on_congruent_torus_sums_reads_the_closed_form(drawn, data):
             engine = sigma_eval(s, list(alpha.omega()))
         assert engine == sum(sigma_torus_closed(ell, alpha) for ell in ells), alpha
     # a rational point on a root line a1 + a2 = m pi / L of the first
-    # summand, which may lie on one of the second summand's as well.  Where
-    # all of H vanishes, as the ell = +-2 torus H does there, max|H| is its
-    # own rounding error and a zero band relative to it reads nothing as
-    # zero (ROADMAP item 10), so the nullity is checked where it is < rank
+    # summand, which may lie on one of the second summand's as well.  All
+    # of H vanishes there when every summand has ell = +-2; the zero band
+    # is then set by the size of build_H's terms, not by max|H|
     big_l = abs(ells[0])
     m = data.draw(st.integers(1, 2 * big_l - 2))
     den = data.draw(st.integers(2, 1000))
@@ -1063,8 +1134,7 @@ def test_engine_on_congruent_torus_sums_reads_the_closed_form(drawn, data):
     a1, a2 = on_root_line((big_l, m + (m >= big_l), True), t, Fraction(1))
     x = a1 + a2
     nullity = sum((x * abs(ell)).denominator == 1 and x != 1 for ell in ells)
-    if nullity < s.rank:
-        assert inertia(build_H(s, list(angle_pair(a1, a2).omega()))).n_zero == nullity
+    assert inertia(build_H(s, list(angle_pair(a1, a2).omega()))).n_zero == nullity
 
 
 def test_engine_on_a_permuted_rank_199_torus_system():
