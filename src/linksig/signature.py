@@ -11,13 +11,17 @@ and reports its inertia.  The signature of H is the multivariable
 (Cimasoni-Florens) signature of the colored link at omega.
 
 A system is stored as the nonzero integer entries of its matrices, with
-A^{-eps} = (A^eps)^T checked once when it is built.  When they all lie on
-the three diagonals, as for every (2,2l)-torus system and every system of
-rank <= 2, H is tridiagonal: build_H returns its lower band as a Band,
-Hermitian by type.  Any other system gives a Dense, its rows as lists, which
-inertia first reduces to a band by Householder reflections in O(n^3), a
-backward stable step (Wilkinson 1965, The Algebraic Eigenvalue Problem).
-Every band is then counted in one O(n) pass that runs two Sturm sequences.
+A^{-eps} = (A^eps)^T checked once when it is built, and, for build_H, as
+each nonzero matrix's entries at the positions of H that build_H fills, so
+that build_H adds one matrix at a time into every position at once.
+
+When the entries all lie on the three diagonals, as for every (2,2l)-torus
+system and every system of rank <= 2, H is tridiagonal: build_H returns its
+lower band as a Band, Hermitian by type.  Any other system gives a Dense,
+its rows as lists, which inertia first reduces to a band by Householder
+reflections in O(n^3), a backward stable step (Wilkinson 1965, The
+Algebraic Eigenvalue Problem).  Every band is then counted in one O(n) pass
+that runs two Sturm sequences.
 A tridiagonal count is exact for entries with small relative errors (Barth,
 Martin and Wilkinson 1967), so nothing is lost against the eigenvalues, and
 it computes none: by Sylvester's law of inertia the signs of the pivots are
@@ -46,8 +50,8 @@ import sys
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from operator import add, mul
 from types import MappingProxyType
 
 from ._values import Frozen, Record
@@ -83,8 +87,8 @@ class SeifertSystem(Frozen):
 
     Building one checks A^{-eps} = (A^eps)^T, so every H(omega) is
     Hermitian.  The rest is derived for build_H.  `columns` holds, for
-    each position of H that it fills, the entries of the nonzero matrices
-    there, in `nonzero` order.  When every entry lies on the three diagonals,
+    each key in `nonzero`, that matrix's entry at each position of H that
+    build_H fills, in turn.  When every entry lies on the three diagonals,
     `cells` is None and the positions are the sub- and main diagonal in turn.
     Otherwise `cells` lists the positions that some entry fills.  `bound`
     is the largest sum of |A^eps_ij| over eps at one of these positions.
@@ -99,24 +103,24 @@ class SeifertSystem(Frozen):
                 pair = f"({k}, {_neg_key(k)})"
                 raise BadSystemError(f"transpose invariant violated for sign pair {pair}")
         nonzero = tuple(k for k, e in entries.items() if e)
-        pattern = {}
-        for slot, key in enumerate(nonzero):
-            for i, j, v in entries[key]:
-                pattern.setdefault((i, j), [0] * len(nonzero))[slot] = v
-        if all(-1 <= i - j <= 1 for i, j in pattern):
+        filled = {(i, j) for k in nonzero for i, j, _ in entries[k]}
+        if all(-1 <= i - j <= 1 for i, j in filled):
             cells = None
             band = [(i + 1, i) for i in range(rank - 1)] + [(i, i) for i in range(rank)]
         else:
-            cells = band = tuple(sorted(pattern))
-        zero = (0,) * len(nonzero)
+            cells = band = tuple(sorted(filled))
+        columns = []
+        for key in nonzero:
+            at = {(i, j): v for i, j, v in entries[key]}
+            columns.append(tuple(at.get(c, 0) for c in band))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "nonzero", nonzero)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "columns", tuple(tuple(pattern.get(c, zero)) for c in band))
+        object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(
-            self, "bound", max((sum(map(abs, c)) for c in pattern.values()), default=0)
+            self, "bound", max((sum(map(abs, c)) for c in zip(*columns)), default=0)
         )
 
     def _fields(self) -> tuple:
@@ -295,10 +299,17 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()
-    # one pass over the positions the nonzero matrices fill: a zero matrix
-    # would add nothing
-    values = [scale * sum(map(mul, coeffs, col)) for col in s.columns]
+    # scale * sum(map(mul, coeffs, col)) at every position at once: one
+    # C-level pass per nonzero matrix, from the int 0 and in the same order,
+    # so every entry is the same float.  A list every 256 matrices bounds
+    # the depth of the nested iterators, which C recursion would overflow
     n = s.rank
+    acc = repeat(0, max(2 * n - 1, 0) if s.cells is None else len(s.cells))
+    for slot, (coeff, col) in enumerate(zip(coeffs, s.columns), 1):
+        acc = map(add, acc, map(mul, repeat(coeff), col))
+        if not slot % 256:
+            acc = list(acc)
+    values = list(map(mul, repeat(scale), acc))
     size = abs(scale) * s.bound
     if s.cells is None:
         m = max(n - 1, 0)
@@ -545,7 +556,8 @@ def sigma_eval(s: SeifertSystem, omegas: list[complex]) -> int:
             NullityWarning(
                 f"H(omega) has {ine.n_zero} near-zero eigenvalue(s); "
                 "omega is on or near the root locus"
-            )
+            ),
+            stacklevel=2,
         )
     return ine.signature
 

@@ -46,11 +46,14 @@ def check_ell(ell: int) -> int:
 
 
 class RationalAngle(Frozen):
-    """The angle (p/q)*pi with 0 < p/q < 1, stored in lowest terms."""
+    """The angle (p/q)*pi with 0 < p/q < 1, stored in lowest terms; p and q
+    are ints, and a bool raises TypeError."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int):
+        if isinstance(p, bool) or isinstance(q, bool):
+            raise TypeError(f"angle {p!r}/{q!r}: a bool is no integer")
         if q == 0:
             raise ValueError("zero denominator")
         if q < 0:

@@ -7,10 +7,11 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linksig.errors import (
@@ -478,6 +479,15 @@ def test_sigma_eval_nullity_warning_on_root_line():
     ine = inertia(build_H(s, list(alpha.omega())))
     assert ine.n_zero > 0
     assert value == ine.signature
+
+
+def test_nullity_warning_points_at_the_caller():
+    # each call site gets its own warning under the default filter
+    s, omegas = torus_seifert(2), list(angle_pair("1/4", "1/4").omega())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sigma_eval(s, omegas)
+    assert [(w.category, w.filename) for w in caught] == [(NullityWarning, __file__)]
 
 
 def test_symmetrized_sigma_examples():
@@ -1150,6 +1160,92 @@ def test_engine_on_a_permuted_rank_199_torus_system():
     with warnings.catch_warnings():
         warnings.simplefilter("error", NullityWarning)
         assert sigma_eval(s, list(alpha.omega())) == sigma_torus_closed(200, alpha) == 197
+
+
+def build_H_per_position(s, omegas):
+    """The values of H at the positions build_H fills, and its size, one
+    position at a time: scale * sum(map(mul, coeffs, col)), col holding the
+    nonzero matrices' entries at that position, and the bound taken over
+    every position some entry fills, the upper band's included."""
+    coeffs = [coefficient(k, omegas) for k in s.nonzero]
+    scale = 1.0 + 0.0j
+    for w in omegas:
+        scale *= 1.0 - w.conjugate()
+    n = s.rank
+    at = [{(i, j): v for i, j, v in s.entries[k]} for k in s.nonzero]
+    filled = sorted({c for m in at for c in m})
+    if all(abs(i - j) <= 1 for i, j in filled):
+        assert s.cells is None
+        positions = [(i + 1, i) for i in range(n - 1)] + [(i, i) for i in range(n)]
+    else:
+        assert s.cells == tuple(filled)
+        positions = filled
+    values = [scale * sum(map(mul, coeffs, [m.get(c, 0) for m in at])) for c in positions]
+    bound = max((sum(abs(m.get(c, 0)) for m in at) for c in filled), default=0)
+    return values, abs(scale) * bound
+
+
+@st.composite
+def systems_and_omegas(draw):
+    """(system, omegas): integer matrices of mu 1-3 and rank 0-12, banded or
+    dense, whose sign pairs are at times all zero; a congruent torus sum; or
+    a torus system of ell +-2 to +-200.  -1, +-i and exp(2 pi i/3) give
+    coefficients with a zero part."""
+    kind = draw(st.sampled_from(["random", "congruent", "torus"]))
+    if kind == "congruent":
+        s = draw(congruent_torus_sums())[0]
+    elif kind == "torus":
+        s = torus_seifert(draw(st.integers(2, 200)) * draw(st.sampled_from([1, -1])))
+    else:
+        mu, rank = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+        width = rank if draw(st.booleans()) else 1
+        keys = sign_keys(mu)
+        entry = st.integers(-3, 3)
+        matrices = {}
+        for k, nk in zip(keys[: len(keys) // 2], keys[::-1]):
+            zero = draw(st.booleans())
+            m = [
+                [0 if zero or abs(i - j) > width else draw(entry) for j in range(rank)]
+                for i in range(rank)
+            ]
+            matrices[k], matrices[nk] = m, [list(r) for r in zip(*m)]
+        s = seifert_system(mu, matrices)
+    fixed = st.sampled_from([-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3)])
+    omega = fixed | st.floats(1e-3, 2 * math.pi - 1e-3).map(lambda a: cmath.exp(1j * a))
+    return s, [draw(omega) for _ in range(s.mu)]
+
+
+@settings(deadline=None, max_examples=200)
+@example((seifert_system(2, {k: [[0] * 3] * 3 for k in sign_keys(2)}), [1j, -1.0 + 0j]))
+@given(systems_and_omegas())
+def test_build_H_is_bitwise_the_per_position_sum(drawn):
+    # summing each matrix over every position at once is the same sum, in
+    # the same order, at each one; repr tells -0.0 from 0.0
+    s, omegas = drawn
+    values, size = build_H_per_position(s, omegas)
+    h = build_H(s, omegas)
+    assert h.shape == (s.rank, s.rank)
+    if isinstance(h, Band):
+        got, m = h.sub + h.diag, len(h.sub)
+        values = values[:m] + [v.real for v in values[m:]]
+    else:
+        got, cells = [h.rows[i][j] for i, j in s.cells], set(s.cells)
+        rest = {repr(x) for i, row in enumerate(h.rows) for j, x in enumerate(row)
+                if (i, j) not in cells}
+        assert rest <= {"0j"}
+    assert list(map(repr, got)) == list(map(repr, values))
+    assert repr(h.size) == repr(size)
+
+
+def test_build_H_over_65536_nonzero_matrices():
+    # one nested iterator per nonzero matrix, unbounded, overflows the C
+    # stack (a segfault) at this count
+    mu = 16
+    s = seifert_system(mu, {k: [[1]] for k in sign_keys(mu)})
+    omegas = [cmath.exp(0.3j)] * mu
+    values, size = build_H_per_position(s, omegas)
+    h = build_H(s, omegas)
+    assert repr(h.diag) == repr([values[0].real]) and repr(h.size) == repr(size)
 
 
 def test_seifert_system_enforces_the_transpose_invariant_at_construction():

@@ -58,6 +58,14 @@ def test_rational_angle_normalization():
         RationalAngle(1, 0)
 
 
+def test_rational_angle_rejects_bools():
+    # True == 1 would otherwise give an angle that prints as "True/2"
+    for p, q in ((True, 2), (1, True), (False, True)):
+        with pytest.raises(TypeError, match="bool"):
+            RationalAngle(p, q)
+    assert str(RationalAngle(1, 2)) == "1/2"
+
+
 def test_angle_pair_validation_and_flip():
     with pytest.raises(ValueError):
         AnglePair(0.0, 1.0)
