@@ -15,13 +15,14 @@ A^{-eps} = (A^eps)^T checked once when it is built, and, for build_H, as
 each nonzero matrix's entries at the positions of H that build_H fills, so
 that build_H adds one matrix at a time into every position at once.
 
-When the entries all lie on the three diagonals, as for every (2,2l)-torus
-system and every system of rank <= 2, H is tridiagonal: build_H returns its
-lower band as a Band, Hermitian by type.  Any other system gives a Dense,
-its rows as lists, which inertia first reduces to a band by Householder
+build_H returns every H as a Band, Hermitian by type: its real diagonal
+and its sub-diagonals, down to the farthest one that an entry of the system
+fills.  When the entries all lie on the three diagonals, as for every
+(2,2l)-torus system and every system of rank <= 2, H is tridiagonal, a band
+of width 1.  A wider band is first reduced to width 1 by Householder
 reflections in O(n^3), a backward stable step (Wilkinson 1965, The
-Algebraic Eigenvalue Problem).  Every band is then counted in one O(n) pass
-that runs two Sturm sequences.
+Algebraic Eigenvalue Problem).  Every band of width 1 is then counted in
+one O(n) pass that runs two Sturm sequences.
 A tridiagonal count is exact for entries with small relative errors (Barth,
 Martin and Wilkinson 1967), so nothing is lost against the eigenvalues, and
 it computes none: by Sylvester's law of inertia the signs of the pivots are
@@ -86,15 +87,17 @@ class SeifertSystem(Frozen):
     validates its input, and by torus_seifert.
 
     Building one checks A^{-eps} = (A^eps)^T, so every H(omega) is
-    Hermitian.  The rest is derived for build_H.  `columns` holds, for
-    each key in `nonzero`, that matrix's entry at each position of H that
-    build_H fills, in turn.  When every entry lies on the three diagonals,
-    `cells` is None and the positions are the sub- and main diagonal in turn.
-    Otherwise `cells` lists the positions that some entry fills.  `bound`
-    is the largest sum of |A^eps_ij| over eps at one of these positions.
+    Hermitian and its lower half determines it.  The rest is derived for
+    build_H.  `width` is the farthest sub-diagonal that an entry fills, at
+    least 1.  The positions of H that build_H fills are (j + k, j) for
+    0 <= k <= width, the main diagonal first, then each sub-diagonal in
+    turn; `spans` holds the slice of them that belongs to each diagonal.
+    `columns` holds, for each key in `nonzero`, that matrix's entry at each
+    position.  `bound` is the largest sum of |A^eps_ij| over eps at one
+    position.
     """
 
-    __slots__ = ("mu", "rank", "entries", "nonzero", "cells", "columns", "bound")
+    __slots__ = ("mu", "rank", "entries", "nonzero", "width", "spans", "columns", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
         entries = dict(entries)  # a mapping, or its items as _fields gives them
@@ -103,21 +106,21 @@ class SeifertSystem(Frozen):
                 pair = f"({k}, {_neg_key(k)})"
                 raise BadSystemError(f"transpose invariant violated for sign pair {pair}")
         nonzero = tuple(k for k, e in entries.items() if e)
-        filled = {(i, j) for k in nonzero for i, j, _ in entries[k]}
-        if all(-1 <= i - j <= 1 for i, j in filled):
-            cells = None
-            band = [(i + 1, i) for i in range(rank - 1)] + [(i, i) for i in range(rank)]
-        else:
-            cells = band = tuple(sorted(filled))
+        width = max([1] + [i - j for k in nonzero for i, j, _ in entries[k]])
+        positions, spans = [], []
+        for k in range(width + 1):
+            spans.append((len(positions), len(positions) + max(rank - k, 0)))
+            positions += [(j + k, j) for j in range(rank - k)]
         columns = []
         for key in nonzero:
             at = {(i, j): v for i, j, v in entries[key]}
-            columns.append(tuple(at.get(c, 0) for c in band))
+            columns.append(tuple(at.get(c, 0) for c in positions))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "nonzero", nonzero)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "spans", tuple(spans))
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(
             self, "bound", max((sum(map(abs, c)) for c in zip(*columns)), default=0)
@@ -154,19 +157,16 @@ def _matrix_entries(key: str, m) -> tuple[int, tuple]:
     given as nested lists; every entry is checked first."""
     square = isinstance(m, (list, tuple))
     rows = m if square else [m]
-    entries, size = [], 0
+    entries = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):  # m is a number or a vector
             row, square = [row], False
         square = square and len(row) == len(rows)
-        size += len(row)
         for j, v in enumerate(row):
             v = _entry(key, v)
             if v:
                 entries.append((i, j, v))
-    if not size:
-        return 0, ()
-    if not square:
+    if not square:  # [[]] too; [] is the 0 x 0 matrix
         raise BadSystemError(f"matrix {key} is not square")
     return len(rows), tuple(entries)
 
@@ -246,42 +246,33 @@ def seifert_from_json(data) -> SeifertSystem:
 
 
 class Band(Record):
-    """A Hermitian tridiagonal matrix by its lower band: the sub-diagonal, a
-    list of complex numbers, and the diagonal, a list of reals.  The upper
-    diagonal is conj(sub), so the matrix is Hermitian by type; `shape` is
-    that of the matrix.  `size` bounds the total modulus of the terms that
-    build_H summed into any one entry; it is None, read as max|h|, for a
-    band built otherwise."""
+    """A Hermitian band matrix by its lower half: `diags[0]` is the diagonal,
+    a list of reals, and `diags[k]` the k-th sub-diagonal, a list of n - k
+    complex numbers whose j-th entry sits at (j + k, j).  The upper half is
+    the conjugate, so the matrix is Hermitian by type; `width` is the number
+    of sub-diagonals and `shape` that of the matrix.  `size` bounds the
+    total modulus of the terms that build_H summed into any one entry; it is
+    None, read as max|h|, for a band built otherwise."""
 
-    __slots__ = ("sub", "diag", "size")
+    __slots__ = ("diags", "size")
 
-    def __init__(self, sub: list[complex], diag: list[float], size: float | None = None):
-        self.sub, self.diag, self.size = sub, diag, size
+    def __init__(self, diags: list[list[complex]], size: float | None = None):
+        self.diags, self.size = diags, size
+
+    @property
+    def width(self) -> int:
+        return len(self.diags) - 1
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.diag), len(self.diag))
+        return (len(self.diags[0]), len(self.diags[0]))
 
 
-class Dense(Record):
-    """A square matrix by its rows, each a list of complex numbers; `shape`
-    is that of the matrix, and `size` is as for a Band."""
-
-    __slots__ = ("rows", "size")
-
-    def __init__(self, rows: list[list[complex]], size: float | None = None):
-        self.rows, self.size = rows, size
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows))
-
-
-def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
-    """The Hermitian matrix H(omega) of the system at unit omega, all != 1:
-    a Band, its diagonal real, when s.cells is None, else a Dense.  Its
-    `size`, |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed
-    into any entry."""
+def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
+    """The Hermitian matrix H(omega) of the system at unit omega, all != 1,
+    as a Band of width s.width, its diagonal real.  Its `size`,
+    |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed into any
+    entry."""
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -303,21 +294,15 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band | Dense:
     # C-level pass per nonzero matrix, from the int 0 and in the same order,
     # so every entry is the same float.  A list every 256 matrices bounds
     # the depth of the nested iterators, which C recursion would overflow
-    n = s.rank
-    acc = repeat(0, max(2 * n - 1, 0) if s.cells is None else len(s.cells))
+    acc = repeat(0, s.spans[-1][1])
     for slot, (coeff, col) in enumerate(zip(coeffs, s.columns), 1):
         acc = map(add, acc, map(mul, repeat(coeff), col))
         if not slot % 256:
             acc = list(acc)
     values = list(map(mul, repeat(scale), acc))
-    size = abs(scale) * s.bound
-    if s.cells is None:
-        m = max(n - 1, 0)
-        return Band(values[:m], [v.real for v in values[m:]], size)
-    rows = [[0j] * n for _ in range(n)]
-    for (i, j), v in zip(s.cells, values):
-        rows[i][j] = v
-    return Dense(rows, size)
+    diags = [values[a:b] for a, b in s.spans]
+    diags[0] = [v.real for v in diags[0]]
+    return Band(diags, abs(scale) * s.bound)
 
 
 class Inertia(Frozen):
@@ -337,22 +322,21 @@ class Inertia(Frozen):
         return self.n_pos + self.n_neg + self.n_zero
 
 
-def inertia(h: Band | Dense) -> Inertia:
-    """Eigenvalue counts of a Hermitian Band or Dense; any other h raises
-    TypeError.  h must be square, finite and Hermitian to within
+def inertia(h: Band) -> Inertia:
+    """Eigenvalue counts of a Band; any other h raises TypeError.  The k-th
+    diagonal of h must hold max(n - k, 0) entries, every entry must be
+    finite, and the main diagonal must be real to within
     1e-12 * max(1, max|h|), or a ValueError names the first check that
-    fails.  A Band's upper diagonal is conj(sub), so only its diagonal can
-    fail the last, and a diagonal of floats, as build_H gives, is real; a
-    Dense has each entry checked against its mirror.  Like eigvalsh the
-    count reads the lower triangle, of h / max|h| so that |h_ij|^2 neither
-    under- nor overflows.  A Band gives its diagonals directly; a Dense is
-    first reduced to a band by Householder reflections in O(n^3)
+    fails; the upper half is the conjugate of the lower by type.  The count
+    reads h / max|h|, so that |h_ij|^2 neither under- nor overflows.  A band
+    of width 1 gives its diagonals directly; a wider one is laid out in full
+    rows and first reduced to width 1 by Householder reflections in O(n^3)
     (_householder_band).  One pass over the band, in O(n), runs the Sturm
     counts of T + t and t - T together: n_neg = #(lambda < -tau) and
-    n_pos = #(lambda > tau).  A Band whose diagonal is floats, as build_H's
-    is, has no entry checked on its own, yet the checks stay exact: an
-    infinity makes max|h| infinite, a NaN, which max may skip, makes every
-    later pivot NaN, and a zero max|h| has every entry checked.
+    n_pos = #(lambda > tau).  A band of width 1 whose diagonal is floats, as
+    build_H's is, has no entry checked on its own, yet the checks stay
+    exact: an infinity makes max|h| infinite, a NaN, which max may skip,
+    makes every later pivot NaN, and a zero max|h| has every entry checked.
 
     tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
     size of the terms build_H summed into an entry (max|h| when None).  The
@@ -367,58 +351,47 @@ def inertia(h: Band | Dense) -> Inertia:
     within 2 tau of 0.  The size term is build_H's own rounding: each entry
     is a sum of terms of total modulus <= size, computed to a few u * size,
     so where H(omega) vanishes, max|h| is that rounding and the whole of h
-    reads as zero.  A Dense adds the Householder backward error,
+    reads as zero.  A wider band adds the Householder backward error,
     a band unitarily similar to h + E with ||E||_2 <= p(n) u ||h||_2 and
     ||h||_2 <= n max|h| (Higham 2002, Accuracy and Stability of Numerical
     Algorithms, ch. 19).  The worst case p(n) grows like n^2, but the
     measured error, the band's eigenvalues against eigvalsh of random
     Hermitian h of rank 6 to 199, stays below 3.5 n u max|h|, inside t.
     """
-    # `parts` chain to every entry; `pairs` yields each entry that the layout
-    # does not make Hermitian with its mirror, and is None if there is none
-    if isinstance(h, Band):
-        n = len(h.diag)
-        square = len(h.sub) == max(n - 1, 0)
-        parts = (h.sub, h.diag)
-        pairs = None if set(map(type, h.diag)) == {float} else zip(h.diag, h.diag)
-    elif isinstance(h, Dense):
-        rows = h.rows
-        n = len(rows)
-        square = all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
-        parts = rows
-        pairs = ((rows[i][j], rows[j][i]) for i in range(n) for j in range(i + 1))
-    else:
-        raise TypeError(f"inertia takes a Band or a Dense, not {type(h).__name__}")
-    if not square:
-        raise ValueError("matrix is not square")
+    if not isinstance(h, Band):
+        raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
+    diags, width = h.diags, h.width
+    n = len(diags[0]) if diags else 0
+    if not diags or any(len(d) != max(n - k, 0) for k, d in enumerate(diags)):
+        raise ValueError("band has a diagonal of the wrong length")
     if n == 0:
         return Inertia(0, 0, 0)
-    hmax = max(map(abs, chain(*parts)))
-    if pairs is not None or hmax == 0.0:
-        finite = all(map(cmath.isfinite, chain(*parts)))
+    diag = diags[0]
+    hmax = max(map(abs, chain(*diags)))
+    real = set(map(type, diag)) == {float}
+    if width > 1 or not real or hmax == 0.0:
+        finite = all(map(cmath.isfinite, chain(*diags)))
     else:  # a NaN is caught by the last pivot
         finite = math.isfinite(hmax)
     if not finite:
         raise ValueError("matrix has a non-finite entry")
-    if pairs is not None:
-        skew = max(abs(x - y.conjugate()) for x, y in pairs)
-        if skew > 1e-12 * max(1.0, hmax):
+    if not real:
+        if max(abs(x - x.conjugate()) for x in diag) > 1e-12 * max(1.0, hmax):
             raise ValueError("matrix is not Hermitian")
+        diag = [x.real for x in diag]
     if hmax == 0.0:
         return Inertia(0, 0, n)
     t = EIG_ZERO_SCALE * n  # tau / max|h|
     if h.size is not None and h.size > hmax:
         t *= h.size / hmax
-    if isinstance(h, Band):
-        sub, diag = h.sub, h.diag
-        if pairs is not None:
-            diag = [x.real for x in diag]
+    if width < 2:
+        sub = diags[1] if width else repeat(0.0)
     else:
-        sub, diag = _householder_band([
-            [x / hmax for x in row[:i]] + [row[i].real / hmax]
-            + [rows[j][i].conjugate() / hmax for j in range(i + 1, n)]
-            for i, row in enumerate(rows)
-        ])
+        rows = [[0j] * n for _ in range(n)]
+        for k, d in enumerate([diag, *diags[1:]]):
+            for j, x in enumerate(d):
+                rows[j + k][j], rows[j][j + k] = x / hmax, x.conjugate() / hmax
+        sub, diag = _householder_band(rows)
         hmax = 1.0  # the band is scaled already
     # The pivots d_i = a_i - |e_i|^2 / d_{i-1} of T + t (`lo`) and of t - T
     # (`hi`), whose negative ones count the eigenvalues below -tau and above
@@ -517,7 +490,7 @@ def delta_recursive(ell: int, alpha: AnglePair, m: int) -> float:
     too).  A zero from either is no evidence of the root locus: test that
     with is_defined.
     """
-    if ell < 1:
+    if check_ell(ell) < 1:
         raise ValueError("ell must be a positive integer")
     if not 1 <= m <= ell:
         raise ValueError(f"m must lie in [1, {ell}]")
@@ -535,7 +508,7 @@ def delta_closed(ell: int, alpha: AnglePair, m: int) -> float:
 
     Underflows to +/-0.0 like delta_recursive; see there.
     """
-    if ell < 1:
+    if check_ell(ell) < 1:
         raise ValueError("ell must be a positive integer")
     if not 1 <= m <= ell:
         raise ValueError(f"m must lie in [1, {ell}]")

@@ -37,6 +37,11 @@ TAU_ROOT = 1e-9
 
 
 def check_ell(ell: int) -> int:
+    """ell itself, when a nonzero int.  0 raises ZeroLinkingError, and
+    anything but an int, a bool or an integral float too, raises TypeError,
+    as in RationalAngle."""
+    if not isinstance(ell, int) or isinstance(ell, bool):
+        raise TypeError(f"ell {ell!r} is no int")
     if ell == 0:
         raise ZeroLinkingError(
             "ell = 0: the Alexander polynomial vanishes identically and the "

@@ -46,10 +46,14 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _dense(band):
-    """The matrix of a band as a numpy array; its upper diagonal is conj(sub)."""
-    sub = np.asarray(band.sub, dtype=complex)
-    diag = np.asarray(band.diag, dtype=complex)
-    return np.diag(sub, -1) + np.diag(diag) + np.diag(sub.conj(), 1)
+    """The matrix of a band as a numpy array; its upper half is the
+    conjugate of the lower."""
+    a = np.zeros(band.shape, dtype=complex)
+    for k, d in enumerate(band.diags):
+        a += np.diag(np.asarray(d, dtype=complex), -k)
+        if k:
+            a += np.diag(np.conj(d), k)
+    return a
 
 
 def _admissible_grid(resolution, ell):

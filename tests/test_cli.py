@@ -196,6 +196,32 @@ def test_sigma_where_all_of_H_vanishes_reads_nullity(tmp_path):
             assert run("h", "--ell", str(ell), "--alpha", *alpha).returncode == EXIT_UNDEFINED
 
 
+def test_sigma_where_H_is_small_beside_its_terms(tmp_path):
+    # H = 2i sin(2 alpha) A with A antisymmetric of rank 2: near alpha = pi/2
+    # the entries are rounding beside the terms summed into them, and the
+    # mirror pairs of a full matrix differed by more than 1e-12
+    path = tmp_path / "anti.json"
+    plus = [[0, 32768, 32768], [-32768, 0, 32768], [-32768, -32768, 0]]
+    minus = [[-x for x in row] for row in plus]
+    path.write_text(json.dumps({"mu": 1, "rank": 3, "matrices": {"+": plus, "-": minus}}))
+    r = run("sigma", "--system", str(path), "--radians", "--alpha", "1.5708063267948966")
+    assert (r.returncode, r.stdout) == (EXIT_OK, "signature=0 nullity=1\n")
+    assert "root locus" in r.stderr
+
+
+def test_sigma_of_empty_rows_is_no_system(tmp_path):
+    # [] is the 0 x 0 matrix; a matrix with empty rows is not square
+    path = tmp_path / "empty.json"
+    for rows in ([[]], [[], []]):
+        path.write_text(json.dumps({"mu": 1, "rank": 0, "matrices": {"+": rows, "-": rows}}))
+        r = run("sigma", "--system", str(path), "--alpha", "1/3")
+        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), rows
+        assert "is not square" in r.stderr, rows
+    path.write_text(json.dumps({"mu": 1, "rank": 0, "matrices": {"+": [], "-": []}}))
+    r = run("sigma", "--system", str(path), "--alpha", "1/3")
+    assert (r.returncode, r.stdout) == (EXIT_OK, "signature=0 nullity=0\n")
+
+
 def test_sigma_of_all_zero_system(tmp_path):
     path = tmp_path / "zero.json"
     zero = [[0] * 3 for _ in range(3)]

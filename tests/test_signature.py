@@ -24,7 +24,6 @@ from linksig.errors import (
 from linksig.signature import (
     EIG_ZERO_SCALE,
     Band,
-    Dense,
     Inertia,
     SeifertSystem,
     build_H,
@@ -119,9 +118,10 @@ def test_system_validation():
     ):
         with pytest.raises(BadSystemError, match="not numeric"):
             seifert_system(1, {"+": plus, "-": minus})
-    for shape in ([[1], [2, 3]], [1, 2], 7, [[[1]]]):
+    for shape in ([[1], [2, 3]], [1, 2], 7, [[[1]]], [[]], [[], []]):
         with pytest.raises(BadSystemError, match="not square|not numeric"):
             seifert_system(1, {"+": shape, "-": shape})
+    assert seifert_system(1, {"+": [], "-": []}).rank == 0
     # true equals 1 and 1.0 == 1, but neither is an integer count
     five = {"+": [[5]], "-": [[5]]}
     with pytest.raises(BadSystemError, match="mu must"):
@@ -160,33 +160,36 @@ def build_H_over_every_matrix(s, omegas):
 
 
 def dense(h):
-    """h as a numpy array; a Band is filled in on its three diagonals, the
-    upper one conj(sub)."""
-    if isinstance(h, Dense):
-        return np.asarray(h.rows)
+    """h as a numpy array; a Band is filled in from its diagonals, its upper
+    half the conjugate of the lower."""
     if not isinstance(h, Band):
         return np.asarray(h)
-    sub = np.asarray(h.sub, dtype=complex)
-    return sum(
-        np.diag(part, k)
-        for part, k in ((sub, -1), (np.asarray(h.diag, dtype=complex), 0), (sub.conj(), 1))
-    )
+    a = np.zeros(h.shape, dtype=complex)
+    for k, d in enumerate(h.diags):
+        for j, x in enumerate(d):
+            a[j, j + k] = np.conj(x)
+            a[j + k, j] = x
+    return a
 
 
-def entries_of(h):
-    """The entries build_H computed: a band's sub-diagonal and real diagonal,
-    or every row."""
-    if isinstance(h, Band):
-        return [h.sub, h.diag]
-    return h.rows
+def full_band(a, size=None):
+    """The Band of the Hermitian array or nested lists `a` at full width,
+    n - 1 sub-diagonals and at least 1, read from its lower half; the
+    diagonal is its real part."""
+    a = np.asarray(a, dtype=complex)
+    diags = [[float(x.real) for x in np.diagonal(a)]]
+    diags += [[complex(x) for x in np.diagonal(a, -k)] for k in range(1, max(len(a), 2))]
+    return Band(diags, size)
 
 
-def band_of(rows):
-    """The sub-diagonal and the real part of the diagonal of nested lists
-    that are zero off the three diagonals."""
+def band_of(rows, width):
+    """The real part of the diagonal and the first `width` sub-diagonals of
+    nested lists that are zero farther from the diagonal."""
     n = len(rows)
-    assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1)
-    return [[rows[i + 1][i] for i in range(n - 1)], [rows[i][i].real for i in range(n)]]
+    assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > width)
+    return [[rows[i][i].real for i in range(n)]] + [
+        [rows[j + k][j] for j in range(n - k)] for k in range(1, width + 1)
+    ]
 
 
 def test_build_H_is_bitwise_the_sum_over_every_matrix():
@@ -213,19 +216,18 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
         fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
         for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
             h = build_H(s, omegas)
-            assert isinstance(h, Band) == (s.cells is None) != isinstance(h, Dense)
-            assert h.shape == (s.rank, s.rank)
-            if isinstance(h, Dense):  # complex rows, 0j where no matrix has an entry
-                assert len(h.rows) == s.rank
-                assert all(type(x) is complex for row in h.rows for x in row)
+            assert h.shape == (s.rank, s.rank) and h.width == s.width
+            # a real diagonal, and complex sub-diagonals, 0j where no matrix
+            # has an entry
+            assert all(type(x) is float for x in h.diags[0])
+            assert all(type(x) is complex for d in h.diags[1:] for x in d)
             # == on complex numbers is bitwise equality but for the sign of a zero
-            expected = build_H_over_every_matrix(s, omegas)
-            expected = band_of(expected) if isinstance(h, Band) else expected
-            assert entries_of(h) == expected
+            expected = band_of(build_H_over_every_matrix(s, omegas), s.width)
+            assert h.diags == expected
             for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
                 assert twin == s and twin.nonzero == s.nonzero
-                assert entries_of(build_H(twin, omegas)) == expected
-    assert [s.cells is None for s in systems] == [True] * 6 + [False] * 4 + [True] * 2
+                assert build_H(twin, omegas).diags == expected
+    assert [s.width for s in systems] == [1] * 6 + [2, 4, 3, 2] + [1] * 2
 
 
 def bits(xs):
@@ -254,12 +256,12 @@ def test_build_H_of_a_tridiagonal_system_is_bitwise_the_lower_band_of_the_sum():
     systems += [random_band_system(rng, mu, rank) for mu in (1, 2, 3) for rank in (3, 8)]
     fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
     for s in systems:
-        assert s.cells is None
+        assert s.width == 1
         for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
-            h = build_H(s, omegas)
+            diag, sub = build_H(s, omegas).diags
             rows = build_H_over_every_matrix(s, omegas)
-            assert bits(h.sub) == bits(rows[i + 1][i] for i in range(s.rank - 1))
-            assert bits(h.diag) == bits(rows[i][i].real for i in range(s.rank))
+            assert bits(sub) == bits(rows[i + 1][i] for i in range(s.rank - 1))
+            assert bits(diag) == bits(rows[i][i].real for i in range(s.rank))
 
 
 def test_build_H_of_a_tridiagonal_system_holds_no_matrix():
@@ -283,11 +285,11 @@ def test_every_system_of_rank_at_most_two_gives_a_band():
     for mu in (1, 2, 3):
         for rank in (0, 1, 2):
             s = random_system(rng, mu, rank)
-            assert s.cells is None
+            assert s.width == 1
             for omegas in [random_omegas(rng, mu) for _ in range(5)]:
                 h = build_H(s, omegas)
-                assert isinstance(h, Band) and h.shape == (rank, rank)
-                assert entries_of(h) == band_of(build_H_over_every_matrix(s, omegas))
+                assert h.width == 1 and h.shape == (rank, rank)
+                assert h.diags == band_of(build_H_over_every_matrix(s, omegas), 1)
                 if rank == 0:
                     assert inertia(h) == Inertia(0, 0, 0)
                 else:
@@ -304,7 +306,7 @@ def test_build_H_rank_one_torus():
         expected = (1 - w1.conjugate()) * (1 - w2.conjugate()) * (-1 - w1 * w2)
         h = build_H(s, [w1, w2])
         assert h.shape == (1, 1)
-        assert abs(h.diag[0] - expected) < 1e-12
+        assert abs(h.diags[0][0] - expected) < 1e-12
 
 
 def test_build_H_rank_two_torus_matches_display():
@@ -348,13 +350,17 @@ def test_build_H_hermitian_random_systems():
 
 def test_inertia_examples():
     h = build_H(torus_seifert(2), [-1.0 + 0j, -1.0 + 0j])
-    assert abs(h.diag[0] - (-8.0)) < 1e-12
+    assert abs(h.diags[0][0] - (-8.0)) < 1e-12
     ine = inertia(h)
     assert (ine.n_pos, ine.n_neg, ine.n_zero) == (0, 1, 0)
     assert ine.signature == -1
-    assert inertia(Dense([])).rank == 0
-    assert inertia(Band([], [])).rank == 0
-    for h in (Dense(np.diag([2.0, -3.0, 0.0]).tolist()), tridiagonal([2.0, -3.0, 0.0], [0.0, 0.0])):
+    assert inertia(Band([[]])).rank == inertia(Band([[], []])).rank == 0
+    # the same diagonal matrix as a band of width 0, 1 and 2
+    for h in (
+        Band([[2.0, -3.0, 0.0]]),
+        tridiagonal([2.0, -3.0, 0.0], [0.0, 0.0]),
+        full_band(np.diag([2.0, -3.0, 0.0])),
+    ):
         ine = inertia(h)
         assert (ine.n_pos, ine.n_neg, ine.n_zero) == (1, 1, 1)
 
@@ -381,7 +387,7 @@ def test_torus_seifert_negative_ell_determinant():
         a2 = rng.uniform(0.1, math.pi - 0.1)
         alpha = AnglePair.from_radians(a1, a2)
         omegas = list(alpha.omega())
-        (h,) = build_H(s, omegas).diag
+        ((h,), _) = build_H(s, omegas).diags
         expected = 8 * math.sin(a1) * math.sin(a2) * math.cos(math.pi + a1 + a2)
         assert abs(h - expected) < 1e-10
         # the Band keeps the real part; the sum itself is real to rounding
@@ -608,7 +614,7 @@ def test_seifert_json_validation():
 
 def eigvalsh_triple(h):
     """(n_pos, n_neg, n_zero) of h from eigvalsh with inertia's threshold
-    tau, which reads the term size of a Band or Dense from build_H, and
+    tau, which reads the term size of a Band from build_H, and
     whether an eigenvalue lies within 1e-6 tau of +-tau, where the two
     methods may round to different sides."""
     size = getattr(h, "size", None)
@@ -636,7 +642,7 @@ def assert_inertia_matches_eigvalsh(h):
 def tridiagonal(diag, sub):
     """The Hermitian band with diagonal `diag` and sub-diagonal `sub`; its
     upper diagonal is conj(sub)."""
-    return Band([complex(e) for e in sub], [float(d) for d in diag])
+    return Band([[float(d) for d in diag], [complex(e) for e in sub]])
 
 
 ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -717,15 +723,14 @@ def test_inertia_of_torus_H_on_root_line_matches_eigvalsh(line, sign, den, data)
     assert not is_defined(ell, alpha)
     h = build_H(torus_seifert(ell), list(alpha.omega()))
     assert_inertia_matches_eigvalsh(h)
-    # the band laid out as dense rows, with its term size, is reduced to the
-    # same band
-    assert inertia(Dense(dense(h).tolist(), h.size)) == inertia(h)
+    # the band at full width, with its term size, is reduced to the same band
+    assert inertia(full_band(dense(h), h.size)) == inertia(h)
 
 
 @st.composite
 def hermitian_dense(draw):
-    """A Hermitian Dense of rank 0..30: full, with a zero diagonal, sparse,
-    of low rank (V D V^H), integral, or zero."""
+    """A Hermitian Band at full width, of rank 0..30: full, with a zero
+    diagonal, sparse, of low rank (V D V^H), integral, or zero."""
     n = draw(st.integers(0, 30))
     kind = draw(st.sampled_from(["full", "zero diagonal", "sparse", "low rank", "integer", "zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -745,7 +750,7 @@ def hermitian_dense(draw):
     h = (h + h.conj().T) / 2
     if kind == "zero diagonal":
         np.fill_diagonal(h, 0.0)
-    return Dense(h.tolist())
+    return full_band(h)
 
 
 @settings(deadline=None, max_examples=150)
@@ -762,7 +767,7 @@ def test_dense_inertia_matches_eigvalsh(h):
 
 def test_inertia_of_zero_matrix_is_all_nullity():
     for n in (1, 2, 3, 7, 40):
-        assert triple(inertia(Dense(np.zeros((n, n)).tolist()))) == (0, 0, n)
+        assert triple(inertia(full_band(np.zeros((n, n))))) == (0, 0, n)
         assert triple(inertia(tridiagonal([0.0] * n, [0.0] * (n - 1)))) == (0, 0, n)
 
 
@@ -796,30 +801,36 @@ def test_inertia_of_tridiagonal_is_scale_invariant():
     want, edge = eigvalsh_triple(h)
     assert not edge
     for scale in (2.0**-600, 1.0, 2.0**600):
-        assert triple(inertia(Dense((h * scale).tolist()))) == want
+        assert triple(inertia(full_band(h * scale))) == want
 
 
 def test_inertia_rejects_non_hermitian_tridiagonal():
     # a band's upper diagonal is conj(sub) by type; its diagonal is checked
     assert inertia(tridiagonal([1.0, 2.0, 3.0], [1.0 + 1j, 2.0])).rank == 3
     h = tridiagonal([1.0, 2.0, 3.0], [1.0, 2.0])
-    h.diag[1] = 2.0 + 1e-3j
+    h.diags[0][1] = 2.0 + 1e-3j
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(h)
 
 
 def test_inertia_rejects_a_user_built_band_by_the_rules_for_any_matrix():
     # a Band is Hermitian by type but for its diagonal, which may be complex
-    for bad in (Band([], [1.0, 2.0]), Band([0.5, 0.5], [1.0, 2.0]), Band([0.5], [])):
-        with pytest.raises(ValueError, match="not square"):
+    for bad in (
+        Band([]),
+        Band([[1.0, 2.0], []]),
+        Band([[1.0, 2.0], [0.5, 0.5]]),
+        Band([[], [0.5]]),
+        Band([[1.0, 2.0, 3.0], [0.5, 0.5], [0.5, 0.5]]),
+    ):
+        with pytest.raises(ValueError, match="wrong length"):
             inertia(bad)
     for v in (math.nan, -math.inf, complex(0.0, math.nan), complex(math.inf, 0.0)):
-        for bad in (Band([v], [1.0, 2.0]), Band([0.5], [1.0, v])):
+        for bad in (Band([[1.0, 2.0], [v]]), Band([[1.0, v], [0.5]])):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     # 2 |Im d| against 1e-12 * max(1, max|h|): 2e-12 here, and 1e-12 below
-    assert inertia(Band([0.5], [1.0, 2.0 + 0.9e-12j])) == Inertia(2, 0, 0)
-    for bad in (Band([0.5], [1.0, 2.0 + 1.1e-12j]), Band([], [1e-3 - 0.6e-12j])):
+    assert inertia(Band([[1.0, 2.0 + 0.9e-12j], [0.5]])) == Inertia(2, 0, 0)
+    for bad in (Band([[1.0, 2.0 + 1.1e-12j], [0.5]]), Band([[1e-3 - 0.6e-12j], []])):
         with pytest.raises(ValueError, match="not Hermitian"):
             inertia(bad)
 
@@ -828,7 +839,7 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     # zero on the band: counting the band alone would give (0, 0, 3)
     h = np.zeros((3, 3), dtype=complex)
     h[0, 2] = h[2, 0] = 1.0
-    assert triple(inertia(Dense(h.tolist()))) == eigvalsh_triple(h)[0] == (1, 1, 1)
+    assert triple(inertia(full_band(h))) == eigvalsh_triple(h)[0] == (1, 1, 1)
     rng = np.random.default_rng(28)
     for n in (3, 5, 19, 60):
         h = dense(tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1)))
@@ -839,25 +850,24 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
         h[j, i] = 0.5 + 0.25j
         want, edge = eigvalsh_triple(h)
         assert not edge
-        assert triple(inertia(Dense(h.tolist()))) == want
-    h[0, n - 1] += 1.0  # one off-band entry without its mirror
-    with pytest.raises(ValueError, match="not Hermitian"):
-        inertia(Dense(h.tolist()))
-    # eigvalsh returned NaN here, which counted as nullity 2; a band is
-    # checked the same way
+        assert triple(inertia(full_band(h))) == want
+    # eigvalsh returned NaN here, which counted as nullity 2; a band of any
+    # width is checked the same way
     for v in (math.nan, math.inf):
-        for bad in (Dense([[1.0, v], [v, 2.0]]), Band([v], [1.0, 2.0]), Band([], [v])):
+        for bad in (
+            Band([[1.0, 2.0], [v]]),
+            Band([[v], []]),
+            Band([[1.0, 2.0, 3.0], [0.5, 0.5], [v]]),
+        ):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     for bad in (
-        Dense([[1.0, 0.0]]),
-        Dense([[1.0], [0.0, 1.0]]),
-        Dense([1.0, 2.0]),
-        Band([], [1.0, -1.0]),
-        Band([0.5, 0.5], [1.0, 2.0]),
-        Band([0.5], [1.0]),
+        Band([[1.0, -1.0], []]),
+        Band([[1.0, 2.0], [0.5, 0.5]]),
+        Band([[1.0], [0.5]]),
+        Band([[1.0, 2.0, 3.0], [0.5, 0.5], []]),
     ):
-        with pytest.raises(ValueError, match="not square"):
+        with pytest.raises(ValueError, match="wrong length"):
             inertia(bad)
 
 
@@ -867,28 +877,42 @@ def test_inertia_finds_a_nan_that_max_skips():
     # shortcut reads each entry first; elsewhere the NaN makes the pivots
     # from its row on NaN, the last too
     for bad in (
-        Band([0.0], [0.0, math.nan]),
-        Band([0.5], [1.0, math.nan]),
-        Band([], [math.nan]),
-        Band([0.5, 0.5], [math.nan, 1.0, 1.0]),
-        Band([0.5, complex(0.0, math.nan)], [1.0, 1.0, 1.0]),
-        Band([0.0], [5e-324, math.nan], 1.0),  # tau / max|h| overflows to inf
+        Band([[0.0, math.nan], [0.0]]),
+        Band([[1.0, math.nan], [0.5]]),
+        Band([[math.nan], []]),
+        Band([[math.nan, 1.0, 1.0], [0.5, 0.5]]),
+        Band([[1.0, 1.0, 1.0], [0.5, complex(0.0, math.nan)]]),
+        Band([[5e-324, math.nan], [0.0]], 1.0),  # tau / max|h| overflows to inf
     ):
         with pytest.raises(ValueError, match="non-finite"):
             inertia(bad)
+
+
+def test_inertia_finds_a_nan_anywhere_in_a_wide_band():
+    # a band of width >= 2 is laid out in rows and reduced before its count,
+    # so each of its entries is checked first
+    for n, width in ((3, 2), (4, 2), (4, 3), (6, 5)):
+        for k in range(width + 1):
+            for j in range(n - k):
+                for v in (math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)):
+                    h = Band([[1.0] * n] + [[0.25 + 0.5j] * (n - i) for i in range(1, width + 1)])
+                    h.diags[k][j] = v
+                    with pytest.raises(ValueError, match="non-finite"):
+                        inertia(h)
 
 
 def two_pass_inertia(h):
     """The Sturm count of a Band as two passes over fresh lists: the scaled
     diagonal a, the squared moduli off2 of the scaled sub-diagonal, then the
     negative pivots of T + t and of t - T, tau = EIG_ZERO_SCALE * n * max|h|."""
-    n = len(h.diag)
-    hmax = max(map(abs, [*h.sub, *h.diag]))
+    diag, sub = h.diags
+    n = len(diag)
+    hmax = max(map(abs, [*sub, *diag]))
     if hmax == 0.0:
         return Inertia(0, 0, n)
-    a = [d.real / hmax for d in h.diag]
+    a = [d.real / hmax for d in diag]
     off2 = [0.0]
-    for e in h.sub:
+    for e in sub:
         r = abs(e / hmax)
         off2.append(r * r)
 
@@ -919,7 +943,7 @@ def integer_bands(draw):
     tau = EIG_ZERO_SCALE * n * max(map(abs, [*sub, *diag]))
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         diag[i] = draw(st.sampled_from([tau, -tau]))
-    return Band(sub, diag)
+    return Band([diag, sub])
 
 
 @settings(deadline=None, max_examples=300)
@@ -952,13 +976,14 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
     cases = []
     for s in systems:
         h = build_H(s, random_omegas(rng, s.mu))
-        assert isinstance(h, Band)
+        assert h.width == 1
         want, edge = eigvalsh_triple(h)
         assert not edge
+        diag, sub = h.diags
         layouts = (
-            Band([e.conjugate() for e in h.sub], h.diag),
-            Band([e.conjugate() for e in h.sub[::-1]], h.diag[::-1]),
-            Dense(dense(h).tolist()),
+            Band([diag, [e.conjugate() for e in sub]]),
+            Band([diag[::-1], [e.conjugate() for e in sub[::-1]]]),
+            full_band(dense(h)),
         )
         cases.append((h, want, layouts))
     off_band = dense(tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]))
@@ -969,13 +994,13 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
-    # no H reaches eigvalsh: a dense one is reduced to a band by Householder
-    # reflections, then counted as a band is
+    # no H reaches eigvalsh: a wide band is reduced to width 1 by Householder
+    # reflections, then counted as a band of width 1 is
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    assert triple(inertia(Dense(off_band.tolist()))) == off_band_want
-    # a matrix is a Band or a Dense: its rows alone, or an array, are not
+    assert triple(inertia(full_band(off_band))) == off_band_want
+    # a matrix is a Band: its rows alone, or an array, are not
     for layout in (off_band, off_band.tolist()):
-        with pytest.raises(TypeError, match="takes a Band or a Dense"):
+        with pytest.raises(TypeError, match="takes a Band, not"):
             inertia(layout)
     for h, want, layouts in cases:
         counted = inertia(h)
@@ -1009,7 +1034,7 @@ def tridiagonal_systems(draw):
 def test_band_inertia_of_tridiagonal_systems_matches_eigvalsh(drawn):
     s, omegas = drawn
     h = build_H(s, omegas)
-    assert isinstance(h, Band) and h.shape == (s.rank, s.rank)
+    assert h.width == 1 and h.shape == (s.rank, s.rank)
     if s.rank == 0:
         assert inertia(h) == Inertia(0, 0, 0)
         return
@@ -1148,14 +1173,14 @@ def test_engine_on_congruent_torus_sums_reads_the_closed_form(drawn, data):
 
 
 def test_engine_on_a_permuted_rank_199_torus_system():
-    # the ell-200 torus system, relabelled by a signed permutation, takes the
-    # dense route; 8e-6 rad from a root line it reads the closed form 197
-    # with no warning, as the band does (a zero band of 1e-9 * n read 198)
+    # the ell-200 torus system, relabelled by a signed permutation, is a wide
+    # band; 8e-6 rad from a root line it reads the closed form 197 with no
+    # warning, as the band of width 1 does (a zero band of 1e-9 * n read 198)
     rng = random.Random(36)
     perm = list(range(199))
     rng.shuffle(perm)
     s = congruent_torus_sum([200], perm, [rng.choice([1, -1]) for _ in perm], [])
-    assert s.cells is not None
+    assert s.width > 1
     alpha = angle_pair("1/1999", "9/1999")
     with warnings.catch_warnings():
         warnings.simplefilter("error", NullityWarning)
@@ -1166,20 +1191,19 @@ def build_H_per_position(s, omegas):
     """The values of H at the positions build_H fills, and its size, one
     position at a time: scale * sum(map(mul, coeffs, col)), col holding the
     nonzero matrices' entries at that position, and the bound taken over
-    every position some entry fills, the upper band's included."""
+    every position some entry fills, the upper half's included.  The
+    positions are (j + k, j), diagonal by diagonal from the main one down to
+    the farthest sub-diagonal that an entry fills, and at least the first."""
     coeffs = [coefficient(k, omegas) for k in s.nonzero]
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()
     n = s.rank
     at = [{(i, j): v for i, j, v in s.entries[k]} for k in s.nonzero]
-    filled = sorted({c for m in at for c in m})
-    if all(abs(i - j) <= 1 for i, j in filled):
-        assert s.cells is None
-        positions = [(i + 1, i) for i in range(n - 1)] + [(i, i) for i in range(n)]
-    else:
-        assert s.cells == tuple(filled)
-        positions = filled
+    filled = {c for m in at for c in m}
+    width = max([1] + [i - j for i, j in filled])
+    assert s.width == width
+    positions = [(j + k, j) for k in range(width + 1) for j in range(n - k)]
     values = [scale * sum(map(mul, coeffs, [m.get(c, 0) for m in at])) for c in positions]
     bound = max((sum(abs(m.get(c, 0)) for m in at) for c in filled), default=0)
     return values, abs(scale) * bound
@@ -1224,15 +1248,11 @@ def test_build_H_is_bitwise_the_per_position_sum(drawn):
     s, omegas = drawn
     values, size = build_H_per_position(s, omegas)
     h = build_H(s, omegas)
-    assert h.shape == (s.rank, s.rank)
-    if isinstance(h, Band):
-        got, m = h.sub + h.diag, len(h.sub)
-        values = values[:m] + [v.real for v in values[m:]]
-    else:
-        got, cells = [h.rows[i][j] for i, j in s.cells], set(s.cells)
-        rest = {repr(x) for i, row in enumerate(h.rows) for j, x in enumerate(row)
-                if (i, j) not in cells}
-        assert rest <= {"0j"}
+    n = s.rank
+    assert h.shape == (n, n) and h.width == s.width
+    assert [len(d) for d in h.diags] == [max(n - k, 0) for k in range(h.width + 1)]
+    got = [x for d in h.diags for x in d]
+    values = [v.real for v in values[:n]] + values[n:]
     assert list(map(repr, got)) == list(map(repr, values))
     assert repr(h.size) == repr(size)
 
@@ -1245,7 +1265,7 @@ def test_build_H_over_65536_nonzero_matrices():
     omegas = [cmath.exp(0.3j)] * mu
     values, size = build_H_per_position(s, omegas)
     h = build_H(s, omegas)
-    assert repr(h.diag) == repr([values[0].real]) and repr(h.size) == repr(size)
+    assert repr(h.diags[0]) == repr([values[0].real]) and repr(h.size) == repr(size)
 
 
 def test_seifert_system_enforces_the_transpose_invariant_at_construction():

@@ -124,9 +124,10 @@ def test_every_traced_name_resolves():
 
 def test_traced_hooks_read_the_real_results():
     """Each describe or tally hook of the tracer takes what its target really
-    returns: a band H and a dense H, both curve routes, a grid and a sweep."""
+    returns: a band H of width 1 and one of width 2, both curve routes, a
+    grid and a sweep."""
     from linksig.pillowcase import CHEB_PATH, QUAT_PATH
-    from linksig.signature import Band, build_H, seifert_system, torus_seifert
+    from linksig.signature import build_H, seifert_system, torus_seifert
     from linksig.torus_rep import angle_pair
 
     tracing = load_tracing()
@@ -137,7 +138,7 @@ def test_traced_hooks_read_the_real_results():
     omegas = {1: [0.6 + 0.8j], 2: list(alpha.omega())}
     systems = [(s, omegas[s.mu]) for s in (band_system, dense_system)]
     hs = [build_H(*args) for args in systems]
-    assert [isinstance(h, Band) for h in hs] == [True, False]
+    assert [h.width for h in hs] == [1, 2]
     calls = {
         "main": [(["h", "--ell", "3", "--alpha", "1/3", "1/5"],)],
         "sweep_main_identity": [(3, 8)],

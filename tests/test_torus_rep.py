@@ -66,6 +66,29 @@ def test_rational_angle_rejects_bools():
     assert str(RationalAngle(1, 2)) == "1/2"
 
 
+def test_ell_must_be_an_int():
+    # 2.5 read as a linking number gave sigma -0.5, and True a rank-0 system
+    from linksig.signature import delta_closed, delta_recursive, torus_seifert
+
+    for ell in (2.5, 3.0, True, False, np.int64(3), Fraction(3)):
+        for call in (
+            lambda: sigma_torus_closed(ell, P22),
+            lambda: is_defined(ell, P22),
+            lambda: h_invariant(ell, P22),
+            lambda: torus_braid(ell),
+            lambda: torus_seifert(ell),
+            lambda: delta_recursive(ell, P22, 1),
+            lambda: delta_closed(ell, P22, 1),
+        ):
+            with pytest.raises(TypeError, match="is no int"):
+                call()
+    for delta in (delta_recursive, delta_closed):
+        with pytest.raises(ZeroLinkingError):
+            delta(0, P22, 1)
+        with pytest.raises(ValueError, match="positive"):
+            delta(-2, P22, 1)
+
+
 def test_angle_pair_validation_and_flip():
     with pytest.raises(ValueError):
         AnglePair(0.0, 1.0)
