@@ -4,7 +4,7 @@ Evaluation goes through the defining trigonometric identities
 T_m(cos psi) = cos(m psi) and U_m(cos psi) sin(psi) = sin((m+1) psi)
 rather than the three-term recurrence, so a value costs O(1) at any degree
 up to MAX_DEGREE: the curve route evaluates T_{2|ell|} once per sample, and
-the mod-4 check U_{ell-1} once per grid point.
+delta_closed U_{m-1} once per minor.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ MAX_DEGREE = 10**6
 
 
 def check_degree(m: int) -> None:
-    if not isinstance(m, int):
-        raise TypeError("degree must be an integer")
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"degree {m!r} is no int")
     if m < 0:
         raise ValueError("degree must be non-negative")
     if m > MAX_DEGREE:

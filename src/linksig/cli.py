@@ -13,8 +13,8 @@ byte-deterministic for fixed flags; floats print with 17 significant
 digits.
 
 Each subcommand imports the modules of its own route when it runs, so a
-cold `h`, `verify` or `regions` never loads the pillowcase, the
-quaternions or the Seifert engine.
+cold `h`, `verify` or `regions` never loads the Chebyshev polynomials, the
+pillowcase, the quaternions or the Seifert engine.
 """
 
 from __future__ import annotations
@@ -110,14 +110,13 @@ def _cmd_h(parser: _Parser, args) -> int:
 
 def _cmd_curve(parser: _Parser, args) -> int:
     from . import chebyshev, pillowcase
-    from .torus_rep import is_defined
+    from .torus_rep import defined_strips
 
     samples = pillowcase.DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:
         parser.error("samples must be positive")
     alpha = _angle_pair(parser, args.alpha, args.radians)
-    if not is_defined(args.ell, alpha):
-        raise NotDefinedError(UNDEFINED_MESSAGE)
+    defined_strips(args.ell, alpha)  # NotDefinedError on the root locus
     if args.path != "quat":
         # the Chebyshev route evaluates T_{2|ell|}: refuse before any sampling
         chebyshev.check_degree(2 * abs(args.ell))

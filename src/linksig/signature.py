@@ -81,10 +81,10 @@ def _neg_key(key: str) -> str:
 class SeifertSystem(Frozen):
     """The 2^mu integer Seifert matrices of a C-complex, keyed by sign vector.
 
-    `entries` maps each sign vector to the nonzero entries (i, j, v) of its
-    matrix, row by row, and `nonzero` lists the keys with an entry.  Systems
-    compare by mu, rank and entries.  Built by seifert_system, which
-    validates its input, and by torus_seifert.
+    `entries` maps each sign vector, in sign-vector order, to its matrix's
+    nonzero entries (i, j, v), sorted by (i, j); `nonzero` lists the keys
+    with an entry.  Systems compare by mu, rank and entries.  Built by
+    seifert_system, which validates its input, and by torus_seifert.
 
     Building one checks A^{-eps} = (A^eps)^T, so every H(omega) is
     Hermitian and its lower half determines it.  The rest is derived for
@@ -100,9 +100,10 @@ class SeifertSystem(Frozen):
     __slots__ = ("mu", "rank", "entries", "nonzero", "width", "spans", "columns", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
-        entries = dict(entries)  # a mapping, or its items as _fields gives them
+        # a mapping, or its items as _fields gives them, put in the order above
+        entries = {k: tuple(sorted(e)) for k, e in sorted(dict(entries).items())}
         for k, e in entries.items():  # each pair twice; a "+" key, listed first, names it
-            if sorted(entries.get(_neg_key(k), ())) != sorted((j, i, v) for i, j, v in e):
+            if entries.get(_neg_key(k), ()) != tuple(sorted((j, i, v) for i, j, v in e)):
                 pair = f"({k}, {_neg_key(k)})"
                 raise BadSystemError(f"transpose invariant violated for sign pair {pair}")
         nonzero = tuple(k for k, e in entries.items() if e)
@@ -478,6 +479,16 @@ def torus_seifert(ell: int) -> SeifertSystem:
     return SeifertSystem(2, rank, {"++": tuple(upper), "+-": (), "-+": (), "--": lower})
 
 
+def _minor_terms(ell: int, alpha: AnglePair, m: int) -> tuple[float, float]:
+    """(sin(a1) sin(a2), a1 + a2) for the m-th minor, once ell > 0 and 1 <= m <= ell."""
+    if check_ell(ell) < 1:
+        raise ValueError("ell must be a positive integer")
+    if not 1 <= m <= ell:
+        raise ValueError(f"m must lie in [1, {ell}]")
+    a1, a2 = alpha.radians
+    return math.sin(a1) * math.sin(a2), a1 + a2
+
+
 def delta_recursive(ell: int, alpha: AnglePair, m: int) -> float:
     """m-th leading principal minor of H for the (2,2l)-torus system, ell > 0.
 
@@ -490,13 +501,8 @@ def delta_recursive(ell: int, alpha: AnglePair, m: int) -> float:
     too).  A zero from either is no evidence of the root locus: test that
     with is_defined.
     """
-    if check_ell(ell) < 1:
-        raise ValueError("ell must be a positive integer")
-    if not 1 <= m <= ell:
-        raise ValueError(f"m must lie in [1, {ell}]")
-    a1, a2 = alpha.radians
-    s = math.sin(a1) * math.sin(a2)
-    diag = 8.0 * s * math.cos(a1 + a2)
+    s, x = _minor_terms(ell, alpha, m)
+    diag = 8.0 * s * math.cos(x)
     prev, cur = 0.0, 1.0  # determinants of the (-1)x(-1) and empty minors
     for _ in range(m - 1):
         prev, cur = cur, diag * cur - 16.0 * s * s * prev
@@ -508,13 +514,8 @@ def delta_closed(ell: int, alpha: AnglePair, m: int) -> float:
 
     Underflows to +/-0.0 like delta_recursive; see there.
     """
-    if check_ell(ell) < 1:
-        raise ValueError("ell must be a positive integer")
-    if not 1 <= m <= ell:
-        raise ValueError(f"m must lie in [1, {ell}]")
-    a1, a2 = alpha.radians
-    s = math.sin(a1) * math.sin(a2)
-    return (4.0 * s) ** (m - 1) * eval_U(m - 1, math.cos(a1 + a2))
+    s, x = _minor_terms(ell, alpha, m)
+    return (4.0 * s) ** (m - 1) * eval_U(m - 1, math.cos(x))
 
 
 def sigma_eval(s: SeifertSystem, omegas: list[complex]) -> int:

@@ -30,7 +30,6 @@ import cmath
 import math
 
 from ._values import Frozen
-from .chebyshev import eval_U
 from .errors import NotDefinedError, ZeroLinkingError
 
 TAU_ROOT = 1e-9
@@ -261,6 +260,17 @@ def strip_sigma(ell: int, i: int) -> int:
     return value if ell > 0 else -value
 
 
+def strip_potential_sign(ell: int, i: int) -> int:
+    """Sign of the Conway potential U_{L-1}(cos x) = sin(L x) / sin x in
+    strip i of x = alpha1 + alpha2, off the root locus: (-1)^i for i < L,
+    -(-1)^i from L on.  There L x / pi lies strictly inside (i, i + 1), so
+    sin(L x) has the sign (-1)^i, and sin x > 0 exactly when i < L; at
+    x = pi (i = L) the potential is U_{L-1}(-1) = (-1)^(L-1) L, the same
+    sign.  The normalization is pinned for ell > 0 only (unchecked)."""
+    sign = -1 if i % 2 else 1
+    return sign if i < abs(ell) else -sign
+
+
 def solve_phi(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
     """All (m, phi) with X1 X2 an |ell|-th root of +/-1 of real part cos(pi m/|ell|).
 
@@ -297,14 +307,3 @@ def sigma_torus_closed(ell: int, alpha: AnglePair) -> int:
     (strip_sigma in the strip of alpha1 + alpha2)."""
     i, _ = defined_strips(ell, alpha)
     return strip_sigma(ell, i)
-
-
-def conway_potential_of_sum(ell: int, angle_sum: float) -> float:
-    """Real value of the Conway potential at (e^{i alpha1}, e^{i alpha2}),
-    a function of angle_sum = alpha1 + alpha2 in radians.
-
-    Normalized as U_{ell-1}(cos(alpha1 + alpha2)), the unit that makes the
-    mod-4 signature congruence hold.  Only the positive-linking normalization
-    is pinned down, so ell > 0 (unchecked).
-    """
-    return eval_U(ell - 1, math.cos(angle_sum))

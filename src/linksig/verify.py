@@ -5,21 +5,20 @@ Sweeps run over the exact rational-angle lattice ((p/res) pi, (q/res) pi),
 mod-4 check and the region grid.  It checks ell and res, then visits the
 points row by row with one lattice_strips call each: two integer divisions
 that give the strips and the root-locus membership together, so excluded
-points are skipped exactly, never by tolerance, and h and sigma are read
-off the strips.  Each report is deterministic given (ell, resolution) and
+points are skipped exactly, never by tolerance, and h, sigma and the sign
+of the Conway potential are read off the strips: no float enters a
+verdict.  Each report is deterministic given (ell, resolution) and
 serializes to JSON.
 """
 
 from __future__ import annotations
 
-import math
-
 from ._values import Record
 from .torus_rep import (
     check_ell,
-    conway_potential_of_sum,
     lattice_strips,
     strip_h,
+    strip_potential_sign,
     strip_sigma,
 )
 
@@ -117,27 +116,19 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
     return RegionGrid(ell, resolution, [cells[k : k + n] for k in range(0, len(cells), n)])
 
 
-def _mod4_point_holds(sigma: int, ell: int, potential: float) -> bool:
-    """The verdict at one point; a potential of 0.0 fails it.  Off the root
-    locus the potential U_{ell-1}(cos x) = sin(ell x) / sin x is nonzero: it
-    vanishes only on the root lines x = m pi / ell."""
-    nabla_sign = 1 if potential > 0 else -1
-    return potential != 0.0 and (sigma - (2 + ell + nabla_sign)) % 4 == 0
-
-
 def check_mod4_congruence(ell: int, resolution: int) -> Report:
     """sigma == 2 + ell + sign(conway potential) mod 4 over the exact
-    admissible grid, where the potential is nonzero.  Requires ell > 0 (the
-    potential normalization is pinned only there)."""
+    admissible grid, both read off the strip of the angle sum.  Requires
+    ell > 0 (the potential normalization is pinned only there)."""
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
     report = Report(ell, resolution, skipped_on_roots=0)
-    for p, q, ij in _lattice(ell, resolution):
+    for *_, ij in _lattice(ell, resolution):
         if ij is None:
             report.skipped_on_roots += 1
             continue
-        potential = conway_potential_of_sum(ell, math.pi * (p + q) / resolution)
+        i = ij[0]
         report.checked += 1
-        if not _mod4_point_holds(strip_sigma(ell, ij[0]), ell, potential):
+        if (strip_sigma(ell, i) - 2 - ell - strip_potential_sign(ell, i)) % 4:
             report.failed += 1
     return report

@@ -85,3 +85,8 @@ def test_degree_guard():
         eval_T(10**6 + 1, 0.5)
     with pytest.raises(TypeError):
         eval_U(2.5, 0.5)
+    # a bool is no degree, as it is no ell and no angle numerator
+    for flag in (True, False):
+        for f in (eval_T, eval_U):
+            with pytest.raises(TypeError, match="is no int"):
+                f(flag, 0.5)

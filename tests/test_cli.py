@@ -347,7 +347,9 @@ def test_outputs_are_byte_deterministic():
 def test_no_command_imports_numpy(tmp_path):
     """Each command loads only the modules of its own route, and none loads
     numpy: not even sigma on a system that is not tridiagonal."""
-    lattice_route = ("linksig.pillowcase", "linksig.su2", "linksig.signature")
+    lattice_route = (
+        "linksig.pillowcase", "linksig.su2", "linksig.signature", "linksig.chebyshev"
+    )
     torus = tmp_path / "torus.json"
     # rank 3: the band has both off-diagonals
     torus.write_text(json.dumps(seifert_to_json(torus_seifert(4))))

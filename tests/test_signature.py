@@ -1285,6 +1285,18 @@ def test_seifert_system_enforces_the_transpose_invariant_at_construction():
         assert str(caught.value) == f"transpose invariant violated for sign pair {pair}"
 
 
+def test_seifert_system_equality_ignores_the_order_of_its_input():
+    # the same matrices, given keys and entries in another order, are one
+    # system: equal, with one hash, the same nonzero order and the same H
+    s = SeifertSystem(1, 2, {"-": ((1, 0, 2), (0, 0, 1)), "+": ((0, 1, 2), (0, 0, 1))})
+    loaded = seifert_from_json(seifert_to_json(s))
+    assert s == loaded and hash(s) == hash(loaded)
+    assert s.nonzero == loaded.nonzero == ("+", "-")
+    assert s.entries["+"] == ((0, 0, 1), (0, 1, 2))
+    omegas = [cmath.exp(0.7j)]
+    assert repr(build_H(s, omegas)) == repr(build_H(loaded, omegas))
+
+
 def test_seifert_system_keeps_only_nonzero_entries():
     # a rank-199 torus system keeps 2 x 397 entries and what build_H reads,
     # well under one int64 matrix, and builds no matrix on the way

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linksig.chebyshev import eval_U
 from linksig.errors import NotDefinedError, ZeroLinkingError
 from linksig.torus_rep import (
     AnglePair,
     RationalAngle,
     angle_pair,
-    conway_potential_of_sum,
     h_invariant,
     is_defined,
     lattice_strips,
@@ -21,6 +21,7 @@ from linksig.torus_rep import (
     solve_phi,
     strip_h,
     strip_m_range,
+    strip_potential_sign,
     strip_sigma,
     strips,
     torus_braid,
@@ -270,12 +271,32 @@ def test_h_invariant_examples_and_sign():
 
 
 def test_conway_potential_examples():
-    assert conway_potential_of_sum(1, math.pi * (2 / 7 + 3 / 5)) == 1.0
+    # the sign of U_{ell-1}(cos x), the float reference, at every admissible
+    # lattice point equals strip_potential_sign in the strip of the sum x
+    cases = {"res < L": 0, "s = res": 0}
+    for ell in range(1, 41):
+        for res in (2, 3, 7, 64, 97, 120):
+            seen = set()  # the potential depends on s = p + q alone
+            for p in range(1, res):
+                for q in range(1, res):
+                    ij = lattice_strips(ell, p, q, res)
+                    if ij is None or p + q in seen:
+                        continue
+                    seen.add(p + q)
+                    potential = eval_U(ell - 1, math.cos(math.pi * (p + q) / res))
+                    assert potential != 0.0, (ell, p, q, res)
+                    sign = 1 if potential > 0 else -1
+                    assert strip_potential_sign(ell, ij[0]) == sign, (ell, p, q, res)
+                    cases["res < L"] += res < ell
+                    cases["s = res"] += p + q == res
+    assert all(cases.values()), cases
+    # U_0 = 1 at alpha1 + alpha2 = (2/7 + 3/5) pi
+    assert strip_potential_sign(1, strips(1, angle_pair("2/7", "3/5"))[0]) == 1
     # U_2(0) = -1 at alpha1 + alpha2 = pi/2
-    assert abs(conway_potential_of_sum(3, math.pi / 2) - (-1.0)) < 1e-12
+    assert strip_potential_sign(3, strips(3, angle_pair("1/4", "1/4"))[0]) == -1
     # U_1(1/2) = 1 at alpha1 + alpha2 = pi/3
-    assert abs(conway_potential_of_sum(2, math.pi / 3) - 1.0) < 1e-12
-    # the normalization is pinned for ell > 0 only, and its one caller says so
+    assert strip_potential_sign(2, strips(2, angle_pair("1/6", "1/6"))[0]) == 1
+    # the normalization is pinned for ell > 0 only, and the mod-4 check says so
     with pytest.raises(ValueError, match="positive ell"):
         check_mod4_congruence(-2, 8)
     with pytest.raises(ValueError, match="positive ell"):

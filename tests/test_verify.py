@@ -12,13 +12,13 @@ from linksig.torus_rep import (
     lattice_strips,
     sigma_torus_closed,
     strip_h,
+    strip_potential_sign,
 )
 from linksig.verify import (
     SENTINEL,
     check_mod4_congruence,
     region_grid,
     sweep_main_identity,
-    _mod4_point_holds,
 )
 
 
@@ -126,16 +126,12 @@ def test_mod4_congruence_small():
         check_mod4_congruence(-2, 16)
 
 
-def test_mod4_point_guard():
-    assert _mod4_point_holds(1, 2, 0.0) is False  # hypothesis fails: a failure
-    assert _mod4_point_holds(1, 2, 2.0) is True  # 1 == 2+2+1 mod 4
-    assert _mod4_point_holds(-1, 2, -2.0) is True  # -1 == 3 mod 4
-    assert _mod4_point_holds(0, 2, 2.0) is False
+def test_mod4_counts_a_flipped_potential_sign_as_a_failure(monkeypatch):
+    # the opposite sign moves 2 + ell + sign by 2 mod 4: every point fails
+    def flipped(ell, i):
+        return -strip_potential_sign(ell, i)
 
-
-def test_mod4_counts_a_zero_potential_as_a_failure(monkeypatch):
-    # off the root locus the potential is never 0.0; were it, the point fails
-    monkeypatch.setattr(linksig.verify, "conway_potential_of_sum", lambda ell, x: 0.0)
+    monkeypatch.setattr(linksig.verify, "strip_potential_sign", flipped)
     report = check_mod4_congruence(2, 8)
     assert report.checked > 0
     assert report.failed == report.checked
