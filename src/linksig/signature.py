@@ -11,9 +11,10 @@ and reports its inertia.  The signature of H is the multivariable
 (Cimasoni-Florens) signature of the colored link at omega.
 
 A system is stored as the nonzero integer entries of its matrices, with
-A^{-eps} = (A^eps)^T checked once when it is built, and, for build_H, as
-each nonzero matrix's entries at the positions of H that build_H fills, so
-that build_H adds one matrix at a time into every position at once.
+one policy, A^{-eps} = (A^eps)^T among its rules, checked once when it is
+built, however it is built (see SeifertSystem), and, for build_H, as each
+nonzero matrix's entries at the positions of H that build_H fills, so that
+build_H adds one matrix at a time into every position at once.
 
 build_H returns every H as a Band, Hermitian by type: its real diagonal
 and its sub-diagonals, down to the farthest one that an entry of the system
@@ -78,30 +79,82 @@ def _neg_key(key: str) -> str:
     return "".join("-" if ch == "+" else "+" for ch in key)
 
 
+def _check_count(name: str, n, least: int, kind: str) -> None:
+    """mu or rank: an int, not a bool, of at least `least`."""
+    if type(n) is not int or n < least:
+        raise BadSystemError(f"{name} must be a {kind} integer")
+
+
+def _check_keys(mu: int, keys) -> None:
+    """Every key a sign vector of length mu, each checked on its own, so no
+    2^mu keys are formed; the message names at most three others."""
+    extra = [
+        k for k in keys
+        if not (isinstance(k, str) and len(k) == mu and not k.strip("+-"))
+    ]
+    if extra:
+        shown = ", ".join(reprlib.repr(k) for k in extra[:3])
+        raise BadSystemError(f"unexpected keys: {shown} ({len(extra)} in all)")
+
+
+def _check_int64(key: str, v) -> None:
+    if not -(2**63) <= v < 2**63:
+        raise BadSystemError(
+            f"matrix {key} entry {v!r} is outside the int64 range [-2^63, 2^63)"
+        )
+
+
+def _checked_entries(key: str, rank: int, e) -> tuple:
+    """The entries of matrix `key`, sorted, once each is a tuple of ints
+    (i, j, v) with 0 <= i, j < rank and v a nonzero int64."""
+    e = tuple(e)
+    for entry in e:
+        if not (type(entry) is tuple and len(entry) == 3
+                and type(entry[0]) is type(entry[1]) is type(entry[2]) is int):
+            raise BadSystemError(f"matrix {key} entry {entry!r} is not a tuple of three ints")
+        i, j, v = entry
+        if not (0 <= i < rank and 0 <= j < rank):
+            raise BadSystemError(f"matrix {key} entry {entry!r} lies outside rank {rank}")
+        if not v:
+            raise BadSystemError(f"matrix {key} entry {entry!r} is zero")
+        _check_int64(key, v)
+    return tuple(sorted(e))
+
+
 class SeifertSystem(Frozen):
     """The 2^mu integer Seifert matrices of a C-complex, keyed by sign vector.
 
     `entries` maps each sign vector, in sign-vector order, to its matrix's
     nonzero entries (i, j, v), sorted by (i, j); `nonzero` lists the keys
-    with an entry.  Systems compare by mu, rank and entries.  Built by
-    seifert_system, which validates its input, and by torus_seifert.
+    with an entry.  Systems compare by mu, rank and entries.
 
-    Building one checks A^{-eps} = (A^eps)^T, so every H(omega) is
-    Hermitian and its lower half determines it.  The rest is derived for
-    build_H.  `width` is the farthest sub-diagonal that an entry fills, at
-    least 1.  The positions of H that build_H fills are (j + k, j) for
-    0 <= k <= width, the main diagonal first, then each sub-diagonal in
-    turn; `spans` holds the slice of them that belongs to each diagonal.
-    `columns` holds, for each key in `nonzero`, that matrix's entry at each
-    position.  `bound` is the largest sum of |A^eps_ij| over eps at one
-    position.
+    Every system meets one policy, however it is built (directly, by
+    seifert_system, by torus_seifert or by copy and pickle, which rebuild
+    through here), or BadSystemError names the first rule it breaks: mu is
+    an int >= 1 and rank an int >= 0, neither a bool; every key is a sign
+    vector of length mu, and a missing key is a zero matrix; every entry is
+    a tuple of three ints (i, j, v), not bools, with 0 <= i, j < rank and v
+    a nonzero int64, one per (i, j); and A^{-eps} = (A^eps)^T, so every
+    H(omega) is Hermitian and its lower half determines it.
+
+    The rest is derived for build_H.  `width` is the farthest sub-diagonal
+    that an entry fills, at least 1.  The positions of H that build_H fills
+    are (j + k, j) for 0 <= k <= width, the main diagonal first, then each
+    sub-diagonal in turn; `spans` holds the slice of them that belongs to
+    each diagonal.  `columns` holds, for each key in `nonzero`, that
+    matrix's entry at each position.  `bound` is the largest sum of
+    |A^eps_ij| over eps at one position.
     """
 
     __slots__ = ("mu", "rank", "entries", "nonzero", "width", "spans", "columns", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
+        _check_count("mu", mu, 1, "positive")
+        _check_count("rank", rank, 0, "non-negative")
         # a mapping, or its items as _fields gives them, put in the order above
-        entries = {k: tuple(sorted(e)) for k, e in sorted(dict(entries).items())}
+        entries = dict(entries)
+        _check_keys(mu, entries)
+        entries = {k: _checked_entries(k, rank, e) for k, e in sorted(entries.items())}
         for k, e in entries.items():  # each pair twice; a "+" key, listed first, names it
             if entries.get(_neg_key(k), ()) != tuple(sorted((j, i, v) for i, j, v in e)):
                 pair = f"({k}, {_neg_key(k)})"
@@ -115,6 +168,10 @@ class SeifertSystem(Frozen):
         columns = []
         for key in nonzero:
             at = {(i, j): v for i, j, v in entries[key]}
+            if len(at) < len(entries[key]):  # the entries are sorted: two are adjacent
+                e = entries[key]
+                i, j = next(a[:2] for a, b in zip(e, e[1:]) if a[:2] == b[:2])
+                raise BadSystemError(f"matrix {key} has two entries at ({i}, {j})")
             columns.append(tuple(at.get(c, 0) for c in positions))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
@@ -146,10 +203,7 @@ def _entry(key: str, v) -> int:
             raise TypeError(f"entry {v!r}")
         if isinstance(v, float) and not v.is_integer():
             raise BadSystemError(f"matrix {key} has non-integer entries")
-    if not -(2**63) <= v < 2**63:
-        raise BadSystemError(
-            f"matrix {key} entry {v!r} is outside the int64 range [-2^63, 2^63)"
-        )
+    _check_int64(key, v)
     return int(v)
 
 
@@ -173,24 +227,20 @@ def _matrix_entries(key: str, m) -> tuple[int, tuple]:
 
 
 def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
-    """Validate a Seifert system; raises BadSystemError on violation.
+    """A Seifert system read from its dense form; raises BadSystemError on
+    violation.
 
-    Each matrix is nested lists of integers, the shape JSON gives; integral
-    floats are accepted, and every entry must fit in int64.
+    `matrices` maps every one of the 2^mu sign vectors to its matrix, nested
+    lists of numbers, the shape JSON gives, all square and of one rank;
+    integral floats are read as ints.  The rest of the policy is
+    SeifertSystem's.
     """
-    if not isinstance(mu, int) or isinstance(mu, bool) or mu < 1:
-        raise BadSystemError("mu must be a positive integer")
+    _check_count("mu", mu, 1, "positive")
     if not isinstance(matrices, Mapping):
         raise BadSystemError("matrices must map sign vectors to matrices")
-    # each key is checked on its own, and the 2^mu sign vectors are listed
-    # only once there are as many matrices: a large mu never forms 2^mu
-    extra = [
-        k for k in matrices
-        if not (isinstance(k, str) and len(k) == mu and not k.strip("+-"))
-    ]
-    if extra:
-        shown = ", ".join(reprlib.repr(k) for k in extra[:3])
-        raise BadSystemError(f"unexpected keys: {shown} ({len(extra)} in all)")
+    # the 2^mu sign vectors are listed only once there are as many matrices:
+    # a large mu never forms 2^mu
+    _check_keys(mu, matrices)
     count = len(matrices)
     if count.bit_length() <= mu:  # count < 2^mu
         message = f"missing sign-vector keys: {count} of 2^{mu} given"
@@ -236,8 +286,7 @@ def seifert_from_json(data) -> SeifertSystem:
     for field in ("mu", "rank", "matrices"):
         if field not in data:
             raise BadSystemError(f"missing field {field!r}")
-    if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
-        raise BadSystemError("rank must be an integer")
+    _check_count("rank", data["rank"], 0, "non-negative")
     system = seifert_system(data["mu"], data["matrices"])
     if system.rank != data["rank"]:
         raise BadSystemError(
@@ -363,7 +412,9 @@ def inertia(h: Band) -> Inertia:
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
     diags, width = h.diags, h.width
     n = len(diags[0]) if diags else 0
-    if not diags or any(len(d) != max(n - k, 0) for k, d in enumerate(diags)):
+    m = len(diags)  # diags[k] holds max(n - k, 0) entries
+    lengths = [*range(n, n - m, -1)] if m <= n else [*range(n, 0, -1), *repeat(0, m - n)]
+    if not diags or [*map(len, diags)] != lengths:
         raise ValueError("band has a diagonal of the wrong length")
     if n == 0:
         return Inertia(0, 0, 0)

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import json
 import math
 import pickle
 import random
@@ -8,6 +9,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,13 @@ from linksig.signature import (
     symmetrized_sigma,
     torus_seifert,
 )
-from linksig.torus_rep import AnglePair, angle_pair, is_defined
+from linksig.torus_rep import (
+    AnglePair,
+    angle_pair,
+    defined_strips,
+    is_defined,
+    strip_sigma,
+)
 
 P22 = angle_pair("1/2", "1/2")
 # the primes P of the lattice angles (p/P) pi: none lies on a root line of
@@ -130,6 +138,7 @@ def test_system_validation():
         ({"mu": True, "rank": 1}, "mu must"),
         ({"mu": 1, "rank": True}, "rank must"),
         ({"mu": 1, "rank": 1.0}, "rank must"),
+        ({"mu": 1, "rank": -1}, "^rank must be a non-negative integer$"),
     ):
         with pytest.raises(BadSystemError, match=message):
             seifert_from_json({**header, "matrices": five})
@@ -1187,6 +1196,125 @@ def test_engine_on_a_permuted_rank_199_torus_system():
         assert sigma_eval(s, list(alpha.omega())) == sigma_torus_closed(200, alpha) == 197
 
 
+def knot_block_sum(ell, k, color, sign=1):
+    """torus_seifert(ell) plus a block for the knot T(2, 2k+1) on one color,
+    its mirror if sign is -1: a boundary connected sum that enters every key
+    whose sign for that color is + as V, with sign * -1 on the diagonal and
+    sign * +1 above it (rank 2k), and every other key as V^T (Cimasoni and
+    Florens 2008).  A torus system's mixed keys are zero; with the block,
+    every key has an entry.  Built directly, so every rule of
+    SeifertSystem's policy is checked."""
+    base = torus_seifert(ell)
+    n = base.rank
+    upper = tuple(
+        (n + i, n + i + d, sign * v)
+        for i in range(2 * k) for d, v in ((0, -1), (1, 1)) if i + d < 2 * k
+    )
+    lower = tuple((j, i, v) for i, j, v in upper)
+    return SeifertSystem(2, n + 2 * k, {
+        key: base.entries[key] + (upper if key[color] == "+" else lower)
+        for key in sign_keys(2)
+    })
+
+
+def knot_sigma(k, a):
+    """The Levine-Tristram signature of T(2, 2k+1) at exp(2ia), a in
+    radians: the sum of sign(cos(j pi / (2k+1)) - sin a) over j = 1..2k."""
+    return sum(
+        (c > math.sin(a)) - (c < math.sin(a))
+        for c in (math.cos(j * math.pi / (2 * k + 1)) for j in range(1, 2 * k + 1))
+    )
+
+
+def knot_margin(k, a):
+    """How far sin a lies from the knot's root lines sin a = cos(j pi / (2k+1))."""
+    return min(abs(math.cos(j * math.pi / (2 * k + 1)) - math.sin(a)) for j in range(1, 2 * k + 1))
+
+
+@st.composite
+def knot_block_sums(draw):
+    """(system, ell, k, color, sign): torus_seifert(ell), 2 <= |ell| <= 20,
+    plus a T(2, 2k+1) block, 1 <= k <= 6, or its mirror, on either color.
+    H(omega) is block diagonal, and the block's part is
+    |1 - omega_other|^2 (1 - conj(omega_c)) (V - omega_c V^T), a positive
+    multiple of the knot's Levine-Tristram form, so the signature is the
+    torus strip's plus the knot's at omega_c."""
+    ell = draw(st.integers(2, 20)) * draw(st.sampled_from([1, -1]))
+    k = draw(st.integers(1, 6))
+    color = draw(st.sampled_from([0, 1]))
+    sign = draw(st.sampled_from([1, -1]))
+    return knot_block_sum(ell, k, color, sign), ell, k, color, sign
+
+
+@settings(deadline=None, max_examples=100)
+@given(knot_block_sums(), st.data())
+def test_engine_on_knot_block_sums_reads_the_closed_form(drawn, data):
+    s, ell, k, color, sign = drawn
+    assert s.nonzero == tuple(sign_keys(2))
+    lattice = angle_pair(*(
+        Fraction(data.draw(st.integers(1, big_p - 1)), big_p)
+        for big_p in (data.draw(st.sampled_from(LATTICE_PRIMES)) for _ in range(2))
+    ))
+    angle = st.floats(1e-3, math.pi - 1e-3)
+    point = AnglePair.from_radians(data.draw(angle), data.draw(angle))
+    assume(is_defined(ell, point) and knot_margin(k, point.radians[color]) > 1e-6)
+    for alpha in (lattice, point):
+        i, _ = defined_strips(ell, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NullityWarning)
+            engine = sigma_eval(s, list(alpha.omega()))
+        assert engine == strip_sigma(ell, i) + sign * knot_sigma(k, alpha.radians[color]), alpha
+
+
+def poly_mul(f, g):
+    """The product of two polynomials in t1, t2, each {(a, b): coefficient}."""
+    out = {}
+    for (a, b), x in f.items():
+        for (c, d), y in g.items():
+            out[a + c, b + d] = out.get((a + c, b + d), 0) + x * y
+    return out
+
+
+def poly_sub(f, g):
+    out = dict(f)
+    for m, y in g.items():
+        out[m] = out.get(m, 0) - y
+    return {m: x for m, x in out.items() if x}
+
+
+def alexander_determinant(s):
+    """det A(t) of a two-color system with tridiagonal matrices, where
+    A(t) = sum_eps eps_1 eps_2 t1^((1 - eps_1)/2) t2^((1 - eps_2)/2) A^eps,
+    as {(a, b): coefficient of t1^a t2^b}, by the three-term recurrence of
+    its leading principal minors, in integers."""
+    assert s.mu == 2 and s.width == 1
+    a = {}
+    for key in sign_keys(2):
+        monomial = (int(key[0] == "-"), int(key[1] == "-"))
+        sign = 1 if key[0] == key[1] else -1
+        for i, j, v in s.entries[key]:
+            entry = a.setdefault((i, j), {})
+            entry[monomial] = entry.get(monomial, 0) + sign * v
+    prev, cur = {}, {(0, 0): 1}
+    for m in range(s.rank):
+        step = poly_mul(a.get((m, m), {}), cur)
+        if m:
+            off = poly_mul(a.get((m - 1, m), {}), a.get((m, m - 1), {}))
+            step = poly_sub(step, poly_mul(off, prev))
+        prev, cur = cur, {e: x for e, x in step.items() if x}
+    return cur
+
+
+def test_alexander_polynomial_of_torus_systems():
+    # det A(t) of the (2, 2l)-torus link is +-(1 + x + ... + x^(L-1)) with
+    # x = t1 t2, whose roots are the root lines the strip kernel uses
+    for ell in (2, 3, 5, 8, -4):
+        det = alexander_determinant(torus_seifert(ell))
+        unit = det[0, 0]
+        assert unit in (1, -1)
+        assert det == {(m, m): unit for m in range(abs(ell))}, ell
+
+
 def build_H_per_position(s, omegas):
     """The values of H at the positions build_H fills, and its size, one
     position at a time: scale * sum(map(mul, coeffs, col)), col holding the
@@ -1344,3 +1472,101 @@ def test_seifert_system_stores_partners_as_read_only_transposes():
         with pytest.raises(BadSystemError, match="not numeric"):
             seifert_system(mu, {k: np.array(m) for k, m in raw.items()})
         assert seifert_to_json(seifert_from_json(data)) == data
+
+
+def test_seifert_system_constructor_rejects_what_seifert_system_rejects():
+    # one policy, however a system is built: each rule's message, in full
+    ok = {"+": ((0, 0, 1),), "-": ((0, 0, 1),)}
+    for mu, rank, entries, message in (
+        (1, 2, {"+": ((5, 5, 1),), "-": ((5, 5, 1),)},
+         "matrix + entry (5, 5, 1) lies outside rank 2"),
+        (1, 2, {"+": ((-1, 0, 1),), "-": ((0, -1, 1),)},
+         "matrix + entry (-1, 0, 1) lies outside rank 2"),
+        (1, 2, {"+": ((0, -1, 1),), "-": ((-1, 0, 1),)},
+         "matrix + entry (0, -1, 1) lies outside rank 2"),
+        (1, 1, {"+": ((0, 0, 1), (0, 0, 2)), "-": ((0, 0, 1), (0, 0, 2))},
+         "matrix + has two entries at (0, 0)"),
+        (1, 1, {"+": ((0, 0, 1), (0, 0, 1)), "-": ((0, 0, 1), (0, 0, 1))},
+         "matrix + has two entries at (0, 0)"),
+        (1, 1, {"+": ((0, 0, True),), "-": ((0, 0, True),)},
+         "matrix + entry (0, 0, True) is not a tuple of three ints"),
+        (1, 1, {"+": ((0, 0, 0.5),), "-": ((0, 0, 0.5),)},
+         "matrix + entry (0, 0, 0.5) is not a tuple of three ints"),
+        (1, 1, {"+": ((0, 0, 1.0),), "-": ((0, 0, 1.0),)},
+         "matrix + entry (0, 0, 1.0) is not a tuple of three ints"),
+        (1, 1, {"+": ((False, 0, 1),), "-": ((0, False, 1),)},
+         "matrix + entry (False, 0, 1) is not a tuple of three ints"),
+        (1, 1, {"+": ((0, 0),), "-": ()}, "matrix + entry (0, 0) is not a tuple of three ints"),
+        (1, 1, {"+": ([0, 0, 1],), "-": ()}, "matrix + entry [0, 0, 1] is not a tuple of three ints"),
+        (1, 1, {"+": (7,), "-": ()}, "matrix + entry 7 is not a tuple of three ints"),
+        (1, 1, {"+": ((0, 0, 0),), "-": ((0, 0, 0),)}, "matrix + entry (0, 0, 0) is zero"),
+        (1, 1, {"+": ((0, 0, 2**63),), "-": ((0, 0, 2**63),)},
+         "matrix + entry 9223372036854775808 is outside the int64 range [-2^63, 2^63)"),
+        (1, 1, {"+": ((0, 0, -(2**63) - 1),), "-": ((0, 0, -(2**63) - 1),)},
+         "matrix + entry -9223372036854775809 is outside the int64 range [-2^63, 2^63)"),
+        (True, 1, ok, "mu must be a positive integer"),
+        (0, 1, ok, "mu must be a positive integer"),
+        (1.0, 1, ok, "mu must be a positive integer"),
+        (1, -1, ok, "rank must be a non-negative integer"),
+        (1, 2.0, ok, "rank must be a non-negative integer"),
+        (1, True, ok, "rank must be a non-negative integer"),
+        (1, 1, {"+x": ()}, "unexpected keys: '+x' (1 in all)"),
+        (2, 1, {"++": (), "+": (), "---": (), 3: ()}, "unexpected keys: '+', '---', 3 (3 in all)"),
+        (1, 1, {"": ()}, "unexpected keys: '' (1 in all)"),
+    ):
+        with pytest.raises(BadSystemError) as caught:
+            SeifertSystem(mu, rank, entries)
+        assert str(caught.value) == message, (mu, rank, entries)
+    # both ends of the int64 range, entries in a list, and a missing key as
+    # a zero matrix are all valid
+    edge = SeifertSystem(2, 2, {
+        "++": [(0, 1, 2**63 - 1)], "--": [(1, 0, 2**63 - 1)],
+        "+-": [(1, 1, -(2**63))], "-+": ((1, 1, -(2**63)),),
+    })
+    assert edge.entries["++"] == ((0, 1, 2**63 - 1),) and hash(edge) == hash(edge)
+    bare = SeifertSystem(2, 3, {"+-": ((0, 1, 1),), "-+": ((1, 0, 1),)})
+    assert bare.nonzero == ("+-", "-+") and bare.bound == 1
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(
+    systems_and_omegas().map(lambda drawn: drawn[0]),
+    knot_block_sums().map(lambda drawn: drawn[0]),
+))
+def test_seifert_system_round_trips_through_copy_pickle_and_json(s):
+    # copy and pickle rebuild through __init__, which checks the policy again
+    twins = (
+        copy.copy(s),
+        copy.deepcopy(s),
+        pickle.loads(pickle.dumps(s)),
+        SeifertSystem(s.mu, s.rank, s.entries),
+        seifert_from_json(seifert_to_json(s)),
+    )
+    for twin in twins:
+        assert twin == s and hash(twin) == hash(s)
+        assert (twin.nonzero, twin.width, twin.spans, twin.columns, twin.bound) == (
+            s.nonzero, s.width, s.spans, s.columns, s.bound
+        )
+
+
+def test_every_torus_and_benchmark_system_still_builds_as_before():
+    # torus_seifert against the dense matrices of its docstring, read by
+    # seifert_system: -1 on the diagonal and +1 above it, A^{--} the
+    # transpose, the mixed matrices zero, every sign flipped for ell < 0
+    for ell in [*range(-60, 0), *range(1, 61), 200, -200]:
+        n, sign = abs(ell) - 1, 1 if ell > 0 else -1
+        upper = [[sign * ((j == i + 1) - (j == i)) for j in range(n)] for i in range(n)]
+        zero = [[0] * n for _ in range(n)]
+        dense = {"++": upper, "+-": zero, "-+": zero, "--": [list(r) for r in zip(*upper)]}
+        assert torus_seifert(ell) == seifert_system(2, dense), ell
+    # the benchmark's systems, written by an earlier build, read back to the
+    # same JSON, and the torus ones are torus_seifert's
+    path = Path(__file__).parents[1] / "perfbench" / "expected.json"
+    systems = json.loads(path.read_text(encoding="utf-8"))["systems"]
+    assert "nontorus" in systems
+    for name, data in systems.items():
+        s = seifert_from_json(data)
+        assert seifert_to_json(s) == data, name
+        assert SeifertSystem(s.mu, s.rank, s.entries) == s
+        if name.startswith("torus"):
+            assert s == torus_seifert(int(name[len("torus"):])), name
