@@ -142,6 +142,7 @@ def _region_csv(grid) -> str:
 
 def _region_svg(grid) -> str:
     """Heat map by direct tag emission; root-locus lines drawn on top."""
+    from .torus_rep import is_root_line
     from .verify import SENTINEL
 
     res = grid.resolution
@@ -177,8 +178,8 @@ def _region_svg(grid) -> str:
     # each drawn from (p, q) = (x0, q0) to (x1, q1)
     big_l = abs(grid.ell)
     segments = []
-    for m in range(1, 2 * big_l):
-        if m == big_l:
+    for m in range(2 * big_l):
+        if not is_root_line(big_l, m):
             continue
         c = res * m / big_l  # p + q = c
         x0, x1 = max(0.0, c - res), min(float(res), c)

@@ -10,11 +10,11 @@ A^eps), assembles the Hermitian matrix
 and reports its inertia.  The signature of H is the multivariable
 (Cimasoni-Florens) signature of the colored link at omega.
 
-A system is stored as the nonzero integer entries of its matrices, with
-one policy, A^{-eps} = (A^eps)^T among its rules, checked once when it is
-built, however it is built (see SeifertSystem), and, for build_H, as each
-nonzero matrix's entries at the positions of H that build_H fills, so that
-build_H adds one matrix at a time into every position at once.
+A system is stored as the nonzero integer entries of its matrices and
+nothing else, with one policy, A^{-eps} = (A^eps)^T among its rules,
+checked once when it is built, however it is built (see SeifertSystem).
+build_H adds the entries on or below the diagonal into H, one matrix at a
+time.
 
 build_H returns every H as a Band, Hermitian by type: its real diagonal
 and its sub-diagonals, down to the farthest one that an entry of the system
@@ -52,8 +52,8 @@ import sys
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import chain, pairwise, repeat
+from operator import mul
 from types import MappingProxyType
 
 from ._values import Frozen, Record
@@ -124,9 +124,10 @@ def _checked_entries(key: str, rank: int, e) -> tuple:
 class SeifertSystem(Frozen):
     """The 2^mu integer Seifert matrices of a C-complex, keyed by sign vector.
 
-    `entries` maps each sign vector, in sign-vector order, to its matrix's
-    nonzero entries (i, j, v), sorted by (i, j); `nonzero` lists the keys
-    with an entry.  Systems compare by mu, rank and entries.
+    `entries` maps each sign vector whose matrix has an entry, in
+    sign-vector order, to its nonzero entries (i, j, v), sorted by (i, j).
+    A key given with no entry is checked and then dropped, so it and a key
+    left out are one zero matrix.  Systems compare by mu, rank and entries.
 
     Every system meets one policy, however it is built (directly, by
     seifert_system, by torus_seifert or by copy and pickle, which rebuild
@@ -137,16 +138,15 @@ class SeifertSystem(Frozen):
     a nonzero int64, one per (i, j); and A^{-eps} = (A^eps)^T, so every
     H(omega) is Hermitian and its lower half determines it.
 
-    The rest is derived for build_H.  `width` is the farthest sub-diagonal
-    that an entry fills, at least 1.  The positions of H that build_H fills
-    are (j + k, j) for 0 <= k <= width, the main diagonal first, then each
-    sub-diagonal in turn; `spans` holds the slice of them that belongs to
-    each diagonal.  `columns` holds, for each key in `nonzero`, that
-    matrix's entry at each position.  `bound` is the largest sum of
-    |A^eps_ij| over eps at one position.
+    The rest is derived for build_H.  `lower` holds, for each key of
+    `entries` in turn, its entries on or below the diagonal as (k, j, v),
+    k = i - j: v sits at (j + k, j), on the k-th sub-diagonal of H.
+    `width` is the farthest sub-diagonal that an entry fills, at least 1,
+    and `bound` the largest sum of |A^eps_ij| over eps at one position, the
+    same on the upper half by the transpose rule.
     """
 
-    __slots__ = ("mu", "rank", "entries", "nonzero", "width", "spans", "columns", "bound")
+    __slots__ = ("mu", "rank", "entries", "lower", "width", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
         _check_count("mu", mu, 1, "positive")
@@ -159,30 +159,21 @@ class SeifertSystem(Frozen):
             if entries.get(_neg_key(k), ()) != tuple(sorted((j, i, v) for i, j, v in e)):
                 pair = f"({k}, {_neg_key(k)})"
                 raise BadSystemError(f"transpose invariant violated for sign pair {pair}")
-        nonzero = tuple(k for k, e in entries.items() if e)
-        width = max([1] + [i - j for k in nonzero for i, j, _ in entries[k]])
-        positions, spans = [], []
-        for k in range(width + 1):
-            spans.append((len(positions), len(positions) + max(rank - k, 0)))
-            positions += [(j + k, j) for j in range(rank - k)]
-        columns = []
-        for key in nonzero:
-            at = {(i, j): v for i, j, v in entries[key]}
-            if len(at) < len(entries[key]):  # the entries are sorted: two are adjacent
-                e = entries[key]
-                i, j = next(a[:2] for a, b in zip(e, e[1:]) if a[:2] == b[:2])
-                raise BadSystemError(f"matrix {key} has two entries at ({i}, {j})")
-            columns.append(tuple(at.get(c, 0) for c in positions))
+        entries = {k: e for k, e in entries.items() if e}
+        for key, e in entries.items():  # the entries are sorted: two at one (i, j) are adjacent
+            for a, b in pairwise(e):
+                if a[:2] == b[:2]:
+                    raise BadSystemError(f"matrix {key} has two entries at ({a[0]}, {a[1]})")
+        lower = tuple(tuple((i - j, j, v) for i, j, v in e if i >= j) for e in entries.values())
+        total = {}  # sum of |v| at each position
+        for k, j, v in chain(*lower):
+            total[k, j] = total.get((k, j), 0) + abs(v)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "entries", MappingProxyType(entries))
-        object.__setattr__(self, "nonzero", nonzero)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "spans", tuple(spans))
-        object.__setattr__(self, "columns", tuple(columns))
-        object.__setattr__(
-            self, "bound", max((sum(map(abs, c)) for c in zip(*columns)), default=0)
-        )
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "width", max([1] + [k for k, _ in total]))
+        object.__setattr__(self, "bound", max(total.values(), default=0))
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -191,7 +182,7 @@ class SeifertSystem(Frozen):
     def matrix(self, key: str) -> list[list[int]]:
         """The matrix A^key as nested lists."""
         rows = [[0] * self.rank for _ in range(self.rank)]
-        for i, j, v in self.entries[key]:
+        for i, j, v in self.entries.get(key, ()):
             rows[i][j] = v
         return rows
 
@@ -322,7 +313,15 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     """The Hermitian matrix H(omega) of the system at unit omega, all != 1,
     as a Band of width s.width, its diagonal real.  Its `size`,
     |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed into any
-    entry."""
+    entry.
+
+    Each position starts at the int 0, adds coeff * v for each entry at it,
+    key by key, and is multiplied by scale: bitwise the sum over all 2^mu
+    matrices in key order.  No partial sum from the int 0 has a -0.0 part
+    (0.0 + t is not -0.0, and x + y is -0.0 only if both are), so the +-0.0
+    terms of zero entries change none, and scale multiplies a position with
+    no entry, the int 0, as 0j, the sum of its zero terms.
+    """
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -330,28 +329,19 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
             raise OmegaOneError("omega_i = 1 is outside the domain of the signature")
         if not abs(abs(w) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"omega value {w} is not on the unit circle")
-    coeffs = []
-    for key in s.nonzero:
+    scale = 1.0 + 0.0j
+    for w in omegas:
+        scale *= 1.0 - w.conjugate()
+    diags = [[0] * max(s.rank - k, 0) for k in range(s.width + 1)]
+    for key, lower in zip(s.entries, s.lower):
         coeff = 1.0 + 0.0j
         for ch, w in zip(key, omegas):
             if ch == "-":
                 coeff *= -w
-        coeffs.append(coeff)
-    scale = 1.0 + 0.0j
-    for w in omegas:
-        scale *= 1.0 - w.conjugate()
-    # scale * sum(map(mul, coeffs, col)) at every position at once: one
-    # C-level pass per nonzero matrix, from the int 0 and in the same order,
-    # so every entry is the same float.  A list every 256 matrices bounds
-    # the depth of the nested iterators, which C recursion would overflow
-    acc = repeat(0, s.spans[-1][1])
-    for slot, (coeff, col) in enumerate(zip(coeffs, s.columns), 1):
-        acc = map(add, acc, map(mul, repeat(coeff), col))
-        if not slot % 256:
-            acc = list(acc)
-    values = list(map(mul, repeat(scale), acc))
-    diags = [values[a:b] for a, b in s.spans]
-    diags[0] = [v.real for v in diags[0]]
+        for k, j, v in lower:
+            diags[k][j] += coeff * v
+    diags = [[scale * x for x in d] for d in diags]
+    diags[0] = [x.real for x in diags[0]]
     return Band(diags, abs(scale) * s.bound)
 
 

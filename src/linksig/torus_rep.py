@@ -164,10 +164,15 @@ def torus_braid(ell: int) -> tuple[int, ...]:
 # The strip kernel.  With L = |ell|, the angle sum x = alpha1 + alpha2 lies in
 # strip i = floor(x L / pi), and the flipped sum alpha1 - alpha2 + pi (the
 # angle sum once alpha2 -> pi - alpha2) in strip j.  The root locus is the
-# lines x = pi*m/L, 0 < m < 2L, m != L, of either sum, and off it h and both
+# root lines x = pi*m/L (is_root_line) of either sum, and off it h and both
 # signatures depend on (ell, i, j) alone.  An exact pair is the lattice point
 # (p/res, q/res)*pi, whose sums over pi are s/res and d/res with s = p + q
 # and d = p - q + res.
+
+
+def is_root_line(big_l: int, m: int) -> bool:
+    """True iff the sum x = pi*m/L is a root line: 0 < m < 2L and m != L."""
+    return 0 < m < 2 * big_l and m != big_l
 
 
 def lattice_point(alpha: AnglePair) -> tuple[int, int, int]:
@@ -182,7 +187,7 @@ def lattice_strips(ell: int, p: int, q: int, res: int) -> tuple[int, int] | None
     big_l = abs(ell)
     i, s_rem = divmod((p + q) * big_l, res)
     j, d_rem = divmod((p - q + res) * big_l, res)
-    if (s_rem == 0 and i != big_l) or (d_rem == 0 and j != big_l):
+    if (s_rem == 0 and is_root_line(big_l, i)) or (d_rem == 0 and is_root_line(big_l, j)):
         return None
     return i, j
 
@@ -194,7 +199,7 @@ def _float_strip(big_l: int, x_rad: float) -> int | None:
     # still and pi/L < TAU_ROOT puts L-1 or L+1 inside the band.
     i = math.floor(x_rad / math.pi * big_l)
     for m in range(i - 1, i + 3):
-        if 0 < m < 2 * big_l and m != big_l and abs(x_rad - math.pi * m / big_l) < TAU_ROOT:
+        if is_root_line(big_l, m) and abs(x_rad - math.pi * m / big_l) < TAU_ROOT:
             return None
     return i
 

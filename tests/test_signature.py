@@ -157,7 +157,7 @@ def build_H_over_every_matrix(s, omegas):
     ones included, in Python complex arithmetic entry by entry."""
     n = s.rank
     acc = [[0] * n for _ in range(n)]
-    for key in s.entries:
+    for key in sign_keys(s.mu):
         coeff, mat = coefficient(key, omegas), s.matrix(key)
         for i in range(n):
             for j in range(n):
@@ -216,11 +216,11 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
         seifert_system(2, {k: zero for k in ("++", "+-", "-+", "--")}),
         seifert_system(1, {"+": band, "-": [list(r) for r in zip(*band)]}),
     ]
-    assert systems[0].nonzero == ("++", "--")
-    assert systems[6].nonzero == ("+-", "-+")
-    assert systems[-2].nonzero == ()
+    assert tuple(systems[0].entries) == ("++", "--")
+    assert tuple(systems[6].entries) == ("+-", "-+")
+    assert tuple(systems[-2].entries) == ()
     for s in systems:
-        assert s.nonzero == tuple(k for k, e in s.entries.items() if e)
+        assert all(s.entries.values())
         # 1j, -1j and exp(2 pi i/3) give coefficients with a zero part
         fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
         for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
@@ -234,7 +234,7 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
             expected = band_of(build_H_over_every_matrix(s, omegas), s.width)
             assert h.diags == expected
             for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
-                assert twin == s and twin.nonzero == s.nonzero
+                assert twin == s and tuple(twin.entries) == tuple(s.entries)
                 assert build_H(twin, omegas).diags == expected
     assert [s.width for s in systems] == [1] * 6 + [2, 4, 3, 2] + [1] * 2
 
@@ -1212,7 +1212,7 @@ def knot_block_sum(ell, k, color, sign=1):
     )
     lower = tuple((j, i, v) for i, j, v in upper)
     return SeifertSystem(2, n + 2 * k, {
-        key: base.entries[key] + (upper if key[color] == "+" else lower)
+        key: base.entries.get(key, ()) + (upper if key[color] == "+" else lower)
         for key in sign_keys(2)
     })
 
@@ -1250,7 +1250,7 @@ def knot_block_sums(draw):
 @given(knot_block_sums(), st.data())
 def test_engine_on_knot_block_sums_reads_the_closed_form(drawn, data):
     s, ell, k, color, sign = drawn
-    assert s.nonzero == tuple(sign_keys(2))
+    assert tuple(s.entries) == tuple(sign_keys(2))
     lattice = angle_pair(*(
         Fraction(data.draw(st.integers(1, big_p - 1)), big_p)
         for big_p in (data.draw(st.sampled_from(LATTICE_PRIMES)) for _ in range(2))
@@ -1292,7 +1292,7 @@ def alexander_determinant(s):
     for key in sign_keys(2):
         monomial = (int(key[0] == "-"), int(key[1] == "-"))
         sign = 1 if key[0] == key[1] else -1
-        for i, j, v in s.entries[key]:
+        for i, j, v in s.entries.get(key, ()):
             entry = a.setdefault((i, j), {})
             entry[monomial] = entry.get(monomial, 0) + sign * v
     prev, cur = {}, {(0, 0): 1}
@@ -1322,12 +1322,12 @@ def build_H_per_position(s, omegas):
     every position some entry fills, the upper half's included.  The
     positions are (j + k, j), diagonal by diagonal from the main one down to
     the farthest sub-diagonal that an entry fills, and at least the first."""
-    coeffs = [coefficient(k, omegas) for k in s.nonzero]
+    coeffs = [coefficient(k, omegas) for k in s.entries]
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()
     n = s.rank
-    at = [{(i, j): v for i, j, v in s.entries[k]} for k in s.nonzero]
+    at = [{(i, j): v for i, j, v in s.entries[k]} for k in s.entries]
     filled = {c for m in at for c in m}
     width = max([1] + [i - j for i, j in filled])
     assert s.width == width
@@ -1386,8 +1386,8 @@ def test_build_H_is_bitwise_the_per_position_sum(drawn):
 
 
 def test_build_H_over_65536_nonzero_matrices():
-    # one nested iterator per nonzero matrix, unbounded, overflows the C
-    # stack (a segfault) at this count
+    # the most keys the tests give one system: 2^16 nonzero matrices, all
+    # summed into one position, key by key, as the reference sums them
     mu = 16
     s = seifert_system(mu, {k: [[1]] for k in sign_keys(mu)})
     omegas = [cmath.exp(0.3j)] * mu
@@ -1419,7 +1419,7 @@ def test_seifert_system_equality_ignores_the_order_of_its_input():
     s = SeifertSystem(1, 2, {"-": ((1, 0, 2), (0, 0, 1)), "+": ((0, 1, 2), (0, 0, 1))})
     loaded = seifert_from_json(seifert_to_json(s))
     assert s == loaded and hash(s) == hash(loaded)
-    assert s.nonzero == loaded.nonzero == ("+", "-")
+    assert tuple(s.entries) == tuple(loaded.entries) == ("+", "-")
     assert s.entries["+"] == ((0, 0, 1), (0, 1, 2))
     omegas = [cmath.exp(0.7j)]
     assert repr(build_H(s, omegas)) == repr(build_H(loaded, omegas))
@@ -1437,29 +1437,72 @@ def test_seifert_system_keeps_only_nonzero_entries():
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert s.nonzero == ("++", "--")
-        assert [len(e) for e in s.entries.values()] == [397, 0, 0, 397]
+        assert tuple(s.entries) == ("++", "--")
+        assert [len(s.entries.get(k, ())) for k in sign_keys(2)] == [397, 0, 0, 397]
         assert kept < 0.5 * size and peak < size, (ell, kept / size, peak / size)
     # the caller's lists are read, never stored: the entries are plain ints,
     # from integral floats too, and a numpy array is no matrix
     rng = np.random.default_rng(31)
     given = random_system(rng, 2, 4)
     for number in (int, float):
-        raw = {k: [[number(v) for v in row] for row in given.matrix(k)] for k in given.entries}
+        raw = {k: [[number(v) for v in row] for row in given.matrix(k)] for k in sign_keys(2)}
         s = seifert_system(2, raw)
         assert s == given
         assert {type(x) for e in s.entries.values() for entry in e for x in entry} == {int}
     for dtype in (np.int64, np.int32):
-        raw = {k: np.array(given.matrix(k), dtype=dtype) for k in given.entries}
+        raw = {k: np.array(given.matrix(k), dtype=dtype) for k in sign_keys(2)}
         with pytest.raises(BadSystemError, match="not numeric"):
             seifert_system(2, raw)
+
+
+def test_a_missing_key_and_an_empty_key_are_one_zero_matrix():
+    # a key with no entry is not stored, however the system was given
+    bare = SeifertSystem(1, 1, {})
+    dense = seifert_system(1, {"+": [[0]], "-": [[0]]})
+    assert bare == dense and hash(bare) == hash(dense)
+    assert dict(bare.entries) == {} and bare.lower == ()
+    assert bare.matrix("+") == [[0]]
+    assert seifert_to_json(bare) == {"mu": 1, "rank": 1, "matrices": {"+": [[0]], "-": [[0]]}}
+    upper, lower = ((0, 1, 1),), ((1, 0, 1),)
+    full = SeifertSystem(2, 2, {"++": upper, "+-": (), "-+": (), "--": lower})
+    short = SeifertSystem(2, 2, {"++": upper, "--": lower})
+    assert full == short and hash(full) == hash(short)
+    assert tuple(full.entries) == tuple(short.entries) == ("++", "--")
+    assert seifert_to_json(full) == seifert_to_json(short)
+
+
+def test_a_wide_system_keeps_only_its_entries():
+    # the ell-200 torus system relabelled by a permutation is a band of
+    # width > 100, which the system stores as its 2 x 397 entries and
+    # their lower half, not as the positions of that band
+    base = torus_seifert(200)
+    perm = list(range(base.rank))
+    random.Random(28).shuffle(perm)
+    relabelled = {
+        k: tuple((perm[i], perm[j], v) for i, j, v in e) for k, e in base.entries.items()
+    }
+    tracemalloc.start()
+    try:
+        s = SeifertSystem(2, base.rank, relabelled)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.width > 100
+    assert kept < 484_000 / 4, kept
+    omegas = [cmath.exp(0.4j), cmath.exp(2.1j)]
+    values, size = build_H_per_position(s, omegas)
+    h = build_H(s, omegas)
+    got = [x for d in h.diags for x in d]
+    values = [v.real for v in values[: s.rank]] + values[s.rank:]
+    assert list(map(repr, got)) == list(map(repr, values))
+    assert repr(h.size) == repr(size)
 
 
 def test_seifert_system_stores_partners_as_read_only_transposes():
     rng = np.random.default_rng(30)
     for mu, rank in ((1, 3), (2, 4), (3, 2)):
         given = random_system(rng, mu, rank)
-        raw = {k: given.matrix(k) for k in given.entries}
+        raw = {k: given.matrix(k) for k in sign_keys(mu)}
         s = seifert_system(mu, raw)
         for k, e in s.entries.items():
             nk = "".join("-" if c == "+" else "+" for c in k)
@@ -1525,7 +1568,7 @@ def test_seifert_system_constructor_rejects_what_seifert_system_rejects():
     })
     assert edge.entries["++"] == ((0, 1, 2**63 - 1),) and hash(edge) == hash(edge)
     bare = SeifertSystem(2, 3, {"+-": ((0, 1, 1),), "-+": ((1, 0, 1),)})
-    assert bare.nonzero == ("+-", "-+") and bare.bound == 1
+    assert tuple(bare.entries) == ("+-", "-+") and bare.bound == 1
 
 
 @settings(deadline=None, max_examples=25)
@@ -1544,9 +1587,7 @@ def test_seifert_system_round_trips_through_copy_pickle_and_json(s):
     )
     for twin in twins:
         assert twin == s and hash(twin) == hash(s)
-        assert (twin.nonzero, twin.width, twin.spans, twin.columns, twin.bound) == (
-            s.nonzero, s.width, s.spans, s.columns, s.bound
-        )
+        assert (twin.width, twin.lower, twin.bound) == (s.width, s.lower, s.bound)
 
 
 def test_every_torus_and_benchmark_system_still_builds_as_before():

@@ -15,6 +15,7 @@ from linksig.torus_rep import (
     angle_pair,
     h_invariant,
     is_defined,
+    is_root_line,
     lattice_strips,
     rep_count,
     sigma_torus_closed,
@@ -257,6 +258,11 @@ def test_root_locus_is_the_alexander_zero_set():
                     )
                     ij = lattice_strips(ell, p, q, res)
                     assert (ij is None) == on_locus, (ell, p, q, res)
+        # and is_root_line(L, m) exactly where it vanishes at t1 t2 = exp(2 pi i m/L)
+        for m in range(2 * big_l + 1):
+            z = cmath.exp(2j * math.pi * m / big_l)
+            vanishes = abs(sum(z**k for k in range(big_l))) < 1e-9
+            assert is_root_line(big_l, m) is vanishes, (ell, m)
 
 
 def test_h_invariant_examples_and_sign():
