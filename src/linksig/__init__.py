@@ -11,8 +11,7 @@ _EXPORTS = {
     "chebyshev": "eval_T eval_U",
     "errors": "BadSystemError DegeneratePhiError LinksigError NotDefinedError "
     "NullityWarning OmegaOneError TransversalityFailureError ZeroLinkingError",
-    "pillowcase": "CurveSample PillowPoint SignedIntersection gamma_theta_chebyshev "
-    "gamma_theta_quaternion intersections sample_curve",
+    "pillowcase": "CurveSample PillowPoint SignedIntersection intersections sample_curve",
     "signature": "Inertia SeifertSystem build_H inertia seifert_from_json "
     "seifert_system seifert_to_json sigma_eval symmetrized_sigma torus_seifert",
     "su2": "UnitQuaternion act",

@@ -58,23 +58,12 @@ def _parse_angle(parser: _Parser, text: str, radians: bool):
         if not 0.0 < value < math.pi:
             parser.error(f"angle {text} is outside (0, pi)")
         return value
-    if "/" not in text:
-        parser.error(
-            f"angle {text!r} is not of the form p/q (use --radians for decimals)"
-        )
     from .torus_rep import RationalAngle
 
-    num, _, den = text.partition("/")
     try:
-        p, q = int(num), int(den)
-    except ValueError:
-        parser.error(f"bad rational angle {text!r}")
-    if q == 0:
-        parser.error(f"bad rational angle {text!r}")
-    try:
-        return RationalAngle(p, q)
-    except ValueError:
-        parser.error(f"angle {text} is outside (0, pi)")
+        return RationalAngle.parse(text)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _angle_pair(parser: _Parser, texts, radians: bool):

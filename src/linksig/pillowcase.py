@@ -12,9 +12,10 @@ here by two independent routes:
 
 Each route is one loop over a list of phi values, with the trigonometry of
 alpha done once before it; the quaternion route multiplies plain 4-tuples
-(su2.qmul).  sample_curve runs a loop over its uniform phi grid and the
-gamma_* functions run it at one phi, so each route's formula is written
-once.  A CurveSample holds its phi and theta values as float tuples.
+(su2.qmul).  sample_curve runs a route over its uniform phi grid and the
+gamma_cos_theta_* functions run it at one phi, so each route's formula is
+written once; _theta turns a cosine into theta in [0, pi].  A CurveSample
+holds its phi and theta values as float tuples.
 
 The signed count of the curve's crossings through theta = 0 is the
 representation-count invariant; all crossings carry the sign of ell.
@@ -86,8 +87,9 @@ class SignedIntersection(Frozen):
 
 
 def _plane_at(alpha: AnglePair):
-    """plane(alpha, .) with the trigonometry of alpha done once: a function of
-    phi that returns (sin phi, cos phi, n, d)."""
+    """The plane n . x = d that cuts the target circle for Q1 out of the
+    2-sphere, as a function of phi that returns (sin phi, cos phi, n, d),
+    with the trigonometry of alpha done once.  |d|/|n| < 1."""
     a1, a2 = alpha.radians
     s1, c1 = math.sin(a1), math.cos(a1)
     s2, c2 = math.sin(a2), math.cos(a2)
@@ -100,12 +102,6 @@ def _plane_at(alpha: AnglePair):
         return sp, cp, (s1c2 * cp + c1s2, s1c2 * sp, ms1s2 * sp), s1c2 + c1s2 * cp
 
     return at
-
-
-def plane(alpha: AnglePair, phi: float) -> tuple[tuple[float, float, float], float]:
-    """(n, d) of the plane n . x = d that cuts the target circle for Q1 out of
-    the 2-sphere at a given phi.  Guarantees |d|/|n| < 1."""
-    return _plane_at(alpha)(phi)[2:]
 
 
 def _quaternion_cosines(ell: int, alpha: AnglePair, phis) -> list[float]:
@@ -148,15 +144,6 @@ def gamma_cos_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
     return _quaternion_cosines(ell, alpha, (phi,))[0]
 
 
-def gamma_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
-    """theta(phi) in [0, pi] on the graph curve, quaternion route.
-
-    The cosine may exceed 1 by a few ulp exactly at the crossings, so it is
-    clamped before arccos.
-    """
-    return _theta(gamma_cos_theta_quaternion(ell, alpha, phi))
-
-
 def gamma_cos_theta_chebyshev(ell: int, alpha: AnglePair, phi: float) -> float:
     """cos(theta) = T_{2|ell|}(cos a1 cos a2 - cos(phi) sin a1 sin a2).
 
@@ -164,10 +151,6 @@ def gamma_cos_theta_chebyshev(ell: int, alpha: AnglePair, phi: float) -> float:
     enters only through orientations.  Extends continuously to phi in {0, pi}.
     """
     return _chebyshev_cosines(ell, alpha, (phi,))[0]
-
-
-def gamma_theta_chebyshev(ell: int, alpha: AnglePair, phi: float) -> float:
-    return _theta(gamma_cos_theta_chebyshev(ell, alpha, phi))
 
 
 def sample_curve(

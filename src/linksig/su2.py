@@ -78,22 +78,9 @@ class UnitQuaternion(Frozen):
     def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
         return UnitQuaternion(*qmul(self._fields(), other._fields()))
 
-    def __pow__(self, n: int) -> "UnitQuaternion":
-        return UnitQuaternion(*qpow(self._fields(), n))
-
     def inverse(self) -> "UnitQuaternion":
         return UnitQuaternion(*qinv(self._fields()))
 
-    def isclose(self, other: "UnitQuaternion", tol: float = 1e-10) -> bool:
-        return (
-            abs(self.a - other.a) <= tol
-            and abs(self.b - other.b) <= tol
-            and abs(self.c - other.c) <= tol
-            and abs(self.d - other.d) <= tol
-        )
-
-
-ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 I = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
 J = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
 K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)

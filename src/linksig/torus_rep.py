@@ -36,9 +36,8 @@ TAU_ROOT = 1e-9
 
 
 def check_ell(ell: int) -> int:
-    """ell itself, when a nonzero int.  0 raises ZeroLinkingError, and
-    anything but an int, a bool or an integral float too, raises TypeError,
-    as in RationalAngle."""
+    """ell itself, when a nonzero int.  0 raises ZeroLinkingError; anything
+    else, a bool or an integral float included, raises TypeError."""
     if not isinstance(ell, int) or isinstance(ell, bool):
         raise TypeError(f"ell {ell!r} is no int")
     if ell == 0:
@@ -69,6 +68,22 @@ class RationalAngle(Frozen):
             raise ValueError(f"angle {p}/{q}*pi is outside (0, pi)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def parse(cls, text: str) -> "RationalAngle":
+        """The angle that "p/q" names; other text raises ValueError with the CLI's message."""
+        if "/" not in text:
+            raise ValueError(f"angle {text!r} is not of the form p/q (use --radians for decimals)")
+        try:
+            p, q = map(int, text.split("/"))
+        except ValueError:
+            q = 0  # not two integers: as bad as a zero denominator
+        if q == 0:
+            raise ValueError(f"bad rational angle {text!r}")
+        try:
+            return cls(p, q)
+        except ValueError:
+            raise ValueError(f"angle {text} is outside (0, pi)") from None
 
     @property
     def radians(self) -> float:
@@ -145,8 +160,7 @@ def angle_pair(a1, a2) -> AnglePair:
         if isinstance(a, Fraction):
             return RationalAngle(a.numerator, a.denominator)
         if isinstance(a, str):
-            num, _, den = a.partition("/")
-            return RationalAngle(int(num), int(den or "1"))
+            return RationalAngle.parse(a)
         if isinstance(a, float):
             return a
         raise TypeError(f"cannot interpret {a!r} as an angle")

@@ -64,10 +64,6 @@ class Report(Record):
         self.skipped_on_roots = skipped_on_roots
         self.points = points
 
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
-
     def to_json(self) -> dict:
         fields = zip(self.__slots__, self._fields())
         return {name: value for name, value in fields if value is not None}

@@ -403,8 +403,8 @@ PUBLIC_NAMES = [
     "PillowPoint", "RationalAngle", "SeifertSystem", "SignedIntersection",
     "TransversalityFailureError", "UnitQuaternion", "ZeroLinkingError", "act",
     "angle_pair", "build_H", "check_mod4_congruence", "eval_T", "eval_U",
-    "gamma_theta_chebyshev", "gamma_theta_quaternion", "h_invariant", "inertia",
-    "intersections", "is_defined", "region_grid", "rep_count", "sample_curve",
+    "h_invariant", "inertia", "intersections", "is_defined", "region_grid",
+    "rep_count", "sample_curve",
     "seifert_from_json", "seifert_system", "seifert_to_json", "sigma_eval",
     "sigma_torus_closed", "solve_phi", "sweep_main_identity", "symmetrized_sigma",
     "torus_braid", "torus_seifert",

@@ -15,13 +15,12 @@ from linksig.pillowcase import (
     QUAT_PATH,
     CurveSample,
     PillowPoint,
+    _plane_at,
+    _theta,
     curves_to_csv,
     gamma_cos_theta_chebyshev,
     gamma_cos_theta_quaternion,
-    gamma_theta_chebyshev,
-    gamma_theta_quaternion,
     intersections,
-    plane,
     sample_curve,
 )
 from linksig.torus_rep import AnglePair, angle_pair, h_invariant, is_defined, solve_phi
@@ -39,10 +38,10 @@ def random_admissible(rng, ell):
 
 
 def test_plane_reference_values():
-    normal, offset = plane(P22, math.pi / 2)
+    normal, offset = _plane_at(P22)(math.pi / 2)[2:]
     assert np.allclose(normal, (0, 0, -1), atol=1e-15)
     assert abs(offset) < 1e-15
-    _, offset = plane(P22, math.pi / 4)
+    _, offset = _plane_at(P22)(math.pi / 4)[2:]
     assert abs(offset) < 1e-15  # both terms carry a cos(alpha) factor
 
 
@@ -53,7 +52,7 @@ def test_plane_distance_strictly_inside():
             rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.05, math.pi - 0.05)
         )
         phi = rng.uniform(1e-3, math.pi - 1e-3)
-        normal, d = plane(alpha, phi)
+        normal, d = _plane_at(alpha)(phi)[2:]
         n = np.array(normal)
         assert abs(d) / np.linalg.norm(n) < 1.0
         # |n|^2 - d^2 = sin^2(a2) sin^2(phi)
@@ -67,9 +66,9 @@ def test_plane_distance_strictly_inside():
 
 def test_plane_degenerate_phi():
     with pytest.raises(DegeneratePhiError):
-        plane(P22, 0.0)
+        _plane_at(P22)(0.0)
     with pytest.raises(DegeneratePhiError):
-        plane(P22, math.pi)
+        _plane_at(P22)(math.pi)
 
 
 def test_quaternion_route_reference_curves():
@@ -80,7 +79,7 @@ def test_quaternion_route_reference_curves():
         assert abs(got - math.cos(2 * phi)) < 1e-12
     # ell = 2 at phi = pi/2: the crossing, theta = 0
     assert abs(gamma_cos_theta_quaternion(2, P22, math.pi / 2) - 1.0) < 1e-12
-    assert gamma_theta_quaternion(2, P22, math.pi / 2) == 0.0
+    assert _theta(gamma_cos_theta_quaternion(2, P22, math.pi / 2)) == 0.0
     with pytest.raises(DegeneratePhiError):
         gamma_cos_theta_quaternion(2, P22, 0.0)
 
@@ -147,9 +146,9 @@ def test_monotone_descent_through_crossings():
     for ell in (2, 3, -3):
         alpha = random_admissible(rng, ell)
         for _, phi in solve_phi(ell, alpha):
-            left = gamma_theta_quaternion(ell, alpha, phi - step)
-            mid = gamma_theta_quaternion(ell, alpha, phi)
-            right = gamma_theta_quaternion(ell, alpha, phi + step)
+            left = _theta(gamma_cos_theta_quaternion(ell, alpha, phi - step))
+            mid = _theta(gamma_cos_theta_quaternion(ell, alpha, phi))
+            right = _theta(gamma_cos_theta_quaternion(ell, alpha, phi + step))
             assert left > mid and right > mid
 
 
@@ -202,8 +201,8 @@ def test_transversal_slope_matches_finite_differences():
         alpha = random_admissible(rng, ell)
         for m, phi in solve_phi(ell, alpha):
             tent = (
-                gamma_theta_quaternion(ell, alpha, phi + step)
-                + gamma_theta_quaternion(ell, alpha, phi - step)
+                _theta(gamma_cos_theta_quaternion(ell, alpha, phi + step))
+                + _theta(gamma_cos_theta_quaternion(ell, alpha, phi - step))
             ) / (2 * step)
             closed = transversal_slope(ell, alpha, m, phi)
             assert abs(tent - closed) < 1e-2 * closed
@@ -268,7 +267,7 @@ def test_curve_sample_validation():
 
 def test_sample_curve_is_bitwise_the_one_point_routes():
     # each route is one loop: sample_curve runs it over the grid and the
-    # gamma_theta_* functions at one phi, so the two agree to the bit
+    # gamma_cos_theta_* functions at one phi, so the two agree to the bit
     alphas = (
         angle_pair("1/3", "1/5"),
         angle_pair("2/7", "3/8"),
@@ -276,12 +275,15 @@ def test_sample_curve_is_bitwise_the_one_point_routes():
         AnglePair.from_radians(0.7, math.pi - 1e-9),
         AnglePair.from_radians(3e-7, math.pi - 2e-8),
     )
-    routes = ((QUAT_PATH, gamma_theta_quaternion), (CHEB_PATH, gamma_theta_chebyshev))
+    routes = (
+        (QUAT_PATH, gamma_cos_theta_quaternion),
+        (CHEB_PATH, gamma_cos_theta_chebyshev),
+    )
     for ell in (1, -1, 2, -17, 500, 10**5):
         for alpha in alphas:
-            for path, theta in routes:
+            for path, cosine in routes:
                 curve = sample_curve(ell, alpha, samples=23, path=path)
                 assert curve.phis == tuple(math.pi * k / 24 for k in range(1, 24))
-                want = [theta(ell, alpha, phi) for phi in curve.phis]
+                want = [_theta(cosine(ell, alpha, phi)) for phi in curve.phis]
                 assert [t.hex() for t in curve.thetas] == [t.hex() for t in want], (
                     ell, alpha, path)

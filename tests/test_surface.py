@@ -1,7 +1,9 @@
-"""Every module-level function, class and constant of linksig is named
-somewhere besides its own definition: in the package, the tests, the
-benchmark harness or the package's export table.  A name that nothing
-reads is surface no command, route or criterion needs."""
+"""Every function, class, constant, method and property of linksig is read
+somewhere besides its own definition: in the package, the acceptance
+criteria (tests/test_acceptance.py and the curve self-checks they run) or
+the benchmark harness.  The other tests do not count, so a name that only
+they read shows here: it is surface no command, route or criterion needs.
+Dunders are exempt, because operators and the language call them."""
 
 import ast
 import contextlib
@@ -20,11 +22,25 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "linksig"
 
 
+# the files whose reads count: the package, the criteria and the harness
+USERS = [
+    *sorted(PACKAGE.glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "curve_selfchecks.py",
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
+
+
 def definitions(tree):
+    """Module-level names, and Class.method for each method and property."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}"
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
@@ -41,18 +57,15 @@ def references(tree):
 
 
 def test_every_module_level_name_is_used():
-    sources = sorted(PACKAGE.glob("*.py"))
-    corpus = sources + sorted((ROOT / "tests").glob("*.py"))
-    corpus += sorted((ROOT / "perfbench").glob("*.py"))
-    used = set(" ".join(linksig._EXPORTS.values()).split())
-    for path in corpus:
+    used = set()
+    for path in USERS:
         used.update(references(ast.parse(path.read_text(encoding="utf-8"))))
-    unused = [
-        f"{path.name}: {name}"
-        for path in sources
-        for name in definitions(ast.parse(path.read_text(encoding="utf-8")))
-        if name not in used and not (name.startswith("__") and name.endswith("__"))
-    ]
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname in definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            name = qualname.rpartition(".")[2]
+            if name not in used and not (name.startswith("__") and name.endswith("__")):
+                unused.append(f"{path.name}: {qualname}")
     assert unused == []
 
 

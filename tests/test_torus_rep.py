@@ -102,6 +102,30 @@ def test_angle_pair_validation_and_flip():
     assert abs(f.alpha2 - (math.pi - 0.25)) < 1e-15
 
 
+# the text angle_pair refuses, with the messages that the CLI prints for it
+# (ANGLE_ERRORS in test_cli.py): one grammar for "p/q" text
+TEXT_ANGLE_ERRORS = {
+    "a/b": "bad rational angle 'a/b'",
+    "1/0": "bad rational angle '1/0'",
+    "1/2/3": "bad rational angle '1/2/3'",
+    "1": "angle '1' is not of the form p/q (use --radians for decimals)",
+    "0.5": "angle '0.5' is not of the form p/q (use --radians for decimals)",
+    "1/1": "angle 1/1 is outside (0, pi)",
+    "1/-2": "angle 1/-2 is outside (0, pi)",
+}
+
+
+def test_angle_pair_reads_text_as_the_cli_does():
+    for text, message in TEXT_ANGLE_ERRORS.items():
+        for pair in ((text, "1/2"), ("1/2", text)):
+            with pytest.raises(ValueError) as exc:
+                angle_pair(*pair)
+            assert str(exc.value) == message, pair
+    third = RationalAngle(1, 3)
+    assert angle_pair(" 1/3", "-2/-6") == AnglePair(third, third)
+    assert RationalAngle.parse("1_0/30") == third
+
+
 def test_torus_braid_closure_has_linking_number_ell():
     # every crossing of a 2-strand braid is between the two strands, and the
     # linking number is half the signed crossing count

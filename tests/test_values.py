@@ -7,8 +7,8 @@ import pickle
 
 import pytest
 
-from linksig.pillowcase import PillowPoint
-from linksig.signature import Inertia, torus_seifert
+from linksig.pillowcase import QUAT_PATH, CurveSample, PillowPoint, SignedIntersection
+from linksig.signature import Band, Inertia, torus_seifert
 from linksig.su2 import UnitQuaternion
 from linksig.torus_rep import AnglePair, RationalAngle
 from linksig.verify import RegionGrid, Report
@@ -81,6 +81,13 @@ def test_copy_and_pickle_round_trip():
         torus_seifert(4),
         Report(2, 5, checked=3, skipped_on_roots=0, points=[{"h": 1}]),
         Report(checked=1, failed=1, skipped_on_roots=0),
+        # __reduce__ rebuilds these through __init__ from their fields in order
+        RationalAngle(2, 7),
+        CurveSample((0.5, 1.5), (0.25, 0.0), QUAT_PATH),
+        SignedIntersection(PillowPoint(1.0, 0.0), 2, -1),
+        Band([[1.0, -2.0], [0.5 - 1j]]),
+        Band([[1.0, -2.0, 3.0], [0.5 - 1j, 2j], [0.25]], size=6.5),
+        RegionGrid(3, 4, [[1, -999, 0], [2, 1, 0], [0, 0, -999]]),
     )
     for value in values:
         assert copy.copy(value) == value
