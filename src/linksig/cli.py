@@ -98,20 +98,21 @@ def _cmd_h(parser: _Parser, args) -> int:
 
 
 def _cmd_curve(parser: _Parser, args) -> int:
-    from . import chebyshev, pillowcase
+    from .chebyshev import check_degree
+    from .pillowcase import CHEB_PATH, DEFAULT_SAMPLES, QUAT_PATH, curves_to_csv, sample_curve
     from .torus_rep import defined_strips
 
-    samples = pillowcase.DEFAULT_SAMPLES if args.samples is None else args.samples
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:
         parser.error("samples must be positive")
     alpha = _angle_pair(parser, args.alpha, args.radians)
     defined_strips(args.ell, alpha)  # NotDefinedError on the root locus
     if args.path != "quat":
         # the Chebyshev route evaluates T_{2|ell|}: refuse before any sampling
-        chebyshev.check_degree(2 * abs(args.ell))
-    routes = (("quat", pillowcase.QUAT_PATH), ("cheb", pillowcase.CHEB_PATH))
+        check_degree(2 * abs(args.ell))
+    routes = (("quat", QUAT_PATH), ("cheb", CHEB_PATH))
     curves = [
-        pillowcase.sample_curve(args.ell, alpha, samples, path)
+        sample_curve(args.ell, alpha, samples, path)
         for name, path in routes
         if args.path in (name, "both")
     ]
@@ -119,7 +120,7 @@ def _cmd_curve(parser: _Parser, args) -> int:
     if args.path == "both":
         max_dtheta = max(abs(a - b) for a, b in zip(curves[0].thetas, curves[1].thetas))
         footer = f"max_abs_dtheta={max_dtheta:.17g}"
-    _write_output(pillowcase.curves_to_csv(curves, footer), args.out)
+    _write_output(curves_to_csv(curves, footer), args.out)
     return EXIT_OK
 
 
@@ -197,7 +198,7 @@ def _cmd_regions(parser: _Parser, args) -> int:
 
 
 def _cmd_sigma(parser: _Parser, args) -> int:
-    from . import signature
+    from .signature import build_H, inertia, seifert_from_json
     from .torus_rep import omega_of
 
     try:
@@ -206,13 +207,13 @@ def _cmd_sigma(parser: _Parser, args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.system}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    system = signature.seifert_from_json(data)
+    system = seifert_from_json(data)
     if len(args.alpha) != system.mu:
         parser.error(
             f"system has {system.mu} color(s) but {len(args.alpha)} angle(s) were given"
         )
     omegas = [omega_of(_parse_angle(parser, text, args.radians)) for text in args.alpha]
-    ine = signature.inertia(signature.build_H(system, omegas))
+    ine = inertia(build_H(system, omegas))
     print(f"signature={ine.signature} nullity={ine.n_zero}")
     if ine.n_zero > 0:
         print(

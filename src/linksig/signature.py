@@ -57,7 +57,6 @@ from operator import mul
 from types import MappingProxyType
 
 from ._values import Frozen, Record
-from .chebyshev import eval_U
 from .errors import BadSystemError, NullityWarning, OmegaOneError
 from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
 from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
@@ -555,6 +554,8 @@ def delta_closed(ell: int, alpha: AnglePair, m: int) -> float:
 
     Underflows to +/-0.0 like delta_recursive; see there.
     """
+    from .chebyshev import eval_U  # here, so that a cold sigma never loads it
+
     s, x = _minor_terms(ell, alpha, m)
     return (4.0 * s) ** (m - 1) * eval_U(m - 1, math.cos(x))
 

@@ -1,7 +1,10 @@
+import gc
 import hashlib
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -344,6 +347,16 @@ def test_outputs_are_byte_deterministic():
         assert first.returncode == second.returncode
 
 
+def write_benchmark_system(tmp_path, name):
+    """The path of a copy of the benchmark's Seifert system `name`."""
+    expected = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text(encoding="utf-8")
+    )
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(expected["systems"][name]), encoding="utf-8")
+    return path
+
+
 def test_no_command_imports_numpy(tmp_path):
     """Each command loads only the modules of its own route, and none loads
     numpy: not even sigma on a system that is not tridiagonal."""
@@ -353,11 +366,7 @@ def test_no_command_imports_numpy(tmp_path):
     torus = tmp_path / "torus.json"
     # rank 3: the band has both off-diagonals
     torus.write_text(json.dumps(seifert_to_json(torus_seifert(4))))
-    expected = json.loads(
-        (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text(encoding="utf-8")
-    )
-    nontorus = tmp_path / "nontorus.json"
-    nontorus.write_text(json.dumps(expected["systems"]["nontorus"]))
+    nontorus = write_benchmark_system(tmp_path, "nontorus")
     printed = {}
     for args, not_loaded, light in (
         (("h", "--ell", "3", "--alpha", "1/2", "1/2"), lattice_route, True),
@@ -370,16 +379,16 @@ def test_no_command_imports_numpy(tmp_path):
         (
             ("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16"),
             ("linksig.signature", "linksig.verify"),
-            False,
+            True,
         ),
         (
             ("sigma", "--system", str(nontorus), "--alpha", "1/3", "2/7"),
-            ("linksig.pillowcase", "linksig.verify"),
+            ("linksig.pillowcase", "linksig.verify", "linksig.chebyshev"),
             False,
         ),
         (
             ("sigma", "--system", str(torus), "--alpha", "1/2", "1/2"),
-            ("linksig.pillowcase", "linksig.verify"),
+            ("linksig.pillowcase", "linksig.verify", "linksig.chebyshev"),
             False,
         ),
     ):
@@ -395,6 +404,91 @@ def test_no_command_imports_numpy(tmp_path):
     # the dense system is counted without eigenvalues, to the same bytes
     assert printed["sigma", str(nontorus)] == "signature=-2 nullity=0\n"
     assert printed["sigma", str(torus)] == "signature=-3 nullity=0\n"
+
+
+def test_importtime_lists_every_route_module(tmp_path):
+    """A route's modules are imported by name, so `-X importtime` times them."""
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(seifert_to_json(torus_seifert(4))))
+    for args, route in (
+        (("sigma", "--system", str(torus), "--alpha", "1/3", "2/7"), {"linksig.signature"}),
+        (
+            ("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16"),
+            {"linksig.pillowcase", "linksig.chebyshev"},
+        ),
+    ):
+        r = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "linksig", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == EXIT_OK, args
+        timed = {
+            line.rpartition("|")[2].strip()
+            for line in r.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert route <= timed, (args, sorted(m for m in timed if m.startswith("linksig")))
+
+
+# Calls the console script's entry the way the generated script does, then
+# reports on stderr how many objects the run left frozen.
+ENTRY_PROBE = """
+import gc, importlib, sys
+module, _, attr = sys.argv.pop(1).partition(":")
+code = getattr(importlib.import_module(module), attr)()
+print(f"frozen={gc.get_freeze_count()}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_the_entry_freezes_and_cli_main_does_not(capsys):
+    """The console script and `python -m linksig` share one entry, which
+    freezes what is alive when the command ends; cli.main, which tests and
+    the benchmark call in-process, freezes nothing."""
+    import linksig.__main__
+
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (target,) = re.findall(r'^linksig = "(.+)"$', pyproject, re.MULTILINE)
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is linksig.__main__.run
+    args = ("h", "--ell", "3", "--alpha", "1/2", "1/3")
+    r = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE, target, *args], capture_output=True, text=True
+    )
+    assert r.returncode == EXIT_OK
+    assert r.stdout == "h=2 sigma=(-2,-2)\n"
+    assert int(r.stderr.rpartition("frozen=")[2]) > 0
+    assert linksig.cli.main(list(args)) == EXIT_OK
+    assert capsys.readouterr().out == r.stdout
+    assert gc.get_freeze_count() == 0
+
+
+def test_python_m_linksig_in_dev_mode_matches_cli_main(tmp_path, capsys):
+    """`python -X dev -W error -m linksig` exits with each command's code and
+    writes the bytes cli.main writes in-process: a warning raised anywhere,
+    at exit too, would fail the command or show on stderr."""
+    torus8 = str(write_benchmark_system(tmp_path, "torus8"))
+    nontorus = str(write_benchmark_system(tmp_path, "nontorus"))
+    for args, code in (
+        (("h", "--ell", "3", "--alpha", "1/2", "1/3"), EXIT_OK),
+        (("h", "--ell", "3", "--alpha", "1/6", "1/6"), EXIT_UNDEFINED),
+        (("sigma", "--system", torus8, "--alpha", "1/3", "2/7"), EXIT_OK),
+        (("sigma", "--system", nontorus, "--alpha", "1/3", "2/7"), EXIT_OK),
+        (("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16", "--path", "both"),
+         EXIT_OK),
+        (("verify", "--ell", "3", "--res", "8"), EXIT_OK),
+        (("regions", "--ell", "3", "--res", "8", "--format", "svg"), EXIT_OK),
+    ):  # fmt: skip
+        r = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "linksig", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == code, (args, r.stderr)
+        assert linksig.cli.main(list(args)) == code
+        captured = capsys.readouterr()
+        assert (r.stdout, r.stderr) == (captured.out, captured.err), args
 
 
 PUBLIC_NAMES = [
