@@ -1,6 +1,8 @@
 """Slotted bases for the package's value classes.  A subclass names its fields
-in __slots__ and sets them in its own __init__; Record derives repr and == from
-them, and Frozen adds a hash and refuses assignment (set with object.__setattr__).
+in __slots__; Record derives repr and == from them, and Frozen adds a hash and
+refuses assignment.  One rule stores a frozen value: Frozen.__init__ sets the
+fields in __slots__ order, and a subclass only checks and normalises its
+arguments, then calls it once.
 """
 
 
@@ -26,6 +28,15 @@ class Record:
 
 class Frozen(Record):
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(names)} fields, got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._fields())

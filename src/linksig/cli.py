@@ -205,8 +205,7 @@ def _cmd_sigma(parser: _Parser, args) -> int:
         with open(args.system, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {args.system}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise BadSystemError(f"cannot read {args.system}: {exc}") from None
     system = seifert_from_json(data)
     if len(args.alpha) != system.mu:
         parser.error(
@@ -354,7 +353,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -49,8 +49,7 @@ class PillowPoint(Frozen):
     def __init__(self, phi: float, theta: float):
         if not 0.0 < phi < math.pi:
             raise ValueError(f"phi = {phi} not in (0, pi)")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
+        super().__init__(phi, theta % (2.0 * math.pi))
 
 
 class CurveSample(Frozen):
@@ -67,9 +66,7 @@ class CurveSample(Frozen):
             raise ValueError("phi must be strictly increasing along a curve")
         if phis and not (0.0 < phis[0] and phis[-1] < math.pi):
             raise ValueError("phi must lie in (0, pi)")
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "provenance", provenance)
+        super().__init__(phis, thetas, provenance)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -79,11 +76,6 @@ class CurveSample(Frozen):
 
 class SignedIntersection(Frozen):
     __slots__ = ("point", "m", "sign")
-
-    def __init__(self, point: PillowPoint, m: int, sign: int):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "sign", sign)
 
 
 def _plane_at(alpha: AnglePair):

@@ -167,12 +167,8 @@ class SeifertSystem(Frozen):
         total = {}  # sum of |v| at each position
         for k, j, v in chain(*lower):
             total[k, j] = total.get((k, j), 0) + abs(v)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "width", max([1] + [k for k, _ in total]))
-        object.__setattr__(self, "bound", max(total.values(), default=0))
+        width, bound = max([1] + [k for k, _ in total]), max(total.values(), default=0)
+        super().__init__(mu, rank, MappingProxyType(entries), lower, width, bound)
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -346,11 +342,6 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
 
 class Inertia(Frozen):
     __slots__ = ("n_pos", "n_neg", "n_zero")
-
-    def __init__(self, n_pos: int, n_neg: int, n_zero: int):
-        object.__setattr__(self, "n_pos", n_pos)
-        object.__setattr__(self, "n_neg", n_neg)
-        object.__setattr__(self, "n_zero", n_zero)
 
     @property
     def signature(self) -> int:

@@ -69,11 +69,7 @@ class UnitQuaternion(Frozen):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: float, b: float, c: float, d: float):
-        a, b, c, d = _unit(a, b, c, d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(*_unit(a, b, c, d))
 
     def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
         return UnitQuaternion(*qmul(self._fields(), other._fields()))

@@ -66,8 +66,7 @@ class RationalAngle(Frozen):
             p, q = p // g, q // g
         if not 0 < p < q:
             raise ValueError(f"angle {p}/{q}*pi is outside (0, pi)")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        super().__init__(p, q)
 
     @classmethod
     def parse(cls, text: str) -> "RationalAngle":
@@ -122,8 +121,7 @@ class AnglePair(Frozen):
                 raise TypeError("angles must be RationalAngle or float radians")
             if not 0.0 < a < math.pi:
                 raise ValueError(f"angle {a} is outside (0, pi)")
-        object.__setattr__(self, "alpha1", alpha1)
-        object.__setattr__(self, "alpha2", alpha2)
+        super().__init__(alpha1, alpha2)
 
     @classmethod
     def from_radians(cls, a1: float, a2: float) -> "AnglePair":

@@ -177,3 +177,43 @@ def test_traced_hooks_read_the_real_results():
                 int(hook(result))
             described.add(attr)
     assert described >= {"sample_curve", "build_H", "inertia", "sigma_eval"}
+
+
+def places(predicate):
+    """The package files whose syntax tree holds a node that predicate accepts."""
+    return [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(predicate(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+
+
+def test_only_dunder_main_runs_as_a_script():
+    """`python -m linksig` and the `linksig` script are the only entries; no
+    other module has an `if __name__ == "__main__"` guard."""
+
+    def is_main_guard(node):
+        return (
+            isinstance(node, ast.If)
+            and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.Name)
+            and node.test.left.id == "__name__"
+            and any(isinstance(c, ast.Constant) and c.value == "__main__"
+                    for c in node.test.comparators)
+        )
+
+    assert places(is_main_guard) == ["__main__.py"]
+
+
+def test_only_frozen_stores_fields():
+    """Frozen.__init__ is the one place that sets a frozen value's fields."""
+
+    def is_object_setattr(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        )
+
+    assert places(is_object_setattr) == ["_values.py"]

@@ -119,3 +119,21 @@ def test_constructors_still_validate():
     with pytest.raises(ValueError):
         PillowPoint(0.0, 1.0)
     assert PillowPoint(1.0, -1.0).theta == pytest.approx(2 * math.pi - 1.0)
+
+    # one field too many or too few is a TypeError, whether the class checks
+    # its arguments itself or takes them straight into Frozen.__init__
+    values = (
+        RationalAngle(2, 7),
+        AnglePair(RationalAngle(1, 3), 0.5),
+        PillowPoint(1.0, 2.0),
+        CurveSample((0.5, 1.5), (0.25, 0.0), QUAT_PATH),
+        SignedIntersection(PillowPoint(1.0, 0.0), 2, -1),
+        UnitQuaternion(0.5, 0.5, 0.5, 0.5),
+        Inertia(1, 2, 0),
+        torus_seifert(4),
+    )
+    for value in values:
+        fields = value._fields()
+        for args in (fields + (fields[-1],), fields[:-1]):
+            with pytest.raises(TypeError):
+                type(value)(*args)
