@@ -5,12 +5,20 @@ regions (invariant heat map as CSV or SVG), sigma (signature of a user
 Seifert system), verify (identity sweeps).  Angles are rational multiples
 of pi by default ("1/2" means pi/2); pass --radians for decimal radians.
 
-Exit codes: 0 success, 1 verification failure, 2 undefined invariant
-(angles on the Alexander root locus, or for sigma an omega_i = exp(2i
-alpha_i) within 1e-12 of 1, where H is not defined), 3 zero linking
-number, 64 usage error, 65 data-format error.  Output is
-byte-deterministic for fixed flags; floats print with 17 significant
-digits.
+Exit codes, causes and stderr (stdout is empty on 2, 3, 64 and 65):
+  0   success                       empty, or sigma's nullity warning
+  1   verify: some point fails      empty
+  2   alpha on the root locus       "undefined: alpha on Alexander root locus"
+  2   sigma: omega_i = 1 to 1e-12   "error: <message>" (H is undefined there)
+  3   zero linking number           "error: <message>"
+  64  usage error                   usage, "linksig <command>: error: <message>"
+  65  bad --system data             "error: <message>"
+A command raises ValueError for a usage error (an angle, range, sample count
+or resolution out of bounds, an --out that cannot be written, a curve past
+the degree cap); main hands it to that subcommand's _Parser.error, the one
+printer of exit 64, which prints the usage and raises SystemExit(64), as for
+argparse's own errors ("linksig: error:" when no subcommand was parsed).
+Output is byte-deterministic for fixed flags; floats print 17 significant digits.
 
 Each subcommand imports the modules of its own route when it runs, so a
 cold `h`, `verify` or `regions` never loads the Chebyshev polynomials, the
@@ -47,31 +55,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_angle(parser: _Parser, text: str, radians: bool):
+def _parse_angle(text: str, radians: bool):
     if radians:
         if "/" in text:
-            parser.error("rational angles cannot be mixed with --radians")
+            raise ValueError("rational angles cannot be mixed with --radians")
         try:
             value = float(text)
         except ValueError:
-            parser.error(f"bad radian angle {text!r}")
+            raise ValueError(f"bad radian angle {text!r}") from None
         if not 0.0 < value < math.pi:
-            parser.error(f"angle {text} is outside (0, pi)")
+            raise ValueError(f"angle {text} is outside (0, pi)")
         return value
     from .torus_rep import RationalAngle
 
-    try:
-        return RationalAngle.parse(text)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return RationalAngle.parse(text)
 
 
-def _angle_pair(parser: _Parser, texts, radians: bool):
+def _angle_pair(texts, radians: bool):
     from .torus_rep import AnglePair
 
-    a1 = _parse_angle(parser, texts[0], radians)
-    a2 = _parse_angle(parser, texts[1], radians)
-    return AnglePair(a1, a2)
+    return AnglePair(_parse_angle(texts[0], radians), _parse_angle(texts[1], radians))
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -86,10 +89,10 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise ValueError(f"cannot write {out_path}: {exc}") from None
 
 
-def _cmd_h(parser: _Parser, args) -> int:
+def _cmd_h(args) -> int:
     from .torus_rep import defined_strips, strip_h, strip_sigma
 
-    alpha = _angle_pair(parser, args.alpha, args.radians)
+    alpha = _angle_pair(args.alpha, args.radians)
     # j, the strip of the flipped sum, is that of (alpha1, pi - alpha2)
     i, j = defined_strips(args.ell, alpha)
     h = strip_h(args.ell, i, j)
@@ -97,15 +100,15 @@ def _cmd_h(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_curve(parser: _Parser, args) -> int:
+def _cmd_curve(args) -> int:
     from .chebyshev import check_degree
     from .pillowcase import CHEB_PATH, DEFAULT_SAMPLES, QUAT_PATH, curves_to_csv, sample_curve
     from .torus_rep import defined_strips
 
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:
-        parser.error("samples must be positive")
-    alpha = _angle_pair(parser, args.alpha, args.radians)
+        raise ValueError("samples must be positive")
+    alpha = _angle_pair(args.alpha, args.radians)
     defined_strips(args.ell, alpha)  # NotDefinedError on the root locus
     if args.path != "quat":
         # the Chebyshev route evaluates T_{2|ell|}: refuse before any sampling
@@ -188,7 +191,7 @@ def _region_svg(grid) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_regions(parser: _Parser, args) -> int:
+def _cmd_regions(args) -> int:
     from .verify import region_grid
 
     grid = region_grid(args.ell, args.res)
@@ -197,7 +200,7 @@ def _cmd_regions(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_sigma(parser: _Parser, args) -> int:
+def _cmd_sigma(args) -> int:
     from .signature import build_H, inertia, seifert_from_json
     from .torus_rep import omega_of
 
@@ -208,10 +211,10 @@ def _cmd_sigma(parser: _Parser, args) -> int:
         raise BadSystemError(f"cannot read {args.system}: {exc}") from None
     system = seifert_from_json(data)
     if len(args.alpha) != system.mu:
-        parser.error(
+        raise ValueError(
             f"system has {system.mu} color(s) but {len(args.alpha)} angle(s) were given"
         )
-    omegas = [omega_of(_parse_angle(parser, text, args.radians)) for text in args.alpha]
+    omegas = [omega_of(_parse_angle(text, args.radians)) for text in args.alpha]
     ine = inertia(build_H(system, omegas))
     print(f"signature={ine.signature} nullity={ine.n_zero}")
     if ine.n_zero > 0:
@@ -222,7 +225,7 @@ def _cmd_sigma(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
-def _parse_ell_range(parser: _Parser, text: str) -> list[int]:
+def _parse_ell_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -230,21 +233,21 @@ def _parse_ell_range(parser: _Parser, text: str) -> list[int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        parser.error(f"bad ell range {text!r} (use e.g. 3 or -6..6)")
+        raise ValueError(f"bad ell range {text!r} (use e.g. 3 or -6..6)") from None
     if hi < lo:
-        parser.error(f"empty ell range {text!r}")
+        raise ValueError(f"empty ell range {text!r}")
     values = [ell for ell in range(lo, hi + 1) if ell != 0]
     if not values:
         raise ZeroLinkingError("ell range contains only 0")
     return values
 
 
-def _cmd_verify(parser: _Parser, args) -> int:
+def _cmd_verify(args) -> int:
     import json
 
     from .verify import sweep_main_identity
 
-    ells = _parse_ell_range(parser, args.ell)
+    ells = _parse_ell_range(args.ell)
     reports = [sweep_main_identity(ell, args.res, verbose=args.verbose) for ell in ells]
     payload = {
         "resolution": args.res,
@@ -270,10 +273,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--radians", action="store_true", help="angles are decimal radians")
 
     p_h = sub.add_parser("h", help="invariant and signature values at one angle pair")
+    p_h.set_defaults(run=_cmd_h, parser=p_h)
     p_h.add_argument("--ell", type=int, required=True)
     add_angle_flags(p_h)
 
     p_curve = sub.add_parser("curve", help="export the graph curve as CSV")
+    p_curve.set_defaults(run=_cmd_curve, parser=p_curve)
     p_curve.add_argument("--ell", type=int, required=True)
     add_angle_flags(p_curve)
     # None means pillowcase.DEFAULT_SAMPLES, read when the command runs
@@ -282,32 +287,26 @@ def _build_parser() -> _Parser:
     p_curve.add_argument("--out", default=None)
 
     p_regions = sub.add_parser("regions", help="invariant heat map over the angle square")
+    p_regions.set_defaults(run=_cmd_regions, parser=p_regions)
     p_regions.add_argument("--ell", type=int, required=True)
     p_regions.add_argument("--res", type=int, default=100)
     p_regions.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_regions.add_argument("--out", default=None)
 
     p_sigma = sub.add_parser("sigma", help="signature of a Seifert system from JSON")
+    p_sigma.set_defaults(run=_cmd_sigma, parser=p_sigma)
     p_sigma.add_argument("--system", required=True, help="path to Seifert JSON")
     p_sigma.add_argument("--alpha", nargs="+", required=True, metavar="A")
     p_sigma.add_argument("--radians", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run identity sweeps over ell ranges")
+    p_verify.set_defaults(run=_cmd_verify, parser=p_verify)
     p_verify.add_argument("--ell", required=True, help="single value or range a..b (0 skipped)")
     p_verify.add_argument("--res", type=int, default=120)
     p_verify.add_argument("--verbose", action="store_true", help="include per-point records")
     p_verify.add_argument("--out", default=None)
 
     return parser
-
-
-_DISPATCH = {
-    "h": _cmd_h,
-    "curve": _cmd_curve,
-    "regions": _cmd_regions,
-    "sigma": _cmd_sigma,
-    "verify": _cmd_verify,
-}
 
 
 _ELL_VALUE = re.compile(r"-?\d+(\.\.-?\d+)?$")
@@ -334,10 +333,10 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_normalize_argv(argv))
     try:
-        return _DISPATCH[args.command](parser, args)
+        return args.run(args)
     except NotDefinedError:
         print(UNDEFINED_MESSAGE, file=sys.stderr)
         return EXIT_UNDEFINED
@@ -351,5 +350,4 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args.parser.error(str(exc))

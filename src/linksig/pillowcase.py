@@ -17,11 +17,12 @@ gamma_cos_theta_* functions run it at one phi, so each route's formula is
 written once; _theta turns a cosine into theta in [0, pi].  A CurveSample
 holds its phi and theta values as float tuples.
 
-The signed count of the curve's crossings through theta = 0 is the
-representation-count invariant; all crossings carry the sign of ell.
+intersections lists the crossings through theta = 0 but reads them off no
+curve: solve_phi places them by h's own strip count, and each gets the sign
+of ell, so their signed count is h by construction, not a second route to it.
 The curve's self-checks, the Chebyshev fit of its leading coefficient and
-the orientation frame that recomputes a crossing sign, live with the tests
-(tests/curve_selfchecks.py); this module needs no numpy.
+the orientation frame that recomputes a crossing sign at one point, live
+with the tests (tests/curve_selfchecks.py); this module needs no numpy.
 """
 
 from __future__ import annotations
@@ -196,11 +197,11 @@ def transversal_slope(ell: int, alpha: AnglePair, m: int, phi: float) -> float:
 
 
 def intersections(ell: int, alpha: AnglePair) -> list[SignedIntersection]:
-    """Signed crossings of the graph curve through theta = 0.
+    """Crossings through theta = 0 at solve_phi's phis, each signed sign(ell).
 
-    Every crossing carries sign(ell); the tests recompute it at the
-    reference point alpha = (pi/2, pi/2), |ell| = 2, by the numeric
-    tangent-frame method.
+    solve_phi's m are the strip range that h_invariant counts, so the signed
+    sum is h by construction and criterion 10 is no independent check; the
+    tests recompute the sign at alpha = (pi/2, pi/2), |ell| = 2 only.
     """
     sols = solve_phi(ell, alpha)
     sign = 1 if ell > 0 else -1

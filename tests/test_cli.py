@@ -1,6 +1,8 @@
+import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import linksig.cli
 import linksig.pillowcase
@@ -27,6 +31,12 @@ def run(*args):
     return subprocess.run(
         [sys.executable, "-m", "linksig", *args], capture_output=True, text=True
     )
+
+
+def usage(command):
+    """The usage of `linksig <command>` as its errors print it: what
+    `--help` prints before its first blank line."""
+    return run(command, "--help").stdout.split("\n\n", 1)[0] + "\n"
 
 
 # Runs linksig.cli.main in a fresh interpreter, then reports on stderr
@@ -537,7 +547,9 @@ def test_curve_degree_limit():
     args = ("curve", "--ell", "500001", "--alpha", "1/3", "2/7", "--samples", "4")
     r = run(*args)
     assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
-    assert r.stderr == "error: degree 1000002 exceeds guard limit 1000000\n"
+    assert r.stderr == (
+        usage("curve") + "linksig curve: error: degree 1000002 exceeds guard limit 1000000\n"
+    )
     assert run(*args, "--path", "cheb").returncode == EXIT_USAGE
     r = run(*args, "--path", "quat")
     assert r.returncode == EXIT_OK and r.stdout.count("quaternion-path") == 4
@@ -549,13 +561,20 @@ def test_curve_degree_limit_is_checked_before_sampling(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled")
 
+    with pytest.raises(SystemExit):
+        linksig.cli.main(["curve", "--help"])
+    curve_usage = capsys.readouterr().out.split("\n\n", 1)[0] + "\n"
     monkeypatch.setattr(linksig.pillowcase, "sample_curve", refuse)
     for path in ("both", "cheb"):
         args = ["curve", "--ell", "-500001", "--alpha", "1/3", "2/7", "--path", path]
-        assert linksig.cli.main(args) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            linksig.cli.main(args)
+        assert exc.value.code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: degree 1000002 exceeds guard limit 1000000\n"
+        assert captured.err == (
+            curve_usage + "linksig curve: error: degree 1000002 exceeds guard limit 1000000\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -570,8 +589,10 @@ def test_unwritable_out_is_a_usage_error(tmp_path, args):
     out = tmp_path / "missing" / "out"
     r = run(*args, "--out", str(out))
     assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
-    assert r.stderr.startswith(f"error: cannot write {out}: ")
-    assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1
+    command_usage = usage(args[0])
+    assert r.stderr.startswith(f"{command_usage}linksig {args[0]}: error: cannot write {out}: ")
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == len(command_usage.splitlines()) + 1
     assert not out.parent.exists()
 
 
@@ -604,40 +625,116 @@ def test_one_root_locus_check_per_query(alpha, radians, monkeypatch, capsys):
 
 
 # stderr of a rejected rational angle, recorded from the Fraction-based parse
-TOP_USAGE = "usage: linksig [-h] {h,curve,regions,sigma,verify} ...\n"
+H_USAGE = "usage: linksig h [-h] --ell ELL --alpha A A [--radians]\n"
 ANGLE_ERRORS = {
-    "1/0": "linksig: error: bad rational angle '1/0'\n",
-    "a/b": "linksig: error: bad rational angle 'a/b'\n",
-    "3/2": "linksig: error: angle 3/2 is outside (0, pi)\n",
-    "0/5": "linksig: error: angle 0/5 is outside (0, pi)\n",
-    "-1/2": "linksig: error: angle -1/2 is outside (0, pi)\n",
-    "0.5": "linksig: error: angle '0.5' is not of the form p/q (use --radians for decimals)\n",
-    "1/-2": "linksig: error: angle 1/-2 is outside (0, pi)\n",
-    "1/2/3": "linksig: error: bad rational angle '1/2/3'\n",
-    "1/1": "linksig: error: angle 1/1 is outside (0, pi)\n",
+    "1/0": "linksig h: error: bad rational angle '1/0'\n",
+    "a/b": "linksig h: error: bad rational angle 'a/b'\n",
+    "3/2": "linksig h: error: angle 3/2 is outside (0, pi)\n",
+    "0/5": "linksig h: error: angle 0/5 is outside (0, pi)\n",
+    "-1/2": "linksig h: error: angle -1/2 is outside (0, pi)\n",
+    "0.5": "linksig h: error: angle '0.5' is not of the form p/q (use --radians for decimals)\n",
+    "1/-2": "linksig h: error: angle 1/-2 is outside (0, pi)\n",
+    "1/2/3": "linksig h: error: bad rational angle '1/2/3'\n",
+    "1/1": "linksig h: error: angle 1/1 is outside (0, pi)\n",
 }
 
 
-def test_rational_angle_parse_errors(capsys):
-    parser = linksig.cli._build_parser()
+def test_rational_angle_parse_errors():
     for text, message in ANGLE_ERRORS.items():
-        with pytest.raises(SystemExit) as exc:
-            linksig.cli._parse_angle(parser, text, False)
-        assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().err == TOP_USAGE + message, text
+        with pytest.raises(ValueError) as exc:
+            linksig.cli._parse_angle(text, False)
+        assert f"linksig h: error: {exc.value}\n" == message, text
     for text, (p, q) in {"-1/-2": (1, 2), "2/4": (1, 2), " 1/2": (1, 2), "1_0/20": (1, 2)}.items():
-        angle = linksig.cli._parse_angle(parser, text, False)
+        angle = linksig.cli._parse_angle(text, False)
         assert (angle.p, angle.q) == (p, q)
     # on the command line; "-1/2" reads as an option there
     for text in ("1/0", "a/b", "3/2", "0/5", "0.5"):
         r = run("h", "--ell", "3", "--alpha", text, "1/2")
-        assert (r.returncode, r.stderr) == (EXIT_USAGE, TOP_USAGE + ANGLE_ERRORS[text])
+        assert (r.returncode, r.stderr) == (EXIT_USAGE, H_USAGE + ANGLE_ERRORS[text])
     r = run("h", "--ell", "3", "--alpha", "-1/2", "1/2")
     assert r.returncode == EXIT_USAGE
-    assert r.stderr == (
-        "usage: linksig h [-h] --ell ELL --alpha A A [--radians]\n"
-        "linksig h: error: argument --alpha: expected 2 arguments\n"
+    assert r.stderr == H_USAGE + "linksig h: error: argument --alpha: expected 2 arguments\n"
+
+
+# near-valid values for the argv fuzzer: zero, negative and huge parts,
+# separators, Unicode digits, the empty string and float spellings
+PARTS = st.one_of(st.integers(-3, 12), st.sampled_from([10**20, -(10**20)]))
+ANGLES = st.one_of(
+    st.sampled_from([
+        "1/2", "1/3", "2/7", "0/5", "1/0", "3/2", "1_0/30", "\u0661/\u0663", "",
+        "nan", "inf", "1e-13", "0.5", "1.1", "-0.5", "a/b", "1/2/3",
+    ]),
+    st.builds("{}/{}".format, PARTS, PARTS),
+)  # fmt: skip
+HUGE_ELLS = ["100000000000000000000", "-100000000000000000000", "500001", "-1000000"]
+USAGE_LAST_LINE = re.compile(r"^linksig( (h|curve|regions|sigma|verify))?: error: .+$")
+
+
+def small_ints(lo, hi):
+    """An integer of [lo, hi] as text, or a token int() may or may not read."""
+    return st.one_of(
+        st.integers(lo, hi).map(str), st.sampled_from(["", "x", "3.0", "\u0663", "1_0"])
     )
+
+
+@st.composite
+def argvs(draw, out, systems):
+    """A well-formed argv of one subcommand, its values drawn near the valid ones."""
+    command = draw(st.sampled_from(["h", "curve", "regions", "sigma", "verify"]))
+    radians = ["--radians"] if draw(st.booleans()) else []
+    to_out = draw(st.sampled_from([[], ["--out", out]]))
+    if command == "sigma":
+        alphas = draw(st.lists(ANGLES, min_size=1, max_size=3))
+        return ["sigma", "--system", draw(st.sampled_from(systems)), "--alpha", *alphas, *radians]
+    if command == "regions":
+        ell, res = draw(small_ints(-3, 3)), draw(small_ints(-1, 12))
+        fmt = draw(st.sampled_from(["csv", "svg"]))
+        return ["regions", "--ell", ell, "--res", res, "--format", fmt, *to_out]
+    if command == "verify":
+        lo, hi = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        ell = draw(st.sampled_from([f"{lo}..{hi}", str(lo), "5..3", "a..b", "0..0", "", "\u0663"]))
+        return ["verify", "--ell", ell, "--res", draw(small_ints(-1, 12)), *to_out]
+    ell = draw(st.one_of(small_ints(-3, 3), st.sampled_from(HUGE_ELLS)))
+    argv = [command, "--ell", ell, "--alpha", draw(ANGLES), draw(ANGLES), *radians]
+    if command == "h":
+        return argv
+    # a huge ell only at 2 samples: the quaternion route powers once per sample
+    samples = "2" if ell in HUGE_ELLS else draw(small_ints(-1, 12))
+    path = draw(st.sampled_from(["quat", "cheb", "both"]))
+    return [*argv, "--samples", samples, "--path", path, *to_out]
+
+
+def main_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main; only SystemExit may escape it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = linksig.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_argv_gets_one_stated_outcome(tmp_path, data):
+    """The exit-code contract of the cli docstring, over near-valid argvs."""
+    good, malformed = tmp_path / "good.json", tmp_path / "malformed.json"
+    good.write_text(json.dumps(seifert_to_json(torus_seifert(2))))
+    malformed.write_text("{broken")
+    systems = [str(good), str(malformed), str(tmp_path / "missing.json")]
+    argv = data.draw(argvs(str(tmp_path / "missing" / "out"), systems))
+    code, out, err = result = main_in_process(argv)
+    assert code in (0, 1, 2, 3, 64, 65)
+    if code in (2, 3, 64, 65):
+        assert out == ""
+    if code == EXIT_USAGE:
+        assert err.startswith("usage: linksig")
+        assert USAGE_LAST_LINE.match(err.splitlines()[-1]), err
+    elif code in (2, 3, 65):
+        assert err.startswith(("error: ", "undefined: ")) and err.count("\n") == 1, err
+        assert err.endswith("\n")
+    assert main_in_process(argv) == result
 
 
 # SHA-256 of stdout at float angles, where the expected pools of the

@@ -217,3 +217,24 @@ def test_only_frozen_stores_fields():
         )
 
     assert places(is_object_setattr) == ["_values.py"]
+
+
+def test_only_main_reports_usage_errors():
+    """In cli.py a parser's error() is called from main alone: commands and
+    their helpers take no parser and raise ValueError, which main hands to
+    the failing subcommand's parser."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+
+    def error_calls(node):
+        return [
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "error"
+        ]
+
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    (main,) = [f for f in functions if f.name == "main"]
+    assert error_calls(main) and error_calls(tree) == error_calls(main)
+    assert [f.name for f in functions if "parser" in (a.arg for a in f.args.args)] == []
