@@ -5,6 +5,12 @@ regions (invariant heat map as CSV or SVG), sigma (signature of a user
 Seifert system), verify (identity sweeps).  Angles are rational multiples
 of pi by default ("1/2" means pi/2); pass --radians for decimal radians.
 
+Grammar: a command, then its options as _COMMANDS lists them.  An option is
+--name, --name VALUE or --name=VALUE; a value is the next token unless it
+starts with "--", so -1/2, -3 and -6..6 are values.  Names are exact, the last
+occurrence wins, and an integer is an optional "-" then ASCII digits.  -h or
+--help prints the usage, a blank line and a line per option, and exits 0.
+
 Exit codes, causes and stderr (stdout is empty on 2, 3, 64 and 65):
   0   success                       empty, or sigma's nullity warning
   1   verify: some point fails      empty
@@ -13,31 +19,22 @@ Exit codes, causes and stderr (stdout is empty on 2, 3, 64 and 65):
   3   zero linking number           "error: <message>"
   64  usage error                   usage, "linksig <command>: error: <message>"
   65  bad --system data             "error: <message>"
-A command raises ValueError for a usage error (an angle, range, sample count
-or resolution out of bounds, an --out that cannot be written, a curve past
-the degree cap); main hands it to that subcommand's _Parser.error, the one
-printer of exit 64, which prints the usage and raises SystemExit(64), as for
-argparse's own errors ("linksig: error:" when no subcommand was parsed).
-Output is byte-deterministic for fixed flags; floats print 17 significant digits.
+A usage error (an option unknown, missing or of a bad value, an angle, range,
+sample count or resolution out of bounds, an --out that cannot be written, a
+curve past the degree cap) raises ValueError; main alone prints it after the
+command's usage (the top-level one and "linksig: error:" only when argv names
+no command) and raises SystemExit(64).  Output, stderr too, is
+byte-deterministic for fixed flags; floats print 17 significant digits.
 
 Each subcommand imports the modules of its own route when it runs, so a
 cold `h`, `verify` or `regions` never loads the Chebyshev polynomials, the
 pillowcase, the quaternions or the Seifert engine.
 """
 
-from __future__ import annotations
-
-import argparse
 import math
-import re
 import sys
 
-from .errors import (
-    BadSystemError,
-    NotDefinedError,
-    OmegaOneError,
-    ZeroLinkingError,
-)
+from .errors import BadSystemError, NotDefinedError, OmegaOneError, ZeroLinkingError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -47,12 +44,6 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 UNDEFINED_MESSAGE = "undefined: alpha on Alexander root locus"
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parse_angle(text: str, radians: bool):
@@ -71,12 +62,6 @@ def _parse_angle(text: str, radians: bool):
     return RationalAngle.parse(text)
 
 
-def _angle_pair(texts, radians: bool):
-    from .torus_rep import AnglePair
-
-    return AnglePair(_parse_angle(texts[0], radians), _parse_angle(texts[1], radians))
-
-
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -89,41 +74,37 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise ValueError(f"cannot write {out_path}: {exc}") from None
 
 
-def _cmd_h(args) -> int:
-    from .torus_rep import defined_strips, strip_h, strip_sigma
+def _cmd_h(ell, alpha, radians) -> int:
+    from .torus_rep import AnglePair, defined_strips, strip_h, strip_sigma
 
-    alpha = _angle_pair(args.alpha, args.radians)
+    alpha = AnglePair(*(_parse_angle(text, radians) for text in alpha))
     # j, the strip of the flipped sum, is that of (alpha1, pi - alpha2)
-    i, j = defined_strips(args.ell, alpha)
-    h = strip_h(args.ell, i, j)
-    print(f"h={h} sigma=({strip_sigma(args.ell, i)},{strip_sigma(args.ell, j)})")
+    i, j = defined_strips(ell, alpha)
+    h = strip_h(ell, i, j)
+    print(f"h={h} sigma=({strip_sigma(ell, i)},{strip_sigma(ell, j)})")
     return EXIT_OK
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(ell, alpha, radians, samples, path, out) -> int:
     from .chebyshev import check_degree
     from .pillowcase import CHEB_PATH, DEFAULT_SAMPLES, QUAT_PATH, curves_to_csv, sample_curve
-    from .torus_rep import defined_strips
+    from .torus_rep import AnglePair, defined_strips
 
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    samples = DEFAULT_SAMPLES if samples is None else samples
     if samples < 1:
         raise ValueError("samples must be positive")
-    alpha = _angle_pair(args.alpha, args.radians)
-    defined_strips(args.ell, alpha)  # NotDefinedError on the root locus
-    if args.path != "quat":
+    alpha = AnglePair(*(_parse_angle(text, radians) for text in alpha))
+    defined_strips(ell, alpha)  # NotDefinedError on the root locus
+    if path != "quat":
         # the Chebyshev route evaluates T_{2|ell|}: refuse before any sampling
-        check_degree(2 * abs(args.ell))
+        check_degree(2 * abs(ell))
     routes = (("quat", QUAT_PATH), ("cheb", CHEB_PATH))
-    curves = [
-        sample_curve(args.ell, alpha, samples, path)
-        for name, path in routes
-        if args.path in (name, "both")
-    ]
+    curves = [sample_curve(ell, alpha, samples, r) for name, r in routes if path in (name, "both")]
     footer = None
-    if args.path == "both":
+    if path == "both":
         max_dtheta = max(abs(a - b) for a, b in zip(curves[0].thetas, curves[1].thetas))
         footer = f"max_abs_dtheta={max_dtheta:.17g}"
-    _write_output(curves_to_csv(curves, footer), args.out)
+    _write_output(curves_to_csv(curves, footer), out)
     return EXIT_OK
 
 
@@ -191,163 +172,173 @@ def _region_svg(grid) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_regions(args) -> int:
+def _cmd_regions(ell, res, format, out) -> int:
     from .verify import region_grid
 
-    grid = region_grid(args.ell, args.res)
-    text = _region_csv(grid) if args.format == "csv" else _region_svg(grid)
-    _write_output(text, args.out)
+    grid = region_grid(ell, res)
+    text = _region_csv(grid) if format == "csv" else _region_svg(grid)
+    _write_output(text, out)
     return EXIT_OK
 
 
-def _cmd_sigma(args) -> int:
+def _cmd_sigma(system, alpha, radians) -> int:
     from .signature import build_H, inertia, seifert_from_json
     from .torus_rep import omega_of
 
     try:
-        with open(args.system, "rb") as fh:
+        with open(system, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise BadSystemError(f"cannot read {args.system}: {exc}") from None
-    system = seifert_from_json(data)
-    if len(args.alpha) != system.mu:
-        raise ValueError(
-            f"system has {system.mu} color(s) but {len(args.alpha)} angle(s) were given"
-        )
-    omegas = [omega_of(_parse_angle(text, args.radians)) for text in args.alpha]
-    ine = inertia(build_H(system, omegas))
+        raise BadSystemError(f"cannot read {system}: {exc}") from None
+    seifert = seifert_from_json(data)
+    if len(alpha) != seifert.mu:
+        raise ValueError(f"system has {seifert.mu} color(s) but {len(alpha)} angle(s) were given")
+    omegas = [omega_of(_parse_angle(text, radians)) for text in alpha]
+    ine = inertia(build_H(seifert, omegas))
     print(f"signature={ine.signature} nullity={ine.n_zero}")
     if ine.n_zero > 0:
-        print(
-            "warning: nullity > 0, omega lies on or near the Alexander root locus",
-            file=sys.stderr,
-        )
+        warning = "warning: nullity > 0, omega lies on or near the Alexander root locus"
+        print(warning, file=sys.stderr)
     return EXIT_OK
 
 
-def _parse_ell_range(text: str) -> list[int]:
-    try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise ValueError(f"bad ell range {text!r} (use e.g. 3 or -6..6)") from None
-    if hi < lo:
-        raise ValueError(f"empty ell range {text!r}")
-    values = [ell for ell in range(lo, hi + 1) if ell != 0]
-    if not values:
-        raise ZeroLinkingError("ell range contains only 0")
-    return values
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(ell, res, verbose, out) -> int:
     import json
 
+    from .torus_rep import parse_int
     from .verify import sweep_main_identity
 
-    ells = _parse_ell_range(args.ell)
-    reports = [sweep_main_identity(ell, args.res, verbose=args.verbose) for ell in ells]
+    lo_text, dots, hi_text = ell.partition("..")
+    try:
+        lo, hi = parse_int(lo_text), parse_int(hi_text if dots else lo_text)
+    except ValueError:
+        raise ValueError(f"bad ell range {ell!r} (use e.g. 3 or -6..6)") from None
+    if hi < lo:
+        raise ValueError(f"empty ell range {ell!r}")
+    if lo == hi == 0:
+        raise ZeroLinkingError("ell range contains only 0")
+    # the nonzero ells, drawn lazily: the first sweep checks res before a wide range costs memory
+    ells = (e for e in range(lo, hi + 1) if e != 0)
+    reports = [sweep_main_identity(e, res, verbose=verbose) for e in ells]
     payload = {
-        "resolution": args.res,
+        "resolution": res,
         "reports": [r.to_json() for r in reports],
         "failed_total": sum(r.failed for r in reports),
     }
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(json.dumps(payload, indent=2) + "\n", out)
     return EXIT_OK if payload["failed_total"] == 0 else EXIT_VERIFY_FAIL
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="linksig", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_angle_flags(p):
-        p.add_argument(
-            "--alpha",
-            nargs=2,
-            required=True,
-            metavar="A",
-            help='angles as rational multiples of pi ("p/q"), or radians with --radians',
-        )
-        p.add_argument("--radians", action="store_true", help="angles are decimal radians")
-
-    p_h = sub.add_parser("h", help="invariant and signature values at one angle pair")
-    p_h.set_defaults(run=_cmd_h, parser=p_h)
-    p_h.add_argument("--ell", type=int, required=True)
-    add_angle_flags(p_h)
-
-    p_curve = sub.add_parser("curve", help="export the graph curve as CSV")
-    p_curve.set_defaults(run=_cmd_curve, parser=p_curve)
-    p_curve.add_argument("--ell", type=int, required=True)
-    add_angle_flags(p_curve)
-    # None means pillowcase.DEFAULT_SAMPLES, read when the command runs
-    p_curve.add_argument("--samples", type=int, default=None)
-    p_curve.add_argument("--path", choices=("quat", "cheb", "both"), default="both")
-    p_curve.add_argument("--out", default=None)
-
-    p_regions = sub.add_parser("regions", help="invariant heat map over the angle square")
-    p_regions.set_defaults(run=_cmd_regions, parser=p_regions)
-    p_regions.add_argument("--ell", type=int, required=True)
-    p_regions.add_argument("--res", type=int, default=100)
-    p_regions.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p_regions.add_argument("--out", default=None)
-
-    p_sigma = sub.add_parser("sigma", help="signature of a Seifert system from JSON")
-    p_sigma.set_defaults(run=_cmd_sigma, parser=p_sigma)
-    p_sigma.add_argument("--system", required=True, help="path to Seifert JSON")
-    p_sigma.add_argument("--alpha", nargs="+", required=True, metavar="A")
-    p_sigma.add_argument("--radians", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="run identity sweeps over ell ranges")
-    p_verify.set_defaults(run=_cmd_verify, parser=p_verify)
-    p_verify.add_argument("--ell", required=True, help="single value or range a..b (0 skipped)")
-    p_verify.add_argument("--res", type=int, default=120)
-    p_verify.add_argument("--verbose", action="store_true", help="include per-point records")
-    p_verify.add_argument("--out", default=None)
-
-    return parser
+_ELL = ("ell", int, ..., "linking number of the (2, 2*ell)-torus link")
+_ALPHA = ("alpha", 2, ..., 'angles as rational multiples of pi ("p/q"), or radians with --radians')
+_RADIANS = ("radians", bool, False, "angles are decimal radians")
+_OUT = ("out", str, None, "write to this file instead of stdout")
+# command: (handler, help, options).  An option is (name, kind, default, help): its
+# kind is bool (a switch), int, str, a tuple of choices, 2 (two values) or "+" (one
+# or more), and a default of ... means the option is required
+_COMMANDS = {
+    "h": (_cmd_h, "invariant and signature values at one angle pair", (_ELL, _ALPHA, _RADIANS)),
+    "curve": (_cmd_curve, "export the graph curve as CSV", (
+        _ELL, _ALPHA, _RADIANS,
+        ("samples", int, None, "samples per route"),  # None: pillowcase.DEFAULT_SAMPLES
+        ("path", ("quat", "cheb", "both"), "both", "the route to sample, or both"), _OUT)),
+    "regions": (_cmd_regions, "invariant heat map over the angle square", (
+        _ELL, ("res", int, 100, "grid points per angle axis"),
+        ("format", ("csv", "svg"), "csv", "output format"), _OUT)),
+    "sigma": (_cmd_sigma, "signature of a Seifert system from JSON", (
+        ("system", str, ..., "path to Seifert JSON"),
+        ("alpha", "+", ..., "one angle per color, as for h"), _RADIANS)),
+    "verify": (_cmd_verify, "run identity sweeps over ell ranges", (
+        ("ell", str, ..., "single value or range a..b (0 skipped)"),
+        ("res", int, 120, "grid points per angle axis"),
+        ("verbose", bool, False, "include per-point records"), _OUT)),
+}  # fmt: skip
+# the exit code of each error that main reports in one stderr line
+_ERROR_EXITS = {NotDefinedError: EXIT_UNDEFINED, OmegaOneError: EXIT_UNDEFINED,
+                ZeroLinkingError: EXIT_ZERO_LINKING, BadSystemError: EXIT_DATA}  # fmt: skip
 
 
-_ELL_VALUE = re.compile(r"-?\d+(\.\.-?\d+)?$")
+def _flag(name: str, kind) -> str:
+    """The option as usage shows it: --radians, --ell ELL, --alpha A A, ..."""
+    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper()
+    return f"--{name}" + {bool: "", 2: " A A", "+": " A [A ...]"}.get(kind, f" {metavar}")
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    # argparse mistakes "--ell -6..6" for a missing value; glue such pairs
-    out = []
-    i = 0
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: linksig [-h] {" + ",".join(_COMMANDS) + "} ..."
+    options = _COMMANDS[command][2]
+    flags = [_flag(n, k) if d is ... else f"[{_flag(n, k)}]" for n, k, d, _ in options]
+    return " ".join(["usage: linksig", command, "[-h]", *flags])
+
+
+def _print_help(command: str | None):
+    """The usage, a blank line and a line per option (per command at the top level)."""
+    rows = [(n, spec[1]) for n, spec in _COMMANDS.items()] if command is None else [
+        (_flag(n, kind), text) for n, kind, _, text in _COMMANDS[command][2]]
+    width = max(len(left) for left, _ in rows)
+    sys.stdout.write(f"{_usage(command)}\n\n" + "".join(f"  {a:<{width}}  {b}\n" for a, b in rows))
+    raise SystemExit(EXIT_OK)
+
+
+def _read_options(command: str, argv: list[str]) -> dict:
+    """Each option's value by the module docstring's grammar; a usage error raises ValueError."""
+    from .torus_rep import parse_int
+
+    options = {name: (kind, default) for name, kind, default, _ in _COMMANDS[command][2]}
+    values, unknown, i = {}, [], 0
     while i < len(argv):
-        tok = argv[i]
-        if (
-            tok == "--ell"
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and _ELL_VALUE.match(argv[i + 1])
-        ):
-            out.append(f"--ell={argv[i + 1]}")
-            i += 2
+        token, i = argv[i], i + 1
+        if token in ("-h", "--help"):
+            _print_help(command)
+        name, explicit, text = token[2:].partition("=")
+        kind = options[name][0] if name in options else None
+        if not token.startswith("--") or kind is None or kind is bool and explicit:
+            unknown.append(token)
             continue
-        out.append(tok)
-        i += 1
-    return out
+        need = {bool: 0, 2: 2}.get(kind, 1)
+        got = [text] if explicit else []
+        while (kind == "+" or len(got) < need) and i < len(argv) and not argv[i].startswith("--"):
+            got.append(argv[i])
+            i += 1
+        if len(got) < need:
+            count = {2: "2 arguments", "+": "at least one argument"}.get(kind, "one argument")
+            raise ValueError(f"argument --{name}: expected {count}")
+        if isinstance(kind, tuple) and got[0] not in kind:
+            choose = f"(choose from {', '.join(map(repr, kind))})"
+            raise ValueError(f"argument --{name}: invalid choice: {got[0]!r} {choose}")
+        if kind is int:
+            try:
+                got = [parse_int(got[0])]
+            except ValueError:
+                raise ValueError(f"argument --{name}: invalid int value: {got[0]!r}") from None
+        values[name] = True if kind is bool else got if kind in (2, "+") else got[0]
+    missing = [f"--{n}" for n, (_, d) in options.items() if d is ... and n not in values]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return {name: values.get(name, default) for name, (_, default) in options.items()}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_normalize_argv(argv))
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        return args.run(args)
-    except NotDefinedError:
-        print(UNDEFINED_MESSAGE, file=sys.stderr)
-        return EXIT_UNDEFINED
-    except OmegaOneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except ZeroLinkingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_LINKING
-    except BadSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if command is not None:
+            return _COMMANDS[command][0](**_read_options(command, argv[1:]))
+        if argv[:1] in (["-h"], ["--help"]):
+            _print_help(None)
+        if not argv:
+            raise ValueError("the following arguments are required: command")
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ValueError(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    except tuple(_ERROR_EXITS) as exc:
+        undefined = isinstance(exc, NotDefinedError)
+        print(UNDEFINED_MESSAGE if undefined else f"error: {exc}", file=sys.stderr)
+        return _ERROR_EXITS[type(exc)]
     except ValueError as exc:
-        args.parser.error(str(exc))
+        # the one printer of exit 64: the failing command's usage and error line
+        prog = "linksig" if command is None else f"linksig {command}"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
+        raise SystemExit(EXIT_USAGE) from None

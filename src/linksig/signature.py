@@ -51,7 +51,6 @@ import reprlib
 import sys
 import warnings
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import chain, pairwise, repeat
 from operator import mul
 from types import MappingProxyType
@@ -569,13 +568,15 @@ def sigma_eval(s: SeifertSystem, omegas: list[complex]) -> int:
     return ine.signature
 
 
-def symmetrized_sigma(link, alpha: AnglePair) -> Fraction:
-    """-1/2 (sigma(omega1, omega2) + sigma(omega1, omega2^{-1})).
+def symmetrized_sigma(link, alpha: AnglePair):
+    """-1/2 (sigma(omega1, omega2) + sigma(omega1, omega2^{-1})), a Fraction.
 
     `link` is either an integer linking number (torus closed form) or a
     SeifertSystem (generic engine).  Always a half-integer; an integer on
     the torus family.
     """
+    from fractions import Fraction  # imported here, so a cold `sigma` loads no fractions
+
     if isinstance(link, SeifertSystem):
         w1, w2 = alpha.omega()
         s1 = sigma_eval(link, [w1, w2])

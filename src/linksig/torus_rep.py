@@ -48,6 +48,14 @@ def check_ell(ell: int) -> int:
     return ell
 
 
+def parse_int(text: str) -> int:
+    """text as an int when it is an optional "-" then ASCII digits; else ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 class RationalAngle(Frozen):
     """The angle (p/q)*pi with 0 < p/q < 1, stored in lowest terms; p and q
     are ints, and a bool raises TypeError."""
@@ -74,7 +82,7 @@ class RationalAngle(Frozen):
         if "/" not in text:
             raise ValueError(f"angle {text!r} is not of the form p/q (use --radians for decimals)")
         try:
-            p, q = map(int, text.split("/"))
+            p, q = map(parse_int, text.split("/"))
         except ValueError:
             q = 0  # not two integers: as bad as a zero denominator
         if q == 0:

@@ -41,21 +41,21 @@ def usage(command):
 
 # Runs linksig.cli.main in a fresh interpreter, then reports on stderr
 # which linksig modules were loaded, and whether numpy, dataclasses,
-# fractions and decimal were, along the way.
+# fractions, decimal, argparse, gettext and locale were, along the way.
 NUMPY_PROBE = """
 import sys
 import linksig.cli
 code = linksig.cli.main(sys.argv[1:])
 mods = sorted(m for m in sys.modules if m.startswith("linksig."))
 print(f"linksig_modules={','.join(mods)}", file=sys.stderr)
-for name in ("numpy", "dataclasses", "fractions", "decimal"):
+for name in ("numpy", "dataclasses", "fractions", "decimal", "argparse", "gettext", "locale"):
     print(f"{name}_loaded={name in sys.modules}", file=sys.stderr)
 sys.exit(code)
 """
 
 
 def run_probed(*args):
-    """(completed process, {probe key: value}) from the probe's last five lines."""
+    """(completed process, {probe key: value}) from the probe's last eight lines."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     r = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, *args],
@@ -63,7 +63,7 @@ def run_probed(*args):
         text=True,
         env=env,
     )
-    probe = dict(line.split("=", 1) for line in r.stderr.splitlines()[-5:])
+    probe = dict(line.split("=", 1) for line in r.stderr.splitlines()[-8:])
     probe["linksig_modules"] = set(probe["linksig_modules"].split(","))
     return r, probe
 
@@ -369,7 +369,8 @@ def write_benchmark_system(tmp_path, name):
 
 def test_no_command_imports_numpy(tmp_path):
     """Each command loads only the modules of its own route, and none loads
-    numpy: not even sigma on a system that is not tridiagonal."""
+    numpy: not even sigma on a system that is not tridiagonal.  None loads
+    argparse, gettext, locale, fractions or decimal."""
     lattice_route = (
         "linksig.pillowcase", "linksig.su2", "linksig.signature", "linksig.chebyshev"
     )
@@ -394,18 +395,20 @@ def test_no_command_imports_numpy(tmp_path):
         (
             ("sigma", "--system", str(nontorus), "--alpha", "1/3", "2/7"),
             ("linksig.pillowcase", "linksig.verify", "linksig.chebyshev"),
-            False,
+            True,
         ),
         (
             ("sigma", "--system", str(torus), "--alpha", "1/2", "1/2"),
             ("linksig.pillowcase", "linksig.verify", "linksig.chebyshev"),
-            False,
+            True,
         ),
     ):
         r, probe = run_probed(*args)
         assert r.returncode == EXIT_OK
         assert probe["numpy_loaded"] == "False", args
         assert probe["dataclasses_loaded"] == "False", args
+        for name in ("argparse", "gettext", "locale"):
+            assert probe[f"{name}_loaded"] == "False", (args, name)
         assert not probe["linksig_modules"] & set(not_loaded), (args, probe)
         if light:
             assert probe["fractions_loaded"] == probe["decimal_loaded"] == "False", args
@@ -624,7 +627,8 @@ def test_one_root_locus_check_per_query(alpha, radians, monkeypatch, capsys):
     assert calls == expected
 
 
-# stderr of a rejected rational angle, recorded from the Fraction-based parse
+# stderr of a rejected rational angle, recorded from the Fraction-based parse;
+# the last two are refused since p and q are an optional "-" then ASCII digits
 H_USAGE = "usage: linksig h [-h] --ell ELL --alpha A A [--radians]\n"
 ANGLE_ERRORS = {
     "1/0": "linksig h: error: bad rational angle '1/0'\n",
@@ -636,6 +640,8 @@ ANGLE_ERRORS = {
     "1/-2": "linksig h: error: angle 1/-2 is outside (0, pi)\n",
     "1/2/3": "linksig h: error: bad rational angle '1/2/3'\n",
     "1/1": "linksig h: error: angle 1/1 is outside (0, pi)\n",
+    " 1/2": "linksig h: error: bad rational angle ' 1/2'\n",
+    "1_0/20": "linksig h: error: bad rational angle '1_0/20'\n",
 }
 
 
@@ -644,16 +650,96 @@ def test_rational_angle_parse_errors():
         with pytest.raises(ValueError) as exc:
             linksig.cli._parse_angle(text, False)
         assert f"linksig h: error: {exc.value}\n" == message, text
-    for text, (p, q) in {"-1/-2": (1, 2), "2/4": (1, 2), " 1/2": (1, 2), "1_0/20": (1, 2)}.items():
+    for text, (p, q) in {"-1/-2": (1, 2), "2/4": (1, 2)}.items():
         angle = linksig.cli._parse_angle(text, False)
         assert (angle.p, angle.q) == (p, q)
-    # on the command line; "-1/2" reads as an option there
+    # on the command line; "-1/2" is a value there, as any token not starting "--"
     for text in ("1/0", "a/b", "3/2", "0/5", "0.5"):
         r = run("h", "--ell", "3", "--alpha", text, "1/2")
         assert (r.returncode, r.stderr) == (EXIT_USAGE, H_USAGE + ANGLE_ERRORS[text])
     r = run("h", "--ell", "3", "--alpha", "-1/2", "1/2")
     assert r.returncode == EXIT_USAGE
-    assert r.stderr == H_USAGE + "linksig h: error: argument --alpha: expected 2 arguments\n"
+    assert r.stderr == H_USAGE + ANGLE_ERRORS["-1/2"]
+
+
+TOP_USAGE = "usage: linksig [-h] {h,curve,regions,sigma,verify} ...\n"
+
+
+def test_usage_errors_name_the_command_and_ignore_the_terminal():
+    """Each exit-64 stderr is the failing command's usage, then its error line,
+    with the same bytes under any COLUMNS; the top-level usage and "linksig:
+    error:" only when argv names no command."""
+    for args, usage_text, message in (
+        (("h", "--ell", "3", "--alpha", "1/2", "1/3", "--bogus"), usage("h"),
+         "linksig h: error: unrecognized arguments: --bogus"),
+        (("curve", "--ell", "3", "--alpha", "3/2", "1/2"), usage("curve"),
+         "linksig curve: error: angle 3/2 is outside (0, pi)"),
+        (("regions", "--ell", "3", "--format", "png"), usage("regions"),
+         "linksig regions: error: argument --format: invalid choice: 'png' (choose from 'csv', 'svg')"),
+        (("sigma", "--alpha", "1/3"), usage("sigma"),
+         "linksig sigma: error: the following arguments are required: --system"),
+        (("verify", "--ell", "3", "--res", "1"), usage("verify"),
+         "linksig verify: error: resolution must be at least 2"),
+        (("nonsense",), TOP_USAGE, "linksig: error: argument command: invalid choice: 'nonsense' "
+         "(choose from 'h', 'curve', 'regions', 'sigma', 'verify')"),
+        ((), TOP_USAGE, "linksig: error: the following arguments are required: command"),
+    ):  # fmt: skip
+        narrow, wide = (
+            subprocess.run(
+                [sys.executable, "-m", "linksig", *args],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, COLUMNS=columns),
+            )
+            for columns in ("40", "200")
+        )
+        assert (narrow.returncode, narrow.stdout) == (EXIT_USAGE, ""), args
+        assert narrow.stderr == wide.stderr == f"{usage_text}{message}\n", args
+
+
+def test_help_is_the_usage_then_one_line_per_option():
+    for command, rows in (("h", 3), ("curve", 6), ("regions", 4), ("sigma", 3), ("verify", 4)):
+        # options are read in order, so the bad value after --help is never read
+        code, out, err = main_in_process([command, "--help", "--ell", "x"])
+        assert (code, err) == (EXIT_OK, ""), command
+        head, _, body = out.partition("\n\n")
+        assert head.startswith(f"usage: linksig {command} [-h] --")
+        assert [line[:4] for line in body.splitlines()] == ["  --"] * rows, command
+    code, out, _ = main_in_process(["--help"])
+    assert (code, out.partition("\n")[0] + "\n") == (EXIT_OK, TOP_USAGE)
+    assert [line.split()[0] for line in out.splitlines()[2:]] == [
+        "h", "curve", "regions", "sigma", "verify"
+    ]
+
+
+def test_option_names_are_exact_and_the_last_occurrence_wins():
+    # --al is no abbreviation of --alpha
+    code, out, err = main_in_process(["h", "--ell", "3", "--al", "1/2", "1/3"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == H_USAGE + "linksig h: error: the following arguments are required: --alpha\n"
+    expected = main_in_process(["h", "--ell", "-3", "--alpha", "1/2", "1/3"])
+    assert expected[:2] == (EXIT_OK, "h=-2 sigma=(2,2)\n")
+    argv = ["h", "--ell=5", "--alpha", "1/3", "1/5", "--ell", "-3", "--alpha=1/2", "1/3"]
+    assert main_in_process(argv) == expected
+    for argv, message in (
+        (["h", "--ell", "3", "--alpha", "1/2"], "argument --alpha: expected 2 arguments"),
+        (["h", "--ell", "--alpha", "1/2", "1/3"], "argument --ell: expected one argument"),
+        (["h", "--ell", "+3", "--alpha", "1/2", "1/3"], "argument --ell: invalid int value: '+3'"),
+        (["h", "--ell", "3", "--alpha", "1/2", "1/3", "4"], "unrecognized arguments: 4"),
+    ):
+        code, out, err = main_in_process(argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"{H_USAGE}linksig h: error: {message}\n")
+
+
+def test_a_wide_ell_range_is_read_lazily():
+    """verify checks --res before it builds any of a wide ell range, so under a
+    300 MB address-space cap the usage error still exits 64."""
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))"
+    script = f"{cap}; import sys; from linksig.__main__ import run; sys.exit(run())"
+    args = ("verify", "--ell", "1..100000000", "--res", "1")
+    r = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
+    assert r.stderr == usage("verify") + "linksig verify: error: resolution must be at least 2\n"
 
 
 # near-valid values for the argv fuzzer: zero, negative and huge parts,
@@ -726,6 +812,9 @@ def test_every_argv_gets_one_stated_outcome(tmp_path, data):
     argv = data.draw(argvs(str(tmp_path / "missing" / "out"), systems))
     code, out, err = result = main_in_process(argv)
     assert code in (0, 1, 2, 3, 64, 65)
+    # an integer is an optional "-" then ASCII digits: no "_", no other digits
+    if {"\u0663", "1_0"} & set(argv):
+        assert code == EXIT_USAGE, argv
     if code in (2, 3, 64, 65):
         assert out == ""
     if code == EXIT_USAGE:

@@ -220,21 +220,28 @@ def test_only_frozen_stores_fields():
 
 
 def test_only_main_reports_usage_errors():
-    """In cli.py a parser's error() is called from main alone: commands and
-    their helpers take no parser and raise ValueError, which main hands to
-    the failing subcommand's parser."""
+    """cli.py exits 64 in one place, main's `except ValueError`: the option
+    reader and the commands raise ValueError, and only main prints it, with
+    the failing command's usage.  No argparse parser prints a second form."""
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
 
-    def error_calls(node):
+    def error_exits(node):
         return [
             n.lineno
             for n in ast.walk(node)
             if isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "error"
+            and ast.unparse(n.func) in ("SystemExit", "sys.exit", "exit")
+            and [ast.unparse(a) for a in n.args] != ["EXIT_OK"]
         ]
 
-    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    (main,) = [f for f in functions if f.name == "main"]
-    assert error_calls(main) and error_calls(tree) == error_calls(main)
-    assert [f.name for f in functions if "parser" in (a.arg for a in f.args.args)] == []
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    (printer,) = [
+        handler
+        for node in ast.walk(main)
+        if isinstance(node, ast.Try)
+        for handler in node.handlers
+        if handler.type is not None and ast.unparse(handler.type) == "ValueError"
+    ]
+    assert error_exits(printer) and error_exits(tree) == error_exits(printer)
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not [n.lineno for n in imports if "argparse" in ast.unparse(n)]

@@ -112,6 +112,8 @@ TEXT_ANGLE_ERRORS = {
     "0.5": "angle '0.5' is not of the form p/q (use --radians for decimals)",
     "1/1": "angle 1/1 is outside (0, pi)",
     "1/-2": "angle 1/-2 is outside (0, pi)",
+    " 1/3": "bad rational angle ' 1/3'",
+    "1_0/30": "bad rational angle '1_0/30'",
 }
 
 
@@ -122,8 +124,7 @@ def test_angle_pair_reads_text_as_the_cli_does():
                 angle_pair(*pair)
             assert str(exc.value) == message, pair
     third = RationalAngle(1, 3)
-    assert angle_pair(" 1/3", "-2/-6") == AnglePair(third, third)
-    assert RationalAngle.parse("1_0/30") == third
+    assert angle_pair("1/3", "-2/-6") == AnglePair(third, third)
 
 
 def test_torus_braid_closure_has_linking_number_ell():
