@@ -1,13 +1,23 @@
-"""Slotted bases for the package's value classes.  A subclass names its fields
-in __slots__; Record derives repr and == from them, and Frozen adds a hash and
-refuses assignment.  One rule stores a frozen value: Frozen.__init__ sets the
-fields in __slots__ order, and a subclass only checks and normalises its
-arguments, then calls it once.
+"""The slotted base of the package's value classes.  A subclass names its
+fields in __slots__; Frozen derives repr, == and a hash from them and refuses
+assignment.  One rule stores a value: Frozen.__init__ sets every field, in
+__slots__ order, and a subclass only checks and normalises its arguments, then
+calls it once.  A value is built once, complete, and never changes; hashing
+one that holds a list raises TypeError, as it would for a tuple.
 """
 
 
-class Record:
+class Frozen:
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(names)} fields, got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -21,25 +31,12 @@ class Record:
             return NotImplemented
         return self._fields() == other._fields()
 
-    def __reduce__(self):
-        # rebuild through __init__, so copy and pickle never assign a frozen field
-        return (type(self), self._fields())
-
-
-class Frozen(Record):
-    __slots__ = ()
-
-    def __init__(self, *values):
-        names = self.__slots__
-        if len(values) != len(names):
-            raise TypeError(
-                f"{type(self).__qualname__} takes {len(names)} fields, got {len(values)}"
-            )
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
-
     def __hash__(self) -> int:
         return hash(self._fields())
+
+    def __reduce__(self):
+        # rebuild through __init__, so copy and pickle never assign a field
+        return (type(self), self._fields())
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} is read-only")

@@ -87,10 +87,9 @@ def _cmd_h(ell, alpha, radians) -> int:
 
 def _cmd_curve(ell, alpha, radians, samples, path, out) -> int:
     from .chebyshev import check_degree
-    from .pillowcase import CHEB_PATH, DEFAULT_SAMPLES, QUAT_PATH, curves_to_csv, sample_curve
+    from .pillowcase import CHEB_PATH, QUAT_PATH, curves_to_csv, sample_curve
     from .torus_rep import AnglePair, defined_strips
 
-    samples = DEFAULT_SAMPLES if samples is None else samples
     if samples < 1:
         raise ValueError("samples must be positive")
     alpha = AnglePair(*(_parse_angle(text, radians) for text in alpha))
@@ -161,13 +160,15 @@ def _region_svg(grid) -> str:
         d = res * (m / big_l - 1.0)  # p - q = d
         x0, x1 = max(0.0, d), min(float(res), res + d)
         segments.append((x0, x0 - d, x1, x1 - d))
-    for x0, q0, x1, q1 in segments:
-        if x0 < x1:
-            parts.append(
-                f'<line x1="{(x0 - 1) * cell:.2f}" y1="{size - (q0 - 1) * cell:.2f}" '
-                f'x2="{(x1 - 1) * cell:.2f}" y2="{size - (q1 - 1) * cell:.2f}" '
-                'stroke="black" stroke-width="1"/>'
-            )
+    # lines that round to the same tag are written once, in first-appearance order
+    lines = dict.fromkeys(
+        f'<line x1="{(x0 - 1) * cell:.2f}" y1="{size - (q0 - 1) * cell:.2f}" '
+        f'x2="{(x1 - 1) * cell:.2f}" y2="{size - (q1 - 1) * cell:.2f}" '
+        'stroke="black" stroke-width="1"/>'
+        for x0, q0, x1, q1 in segments
+        if x0 < x1
+    )
+    parts.extend(lines)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -240,7 +241,7 @@ _COMMANDS = {
     "h": (_cmd_h, "invariant and signature values at one angle pair", (_ELL, _ALPHA, _RADIANS)),
     "curve": (_cmd_curve, "export the graph curve as CSV", (
         _ELL, _ALPHA, _RADIANS,
-        ("samples", int, None, "samples per route"),  # None: pillowcase.DEFAULT_SAMPLES
+        ("samples", int, 2048, "samples per route"),
         ("path", ("quat", "cheb", "both"), "both", "the route to sample, or both"), _OUT)),
     "regions": (_cmd_regions, "invariant heat map over the angle square", (
         _ELL, ("res", int, 100, "grid points per angle axis"),

@@ -36,7 +36,6 @@ from .su2 import _unit, qinv, qmul, qpow
 from .torus_rep import AnglePair, check_ell, solve_phi
 
 TAU_TRANS = 1e-6
-DEFAULT_SAMPLES = 2048
 
 QUAT_PATH = "quaternion-path"
 CHEB_PATH = "chebyshev-path"
@@ -146,12 +145,7 @@ def gamma_cos_theta_chebyshev(ell: int, alpha: AnglePair, phi: float) -> float:
     return _chebyshev_cosines(ell, alpha, (phi,))[0]
 
 
-def sample_curve(
-    ell: int,
-    alpha: AnglePair,
-    samples: int = DEFAULT_SAMPLES,
-    path: str = CHEB_PATH,
-) -> CurveSample:
+def sample_curve(ell: int, alpha: AnglePair, samples: int, path: str) -> CurveSample:
     """Sample the graph curve at `samples` uniform interior phi values."""
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -163,7 +157,7 @@ def sample_curve(
     return CurveSample(phis, thetas, path)
 
 
-def curves_to_csv(curves: list[CurveSample], footer: str | None = None) -> str:
+def curves_to_csv(curves: list[CurveSample], footer: str | None) -> str:
     """CSV with header phi,theta,provenance; curves interleaved by phi index."""
     lines = ["phi,theta,provenance"]
     lengths = {len(c.phis) for c in curves}

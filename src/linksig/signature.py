@@ -55,7 +55,7 @@ from itertools import chain, pairwise, repeat
 from operator import mul
 from types import MappingProxyType
 
-from ._values import Frozen, Record
+from ._values import Frozen
 from .errors import BadSystemError, NullityWarning, OmegaOneError
 from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
 from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
@@ -280,19 +280,16 @@ def seifert_from_json(data) -> SeifertSystem:
     return system
 
 
-class Band(Record):
+class Band(Frozen):
     """A Hermitian band matrix by its lower half: `diags[0]` is the diagonal,
     a list of reals, and `diags[k]` the k-th sub-diagonal, a list of n - k
     complex numbers whose j-th entry sits at (j + k, j).  The upper half is
     the conjugate, so the matrix is Hermitian by type; `width` is the number
     of sub-diagonals and `shape` that of the matrix.  `size` bounds the
-    total modulus of the terms that build_H summed into any one entry; it is
-    None, read as max|h|, for a band built otherwise."""
+    total modulus of the terms that build_H summed into any one entry; a
+    band built otherwise passes 0.0, which inertia reads as max|h|."""
 
     __slots__ = ("diags", "size")
-
-    def __init__(self, diags: list[list[complex]], size: float | None = None):
-        self.diags, self.size = diags, size
 
     @property
     def width(self) -> int:
@@ -368,19 +365,19 @@ def inertia(h: Band) -> Inertia:
     makes every later pivot NaN, and a zero max|h| has every entry checked.
 
     tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
-    size of the terms build_H summed into an entry (max|h| when None).  The
-    max|h| term is the rounding error of the count: t = c n u with u = 2^-53
-    and c = 8, in units of max|h|.  The Sturm count of a tridiagonal T is
-    the exact count of a T' whose entries differ from T's by a few ulp in
-    relative terms (Kahan 1966; Barth, Martin and Wilkinson 1967), as the
-    scaling by 1 / max|h| does.  A row of T holds at most three entries of
-    modulus <= 1, so ||T' - T||_2 <= ||T' - T||_inf is a few u, below t,
-    and by Weyl's inequality no eigenvalue moves by t: a count of +-1 is
-    the sign of its eigenvalue, and an eigenvalue counted as zero lies
-    within 2 tau of 0.  The size term is build_H's own rounding: each entry
-    is a sum of terms of total modulus <= size, computed to a few u * size,
-    so where H(omega) vanishes, max|h| is that rounding and the whole of h
-    reads as zero.  A wider band adds the Householder backward error,
+    size of the terms build_H summed into an entry (0.0, read as max|h|, for
+    a band built otherwise).  The max|h| term is the rounding error of the
+    count: t = c n u with u = 2^-53 and c = 8, in units of max|h|.  The Sturm
+    count of a tridiagonal T is the exact count of a T' whose entries differ
+    from T's by a few ulp in relative terms (Kahan 1966; Barth, Martin and
+    Wilkinson 1967), as the scaling by 1 / max|h| does.  A row of T holds at
+    most three entries of modulus <= 1, so ||T' - T||_2 <= ||T' - T||_inf is
+    a few u, below t, and by Weyl's inequality no eigenvalue moves by t: a
+    count of +-1 is the sign of its eigenvalue, and an eigenvalue counted as
+    zero lies within 2 tau of 0.  The size term is build_H's own rounding:
+    each entry is a sum of terms of total modulus <= size, computed to a few
+    u * size, so where H(omega) vanishes, max|h| is that rounding and the
+    whole of h reads as zero.  A wider band adds the Householder backward error,
     a band unitarily similar to h + E with ||E||_2 <= p(n) u ||h||_2 and
     ||h||_2 <= n max|h| (Higham 2002, Accuracy and Stability of Numerical
     Algorithms, ch. 19).  The worst case p(n) grows like n^2, but the
@@ -413,7 +410,7 @@ def inertia(h: Band) -> Inertia:
     if hmax == 0.0:
         return Inertia(0, 0, n)
     t = EIG_ZERO_SCALE * n  # tau / max|h|
-    if h.size is not None and h.size > hmax:
+    if h.size > hmax:
         t *= h.size / hmax
     if width < 2:
         sub = diags[1] if width else repeat(0.0)

@@ -13,7 +13,7 @@ serializes to JSON.
 
 from __future__ import annotations
 
-from ._values import Record
+from ._values import Frozen
 from .torus_rep import (
     check_ell,
     lattice_strips,
@@ -35,34 +35,12 @@ def _lattice(ell: int, resolution: int):
             yield p, q, lattice_strips(ell, p, q, resolution)
 
 
-class Report(Record):
-    """Outcome of one check.  A field the check does not use is None and is
-    left out of to_json, which keeps the others in slot order."""
+class Report(Frozen):
+    """Outcome of one check, built once from its counts.  `points` is None
+    unless the check records them, and to_json then leaves it out, keeping
+    the other fields in slot order."""
 
-    __slots__ = (
-        "ell",
-        "resolution",
-        "checked",
-        "failed",
-        "skipped_on_roots",
-        "points",
-    )
-
-    def __init__(
-        self,
-        ell: int | None = None,
-        resolution: int | None = None,
-        checked: int = 0,
-        failed: int = 0,
-        skipped_on_roots: int | None = None,
-        points: list[dict] | None = None,
-    ):
-        self.ell = ell
-        self.resolution = resolution
-        self.checked = checked
-        self.failed = failed
-        self.skipped_on_roots = skipped_on_roots
-        self.points = points
+    __slots__ = ("ell", "resolution", "checked", "failed", "skipped_on_roots", "points")
 
     def to_json(self) -> dict:
         fields = zip(self.__slots__, self._fields())
@@ -71,19 +49,20 @@ class Report(Record):
 
 def sweep_main_identity(ell: int, resolution: int, verbose: bool = False) -> Report:
     """Assert h = -(sigma(w1,w2) + sigma(w1,w2^{-1}))/2 over the exact grid."""
-    report = Report(ell, resolution, skipped_on_roots=0, points=[] if verbose else None)
+    checked = failed = skipped = 0
+    points = [] if verbose else None
     for p, q, ij in _lattice(ell, resolution):
         if ij is None:
-            report.skipped_on_roots += 1
+            skipped += 1
             continue
         i, j = ij  # j is the strip of the flipped pair (p, resolution - q)
         h, s1, s2 = strip_h(ell, i, j), strip_sigma(ell, i), strip_sigma(ell, j)
         ok = 2 * h == -(s1 + s2)
-        report.checked += 1
+        checked += 1
         if not ok:
-            report.failed += 1
-        if report.points is not None:
-            report.points.append(
+            failed += 1
+        if points is not None:
+            points.append(
                 {
                     "alpha": [f"{p}/{resolution}", f"{q}/{resolution}"],
                     "h": h,
@@ -91,18 +70,13 @@ def sweep_main_identity(ell: int, resolution: int, verbose: bool = False) -> Rep
                     "pass": ok,
                 }
             )
-    return report
+    return Report(ell, resolution, checked, failed, skipped, points)
 
 
-class RegionGrid(Record):
+class RegionGrid(Frozen):
     """h values over the lattice; SENTINEL marks excluded root-locus cells."""
 
     __slots__ = ("ell", "resolution", "values")
-
-    def __init__(self, ell: int, resolution: int, values: list[list[int]] | None = None):
-        self.ell = ell
-        self.resolution = resolution
-        self.values = [] if values is None else values
 
 
 def region_grid(ell: int, resolution: int) -> RegionGrid:
@@ -118,13 +92,13 @@ def check_mod4_congruence(ell: int, resolution: int) -> Report:
     ell > 0 (the potential normalization is pinned only there)."""
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
-    report = Report(ell, resolution, skipped_on_roots=0)
+    checked = failed = skipped = 0
     for *_, ij in _lattice(ell, resolution):
         if ij is None:
-            report.skipped_on_roots += 1
+            skipped += 1
             continue
         i = ij[0]
-        report.checked += 1
+        checked += 1
         if (strip_sigma(ell, i) - 2 - ell - strip_potential_sign(ell, i)) % 4:
-            report.failed += 1
-    return report
+            failed += 1
+    return Report(ell, resolution, checked, failed, skipped, None)

@@ -163,6 +163,17 @@ def test_regions_svg(tmp_path):
     assert "<rect" in text and "<line" in text and text.rstrip().endswith("</svg>")
 
 
+def test_regions_svg_writes_each_root_line_once(tmp_path):
+    # 399,996 root-line segments of ell = 1e5 round to 19,206 distinct tags
+    out = tmp_path / "big.svg"
+    argv = ["regions", "--ell", "100000", "--res", "8", "--format", "svg", "--out", str(out)]
+    assert linksig.cli.main(argv) == EXIT_OK
+    text = out.read_text()
+    lines = [ln for ln in text.splitlines() if ln.startswith("<line")]
+    assert lines and len(set(lines)) == len(lines)
+    assert len(text.encode()) < 2_000_000
+
+
 def test_sigma_subcommand(tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(seifert_to_json(torus_seifert(2))))

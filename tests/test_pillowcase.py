@@ -243,7 +243,7 @@ def test_sample_curve_and_csv():
     assert lines[-1].startswith("# ")
     assert len(lines) == 2 + 32
     with pytest.raises(ValueError, match="equal sample counts"):
-        curves_to_csv([curve, sample_curve(2, P22, samples=15)])
+        curves_to_csv([curve, sample_curve(2, P22, samples=15, path=CHEB_PATH)], footer=None)
 
 
 def test_curve_sample_validation():
@@ -257,7 +257,7 @@ def test_curve_sample_validation():
     with pytest.raises(ValueError, match="one theta per phi"):
         CurveSample((0.5, 0.6), (0.0,), CHEB_PATH)
     with pytest.raises(ValueError):
-        sample_curve(2, P22, samples=0)
+        sample_curve(2, P22, samples=0, path=CHEB_PATH)
     with pytest.raises(ValueError, match="unknown provenance"):
         sample_curve(2, P22, samples=4, path="mystery-path")
     with pytest.raises(ValueError):

@@ -181,7 +181,7 @@ def dense(h):
     return a
 
 
-def full_band(a, size=None):
+def full_band(a, size=0.0):
     """The Band of the Hermitian array or nested lists `a` at full width,
     n - 1 sub-diagonals and at least 1, read from its lower half; the
     diagonal is its real part."""
@@ -363,10 +363,10 @@ def test_inertia_examples():
     ine = inertia(h)
     assert (ine.n_pos, ine.n_neg, ine.n_zero) == (0, 1, 0)
     assert ine.signature == -1
-    assert inertia(Band([[]])).rank == inertia(Band([[], []])).rank == 0
+    assert inertia(Band([[]], 0.0)).rank == inertia(Band([[], []], 0.0)).rank == 0
     # the same diagonal matrix as a band of width 0, 1 and 2
     for h in (
-        Band([[2.0, -3.0, 0.0]]),
+        Band([[2.0, -3.0, 0.0]], 0.0),
         tridiagonal([2.0, -3.0, 0.0], [0.0, 0.0]),
         full_band(np.diag([2.0, -3.0, 0.0])),
     ):
@@ -651,7 +651,7 @@ def assert_inertia_matches_eigvalsh(h):
 def tridiagonal(diag, sub):
     """The Hermitian band with diagonal `diag` and sub-diagonal `sub`; its
     upper diagonal is conj(sub)."""
-    return Band([[float(d) for d in diag], [complex(e) for e in sub]])
+    return Band([[float(d) for d in diag], [complex(e) for e in sub]], 0.0)
 
 
 ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -825,21 +825,21 @@ def test_inertia_rejects_non_hermitian_tridiagonal():
 def test_inertia_rejects_a_user_built_band_by_the_rules_for_any_matrix():
     # a Band is Hermitian by type but for its diagonal, which may be complex
     for bad in (
-        Band([]),
-        Band([[1.0, 2.0], []]),
-        Band([[1.0, 2.0], [0.5, 0.5]]),
-        Band([[], [0.5]]),
-        Band([[1.0, 2.0, 3.0], [0.5, 0.5], [0.5, 0.5]]),
+        Band([], 0.0),
+        Band([[1.0, 2.0], []], 0.0),
+        Band([[1.0, 2.0], [0.5, 0.5]], 0.0),
+        Band([[], [0.5]], 0.0),
+        Band([[1.0, 2.0, 3.0], [0.5, 0.5], [0.5, 0.5]], 0.0),
     ):
         with pytest.raises(ValueError, match="wrong length"):
             inertia(bad)
     for v in (math.nan, -math.inf, complex(0.0, math.nan), complex(math.inf, 0.0)):
-        for bad in (Band([[1.0, 2.0], [v]]), Band([[1.0, v], [0.5]])):
+        for bad in (Band([[1.0, 2.0], [v]], 0.0), Band([[1.0, v], [0.5]], 0.0)):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     # 2 |Im d| against 1e-12 * max(1, max|h|): 2e-12 here, and 1e-12 below
-    assert inertia(Band([[1.0, 2.0 + 0.9e-12j], [0.5]])) == Inertia(2, 0, 0)
-    for bad in (Band([[1.0, 2.0 + 1.1e-12j], [0.5]]), Band([[1e-3 - 0.6e-12j], []])):
+    assert inertia(Band([[1.0, 2.0 + 0.9e-12j], [0.5]], 0.0)) == Inertia(2, 0, 0)
+    for bad in (Band([[1.0, 2.0 + 1.1e-12j], [0.5]], 0.0), Band([[1e-3 - 0.6e-12j], []], 0.0)):
         with pytest.raises(ValueError, match="not Hermitian"):
             inertia(bad)
 
@@ -864,17 +864,17 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     # width is checked the same way
     for v in (math.nan, math.inf):
         for bad in (
-            Band([[1.0, 2.0], [v]]),
-            Band([[v], []]),
-            Band([[1.0, 2.0, 3.0], [0.5, 0.5], [v]]),
+            Band([[1.0, 2.0], [v]], 0.0),
+            Band([[v], []], 0.0),
+            Band([[1.0, 2.0, 3.0], [0.5, 0.5], [v]], 0.0),
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     for bad in (
-        Band([[1.0, -1.0], []]),
-        Band([[1.0, 2.0], [0.5, 0.5]]),
-        Band([[1.0], [0.5]]),
-        Band([[1.0, 2.0, 3.0], [0.5, 0.5], []]),
+        Band([[1.0, -1.0], []], 0.0),
+        Band([[1.0, 2.0], [0.5, 0.5]], 0.0),
+        Band([[1.0], [0.5]], 0.0),
+        Band([[1.0, 2.0, 3.0], [0.5, 0.5], []], 0.0),
     ):
         with pytest.raises(ValueError, match="wrong length"):
             inertia(bad)
@@ -886,11 +886,11 @@ def test_inertia_finds_a_nan_that_max_skips():
     # shortcut reads each entry first; elsewhere the NaN makes the pivots
     # from its row on NaN, the last too
     for bad in (
-        Band([[0.0, math.nan], [0.0]]),
-        Band([[1.0, math.nan], [0.5]]),
-        Band([[math.nan], []]),
-        Band([[math.nan, 1.0, 1.0], [0.5, 0.5]]),
-        Band([[1.0, 1.0, 1.0], [0.5, complex(0.0, math.nan)]]),
+        Band([[0.0, math.nan], [0.0]], 0.0),
+        Band([[1.0, math.nan], [0.5]], 0.0),
+        Band([[math.nan], []], 0.0),
+        Band([[math.nan, 1.0, 1.0], [0.5, 0.5]], 0.0),
+        Band([[1.0, 1.0, 1.0], [0.5, complex(0.0, math.nan)]], 0.0),
         Band([[5e-324, math.nan], [0.0]], 1.0),  # tau / max|h| overflows to inf
     ):
         with pytest.raises(ValueError, match="non-finite"):
@@ -904,7 +904,8 @@ def test_inertia_finds_a_nan_anywhere_in_a_wide_band():
         for k in range(width + 1):
             for j in range(n - k):
                 for v in (math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)):
-                    h = Band([[1.0] * n] + [[0.25 + 0.5j] * (n - i) for i in range(1, width + 1)])
+                    subs = [[0.25 + 0.5j] * (n - i) for i in range(1, width + 1)]
+                    h = Band([[1.0] * n, *subs], 0.0)
                     h.diags[k][j] = v
                     with pytest.raises(ValueError, match="non-finite"):
                         inertia(h)
@@ -952,7 +953,7 @@ def integer_bands(draw):
     tau = EIG_ZERO_SCALE * n * max(map(abs, [*sub, *diag]))
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         diag[i] = draw(st.sampled_from([tau, -tau]))
-    return Band([diag, sub])
+    return Band([diag, sub], 0.0)
 
 
 @settings(deadline=None, max_examples=300)
@@ -990,8 +991,8 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
         assert not edge
         diag, sub = h.diags
         layouts = (
-            Band([diag, [e.conjugate() for e in sub]]),
-            Band([diag[::-1], [e.conjugate() for e in sub[::-1]]]),
+            Band([diag, [e.conjugate() for e in sub]], 0.0),
+            Band([diag[::-1], [e.conjugate() for e in sub[::-1]]], 0.0),
             full_band(dense(h)),
         )
         cases.append((h, want, layouts))

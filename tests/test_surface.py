@@ -245,3 +245,46 @@ def test_only_main_reports_usage_errors():
     assert error_exits(printer) and error_exits(tree) == error_exits(printer)
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert not [n.lineno for n in imports if "argparse" in ast.unparse(n)]
+
+
+def test_every_value_is_frozen_and_built_once():
+    """_values.py defines Frozen alone, every class with fields derives from
+    it, and no statement in the package assigns to a field, plainly or
+    through an augmented assignment such as `report.checked += 1`."""
+    values = ast.parse((PACKAGE / "_values.py").read_text(encoding="utf-8"))
+    assert [n.name for n in ast.walk(values) if isinstance(n, ast.ClassDef)] == ["Frozen"]
+
+    def has_fields(node):
+        return isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.Assign)
+            and [ast.unparse(t) for t in item.targets] == ["__slots__"]
+            and ast.literal_eval(item.value)
+            for item in node.body
+        )
+
+    classes = [
+        (path.name, node.name, [ast.unparse(b) for b in node.bases])
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if has_fields(node)
+    ]
+    assert {"Report", "RegionGrid", "Band"} <= {name for _, name, _ in classes}
+    assert [c for c in classes if c[2] != ["Frozen"]] == []
+
+    def stored(targets):
+        for t in targets:
+            if isinstance(t, (ast.Tuple, ast.List)):
+                yield from stored(t.elts)
+            else:
+                yield t.value if isinstance(t, ast.Starred) else t
+
+    def stores_a_field(node):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return False
+        return any(isinstance(t, ast.Attribute) for t in stored(targets))
+
+    assert places(stores_a_field) == []

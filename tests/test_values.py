@@ -1,5 +1,5 @@
 """Value semantics of the package's small classes: equality, hashing,
-immutability, constructor defaults and validation."""
+immutability and validation."""
 
 import copy
 import math
@@ -55,21 +55,32 @@ def test_seifert_systems_compare_by_value():
     assert len({system, torus_seifert(2), torus_seifert(-2)}) == 2
 
 
-def test_keyword_construction_and_fresh_defaults():
-    report = Report(ell=2, resolution=5, skipped_on_roots=0)
-    assert report.points is None
-    assert (report.checked, report.failed, report.skipped_on_roots) == (0, 0, 0)
-    report.checked += 1
-    assert report.checked == 1
+def test_reports_grids_and_bands_refuse_assignment():
+    # each is built once from all of its fields: a check counts in locals
+    report = Report(2, 5, 1, 0, 0, None)
+    values = (
+        (report, "checked"),
+        (RegionGrid(3, 2, [[-1]]), "values"),
+        (Band([[1.0, -2.0], [0.5 - 1j]], 0.0), "size"),
+    )
+    for value, name in values:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+        # no field has a default: one too few is a TypeError
+        with pytest.raises(TypeError):
+            type(value)(*value._fields()[:-1])
+    with pytest.raises(AttributeError):
+        report.checked += 1
     assert report.to_json() == {
         "ell": 2, "resolution": 5, "checked": 1, "failed": 0, "skipped_on_roots": 0
     }
-    assert Report().to_json() == {"checked": 0, "failed": 0}
-
-    a, b = RegionGrid(3, 8), RegionGrid(3, 8)
-    assert a.values == [] and a.values is not b.values
-    a.values.append([1])
-    assert b.values == []
+    # a value that holds a list is unhashable, as a tuple holding one is
+    with pytest.raises(TypeError):
+        hash(values[1][0])
 
 
 def test_copy_and_pickle_round_trip():
@@ -79,14 +90,14 @@ def test_copy_and_pickle_round_trip():
         PillowPoint(1.0, 2.0),
         Inertia(1, 2, 0),
         torus_seifert(4),
-        Report(2, 5, checked=3, skipped_on_roots=0, points=[{"h": 1}]),
-        Report(checked=1, failed=1, skipped_on_roots=0),
+        Report(2, 5, 3, 0, 0, [{"h": 1}]),
+        Report(3, 4, 1, 1, 0, None),
         # __reduce__ rebuilds these through __init__ from their fields in order
         RationalAngle(2, 7),
         CurveSample((0.5, 1.5), (0.25, 0.0), QUAT_PATH),
         SignedIntersection(PillowPoint(1.0, 0.0), 2, -1),
-        Band([[1.0, -2.0], [0.5 - 1j]]),
-        Band([[1.0, -2.0, 3.0], [0.5 - 1j, 2j], [0.25]], size=6.5),
+        Band([[1.0, -2.0], [0.5 - 1j]], 0.0),
+        Band([[1.0, -2.0, 3.0], [0.5 - 1j, 2j], [0.25]], 6.5),
         RegionGrid(3, 4, [[1, -999, 0], [2, 1, 0], [0, 0, -999]]),
     )
     for value in values:
@@ -98,8 +109,8 @@ def test_copy_and_pickle_round_trip():
 def test_repr_names_the_fields():
     assert repr(RationalAngle(2, 4)) == "RationalAngle(p=1, q=2)"
     assert repr(Inertia(1, 2, 0)) == "Inertia(n_pos=1, n_neg=2, n_zero=0)"
-    assert repr(RegionGrid(3, 8)) == "RegionGrid(ell=3, resolution=8, values=[])"
-    assert repr(Report(checked=2)) == (
+    assert repr(RegionGrid(3, 8, [])) == "RegionGrid(ell=3, resolution=8, values=[])"
+    assert repr(Report(None, None, 2, 0, None, None)) == (
         "Report(ell=None, resolution=None, checked=2, failed=0, skipped_on_roots=None, "
         "points=None)"
     )
