@@ -11,7 +11,7 @@ starts with "--", so -1/2, -3 and -6..6 are values.  Names are exact, the last
 occurrence wins, and an integer is an optional "-" then ASCII digits.  -h or
 --help prints the usage, a blank line and a line per option, and exits 0.
 
-Exit codes, causes and stderr (stdout is empty on 2, 3, 64 and 65):
+Exit codes, causes and stderr (stdout is empty on 2, 3, 64, 65 and 71):
   0   success                       empty, or sigma's nullity warning
   1   verify: some point fails      empty
   2   alpha on the root locus       "undefined: alpha on Alexander root locus"
@@ -19,6 +19,7 @@ Exit codes, causes and stderr (stdout is empty on 2, 3, 64 and 65):
   3   zero linking number           "error: <message>"
   64  usage error                   usage, "linksig <command>: error: <message>"
   65  bad --system data             "error: <message>"
+  71  out of memory (MemoryError)   "error: out of memory"
 A usage error (an option unknown, missing or of a bad value, an angle, range,
 sample count or resolution out of bounds, an --out that cannot be written, a
 curve past the degree cap) raises ValueError; main alone prints it after the
@@ -42,6 +43,7 @@ EXIT_UNDEFINED = 2
 EXIT_ZERO_LINKING = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_NO_MEMORY = 71  # sysexits' EX_OSERR
 
 UNDEFINED_MESSAGE = "undefined: alpha on Alexander root locus"
 
@@ -160,13 +162,17 @@ def _region_svg(grid) -> str:
         d = res * (m / big_l - 1.0)  # p - q = d
         x0, x1 = max(0.0, d), min(float(res), res + d)
         segments.append((x0, x0 - d, x1, x1 - d))
-    # lines that round to the same tag are written once, in first-appearance order
+
+    def point(x, q):  # one end of a line as its tag prints it
+        return f"{(x - 1) * cell:.2f}", f"{size - (q - 1) * cell:.2f}"
+
+    ends = ((point(x0, q0), point(x1, q1)) for x0, q0, x1, q1 in segments if x0 < x1)
+    # lines that round to the same tag are written once, in first-appearance
+    # order, and lines that round to a point not at all
     lines = dict.fromkeys(
-        f'<line x1="{(x0 - 1) * cell:.2f}" y1="{size - (q0 - 1) * cell:.2f}" '
-        f'x2="{(x1 - 1) * cell:.2f}" y2="{size - (q1 - 1) * cell:.2f}" '
-        'stroke="black" stroke-width="1"/>'
-        for x0, q0, x1, q1 in segments
-        if x0 < x1
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="1"/>'
+        for (x1, y1), (x2, y2) in ends
+        if (x1, y1) != (x2, y2)
     )
     parts.extend(lines)
     parts.append("</svg>")
@@ -338,6 +344,10 @@ def main(argv=None) -> int:
         undefined = isinstance(exc, NotDefinedError)
         print(UNDEFINED_MESSAGE if undefined else f"error: {exc}", file=sys.stderr)
         return _ERROR_EXITS[type(exc)]
+    except MemoryError:
+        # not exit 1, which means only that a verify point fails
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_NO_MEMORY
     except ValueError as exc:
         # the one printer of exit 64: the failing command's usage and error line
         prog = "linksig" if command is None else f"linksig {command}"

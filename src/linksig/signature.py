@@ -14,7 +14,7 @@ A system is stored as the nonzero integer entries of its matrices and
 nothing else, with one policy, A^{-eps} = (A^eps)^T among its rules,
 checked once when it is built, however it is built (see SeifertSystem).
 build_H adds the entries on or below the diagonal into H, one matrix at a
-time.
+time, with one product per group of equal values on one sub-diagonal.
 
 build_H returns every H as a Band, Hermitian by type: its real diagonal
 and its sub-diagonals, down to the farthest one that an entry of the system
@@ -137,8 +137,10 @@ class SeifertSystem(Frozen):
     H(omega) is Hermitian and its lower half determines it.
 
     The rest is derived for build_H.  `lower` holds, for each key of
-    `entries` in turn, its entries on or below the diagonal as (k, j, v),
-    k = i - j: v sits at (j + k, j), on the k-th sub-diagonal of H.
+    `entries` in turn, its entries on or below the diagonal in groups
+    (v, k, js), one per value v and sub-diagonal k: v sits at (j + k, j) for
+    each j of js, in increasing order, and no (v, k) repeats within a key.
+    A (2,2l)-torus matrix has at most two groups, however large its rank.
     `width` is the farthest sub-diagonal that an entry fills, at least 1,
     and `bound` the largest sum of |A^eps_ij| over eps at one position, the
     same on the upper half by the transpose rule.
@@ -162,12 +164,16 @@ class SeifertSystem(Frozen):
             for a, b in pairwise(e):
                 if a[:2] == b[:2]:
                     raise BadSystemError(f"matrix {key} has two entries at ({a[0]}, {a[1]})")
-        lower = tuple(tuple((i - j, j, v) for i, j, v in e if i >= j) for e in entries.values())
-        total = {}  # sum of |v| at each position
-        for k, j, v in chain(*lower):
-            total[k, j] = total.get((k, j), 0) + abs(v)
+        lower, total = [], {}  # total: the sum of |v| at each position
+        for e in entries.values():
+            groups = {}  # the entries are sorted: each group's columns increase
+            for i, j, v in e:
+                if i >= j:
+                    groups.setdefault((v, i - j), []).append(j)
+                    total[i - j, j] = total.get((i - j, j), 0) + abs(v)
+            lower.append(tuple((v, k, tuple(js)) for (v, k), js in groups.items()))
         width, bound = max([1] + [k for k, _ in total]), max(total.values(), default=0)
-        super().__init__(mu, rank, MappingProxyType(entries), lower, width, bound)
+        super().__init__(mu, rank, MappingProxyType(entries), tuple(lower), width, bound)
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -306,9 +312,12 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed into any
     entry.
 
-    Each position starts at the int 0, adds coeff * v for each entry at it,
-    key by key, and is multiplied by scale: bitwise the sum over all 2^mu
-    matrices in key order.  No partial sum from the int 0 has a -0.0 part
+    Each matrix's coefficient times v is computed once per group (v, k, js)
+    of s.lower and added at each of its positions.  Each position starts at
+    the int 0, adds coeff * v for each entry at it, key by key, and is
+    multiplied by scale, which also takes the diagonal's real part: bitwise
+    the sum over all 2^mu matrices in key order, since a key puts at most
+    one entry at a position.  No partial sum from the int 0 has a -0.0 part
     (0.0 + t is not -0.0, and x + y is -0.0 only if both are), so the +-0.0
     terms of zero entries change none, and scale multiplies a position with
     no entry, the int 0, as 0j, the sum of its zero terms.
@@ -329,10 +338,11 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
         for ch, w in zip(key, omegas):
             if ch == "-":
                 coeff *= -w
-        for k, j, v in lower:
-            diags[k][j] += coeff * v
-    diags = [[scale * x for x in d] for d in diags]
-    diags[0] = [x.real for x in diags[0]]
+        for v, k, js in lower:
+            term, d = coeff * v, diags[k]
+            for j in js:
+                d[j] += term
+    diags = [[(scale * x).real for x in diags[0]], *([scale * x for x in d] for d in diags[1:])]
     return Band(diags, abs(scale) * s.bound)
 
 

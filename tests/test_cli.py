@@ -25,6 +25,7 @@ EXIT_UNDEFINED = 2
 EXIT_ZERO_LINKING = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_NO_MEMORY = 71
 
 
 def run(*args):
@@ -172,6 +173,9 @@ def test_regions_svg_writes_each_root_line_once(tmp_path):
     lines = [ln for ln in text.splitlines() if ln.startswith("<line")]
     assert lines and len(set(lines)) == len(lines)
     assert len(text.encode()) < 2_000_000
+    # and none of them is a point: 4 of the segments round to one
+    ends = [re.findall(r'[xy][12]="([^"]*)"', ln) for ln in lines]
+    assert all(len(e) == 4 and e[:2] != e[2:] for e in ends)
 
 
 def test_sigma_subcommand(tmp_path):
@@ -751,6 +755,21 @@ def test_a_wide_ell_range_is_read_lazily():
     r = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
     assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
     assert r.stderr == usage("verify") + "linksig verify: error: resolution must be at least 2\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("regions", "--ell", "3", "--res", "100000"),
+    ("curve", "--ell", "3", "--alpha", "1/3", "1/5", "--samples", "100000000"),
+])
+def test_out_of_memory_exits_71_with_one_line(args):
+    """A command that runs out of memory exits 71 with one stderr line and no
+    traceback, never 1, which means only that a verify point fails.  The
+    48 MB address-space cap is about three times what the interpreter and
+    linksig take, and small, so that regions meets it within seconds."""
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (48 << 20, 48 << 20))"
+    script = f"{cap}; import sys; from linksig.__main__ import run; sys.exit(run())"
+    r = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (EXIT_NO_MEMORY, "", "error: out of memory\n")
 
 
 # near-valid values for the argv fuzzer: zero, negative and huge parts,

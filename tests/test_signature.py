@@ -1499,6 +1499,42 @@ def test_a_wide_system_keeps_only_its_entries():
     assert repr(h.size) == repr(size)
 
 
+def assert_grouped(s):
+    """s.lower, key by key, holds each entry (k, j, v) on or below the
+    diagonal exactly once, in groups (v, k, js) with js increasing and no
+    (v, k) twice within a key."""
+    assert len(s.lower) == len(s.entries)
+    for e, groups in zip(s.entries.values(), s.lower):
+        expanded = [(k, j, v) for v, k, js in groups for j in js]
+        assert sorted(expanded) == sorted((i - j, j, v) for i, j, v in e if i >= j)
+        assert all(js and all(a < b for a, b in zip(js, js[1:])) for _, _, js in groups)
+        assert len({(v, k) for v, k, _ in groups}) == len(groups)
+
+
+def test_lower_groups_torus_and_relabelled_systems_by_value_and_sub_diagonal():
+    for ell in [*range(-60, 0), *range(1, 61)]:
+        s = torus_seifert(ell)
+        assert_grouped(s)
+        assert all(len(groups) <= 2 for groups in s.lower), ell
+    # the relabelled ell-200 system of test_a_wide_system_keeps_only_its_entries
+    base = torus_seifert(200)
+    perm = list(range(base.rank))
+    random.Random(28).shuffle(perm)
+    relabelled = {
+        k: tuple((perm[i], perm[j], v) for i, j, v in e) for k, e in base.entries.items()
+    }
+    assert_grouped(SeifertSystem(2, base.rank, relabelled))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.one_of(
+    systems_and_omegas().map(lambda drawn: drawn[0]),
+    knot_block_sums().map(lambda drawn: drawn[0]),
+))
+def test_lower_groups_random_systems_by_value_and_sub_diagonal(s):
+    assert_grouped(s)
+
+
 def test_seifert_system_stores_partners_as_read_only_transposes():
     rng = np.random.default_rng(30)
     for mu, rank in ((1, 3), (2, 4), (3, 2)):
