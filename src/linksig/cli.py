@@ -22,10 +22,19 @@ Exit codes, causes and stderr (stdout is empty on 2, 3, 64, 65 and 71):
   71  out of memory (MemoryError)   "error: out of memory"
 A usage error (an option unknown, missing or of a bad value, an angle, range,
 sample count or resolution out of bounds, an --out that cannot be written, a
-curve past the degree cap) raises ValueError; main alone prints it after the
-command's usage (the top-level one and "linksig: error:" only when argv names
-no command) and raises SystemExit(64).  Output, stderr too, is
-byte-deterministic for fixed flags; floats print 17 significant digits.
+curve past the degree cap, a size past MAX_HELD) raises ValueError; main
+alone prints it after the command's usage (the top-level one and "linksig:
+error:" only when argv names no command) and raises SystemExit(64).  Output,
+stderr too, is byte-deterministic for fixed flags; floats print 17
+significant digits.
+
+Sizes: a command holds at once, before it writes anything,
+  regions           (res - 1)^2 cells
+  curve             samples x routes samples (2 routes for --path both)
+  verify --verbose  (res - 1)^2 x ells points (verify alone holds no point)
+and an argv that would hold more than MAX_HELD = 10^8 of them is refused, as
+a usage error, before any of them is computed.  A size under the bound may
+still run out of memory, and then exits 71.
 
 Each subcommand imports the modules of its own route when it runs, so a
 cold `h`, `verify` or `regions` never loads the Chebyshev polynomials, the
@@ -46,6 +55,13 @@ EXIT_DATA = 65
 EXIT_NO_MEMORY = 71  # sysexits' EX_OSERR
 
 UNDEFINED_MESSAGE = "undefined: alpha on Alexander root locus"
+MAX_HELD = 10**8  # values one command may hold: far above every pool and CI argv
+
+
+def _check_held(held: int, unit: str) -> None:
+    """Refuse, as a usage error, a command that would hold more than MAX_HELD values."""
+    if held > MAX_HELD:
+        raise ValueError(f"{held} {unit} exceed the {MAX_HELD} values one command may hold")
 
 
 def _parse_angle(text: str, radians: bool):
@@ -94,6 +110,7 @@ def _cmd_curve(ell, alpha, radians, samples, path, out) -> int:
 
     if samples < 1:
         raise ValueError("samples must be positive")
+    _check_held(samples * (2 if path == "both" else 1), "samples")
     alpha = AnglePair(*(_parse_angle(text, radians) for text in alpha))
     defined_strips(ell, alpha)  # NotDefinedError on the root locus
     if path != "quat":
@@ -182,6 +199,7 @@ def _region_svg(grid) -> str:
 def _cmd_regions(ell, res, format, out) -> int:
     from .verify import region_grid
 
+    _check_held(max(res - 1, 0) ** 2, "cells")
     grid = region_grid(ell, res)
     text = _region_csv(grid) if format == "csv" else _region_svg(grid)
     _write_output(text, out)
@@ -224,6 +242,8 @@ def _cmd_verify(ell, res, verbose, out) -> int:
         raise ValueError(f"empty ell range {ell!r}")
     if lo == hi == 0:
         raise ZeroLinkingError("ell range contains only 0")
+    if verbose:
+        _check_held(max(res - 1, 0) ** 2 * (hi - lo + 1 - (lo <= 0 <= hi)), "points")
     # the nonzero ells, drawn lazily: the first sweep checks res before a wide range costs memory
     ells = (e for e in range(lo, hi + 1) if e != 0)
     reports = [sweep_main_identity(e, res, verbose=verbose) for e in ells]
@@ -345,11 +365,12 @@ def main(argv=None) -> int:
         print(UNDEFINED_MESSAGE if undefined else f"error: {exc}", file=sys.stderr)
         return _ERROR_EXITS[type(exc)]
     except MemoryError:
-        # not exit 1, which means only that a verify point fails
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_NO_MEMORY
+        pass  # reported below, once its traceback has freed what the command held
     except ValueError as exc:
         # the one printer of exit 64: the failing command's usage and error line
         prog = "linksig" if command is None else f"linksig {command}"
         sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
         raise SystemExit(EXIT_USAGE) from None
+    # not exit 1, which means only that a verify point fails
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_NO_MEMORY

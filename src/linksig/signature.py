@@ -13,8 +13,10 @@ and reports its inertia.  The signature of H is the multivariable
 A system is stored as the nonzero integer entries of its matrices and
 nothing else, with one policy, A^{-eps} = (A^eps)^T among its rules,
 checked once when it is built, however it is built (see SeifertSystem).
-build_H adds the entries on or below the diagonal into H, one matrix at a
-time, with one product per group of equal values on one sub-diagonal.
+The system also keeps the lower band of H as runs of classes: a class is
+the list of terms (key index, v) at one position, and a run is a stretch of
+one diagonal whose positions share a class.  build_H computes one sum per
+class and lays each diagonal out by its runs.
 
 build_H returns every H as a Band, Hermitian by type: its real diagonal
 and its sub-diagonals, down to the farthest one that an entry of the system
@@ -136,17 +138,21 @@ class SeifertSystem(Frozen):
     a nonzero int64, one per (i, j); and A^{-eps} = (A^eps)^T, so every
     H(omega) is Hermitian and its lower half determines it.
 
-    The rest is derived for build_H.  `lower` holds, for each key of
-    `entries` in turn, its entries on or below the diagonal in groups
-    (v, k, js), one per value v and sub-diagonal k: v sits at (j + k, j) for
-    each j of js, in increasing order, and no (v, k) repeats within a key.
-    A (2,2l)-torus matrix has at most two groups, however large its rank.
-    `width` is the farthest sub-diagonal that an entry fills, at least 1,
-    and `bound` the largest sum of |A^eps_ij| over eps at one position, the
-    same on the upper half by the transpose rule.
+    The rest is derived for build_H.  A position (j + k, j) on or below the
+    diagonal holds the terms (key index, v), one per key of `entries` with an
+    entry v there, in key order.  `classes` lists the distinct term lists,
+    the empty one first, then in the order of their first position by
+    (k, j).  `runs[k]`, for each diagonal k = 0 .. width, covers its n - k
+    positions in order by runs (class index, count), no two adjacent ones of
+    one class.  A (2,2l)-torus system has at most three classes and one run
+    per diagonal, however large its rank, and an empty stretch is one run,
+    so nothing here grows with the band of H.  `width` is the farthest
+    sub-diagonal that an entry fills, at least 1, and `bound` the largest
+    sum of |A^eps_ij| over eps at one position, the same on the upper half
+    by the transpose rule.
     """
 
-    __slots__ = ("mu", "rank", "entries", "lower", "width", "bound")
+    __slots__ = ("mu", "rank", "entries", "classes", "runs", "width", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
         _check_count("mu", mu, 1, "positive")
@@ -164,16 +170,31 @@ class SeifertSystem(Frozen):
             for a, b in pairwise(e):
                 if a[:2] == b[:2]:
                     raise BadSystemError(f"matrix {key} has two entries at ({a[0]}, {a[1]})")
-        lower, total = [], {}  # total: the sum of |v| at each position
-        for e in entries.values():
-            groups = {}  # the entries are sorted: each group's columns increase
+        cells = {}  # k: {j: the terms at (j + k, j), key by key}
+        for index, e in enumerate(entries.values()):
             for i, j, v in e:
                 if i >= j:
-                    groups.setdefault((v, i - j), []).append(j)
-                    total[i - j, j] = total.get((i - j, j), 0) + abs(v)
-            lower.append(tuple((v, k, tuple(js)) for (v, k), js in groups.items()))
-        width, bound = max([1] + [k for k, _ in total]), max(total.values(), default=0)
-        super().__init__(mu, rank, MappingProxyType(entries), tuple(lower), width, bound)
+                    cells.setdefault(i - j, {}).setdefault(j, []).append((index, v))
+        width = max([1, *cells])
+        classes, runs = {(): 0}, []
+        for k in range(width + 1):
+            diag, r, end = cells.get(k, ()), [], 0  # end: the first position no run covers
+            for j in sorted(diag):
+                c = classes.setdefault(tuple(diag[j]), len(classes))
+                if j == end and r and r[-1][0] == c:
+                    r[-1] = (c, r[-1][1] + 1)
+                else:
+                    if j > end:
+                        r.append((0, j - end))  # an empty stretch
+                    r.append((c, 1))
+                end = j + 1
+            if rank - k > end:
+                r.append((0, rank - k - end))
+            runs.append(tuple(r))
+        bound = max(sum(abs(v) for _, v in t) for t in classes)
+        super().__init__(
+            mu, rank, MappingProxyType(entries), tuple(classes), tuple(runs), width, bound
+        )
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -312,15 +333,15 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed into any
     entry.
 
-    Each matrix's coefficient times v is computed once per group (v, k, js)
-    of s.lower and added at each of its positions.  Each position starts at
-    the int 0, adds coeff * v for each entry at it, key by key, and is
-    multiplied by scale, which also takes the diagonal's real part: bitwise
-    the sum over all 2^mu matrices in key order, since a key puts at most
-    one entry at a position.  No partial sum from the int 0 has a -0.0 part
-    (0.0 + t is not -0.0, and x + y is -0.0 only if both are), so the +-0.0
-    terms of zero entries change none, and scale multiplies a position with
-    no entry, the int 0, as 0j, the sum of its zero terms.
+    Each matrix's coefficient is computed once.  Each class of s.classes
+    is summed once: from the int 0, coeff * v for each of its terms, key by
+    key, then multiplied by scale.  Each diagonal repeats those values by
+    its runs, the main one taking their real parts: bitwise the sum over
+    all 2^mu matrices in key order at each position, since a key puts at
+    most one entry at a position.  No partial sum from the int 0 has a -0.0
+    part (0.0 + t is not -0.0, and x + y is -0.0 only if both are), so the
+    +-0.0 terms of zero entries change none, and scale multiplies the empty
+    class, the int 0, as 0j, the sum of its zero terms.
     """
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
@@ -332,17 +353,26 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()
-    diags = [[0] * max(s.rank - k, 0) for k in range(s.width + 1)]
-    for key, lower in zip(s.entries, s.lower):
+    coeffs = []
+    for key in s.entries:
         coeff = 1.0 + 0.0j
         for ch, w in zip(key, omegas):
             if ch == "-":
                 coeff *= -w
-        for v, k, js in lower:
-            term, d = coeff * v, diags[k]
-            for j in js:
-                d[j] += term
-    diags = [[(scale * x).real for x in diags[0]], *([scale * x for x in d] for d in diags[1:])]
+        coeffs.append(coeff)
+    values = []
+    for terms in s.classes:
+        acc = 0
+        for index, v in terms:
+            acc += coeffs[index] * v
+        values.append(scale * acc)
+    diags = []
+    for runs in s.runs:
+        at = values if diags else [x.real for x in values]  # the main diagonal is real
+        d = []
+        for c, count in runs:
+            d += repeat(at[c], count)
+        diags.append(d)
     return Band(diags, abs(scale) * s.bound)
 
 

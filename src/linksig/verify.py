@@ -51,7 +51,10 @@ def sweep_main_identity(ell: int, resolution: int, verbose: bool = False) -> Rep
     """Assert h = -(sigma(w1,w2) + sigma(w1,w2^{-1}))/2 over the exact grid."""
     checked = failed = skipped = 0
     points = [] if verbose else None
-    for p, q, ij in _lattice(ell, resolution):
+    # a local assigned after points: if memory runs out, the frame frees
+    # points before it closes the walk, so that the close has room
+    walk = _lattice(ell, resolution)
+    for p, q, ij in walk:
         if ij is None:
             skipped += 1
             continue

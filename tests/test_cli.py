@@ -758,18 +758,38 @@ def test_a_wide_ell_range_is_read_lazily():
 
 
 @pytest.mark.parametrize("args", [
-    ("regions", "--ell", "3", "--res", "100000"),
-    ("curve", "--ell", "3", "--alpha", "1/3", "1/5", "--samples", "100000000"),
+    ("curve", "--ell", "3", "--alpha", "1/3", "1/5", "--samples", "40000000"),
+    ("verify", "--ell", "3", "--res", "9000", "--verbose"),
 ])
 def test_out_of_memory_exits_71_with_one_line(args):
     """A command that runs out of memory exits 71 with one stderr line and no
-    traceback, never 1, which means only that a verify point fails.  The
+    traceback, never 1, which means only that a verify point fails.  Each
+    argv holds less than cli.MAX_HELD values, so only memory stops it.  The
     48 MB address-space cap is about three times what the interpreter and
-    linksig take, and small, so that regions meets it within seconds."""
+    linksig take, and small, so that each meets it within a second."""
     cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (48 << 20, 48 << 20))"
     script = f"{cap}; import sys; from linksig.__main__ import run; sys.exit(run())"
     r = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
     assert (r.returncode, r.stdout, r.stderr) == (EXIT_NO_MEMORY, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("args, held", [
+    (("regions", "--ell", "3", "--res", "100000"), "9999800001 cells"),
+    (("curve", "--ell", "3", "--alpha", "1/3", "1/5", "--samples", "100000000"),
+     "200000000 samples"),
+    (("verify", "--ell", "3", "--res", "100000", "--verbose"), "9999800001 points"),
+])
+def test_a_size_past_the_bound_exits_64_at_once(args, held):
+    """An argv that would hold more than cli.MAX_HELD values is a usage error,
+    refused before any value is computed: no memory cap is needed.  The
+    timeout only ends the run if that check is lost."""
+    assert linksig.cli.MAX_HELD == 10**8
+    r = subprocess.run(
+        [sys.executable, "-m", "linksig", *args], capture_output=True, text=True, timeout=30
+    )
+    assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
+    message = f"{held} exceed the 100000000 values one command may hold"
+    assert r.stderr == usage(args[0]) + f"linksig {args[0]}: error: {message}\n"
 
 
 # near-valid values for the argv fuzzer: zero, negative and huge parts,
@@ -783,6 +803,9 @@ ANGLES = st.one_of(
     st.builds("{}/{}".format, PARTS, PARTS),
 )  # fmt: skip
 HUGE_ELLS = ["100000000000000000000", "-100000000000000000000", "500001", "-1000000"]
+# sizes up to 10^12 that hold more than cli.MAX_HELD = 10^8 values on any route
+REFUSED_RES = st.integers(10_002, 10**12).map(str)  # (res - 1)^2 > 10^8
+REFUSED_SAMPLES = st.integers(10**8 + 1, 10**12).map(str)
 USAGE_LAST_LINE = re.compile(r"^linksig( (h|curve|regions|sigma|verify))?: error: .+$")
 
 
@@ -803,19 +826,23 @@ def argvs(draw, out, systems):
         alphas = draw(st.lists(ANGLES, min_size=1, max_size=3))
         return ["sigma", "--system", draw(st.sampled_from(systems)), "--alpha", *alphas, *radians]
     if command == "regions":
-        ell, res = draw(small_ints(-3, 3)), draw(small_ints(-1, 12))
+        ell, res = draw(small_ints(-3, 3)), draw(st.one_of(small_ints(-1, 12), REFUSED_RES))
         fmt = draw(st.sampled_from(["csv", "svg"]))
         return ["regions", "--ell", ell, "--res", res, "--format", fmt, *to_out]
     if command == "verify":
         lo, hi = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         ell = draw(st.sampled_from([f"{lo}..{hi}", str(lo), "5..3", "a..b", "0..0", "", "\u0663"]))
-        return ["verify", "--ell", ell, "--res", draw(small_ints(-1, 12)), *to_out]
+        # verify holds no point unless --verbose, and then visits them all: a
+        # refused resolution only with --verbose
+        verbose = draw(st.booleans())
+        res = draw(st.one_of(small_ints(-1, 12), REFUSED_RES) if verbose else small_ints(-1, 12))
+        return ["verify", "--ell", ell, "--res", res, *(["--verbose"] if verbose else []), *to_out]
     ell = draw(st.one_of(small_ints(-3, 3), st.sampled_from(HUGE_ELLS)))
     argv = [command, "--ell", ell, "--alpha", draw(ANGLES), draw(ANGLES), *radians]
     if command == "h":
         return argv
     # a huge ell only at 2 samples: the quaternion route powers once per sample
-    samples = "2" if ell in HUGE_ELLS else draw(small_ints(-1, 12))
+    samples = "2" if ell in HUGE_ELLS else draw(st.one_of(small_ints(-1, 12), REFUSED_SAMPLES))
     path = draw(st.sampled_from(["quat", "cheb", "both"]))
     return [*argv, "--samples", samples, "--path", path, *to_out]
 
@@ -845,6 +872,10 @@ def test_every_argv_gets_one_stated_outcome(tmp_path, data):
     # an integer is an optional "-" then ASCII digits: no "_", no other digits
     if {"\u0663", "1_0"} & set(argv):
         assert code == EXIT_USAGE, argv
+    # a size past the bound exits 64, or 3 where "0..0" names no ell first
+    sizes = [v for k, v in zip(argv, argv[1:]) if k in ("--res", "--samples")]
+    if any(v.isascii() and v.isdigit() and int(v) > 12 for v in sizes):
+        assert code in (EXIT_ZERO_LINKING, EXIT_USAGE), argv
     if code in (2, 3, 64, 65):
         assert out == ""
     if code == EXIT_USAGE:

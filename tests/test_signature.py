@@ -1461,7 +1461,8 @@ def test_a_missing_key_and_an_empty_key_are_one_zero_matrix():
     bare = SeifertSystem(1, 1, {})
     dense = seifert_system(1, {"+": [[0]], "-": [[0]]})
     assert bare == dense and hash(bare) == hash(dense)
-    assert dict(bare.entries) == {} and bare.lower == ()
+    assert dict(bare.entries) == {}
+    assert (bare.classes, bare.runs) == (((),), (((0, 1),), ()))
     assert bare.matrix("+") == [[0]]
     assert seifert_to_json(bare) == {"mu": 1, "rank": 1, "matrices": {"+": [[0]], "-": [[0]]}}
     upper, lower = ((0, 1, 1),), ((1, 0, 1),)
@@ -1499,23 +1500,36 @@ def test_a_wide_system_keeps_only_its_entries():
     assert repr(h.size) == repr(size)
 
 
-def assert_grouped(s):
-    """s.lower, key by key, holds each entry (k, j, v) on or below the
-    diagonal exactly once, in groups (v, k, js) with js increasing and no
-    (v, k) twice within a key."""
-    assert len(s.lower) == len(s.entries)
-    for e, groups in zip(s.entries.values(), s.lower):
-        expanded = [(k, j, v) for v, k, js in groups for j in js]
-        assert sorted(expanded) == sorted((i - j, j, v) for i, j, v in e if i >= j)
-        assert all(js and all(a < b for a, b in zip(js, js[1:])) for _, _, js in groups)
-        assert len({(v, k) for v, k, _ in groups}) == len(groups)
+def assert_laid_out(s):
+    """s.runs covers the n - k positions of each diagonal k by runs of
+    count > 0, no two adjacent ones of one class; s.classes are distinct,
+    the empty one first, and each is used; and expanding the runs gives
+    each position's terms (key index, v) in key order.  An empty stretch
+    is one run, so there are at most two runs per position with an entry,
+    and one more per diagonal."""
+    assert s.classes[0] == () and len(set(s.classes)) == len(s.classes)
+    assert len(s.runs) == s.width + 1
+    cells = [{(i, j): v for i, j, v in e} for e in s.entries.values()]
+    filled = {(i, j) for c in cells for i, j in c if i >= j}
+    for k, runs in enumerate(s.runs):
+        assert sum(count for _, count in runs) == max(s.rank - k, 0), k
+        assert all(count > 0 for _, count in runs), k
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:])), k
+        laid = [s.classes[c] for c, count in runs for _ in range(count)]
+        assert laid == [
+            tuple((index, c[j + k, j]) for index, c in enumerate(cells) if (j + k, j) in c)
+            for j in range(s.rank - k)
+        ], k
+    used = {c for runs in s.runs for c, _ in runs}
+    assert used | {0} == set(range(len(s.classes)))
+    assert sum(map(len, s.runs)) <= 2 * len(filled) + s.width + 1
 
 
-def test_lower_groups_torus_and_relabelled_systems_by_value_and_sub_diagonal():
+def test_runs_lay_out_torus_and_relabelled_systems():
     for ell in [*range(-60, 0), *range(1, 61)]:
         s = torus_seifert(ell)
-        assert_grouped(s)
-        assert all(len(groups) <= 2 for groups in s.lower), ell
+        assert_laid_out(s)
+        assert len(s.classes) <= 3 and all(len(runs) <= 1 for runs in s.runs), ell
     # the relabelled ell-200 system of test_a_wide_system_keeps_only_its_entries
     base = torus_seifert(200)
     perm = list(range(base.rank))
@@ -1523,7 +1537,10 @@ def test_lower_groups_torus_and_relabelled_systems_by_value_and_sub_diagonal():
     relabelled = {
         k: tuple((perm[i], perm[j], v) for i, j, v in e) for k, e in base.entries.items()
     }
-    assert_grouped(SeifertSystem(2, base.rank, relabelled))
+    s = SeifertSystem(2, base.rank, relabelled)
+    assert_laid_out(s)
+    # relabelled, an off-diagonal +-1 falls below the diagonal in ++ or in --
+    assert s.width > 100 and len(s.classes) == 4
 
 
 @settings(deadline=None, max_examples=50)
@@ -1531,8 +1548,8 @@ def test_lower_groups_torus_and_relabelled_systems_by_value_and_sub_diagonal():
     systems_and_omegas().map(lambda drawn: drawn[0]),
     knot_block_sums().map(lambda drawn: drawn[0]),
 ))
-def test_lower_groups_random_systems_by_value_and_sub_diagonal(s):
-    assert_grouped(s)
+def test_runs_lay_out_random_systems(s):
+    assert_laid_out(s)
 
 
 def test_seifert_system_stores_partners_as_read_only_transposes():
@@ -1624,7 +1641,8 @@ def test_seifert_system_round_trips_through_copy_pickle_and_json(s):
     )
     for twin in twins:
         assert twin == s and hash(twin) == hash(s)
-        assert (twin.width, twin.lower, twin.bound) == (s.width, s.lower, s.bound)
+        derived = (twin.classes, twin.runs, twin.width, twin.bound)
+        assert derived == (s.classes, s.runs, s.width, s.bound)
 
 
 def test_every_torus_and_benchmark_system_still_builds_as_before():
