@@ -16,16 +16,20 @@ checked once when it is built, however it is built (see SeifertSystem).
 The system also keeps the lower band of H as runs of classes: a class is
 the list of terms (key index, v) at one position, and a run is a stretch of
 one diagonal whose positions share a class.  build_H computes one sum per
-class and lays each diagonal out by its runs.
+class and hands each diagonal over as those runs, the sum in place of the
+class.
 
 build_H returns every H as a Band, Hermitian by type: its real diagonal
 and its sub-diagonals, down to the farthest one that an entry of the system
-fills.  When the entries all lie on the three diagonals, as for every
+fills, each held as runs (value, count), so a torus H is two runs whatever
+its rank.  When the entries all lie on the three diagonals, as for every
 (2,2l)-torus system and every system of rank <= 2, H is tridiagonal, a band
 of width 1.  A wider band is first reduced to width 1 by Householder
 reflections in O(n^3), a backward stable step (Wilkinson 1965, The
-Algebraic Eigenvalue Problem).  Every band of width 1 is then counted in
-one O(n) pass that runs two Sturm sequences.
+Algebraic Eigenvalue Problem).  inertia checks a band and takes max|h|
+over its runs, in O(runs); it then reads each diagonal position by
+position, and one O(n) pass over a band of width 1 runs two Sturm
+sequences.
 A tridiagonal count is exact for entries with small relative errors (Barth,
 Martin and Wilkinson 1967), so nothing is lost against the eigenvalues, and
 it computes none: by Sylvester's law of inertia the signs of the pivots are
@@ -308,13 +312,18 @@ def seifert_from_json(data) -> SeifertSystem:
 
 
 class Band(Frozen):
-    """A Hermitian band matrix by its lower half: `diags[0]` is the diagonal,
-    a list of reals, and `diags[k]` the k-th sub-diagonal, a list of n - k
-    complex numbers whose j-th entry sits at (j + k, j).  The upper half is
-    the conjugate, so the matrix is Hermitian by type; `width` is the number
-    of sub-diagonals and `shape` that of the matrix.  `size` bounds the
-    total modulus of the terms that build_H summed into any one entry; a
-    band built otherwise passes 0.0, which inertia reads as max|h|."""
+    """A Hermitian band matrix by its lower half, each diagonal held as
+    runs.  `diags[k]` is a tuple of runs (value, count) that cover, in
+    order, the n - k positions (j + k, j) of the k-th sub-diagonal: the
+    diagonal (k = 0) with reals, the others with complex numbers.  One run
+    policy, which inertia checks: every run is such a pair, its count a
+    positive int, not a bool, and the counts of diagonal k sum to
+    max(n - k, 0).  Adjacent runs may hold equal values, so one matrix has
+    many layouts.  The upper half is the conjugate, so the matrix is
+    Hermitian by type; `width` is the number of sub-diagonals and `shape`
+    that of the matrix.  `size` bounds the total modulus of the terms that
+    build_H summed into any one entry; a band built otherwise passes 0.0,
+    which inertia reads as max|h|."""
 
     __slots__ = ("diags", "size")
 
@@ -324,7 +333,8 @@ class Band(Frozen):
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.diags[0]), len(self.diags[0]))
+        n = sum(count for _, count in self.diags[0])
+        return (n, n)
 
 
 def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
@@ -335,9 +345,11 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
 
     Each matrix's coefficient is computed once.  Each class of s.classes
     is summed once: from the int 0, coeff * v for each of its terms, key by
-    key, then multiplied by scale.  Each diagonal repeats those values by
-    its runs, the main one taking their real parts: bitwise the sum over
-    all 2^mu matrices in key order at each position, since a key puts at
+    key, then multiplied by scale.  Each diagonal is s.runs with those
+    values in place of the classes, the main one taking their real parts,
+    so a call costs O(classes + runs), not O(n): a torus H is two runs,
+    whatever its rank.  Expanded, each run is bitwise the sum over all 2^mu
+    matrices in key order at each of its positions, since a key puts at
     most one entry at a position.  No partial sum from the int 0 has a -0.0
     part (0.0 + t is not -0.0, and x + y is -0.0 only if both are), so the
     +-0.0 terms of zero entries change none, and scale multiplies the empty
@@ -367,13 +379,14 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
             acc += coeffs[index] * v
         values.append(scale * acc)
     diags = []
+    at = [x.real for x in values]  # the main diagonal is real
     for runs in s.runs:
-        at = values if diags else [x.real for x in values]  # the main diagonal is real
         d = []
         for c, count in runs:
-            d += repeat(at[c], count)
-        diags.append(d)
-    return Band(diags, abs(scale) * s.bound)
+            d.append((at[c], count))
+        diags.append(tuple(d))
+        at = values
+    return Band(tuple(diags), abs(scale) * s.bound)
 
 
 class Inertia(Frozen):
@@ -389,20 +402,20 @@ class Inertia(Frozen):
 
 
 def inertia(h: Band) -> Inertia:
-    """Eigenvalue counts of a Band; any other h raises TypeError.  The k-th
-    diagonal of h must hold max(n - k, 0) entries, every entry must be
-    finite, and the main diagonal must be real to within
-    1e-12 * max(1, max|h|), or a ValueError names the first check that
-    fails; the upper half is the conjugate of the lower by type.  The count
-    reads h / max|h|, so that |h_ij|^2 neither under- nor overflows.  A band
-    of width 1 gives its diagonals directly; a wider one is laid out in full
-    rows and first reduced to width 1 by Householder reflections in O(n^3)
-    (_householder_band).  One pass over the band, in O(n), runs the Sturm
-    counts of T + t and t - T together: n_neg = #(lambda < -tau) and
-    n_pos = #(lambda > tau).  A band of width 1 whose diagonal is floats, as
-    build_H's is, has no entry checked on its own, yet the checks stay
-    exact: an infinity makes max|h| infinite, a NaN, which max may skip,
-    makes every later pivot NaN, and a zero max|h| has every entry checked.
+    """Eigenvalue counts of a Band; any other h raises TypeError.  h must
+    keep Band's run policy, every value must be finite, and the main
+    diagonal must be real to within 1e-12 * max(1, max|h|), or a ValueError
+    names the first check that fails; the upper half is the conjugate of
+    the lower by type.  Those checks and max|h| read each run once, in
+    O(runs); the same pass lays each diagonal out by position.  The count
+    reads h / max|h|, so that |h_ij|^2 neither under- nor overflows.  A
+    band of width 1 gives its diagonals directly; a wider one is laid out
+    in full rows and first reduced to width 1 by Householder reflections in
+    O(n^3) (_householder_band).  One pass over the band, in O(n), runs the
+    Sturm counts of T + t and t - T together: n_neg = #(lambda < -tau) and
+    n_pos = #(lambda > tau).  It reads positions, not runs, so however the
+    runs split the band, the pivots are the same floats and so are the
+    counts.
 
     tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
     size of the terms build_H summed into an entry (0.0, read as max|h|, for
@@ -427,24 +440,32 @@ def inertia(h: Band) -> Inertia:
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
     diags, width = h.diags, h.width
-    n = len(diags[0]) if diags else 0
-    m = len(diags)  # diags[k] holds max(n - k, 0) entries
+    values, lines = [], []  # the value of each run, and each diagonal by position
+    for d in diags:
+        line = []
+        try:
+            for x, count in d:
+                if type(count) is not int or count < 1:
+                    raise ValueError
+                values.append(x)
+                line += [x] * count
+        except (TypeError, ValueError):  # a run that is no pair (value, count), or a bad count
+            raise ValueError("band has a diagonal of the wrong length") from None
+        lines.append(line)
+    n = len(lines[0]) if diags else 0
+    m = len(diags)  # diagonal k covers max(n - k, 0) positions
     lengths = [*range(n, n - m, -1)] if m <= n else [*range(n, 0, -1), *repeat(0, m - n)]
-    if not diags or [*map(len, diags)] != lengths:
+    if not diags or [*map(len, lines)] != lengths:
         raise ValueError("band has a diagonal of the wrong length")
     if n == 0:
         return Inertia(0, 0, 0)
-    diag = diags[0]
-    hmax = max(map(abs, chain(*diags)))
-    real = set(map(type, diag)) == {float}
-    if width > 1 or not real or hmax == 0.0:
-        finite = all(map(cmath.isfinite, chain(*diags)))
-    else:  # a NaN is caught by the last pivot
-        finite = math.isfinite(hmax)
-    if not finite:
+    diag = lines[0]
+    hmax = max(map(abs, values))
+    if not all(map(cmath.isfinite, values)):
         raise ValueError("matrix has a non-finite entry")
-    if not real:
-        if max(abs(x - x.conjugate()) for x in diag) > 1e-12 * max(1.0, hmax):
+    reals = values[: len(diags[0])]  # the values of the diagonal's runs
+    if set(map(type, reals)) != {float}:
+        if max(abs(x - x.conjugate()) for x in reals) > 1e-12 * max(1.0, hmax):
             raise ValueError("matrix is not Hermitian")
         diag = [x.real for x in diag]
     if hmax == 0.0:
@@ -453,10 +474,10 @@ def inertia(h: Band) -> Inertia:
     if h.size > hmax:
         t *= h.size / hmax
     if width < 2:
-        sub = diags[1] if width else repeat(0.0)
+        sub = lines[1] if width else repeat(0.0)
     else:
         rows = [[0j] * n for _ in range(n)]
-        for k, d in enumerate([diag, *diags[1:]]):
+        for k, d in enumerate([diag, *lines[1:]]):
             for j, x in enumerate(d):
                 rows[j + k][j], rows[j][j + k] = x / hmax, x.conjugate() / hmax
         sub, diag = _householder_band(rows)
@@ -483,8 +504,6 @@ def inertia(h: Band) -> Inertia:
             n_pos += 1
         elif hi == 0.0:
             hi = sys.float_info.min
-    if lo != lo:  # NaN
-        raise ValueError("matrix has a non-finite entry")
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
 
 

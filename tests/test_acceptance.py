@@ -46,10 +46,11 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _dense(band):
-    """The matrix of a band as a numpy array; its upper half is the
-    conjugate of the lower."""
+    """The matrix of a band as a numpy array, each diagonal laid out from
+    its runs (value, count); its upper half is the conjugate of the lower."""
     a = np.zeros(band.shape, dtype=complex)
-    for k, d in enumerate(band.diags):
+    for k, runs in enumerate(band.diags):
+        d = [x for x, count in runs for _ in range(count)]
         a += np.diag(np.asarray(d, dtype=complex), -k)
         if k:
             a += np.diag(np.conj(d), k)

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import chain, groupby, pairwise, repeat
 from operator import mul
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from linksig.signature import (
     Band,
     Inertia,
     SeifertSystem,
+    _householder_band,
     build_H,
     delta_closed,
     delta_recursive,
@@ -168,13 +170,41 @@ def build_H_over_every_matrix(s, omegas):
     return [[scale * x for x in row] for row in acc]
 
 
+def positions(runs):
+    """One diagonal of a Band, its runs (value, count) laid out position by
+    position as a list."""
+    return [x for x, count in runs for _ in range(count)]
+
+
+def expanded(h):
+    """The diagonals of a Band, each laid out position by position."""
+    return [positions(d) for d in h.diags]
+
+
+def bit_key(x):
+    """x by its type and the bits of its real and imaginary parts."""
+    return (type(x), x.real.hex(), x.imag.hex())
+
+
+def runs_of(xs):
+    """The list xs as runs (value, count), each run a stretch of values
+    that are equal bit for bit."""
+    return tuple((x, 1 + len(rest)) for _, (x, *rest) in groupby(xs, key=bit_key))
+
+
+def band_from(*diags, size=0.0):
+    """The Band whose k-th diagonal is the list diags[k], position by
+    position, held as runs_of(diags[k])."""
+    return Band(tuple(runs_of(d) for d in diags), size)
+
+
 def dense(h):
-    """h as a numpy array; a Band is filled in from its diagonals, its upper
+    """h as a numpy array; a Band is filled in from its runs, its upper
     half the conjugate of the lower."""
     if not isinstance(h, Band):
         return np.asarray(h)
     a = np.zeros(h.shape, dtype=complex)
-    for k, d in enumerate(h.diags):
+    for k, d in enumerate(expanded(h)):
         for j, x in enumerate(d):
             a[j, j + k] = np.conj(x)
             a[j + k, j] = x
@@ -183,12 +213,12 @@ def dense(h):
 
 def full_band(a, size=0.0):
     """The Band of the Hermitian array or nested lists `a` at full width,
-    n - 1 sub-diagonals and at least 1, read from its lower half; the
-    diagonal is its real part."""
+    n - 1 sub-diagonals and at least 1, read from its lower half and held
+    as runs; the diagonal is its real part."""
     a = np.asarray(a, dtype=complex)
     diags = [[float(x.real) for x in np.diagonal(a)]]
     diags += [[complex(x) for x in np.diagonal(a, -k)] for k in range(1, max(len(a), 2))]
-    return Band(diags, size)
+    return band_from(*diags, size=size)
 
 
 def band_of(rows, width):
@@ -228,21 +258,21 @@ def test_build_H_is_bitwise_the_sum_over_every_matrix():
             assert h.shape == (s.rank, s.rank) and h.width == s.width
             # a real diagonal, and complex sub-diagonals, 0j where no matrix
             # has an entry
-            assert all(type(x) is float for x in h.diags[0])
-            assert all(type(x) is complex for d in h.diags[1:] for x in d)
+            assert all(type(x) is float for x, _ in h.diags[0])
+            assert all(type(x) is complex for d in h.diags[1:] for x, _ in d)
             # == on complex numbers is bitwise equality but for the sign of a zero
             expected = band_of(build_H_over_every_matrix(s, omegas), s.width)
-            assert h.diags == expected
+            assert expanded(h) == expected
             for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
                 assert twin == s and tuple(twin.entries) == tuple(s.entries)
-                assert build_H(twin, omegas).diags == expected
+                assert expanded(build_H(twin, omegas)) == expected
     assert [s.width for s in systems] == [1] * 6 + [2, 4, 3, 2] + [1] * 2
 
 
 def bits(xs):
     """Each number of xs by its type and the bits of its real and imaginary
     parts, so that == tells -0.0 from 0.0 and a float from a complex."""
-    return [(type(x), x.real.hex(), x.imag.hex()) for x in xs]
+    return [bit_key(x) for x in xs]
 
 
 def random_band_system(rng, mu, rank):
@@ -267,7 +297,7 @@ def test_build_H_of_a_tridiagonal_system_is_bitwise_the_lower_band_of_the_sum():
     for s in systems:
         assert s.width == 1
         for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
-            diag, sub = build_H(s, omegas).diags
+            diag, sub = expanded(build_H(s, omegas))
             rows = build_H_over_every_matrix(s, omegas)
             assert bits(sub) == bits(rows[i + 1][i] for i in range(s.rank - 1))
             assert bits(diag) == bits(rows[i][i].real for i in range(s.rank))
@@ -289,6 +319,28 @@ def test_build_H_of_a_tridiagonal_system_holds_no_matrix():
             assert peak < 0.1 * s.rank**2 * 16, (ell, omegas, peak)
 
 
+def test_torus_build_H_holds_two_runs_whatever_the_rank():
+    # a torus H is one run on each diagonal, so build_H allocates the same
+    # few hundred bytes at rank 1e5 - 2 as at rank 3 (building the system
+    # of rank 1e6 takes about 10 s and 0.9 GB, which no test here spends)
+    omegas = [cmath.exp(0.4j), cmath.exp(0.9j)]
+    peaks = []
+    for ell in (4, -4, 10**5 - 1):
+        s = torus_seifert(ell)
+        build_H(s, omegas)
+        tracemalloc.start()
+        try:
+            h = build_H(s, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.shape == (s.rank, s.rank) and h.width == 1
+        assert [len(d) for d in h.diags] == [1, 1], ell
+        assert [len(d) for d in expanded(h)] == [s.rank, s.rank - 1]
+        peaks.append(peak)
+    assert max(peaks) < 2_000, peaks
+
+
 def test_every_system_of_rank_at_most_two_gives_a_band():
     rng = np.random.default_rng(35)
     for mu in (1, 2, 3):
@@ -298,7 +350,7 @@ def test_every_system_of_rank_at_most_two_gives_a_band():
             for omegas in [random_omegas(rng, mu) for _ in range(5)]:
                 h = build_H(s, omegas)
                 assert h.width == 1 and h.shape == (rank, rank)
-                assert h.diags == band_of(build_H_over_every_matrix(s, omegas), 1)
+                assert expanded(h) == band_of(build_H_over_every_matrix(s, omegas), 1)
                 if rank == 0:
                     assert inertia(h) == Inertia(0, 0, 0)
                 else:
@@ -315,7 +367,7 @@ def test_build_H_rank_one_torus():
         expected = (1 - w1.conjugate()) * (1 - w2.conjugate()) * (-1 - w1 * w2)
         h = build_H(s, [w1, w2])
         assert h.shape == (1, 1)
-        assert abs(h.diags[0][0] - expected) < 1e-12
+        assert abs(expanded(h)[0][0] - expected) < 1e-12
 
 
 def test_build_H_rank_two_torus_matches_display():
@@ -359,14 +411,14 @@ def test_build_H_hermitian_random_systems():
 
 def test_inertia_examples():
     h = build_H(torus_seifert(2), [-1.0 + 0j, -1.0 + 0j])
-    assert abs(h.diags[0][0] - (-8.0)) < 1e-12
+    assert abs(expanded(h)[0][0] - (-8.0)) < 1e-12
     ine = inertia(h)
     assert (ine.n_pos, ine.n_neg, ine.n_zero) == (0, 1, 0)
     assert ine.signature == -1
-    assert inertia(Band([[]], 0.0)).rank == inertia(Band([[], []], 0.0)).rank == 0
+    assert inertia(Band(((),), 0.0)).rank == inertia(Band(((), ()), 0.0)).rank == 0
     # the same diagonal matrix as a band of width 0, 1 and 2
     for h in (
-        Band([[2.0, -3.0, 0.0]], 0.0),
+        band_from([2.0, -3.0, 0.0]),
         tridiagonal([2.0, -3.0, 0.0], [0.0, 0.0]),
         full_band(np.diag([2.0, -3.0, 0.0])),
     ):
@@ -396,7 +448,7 @@ def test_torus_seifert_negative_ell_determinant():
         a2 = rng.uniform(0.1, math.pi - 0.1)
         alpha = AnglePair.from_radians(a1, a2)
         omegas = list(alpha.omega())
-        ((h,), _) = build_H(s, omegas).diags
+        ((h,), _) = expanded(build_H(s, omegas))
         expected = 8 * math.sin(a1) * math.sin(a2) * math.cos(math.pi + a1 + a2)
         assert abs(h - expected) < 1e-10
         # the Band keeps the real part; the sum itself is real to rounding
@@ -649,9 +701,9 @@ def assert_inertia_matches_eigvalsh(h):
 
 
 def tridiagonal(diag, sub):
-    """The Hermitian band with diagonal `diag` and sub-diagonal `sub`; its
-    upper diagonal is conj(sub)."""
-    return Band([[float(d) for d in diag], [complex(e) for e in sub]], 0.0)
+    """The Hermitian band with diagonal `diag` and sub-diagonal `sub`, held
+    as runs; its upper diagonal is conj(sub)."""
+    return band_from([float(d) for d in diag], [complex(e) for e in sub])
 
 
 ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -816,8 +868,7 @@ def test_inertia_of_tridiagonal_is_scale_invariant():
 def test_inertia_rejects_non_hermitian_tridiagonal():
     # a band's upper diagonal is conj(sub) by type; its diagonal is checked
     assert inertia(tridiagonal([1.0, 2.0, 3.0], [1.0 + 1j, 2.0])).rank == 3
-    h = tridiagonal([1.0, 2.0, 3.0], [1.0, 2.0])
-    h.diags[0][1] = 2.0 + 1e-3j
+    h = band_from([1.0, 2.0 + 1e-3j, 3.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(h)
 
@@ -825,21 +876,21 @@ def test_inertia_rejects_non_hermitian_tridiagonal():
 def test_inertia_rejects_a_user_built_band_by_the_rules_for_any_matrix():
     # a Band is Hermitian by type but for its diagonal, which may be complex
     for bad in (
-        Band([], 0.0),
-        Band([[1.0, 2.0], []], 0.0),
-        Band([[1.0, 2.0], [0.5, 0.5]], 0.0),
-        Band([[], [0.5]], 0.0),
-        Band([[1.0, 2.0, 3.0], [0.5, 0.5], [0.5, 0.5]], 0.0),
+        Band((), 0.0),
+        band_from([1.0, 2.0], []),
+        band_from([1.0, 2.0], [0.5, 0.5]),
+        band_from([], [0.5]),
+        band_from([1.0, 2.0, 3.0], [0.5, 0.5], [0.5, 0.5]),
     ):
         with pytest.raises(ValueError, match="wrong length"):
             inertia(bad)
     for v in (math.nan, -math.inf, complex(0.0, math.nan), complex(math.inf, 0.0)):
-        for bad in (Band([[1.0, 2.0], [v]], 0.0), Band([[1.0, v], [0.5]], 0.0)):
+        for bad in (band_from([1.0, 2.0], [v]), band_from([1.0, v], [0.5])):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     # 2 |Im d| against 1e-12 * max(1, max|h|): 2e-12 here, and 1e-12 below
-    assert inertia(Band([[1.0, 2.0 + 0.9e-12j], [0.5]], 0.0)) == Inertia(2, 0, 0)
-    for bad in (Band([[1.0, 2.0 + 1.1e-12j], [0.5]], 0.0), Band([[1e-3 - 0.6e-12j], []], 0.0)):
+    assert inertia(band_from([1.0, 2.0 + 0.9e-12j], [0.5])) == Inertia(2, 0, 0)
+    for bad in (band_from([1.0, 2.0 + 1.1e-12j], [0.5]), band_from([1e-3 - 0.6e-12j], [])):
         with pytest.raises(ValueError, match="not Hermitian"):
             inertia(bad)
 
@@ -864,49 +915,58 @@ def test_inertia_with_an_off_band_entry_matches_eigvalsh():
     # width is checked the same way
     for v in (math.nan, math.inf):
         for bad in (
-            Band([[1.0, 2.0], [v]], 0.0),
-            Band([[v], []], 0.0),
-            Band([[1.0, 2.0, 3.0], [0.5, 0.5], [v]], 0.0),
+            band_from([1.0, 2.0], [v]),
+            band_from([v], []),
+            band_from([1.0, 2.0, 3.0], [0.5, 0.5], [v]),
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
     for bad in (
-        Band([[1.0, -1.0], []], 0.0),
-        Band([[1.0, 2.0], [0.5, 0.5]], 0.0),
-        Band([[1.0], [0.5]], 0.0),
-        Band([[1.0, 2.0, 3.0], [0.5, 0.5], []], 0.0),
+        band_from([1.0, -1.0], []),
+        band_from([1.0, 2.0], [0.5, 0.5]),
+        band_from([1.0], [0.5]),
+        band_from([1.0, 2.0, 3.0], [0.5, 0.5], []),
     ):
         with pytest.raises(ValueError, match="wrong length"):
             inertia(bad)
 
 
 def test_inertia_finds_a_nan_that_max_skips():
-    # max|h| is NaN when a NaN is the first entry it reads, and passes over
-    # one anywhere else.  Where every other entry is zero, the zero-h
-    # shortcut reads each entry first; elsewhere the NaN makes the pivots
-    # from its row on NaN, the last too
+    # max|h| is NaN when a NaN is the first value it reads, and passes over
+    # one anywhere else; each run's value is checked on its own, however
+    # long the run, so a NaN that fills a thousand positions is found where
+    # every other entry is zero too
+    long = 1000
     for bad in (
-        Band([[0.0, math.nan], [0.0]], 0.0),
-        Band([[1.0, math.nan], [0.5]], 0.0),
-        Band([[math.nan], []], 0.0),
-        Band([[math.nan, 1.0, 1.0], [0.5, 0.5]], 0.0),
-        Band([[1.0, 1.0, 1.0], [0.5, complex(0.0, math.nan)]], 0.0),
-        Band([[5e-324, math.nan], [0.0]], 1.0),  # tau / max|h| overflows to inf
+        Band((((0.0, long), (math.nan, long)), ((0.0, 2 * long - 1),)), 0.0),
+        Band((((1.0, long), (math.nan, long)), ((0.5, 2 * long - 1),)), 0.0),
+        Band((((math.nan, long),), ((0.5, long - 1),)), 0.0),
+        Band((((math.nan, long), (1.0, 2 * long)), ((0.5, 3 * long - 1),)), 0.0),
+        Band((((1.0, 3 * long),), ((0.5, long), (complex(0.0, math.nan), 2 * long - 1))), 0.0),
+        # tau / max|h| overflows to inf
+        Band((((5e-324, long), (math.nan, long)), ((0.0, 2 * long - 1),)), 1.0),
     ):
         with pytest.raises(ValueError, match="non-finite"):
             inertia(bad)
 
 
 def test_inertia_finds_a_nan_anywhere_in_a_wide_band():
-    # a band of width >= 2 is laid out in rows and reduced before its count,
-    # so each of its entries is checked first
+    # a band of width >= 2 has the value of each run checked before it is
+    # laid out in rows and reduced: a NaN run of a thousand positions, at
+    # each place of each diagonal of a band of order 1000 n, is found at once
+    long = 1000
     for n, width in ((3, 2), (4, 2), (4, 3), (6, 5)):
         for k in range(width + 1):
             for j in range(n - k):
                 for v in (math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)):
-                    subs = [[0.25 + 0.5j] * (n - i) for i in range(1, width + 1)]
-                    h = Band([[1.0] * n, *subs], 0.0)
-                    h.diags[k][j] = v
+                    diags = [((1.0, n * long),)]
+                    diags += [((0.25 + 0.5j, n * long - i),) for i in range(1, width + 1)]
+                    x, count = diags[k][0]
+                    after = count - (j + 1) * long
+                    diags[k] = tuple(
+                        run for run in ((x, j * long), (v, long), (x, after)) if run[1]
+                    )
+                    h = Band(tuple(diags), 0.0)
                     with pytest.raises(ValueError, match="non-finite"):
                         inertia(h)
 
@@ -915,7 +975,7 @@ def two_pass_inertia(h):
     """The Sturm count of a Band as two passes over fresh lists: the scaled
     diagonal a, the squared moduli off2 of the scaled sub-diagonal, then the
     negative pivots of T + t and of t - T, tau = EIG_ZERO_SCALE * n * max|h|."""
-    diag, sub = h.diags
+    diag, sub = expanded(h)
     n = len(diag)
     hmax = max(map(abs, [*sub, *diag]))
     if hmax == 0.0:
@@ -953,13 +1013,168 @@ def integer_bands(draw):
     tau = EIG_ZERO_SCALE * n * max(map(abs, [*sub, *diag]))
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         diag[i] = draw(st.sampled_from([tau, -tau]))
-    return Band([diag, sub], 0.0)
+    return band_from(diag, sub)
 
 
 @settings(deadline=None, max_examples=300)
 @given(integer_bands())
 def test_one_pass_inertia_equals_the_two_pass_count(h):
     assert inertia(h) == two_pass_inertia(h)
+
+
+def per_position_inertia(h):
+    """The count of a finite Band as inertia made it one position at a time:
+    its diagonals laid out as lists, a wide band in rows reduced by
+    _householder_band, then one step of the two Sturm sequences per
+    position, each scaling its own entries."""
+    diags = expanded(h)
+    n = len(diags[0])
+    hmax = max(map(abs, chain(*diags)), default=0.0)
+    if hmax == 0.0:
+        return Inertia(0, 0, n)
+    diag = [x.real for x in diags[0]]
+    t = EIG_ZERO_SCALE * n
+    if h.size > hmax:
+        t *= h.size / hmax
+    if len(diags) < 3:
+        sub = diags[1] if len(diags) == 2 else repeat(0.0)
+    else:
+        rows = [[0j] * n for _ in range(n)]
+        for k, d in enumerate([diag, *diags[1:]]):
+            for j, x in enumerate(d):
+                rows[j + k][j], rows[j][j + k] = x / hmax, x.conjugate() / hmax
+        sub, diag = _householder_band(rows)
+        hmax = 1.0
+    n_pos = n_neg = 0
+    lo = hi = 1.0
+    for x, e in zip(diag, chain((0.0,), sub)):
+        a = x / hmax
+        r = abs(e / hmax)
+        r *= r
+        lo = a + t - r / lo
+        hi = t - a - r / hi
+        if lo < 0.0:
+            n_neg += 1
+        elif lo == 0.0:
+            lo = sys.float_info.min
+        if hi < 0.0:
+            n_pos += 1
+        elif hi == 0.0:
+            hi = sys.float_info.min
+    return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+def resplit(h, rng):
+    """h with each run cut at up to three random places into runs of its
+    value."""
+    diags = []
+    for d in h.diags:
+        runs = []
+        for x, count in d:
+            cuts = sorted(rng.sample(range(1, count), min(count - 1, rng.randint(0, 3))))
+            runs += [(x, b - a) for a, b in pairwise([0, *cuts, count])]
+        diags.append(tuple(runs))
+    return Band(tuple(diags), h.size)
+
+
+def assert_split_free(h, rng):
+    """inertia reads h as the per-position count does, and reads the same
+    from h with every run cut into runs of one, with its runs cut at random
+    and with its equal neighbours joined."""
+    want = per_position_inertia(h)
+    ones = Band(tuple(tuple((x, 1) for x in d) for d in expanded(h)), h.size)
+    for layout in (h, ones, resplit(h, rng), band_from(*expanded(h), size=h.size)):
+        assert [bits(d) for d in expanded(layout)] == [bits(d) for d in expanded(h)]
+        assert inertia(layout) == want
+
+
+@st.composite
+def run_bands(draw):
+    """A Band of width 1, n up to 400, held as at most five runs a diagonal
+    of small integers, some runs of its diagonal moved to exactly +-tau, so
+    that pivots of T + t or of t - T are exactly 0 along a run, and
+    eigenvalues lie at exactly +-tau where the sub-diagonal is zero."""
+
+    def runs(total, values):
+        cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=4))) if total > 1 else []
+        return [(draw(values), b - a) for a, b in pairwise([0, *cuts, total])] if total else []
+
+    n = draw(st.integers(1, 400))
+    diag = runs(n, st.integers(-3, 3).map(float))
+    parts = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda p: complex(*p))
+    sub = runs(n - 1, st.just(0j) | parts)
+    tau = EIG_ZERO_SCALE * n * max(abs(x) for x, _ in diag + sub)
+    for i in draw(st.lists(st.integers(0, len(diag) - 1), max_size=2)):
+        diag[i] = (draw(st.sampled_from([tau, -tau])), diag[i][1])
+    return Band((tuple(diag), tuple(sub)), 0.0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(run_bands(), st.randoms(use_true_random=False))
+def test_inertia_of_a_band_is_the_same_however_its_runs_split(h, rng):
+    assert_split_free(h, rng)
+
+
+def test_inertia_at_the_threshold_is_the_same_however_the_runs_split():
+    # a pivot of t - T is exactly 0 at every position of a run of tau, and
+    # an eigenvalue sits at exactly +-tau; tau = 8 u n max|h|
+    rng = random.Random(37)
+    long = 50
+    tau = EIG_ZERO_SCALE * 3 * long
+    for diag, sub, want in (
+        (((tau, long), (1.0, long), (-tau, long)), ((0j, 3 * long - 1),), (long, 0, 2 * long)),
+        (((-1.0, long), (tau, 2 * long)), ((0j, long), (0.5j, 2 * long - 1)), None),
+        (((1.0, 2 * long), (tau, long)), ((0j, 3 * long - 1),), (2 * long, 0, long)),
+    ):
+        h = Band((diag, sub), 0.0)
+        if want is not None:
+            assert triple(inertia(h)) == want
+        assert_split_free(h, rng)
+
+
+def test_inertia_of_engine_bands_is_the_same_however_the_runs_split():
+    # torus systems of width 1, random systems banded and dense, and the
+    # relabelled ell-200 torus system, whose band has width > 100
+    rng = random.Random(38)
+    nprng = np.random.default_rng(38)
+    systems = [torus_seifert(ell) for ell in (2, -2, 3, 5, -20, 50, 200, -200)]
+    systems += [random_system(nprng, mu, rank) for mu in (1, 2, 3) for rank in (0, 1, 4, 8)]
+    systems += [random_band_system(nprng, mu, rank) for mu in (1, 2, 3) for rank in (3, 8)]
+    fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
+    for s in systems:
+        for omegas in [random_omegas(nprng, s.mu) for _ in range(3)] + [[w] * s.mu for w in fixed]:
+            assert_split_free(build_H(s, omegas), rng)
+    perm = list(range(199))
+    random.Random(36).shuffle(perm)
+    wide = congruent_torus_sum([200], perm, [1] * 199, [])
+    assert wide.width > 100
+    assert_split_free(build_H(wide, list(angle_pair("1/1999", "9/1999").omega())), rng)
+
+
+def test_inertia_holds_every_band_to_one_run_policy():
+    # every run a pair (value, count), every count a positive int, not a
+    # bool, and the counts of diagonal k summing to max(n - k, 0)
+    good = Band((((1.0, 2), (-1.0, 1)), ((0.5, 2),)), 0.0)
+    assert good.shape == (3, 3) and good.width == 1
+    assert inertia(good) == inertia(tridiagonal([1.0, 1.0, -1.0], [0.5, 0.5])) == Inertia(2, 1, 0)
+    assert inertia(Band((((2.0, 1),), (), ()), 0.0)) == Inertia(1, 0, 0)
+    for diags in (
+        (((1.0, 3), (-1.0, 0)), ((0.5, 2),)),
+        (((1.0, 4), (-1.0, -1)), ((0.5, 2),)),
+        (((1.0, 2), (-1.0, True)), ((0.5, 2),)),
+        (((1.0, 2.0), (-1.0, 1)), ((0.5, 2),)),
+        (((1.0, np.int64(2)), (-1.0, 1)), ((0.5, 2),)),
+        (((1.0, 2), (-1.0, 1)), ((0.5, 3),)),
+        (((1.0, 2), (-1.0, 1)), ((0.5, 1),)),
+        (((1.0, 2), (-1.0, 1)), ((0.5, 2),), ((0.1, 1),), ((0.1, 1),)),
+        (((1.0, 2), (-1.0, 1)), ((0.5, 2), ())),
+        (((1.0, 2), (-1.0, 1)), ((0.5, 2, 0),)),
+        (((1.0, 2), -1.0), ((0.5, 2),)),
+        (((1.0, 3),), None),
+        ((1.0, 3),),
+    ):
+        with pytest.raises(ValueError, match="^band has a diagonal of the wrong length$"):
+            inertia(Band(diags, 0.0))
 
 
 def test_sigma_eval_rank_199_at_tiny_angle():
@@ -989,10 +1204,10 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
         assert h.width == 1
         want, edge = eigvalsh_triple(h)
         assert not edge
-        diag, sub = h.diags
+        diag, sub = expanded(h)
         layouts = (
-            Band([diag, [e.conjugate() for e in sub]], 0.0),
-            Band([diag[::-1], [e.conjugate() for e in sub[::-1]]], 0.0),
+            band_from(diag, [e.conjugate() for e in sub]),
+            band_from(diag[::-1], [e.conjugate() for e in sub[::-1]]),
             full_band(dense(h)),
         )
         cases.append((h, want, layouts))
@@ -1379,8 +1594,8 @@ def test_build_H_is_bitwise_the_per_position_sum(drawn):
     h = build_H(s, omegas)
     n = s.rank
     assert h.shape == (n, n) and h.width == s.width
-    assert [len(d) for d in h.diags] == [max(n - k, 0) for k in range(h.width + 1)]
-    got = [x for d in h.diags for x in d]
+    assert [len(d) for d in expanded(h)] == [max(n - k, 0) for k in range(h.width + 1)]
+    got = [x for d in expanded(h) for x in d]
     values = [v.real for v in values[:n]] + values[n:]
     assert list(map(repr, got)) == list(map(repr, values))
     assert repr(h.size) == repr(size)
@@ -1394,7 +1609,7 @@ def test_build_H_over_65536_nonzero_matrices():
     omegas = [cmath.exp(0.3j)] * mu
     values, size = build_H_per_position(s, omegas)
     h = build_H(s, omegas)
-    assert repr(h.diags[0]) == repr([values[0].real]) and repr(h.size) == repr(size)
+    assert repr(expanded(h)[0]) == repr([values[0].real]) and repr(h.size) == repr(size)
 
 
 def test_seifert_system_enforces_the_transpose_invariant_at_construction():
@@ -1494,7 +1709,7 @@ def test_a_wide_system_keeps_only_its_entries():
     omegas = [cmath.exp(0.4j), cmath.exp(2.1j)]
     values, size = build_H_per_position(s, omegas)
     h = build_H(s, omegas)
-    got = [x for d in h.diags for x in d]
+    got = [x for d in expanded(h) for x in d]
     values = [v.real for v in values[: s.rank]] + values[s.rank:]
     assert list(map(repr, got)) == list(map(repr, values))
     assert repr(h.size) == repr(size)

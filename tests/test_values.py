@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from linksig.pillowcase import QUAT_PATH, CurveSample, PillowPoint, SignedIntersection
-from linksig.signature import Band, Inertia, torus_seifert
+from linksig.signature import Band, Inertia, inertia, torus_seifert
 from linksig.su2 import UnitQuaternion
 from linksig.torus_rep import AnglePair, RationalAngle
 from linksig.verify import RegionGrid, Report
@@ -61,7 +61,7 @@ def test_reports_grids_and_bands_refuse_assignment():
     values = (
         (report, "checked"),
         (RegionGrid(3, 2, [[-1]]), "values"),
-        (Band([[1.0, -2.0], [0.5 - 1j]], 0.0), "size"),
+        (Band((((1.0, 1), (-2.0, 1)), ((0.5 - 1j, 1),)), 0.0), "size"),
     )
     for value, name in values:
         with pytest.raises(AttributeError):
@@ -96,14 +96,18 @@ def test_copy_and_pickle_round_trip():
         RationalAngle(2, 7),
         CurveSample((0.5, 1.5), (0.25, 0.0), QUAT_PATH),
         SignedIntersection(PillowPoint(1.0, 0.0), 2, -1),
-        Band([[1.0, -2.0], [0.5 - 1j]], 0.0),
-        Band([[1.0, -2.0, 3.0], [0.5 - 1j, 2j], [0.25]], 6.5),
+        # bands in the run layout that build_H returns, each run (value, count)
+        Band((((1.0, 1), (-2.0, 1)), ((0.5 - 1j, 1),)), 0.0),
+        Band((((1.0, 2), (3.0, 1)), ((0.5 - 1j, 1), (2j, 1)), ((0.25, 1),)), 6.5),
         RegionGrid(3, 4, [[1, -999, 0], [2, 1, 0], [0, 0, -999]]),
     )
     for value in values:
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+        if isinstance(value, Band):  # each copy is still a band that inertia counts
+            for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin.shape == value.shape and inertia(twin) == inertia(value)
 
 
 def test_repr_names_the_fields():
