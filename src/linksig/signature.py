@@ -13,11 +13,10 @@ and reports its inertia.  The signature of H is the multivariable
 A system is stored as the nonzero integer entries of its matrices and
 nothing else, with one policy, A^{-eps} = (A^eps)^T among its rules,
 checked once when it is built, however it is built (see SeifertSystem).
-The system also keeps the lower band of H as runs of classes: a class is
-the list of terms (key index, v) at one position, and a run is a stretch of
-one diagonal whose positions share a class.  build_H computes one sum per
-class and hands each diagonal over as those runs, the sum in place of the
-class.
+The system also keeps the lower band of H as runs: a run is a stretch of
+one diagonal whose positions hold the same terms (key index, v), and it
+holds those terms.  build_H computes one sum per run and hands each
+diagonal over as those runs, the sum in place of the terms.
 
 build_H returns every H as a Band, Hermitian by type: its real diagonal
 and its sub-diagonals, down to the farthest one that an entry of the system
@@ -144,19 +143,17 @@ class SeifertSystem(Frozen):
 
     The rest is derived for build_H.  A position (j + k, j) on or below the
     diagonal holds the terms (key index, v), one per key of `entries` with an
-    entry v there, in key order.  `classes` lists the distinct term lists,
-    the empty one first, then in the order of their first position by
-    (k, j).  `runs[k]`, for each diagonal k = 0 .. width, covers its n - k
-    positions in order by runs (class index, count), no two adjacent ones of
-    one class.  A (2,2l)-torus system has at most three classes and one run
-    per diagonal, however large its rank, and an empty stretch is one run,
-    so nothing here grows with the band of H.  `width` is the farthest
-    sub-diagonal that an entry fills, at least 1, and `bound` the largest
-    sum of |A^eps_ij| over eps at one position, the same on the upper half
-    by the transpose rule.
+    entry v there, in key order.  `runs[k]`, for each diagonal k = 0 ..
+    width, covers its n - k positions in order by runs (terms, count), () the
+    terms of an empty stretch, no two adjacent runs with the same terms.  A
+    (2,2l)-torus system has one run per diagonal, however large its rank,
+    and an empty stretch is one run, so nothing here grows with the band of
+    H.  `width` is the farthest sub-diagonal that an entry fills, at least
+    1, and `bound` the largest sum of |A^eps_ij| over eps at one position,
+    the same on the upper half by the transpose rule.
     """
 
-    __slots__ = ("mu", "rank", "entries", "classes", "runs", "width", "bound")
+    __slots__ = ("mu", "rank", "entries", "runs", "width", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
         _check_count("mu", mu, 1, "positive")
@@ -180,25 +177,23 @@ class SeifertSystem(Frozen):
                 if i >= j:
                     cells.setdefault(i - j, {}).setdefault(j, []).append((index, v))
         width = max([1, *cells])
-        classes, runs = {(): 0}, []
+        runs = []
         for k in range(width + 1):
             diag, r, end = cells.get(k, ()), [], 0  # end: the first position no run covers
             for j in sorted(diag):
-                c = classes.setdefault(tuple(diag[j]), len(classes))
-                if j == end and r and r[-1][0] == c:
-                    r[-1] = (c, r[-1][1] + 1)
+                terms = tuple(diag[j])
+                if j == end and r and r[-1][0] == terms:
+                    r[-1] = (terms, r[-1][1] + 1)
                 else:
                     if j > end:
-                        r.append((0, j - end))  # an empty stretch
-                    r.append((c, 1))
+                        r.append(((), j - end))  # an empty stretch
+                    r.append((terms, 1))
                 end = j + 1
             if rank - k > end:
-                r.append((0, rank - k - end))
+                r.append(((), rank - k - end))
             runs.append(tuple(r))
-        bound = max(sum(abs(v) for _, v in t) for t in classes)
-        super().__init__(
-            mu, rank, MappingProxyType(entries), tuple(classes), tuple(runs), width, bound
-        )
+        bound = max((sum(abs(v) for _, v in t) for d in runs for t, _ in d), default=0)
+        super().__init__(mu, rank, MappingProxyType(entries), tuple(runs), width, bound)
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -343,17 +338,16 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed into any
     entry.
 
-    Each matrix's coefficient is computed once.  Each class of s.classes
-    is summed once: from the int 0, coeff * v for each of its terms, key by
-    key, then multiplied by scale.  Each diagonal is s.runs with those
-    values in place of the classes, the main one taking their real parts,
-    so a call costs O(classes + runs), not O(n): a torus H is two runs,
-    whatever its rank.  Expanded, each run is bitwise the sum over all 2^mu
-    matrices in key order at each of its positions, since a key puts at
-    most one entry at a position.  No partial sum from the int 0 has a -0.0
-    part (0.0 + t is not -0.0, and x + y is -0.0 only if both are), so the
-    +-0.0 terms of zero entries change none, and scale multiplies the empty
-    class, the int 0, as 0j, the sum of its zero terms.
+    Each matrix's coefficient is computed once.  Each run of s.runs is
+    summed once: from the int 0, coeff * v for each of its terms, key by
+    key, then multiplied by scale, the main diagonal taking the real part;
+    so a call costs O(runs), not O(n): a torus H is two runs, whatever its
+    rank.  Expanded, each run is bitwise the sum over all 2^mu matrices in
+    key order at each of its positions, since a key puts at most one entry
+    at a position.  No partial sum from the int 0 has a -0.0 part (0.0 + t
+    is not -0.0, and x + y is -0.0 only if both are), so the +-0.0 terms of
+    zero entries change none, and scale multiplies the sum of an empty run,
+    the int 0, as 0j, the sum of its zero terms.
     """
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
@@ -372,20 +366,16 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
             if ch == "-":
                 coeff *= -w
         coeffs.append(coeff)
-    values = []
-    for terms in s.classes:
-        acc = 0
-        for index, v in terms:
-            acc += coeffs[index] * v
-        values.append(scale * acc)
     diags = []
-    at = [x.real for x in values]  # the main diagonal is real
     for runs in s.runs:
         d = []
-        for c, count in runs:
-            d.append((at[c], count))
+        for terms, count in runs:
+            acc = 0
+            for index, v in terms:
+                acc += coeffs[index] * v
+            x = scale * acc
+            d.append((x if diags else x.real, count))  # the main diagonal is real
         diags.append(tuple(d))
-        at = values
     return Band(tuple(diags), abs(scale) * s.bound)
 
 
@@ -407,7 +397,10 @@ def inertia(h: Band) -> Inertia:
     diagonal must be real to within 1e-12 * max(1, max|h|), or a ValueError
     names the first check that fails; the upper half is the conjugate of
     the lower by type.  Those checks and max|h| read each run once, in
-    O(runs); the same pass lays each diagonal out by position.  The count
+    O(runs); the same pass lays each diagonal out by position, and refuses
+    a run of a sub-diagonal that overruns its n - k positions before laying
+    it out.  The counts of the main diagonal define n, so a huge one is laid
+    out in full and may run out of memory (MemoryError).  The count
     reads h / max|h|, so that |h_ij|^2 neither under- nor overflows.  A
     band of width 1 gives its diagonals directly; a wider one is laid out
     in full rows and first reduced to width 1 by Householder reflections in
@@ -441,22 +434,25 @@ def inertia(h: Band) -> Inertia:
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
     diags, width = h.diags, h.width
     values, lines = [], []  # the value of each run, and each diagonal by position
+    room = math.inf  # diagonal k's positions, max(n - k, 0); the main one's counts give n
     for d in diags:
         line = []
         try:
             for x, count in d:
-                if type(count) is not int or count < 1:
+                # a count past the room left is refused before it is laid out
+                if type(count) is not int or not 0 < count <= room - len(line):
                     raise ValueError
                 values.append(x)
                 line += [x] * count
-        except (TypeError, ValueError):  # a run that is no pair (value, count), or a bad count
+            if lines and len(line) < room:
+                raise ValueError
+        except (TypeError, ValueError):  # a run that is no pair, a bad count, a short diagonal
             raise ValueError("band has a diagonal of the wrong length") from None
         lines.append(line)
-    n = len(lines[0]) if diags else 0
-    m = len(diags)  # diagonal k covers max(n - k, 0) positions
-    lengths = [*range(n, n - m, -1)] if m <= n else [*range(n, 0, -1), *repeat(0, m - n)]
-    if not diags or [*map(len, lines)] != lengths:
+        room = max(len(lines[0]) - len(lines), 0)
+    if not diags:
         raise ValueError("band has a diagonal of the wrong length")
+    n = len(lines[0])
     if n == 0:
         return Inertia(0, 0, 0)
     diag = lines[0]

@@ -13,6 +13,8 @@ serializes to JSON.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ._values import Frozen
 from .torus_rep import (
     check_ell,
@@ -26,13 +28,13 @@ SENTINEL = -999
 
 
 def _lattice(ell: int, resolution: int):
-    """(p, q, strips) row by row over 1 <= p, q < res; strips None on the root locus."""
+    """(p, q, strips) row by row over 1 <= p, q < res; strips None on the root
+    locus.  ell and res are checked at the call, before any point."""
     check_ell(ell)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    for p in range(1, resolution):
-        for q in range(1, resolution):
-            yield p, q, lattice_strips(ell, p, q, resolution)
+    axis = range(1, resolution)
+    return ((p, q, lattice_strips(ell, p, q, resolution)) for p in axis for q in axis)
 
 
 class Report(Frozen):
@@ -84,9 +86,9 @@ class RegionGrid(Frozen):
 
 def region_grid(ell: int, resolution: int) -> RegionGrid:
     walk = _lattice(ell, resolution)
-    cells = [SENTINEL if ij is None else strip_h(ell, *ij) for *_, ij in walk]
-    n = resolution - 1  # cells per row of the walk
-    return RegionGrid(ell, resolution, [cells[k : k + n] for k in range(0, len(cells), n)])
+    cells = (SENTINEL if ij is None else strip_h(ell, *ij) for *_, ij in walk)
+    n = resolution - 1  # cells per row of the walk, each row built from it alone
+    return RegionGrid(ell, resolution, [list(islice(cells, n)) for _ in range(n)])
 
 
 def check_mod4_congruence(ell: int, resolution: int) -> Report:

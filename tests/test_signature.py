@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -1177,6 +1178,31 @@ def test_inertia_holds_every_band_to_one_run_policy():
             inertia(Band(diags, 0.0))
 
 
+def test_inertia_refuses_an_overlong_diagonal_before_laying_it_out():
+    """A sub-diagonal whose counts overrun its n - k positions is refused by
+    the run policy before any of it is laid out.  Each bad count is 10^12, a
+    list of 8 TB, so under the 300 MB address-space cap laying one out
+    fails at once with MemoryError."""
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))"
+    script = f"""{cap}
+from linksig.signature import Band, inertia
+big = 10**12
+for diags in (
+    (((1.0, 2),), ((0j, big),)),
+    (((1.0, 2),), ((0j, 1), (1j, big))),
+    (((1.0, 2),), (), ((0j, big),)),
+    (((1.0, 2),), ((0j, 1),), ((0j, big),), ((0j, big),)),
+):
+    try:
+        inertia(Band(diags, 0.0))
+    except ValueError as exc:
+        print(exc)
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "band has a diagonal of the wrong length\n" * 4
+
+
 def test_sigma_eval_rank_199_at_tiny_angle():
     # the leading minors underflow here; the pivots of the engine do not
     rng = np.random.default_rng(29)
@@ -1677,7 +1703,7 @@ def test_a_missing_key_and_an_empty_key_are_one_zero_matrix():
     dense = seifert_system(1, {"+": [[0]], "-": [[0]]})
     assert bare == dense and hash(bare) == hash(dense)
     assert dict(bare.entries) == {}
-    assert (bare.classes, bare.runs) == (((),), (((0, 1),), ()))
+    assert bare.runs == ((((), 1),), ()) and bare.bound == 0
     assert bare.matrix("+") == [[0]]
     assert seifert_to_json(bare) == {"mu": 1, "rank": 1, "matrices": {"+": [[0]], "-": [[0]]}}
     upper, lower = ((0, 1, 1),), ((1, 0, 1),)
@@ -1716,13 +1742,12 @@ def test_a_wide_system_keeps_only_its_entries():
 
 
 def assert_laid_out(s):
-    """s.runs covers the n - k positions of each diagonal k by runs of
-    count > 0, no two adjacent ones of one class; s.classes are distinct,
-    the empty one first, and each is used; and expanding the runs gives
-    each position's terms (key index, v) in key order.  An empty stretch
-    is one run, so there are at most two runs per position with an entry,
-    and one more per diagonal."""
-    assert s.classes[0] == () and len(set(s.classes)) == len(s.classes)
+    """s.runs covers the n - k positions of each diagonal k by runs (terms,
+    count) of count > 0, no two adjacent ones with the same terms, and
+    expanding the runs gives each position's terms (key index, v) in key
+    order.  An empty stretch is one run, so there are at most two runs per
+    position with an entry, and one more per diagonal.  s.bound is the
+    largest sum of |v| over the terms of a run."""
     assert len(s.runs) == s.width + 1
     cells = [{(i, j): v for i, j, v in e} for e in s.entries.values()]
     filled = {(i, j) for c in cells for i, j in c if i >= j}
@@ -1730,21 +1755,21 @@ def assert_laid_out(s):
         assert sum(count for _, count in runs) == max(s.rank - k, 0), k
         assert all(count > 0 for _, count in runs), k
         assert all(a[0] != b[0] for a, b in zip(runs, runs[1:])), k
-        laid = [s.classes[c] for c, count in runs for _ in range(count)]
+        laid = [terms for terms, count in runs for _ in range(count)]
         assert laid == [
             tuple((index, c[j + k, j]) for index, c in enumerate(cells) if (j + k, j) in c)
             for j in range(s.rank - k)
         ], k
-    used = {c for runs in s.runs for c, _ in runs}
-    assert used | {0} == set(range(len(s.classes)))
     assert sum(map(len, s.runs)) <= 2 * len(filled) + s.width + 1
+    sums = [sum(abs(v) for _, v in terms) for runs in s.runs for terms, _ in runs]
+    assert s.bound == max(sums, default=0)
 
 
 def test_runs_lay_out_torus_and_relabelled_systems():
     for ell in [*range(-60, 0), *range(1, 61)]:
         s = torus_seifert(ell)
         assert_laid_out(s)
-        assert len(s.classes) <= 3 and all(len(runs) <= 1 for runs in s.runs), ell
+        assert all(len(runs) <= 1 for runs in s.runs), ell
     # the relabelled ell-200 system of test_a_wide_system_keeps_only_its_entries
     base = torus_seifert(200)
     perm = list(range(base.rank))
@@ -1754,8 +1779,9 @@ def test_runs_lay_out_torus_and_relabelled_systems():
     }
     s = SeifertSystem(2, base.rank, relabelled)
     assert_laid_out(s)
-    # relabelled, an off-diagonal +-1 falls below the diagonal in ++ or in --
-    assert s.width > 100 and len(s.classes) == 4
+    # relabelled, an off-diagonal +-1 falls below the diagonal in ++ or in --,
+    # so its runs hold four term lists, the empty one among them
+    assert s.width > 100 and len({terms for runs in s.runs for terms, _ in runs}) == 4
 
 
 @settings(deadline=None, max_examples=50)
@@ -1856,8 +1882,8 @@ def test_seifert_system_round_trips_through_copy_pickle_and_json(s):
     )
     for twin in twins:
         assert twin == s and hash(twin) == hash(s)
-        derived = (twin.classes, twin.runs, twin.width, twin.bound)
-        assert derived == (s.classes, s.runs, s.width, s.bound)
+        derived = (twin.runs, twin.width, twin.bound)
+        assert derived == (s.runs, s.width, s.bound)
 
 
 def test_every_torus_and_benchmark_system_still_builds_as_before():

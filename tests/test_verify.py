@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,20 @@ def test_region_grid_is_the_kernel_row_by_row():
             row = [lattice_strips(ell, p, q, res) for q in range(1, res)]
             expected.append([SENTINEL if ij is None else strip_h(ell, *ij) for ij in row])
         assert region_grid(ell, res).values == expected
+
+
+def test_region_grid_holds_each_cell_once():
+    # each row is built straight from the walk, so building the grid peaks
+    # near what the grid holds, not at a flat list of its cells beside it
+    region_grid(3, 8)
+    tracemalloc.start()
+    try:
+        grid = region_grid(3, 201)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(row) for row in grid.values] == [200] * 200
+    assert peak < 1.5 * held, (held, peak)
 
 
 def test_every_grid_check_rejects_a_resolution_below_two():
