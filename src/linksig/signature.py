@@ -26,9 +26,9 @@ its rank.  When the entries all lie on the three diagonals, as for every
 of width 1.  A wider band is first reduced to width 1 by Householder
 reflections in O(n^3), a backward stable step (Wilkinson 1965, The
 Algebraic Eigenvalue Problem).  inertia checks a band and takes max|h|
-over its runs, in O(runs); it then reads each diagonal position by
-position, and one O(n) pass over a band of width 1 runs two Sturm
-sequences.
+over its runs, in O(runs); one walk over the runs of a band of width 1
+then runs two Sturm sequences in O(n) steps, forming each run's
+constants once.
 A tridiagonal count is exact for entries with small relative errors (Barth,
 Martin and Wilkinson 1967), so nothing is lost against the eigenvalues, and
 it computes none: by Sylvester's law of inertia the signs of the pivots are
@@ -313,12 +313,12 @@ class Band(Frozen):
     diagonal (k = 0) with reals, the others with complex numbers.  One run
     policy, which inertia checks: every run is such a pair, its count a
     positive int, not a bool, and the counts of diagonal k sum to
-    max(n - k, 0).  Adjacent runs may hold equal values, so one matrix has
-    many layouts.  The upper half is the conjugate, so the matrix is
-    Hermitian by type; `width` is the number of sub-diagonals and `shape`
-    that of the matrix.  `size` bounds the total modulus of the terms that
-    build_H summed into any one entry; a band built otherwise passes 0.0,
-    which inertia reads as max|h|."""
+    max(n - k, 0), with n at most sys.maxsize.  Adjacent runs may hold
+    equal values, so one matrix has many layouts.  The upper half is the
+    conjugate, so the matrix is Hermitian by type; `width` is the number of
+    sub-diagonals and `shape` that of the matrix.  `size` bounds the total
+    modulus of the terms that build_H summed into any one entry; a band
+    built otherwise passes 0.0, which inertia reads as max|h|."""
 
     __slots__ = ("diags", "size")
 
@@ -397,18 +397,18 @@ def inertia(h: Band) -> Inertia:
     diagonal must be real to within 1e-12 * max(1, max|h|), or a ValueError
     names the first check that fails; the upper half is the conjugate of
     the lower by type.  Those checks and max|h| read each run once, in
-    O(runs); the same pass lays each diagonal out by position, and refuses
-    a run of a sub-diagonal that overruns its n - k positions before laying
-    it out.  The counts of the main diagonal define n, so a huge one is laid
-    out in full and may run out of memory (MemoryError).  The count
-    reads h / max|h|, so that |h_ij|^2 neither under- nor overflows.  A
-    band of width 1 gives its diagonals directly; a wider one is laid out
-    in full rows and first reduced to width 1 by Householder reflections in
-    O(n^3) (_householder_band).  One pass over the band, in O(n), runs the
-    Sturm counts of T + t and t - T together: n_neg = #(lambda < -tau) and
-    n_pos = #(lambda > tau).  It reads positions, not runs, so however the
-    runs split the band, the pivots are the same floats and so are the
-    counts.
+    O(runs), and refuse a bad count, main-diagonal counts past sys.maxsize
+    among them, before any other work.  The count reads h / max|h|, so that
+    |h_ij|^2 neither under- nor overflows.  A band of width 1 is counted
+    from its runs, in O(runs) memory and O(n) steps; a wider one is laid
+    out in n^2 full rows and first reduced to width 1 by Householder
+    reflections in O(n^3) (_householder_band), whose output is read as runs
+    of one.  One walk over the runs of the diagonal and of the sub-diagonal
+    shifted down one row runs the Sturm counts of T + t and t - T together:
+    n_neg = #(lambda < -tau) and n_pos = #(lambda > tau).  Where both runs
+    hold, it forms a + t, t - a and |e|^2 once, the floats that each
+    position would form, so however the runs split the band, the pivots are
+    the same floats and so are the counts.
 
     tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
     size of the terms build_H summed into an entry (0.0, read as max|h|, for
@@ -433,29 +433,28 @@ def inertia(h: Band) -> Inertia:
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
     diags, width = h.diags, h.width
-    values, lines = [], []  # the value of each run, and each diagonal by position
-    room = math.inf  # diagonal k's positions, max(n - k, 0); the main one's counts give n
-    for d in diags:
-        line = []
+    values = []  # the value of each run
+    room = sys.maxsize  # the positions left to diagonal k: max(n - k, 0) once n is known
+    for k, d in enumerate(diags):
         try:
             for x, count in d:
-                # a count past the room left is refused before it is laid out
-                if type(count) is not int or not 0 < count <= room - len(line):
+                # a count past the room left is refused before any work
+                if type(count) is not int or not 0 < count <= room:
                     raise ValueError
                 values.append(x)
-                line += [x] * count
-            if lines and len(line) < room:
+                room -= count
+            if k and room:
                 raise ValueError
         except (TypeError, ValueError):  # a run that is no pair, a bad count, a short diagonal
             raise ValueError("band has a diagonal of the wrong length") from None
-        lines.append(line)
-        room = max(len(lines[0]) - len(lines), 0)
+        if not k:
+            n = sys.maxsize - room  # the main diagonal's counts
+        room = max(n - k - 1, 0)
     if not diags:
         raise ValueError("band has a diagonal of the wrong length")
-    n = len(lines[0])
     if n == 0:
         return Inertia(0, 0, 0)
-    diag = lines[0]
+    diag = diags[0]
     hmax = max(map(abs, values))
     if not all(map(cmath.isfinite, values)):
         raise ValueError("matrix has a non-finite entry")
@@ -463,20 +462,22 @@ def inertia(h: Band) -> Inertia:
     if set(map(type, reals)) != {float}:
         if max(abs(x - x.conjugate()) for x in reals) > 1e-12 * max(1.0, hmax):
             raise ValueError("matrix is not Hermitian")
-        diag = [x.real for x in diag]
+        diag = [(x.real, count) for x, count in diag]
     if hmax == 0.0:
         return Inertia(0, 0, n)
     t = EIG_ZERO_SCALE * n  # tau / max|h|
     if h.size > hmax:
         t *= h.size / hmax
     if width < 2:
-        sub = lines[1] if width else repeat(0.0)
+        sub = diags[1] if width else ((0.0, n - 1),)
     else:
         rows = [[0j] * n for _ in range(n)]
-        for k, d in enumerate([diag, *lines[1:]]):
-            for j, x in enumerate(d):
+        for k, d in enumerate([diag, *diags[1:]]):
+            line = chain.from_iterable(repeat(x, count) for x, count in d)
+            for j, x in enumerate(line):
                 rows[j + k][j], rows[j][j + k] = x / hmax, x.conjugate() / hmax
         sub, diag = _householder_band(rows)
+        sub, diag = zip(sub, repeat(1)), zip(diag, repeat(1))
         hmax = 1.0  # the band is scaled already
     # The pivots d_i = a_i - |e_i|^2 / d_{i-1} of T + t (`lo`) and of t - T
     # (`hi`), whose negative ones count the eigenvalues below -tau and above
@@ -486,20 +487,30 @@ def inertia(h: Band) -> Inertia:
     # below 0, and the next pivot falls to about -|e|^2 / 0.
     n_pos = n_neg = 0
     lo = hi = 1.0
-    for x, e in zip(diag, chain((0.0,), sub)):
+    off = chain(((0.0, 1),), sub)  # the runs of e_i, left of the diagonal in row i
+    left = 0  # the rows left to the current run of off
+    for x, count in diag:
         a = x / hmax
-        r = abs(e / hmax)
-        r *= r
-        lo = a + t - r / lo
-        hi = t - a - r / hi
-        if lo < 0.0:
-            n_neg += 1
-        elif lo == 0.0:
-            lo = sys.float_info.min
-        if hi < 0.0:
-            n_pos += 1
-        elif hi == 0.0:
-            hi = sys.float_info.min
+        c_lo, c_hi = a + t, t - a
+        while count:
+            if not left:
+                e, left = next(off)
+                r = abs(e / hmax)
+                r *= r
+            step = count if count < left else left
+            count -= step
+            left -= step
+            for _ in repeat(None, step):
+                lo = c_lo - r / lo
+                hi = c_hi - r / hi
+                if lo < 0.0:
+                    n_neg += 1
+                elif lo == 0.0:
+                    lo = sys.float_info.min
+                if hi < 0.0:
+                    n_pos += 1
+                elif hi == 0.0:
+                    hi = sys.float_info.min
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
 
 

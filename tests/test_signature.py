@@ -1024,10 +1024,11 @@ def test_one_pass_inertia_equals_the_two_pass_count(h):
 
 
 def per_position_inertia(h):
-    """The count of a finite Band as inertia made it one position at a time:
-    its diagonals laid out as lists, a wide band in rows reduced by
-    _householder_band, then one step of the two Sturm sequences per
-    position, each scaling its own entries."""
+    """The count of a finite Band one position at a time, the reference that
+    inertia's walk over runs must equal bit for bit: its diagonals laid out
+    as lists, a wide band in rows reduced by _householder_band, then one
+    step of the two Sturm sequences per position, each scaling its own
+    entries."""
     diags = expanded(h)
     n = len(diags[0])
     hmax = max(map(abs, chain(*diags)), default=0.0)
@@ -1116,6 +1117,45 @@ def test_inertia_of_a_band_is_the_same_however_its_runs_split(h, rng):
     assert_split_free(h, rng)
 
 
+@st.composite
+def run_layouts(draw):
+    """A Band of width 0 or 1, n up to 200, laid out as runs of one and long
+    runs, with stretches of 0j on the sub-diagonal, main-diagonal values
+    whose imaginary part lies within the Hermitian tolerance, and a size
+    past max|h| or 0.0.  Some runs of the diagonal move to exactly +-t max|h|,
+    t = tau / max|h| as inertia forms it, so that pivots are exactly 0."""
+
+    def runs(total, values):
+        out = []
+        while total:
+            count = min(total, draw(st.sampled_from([1, 1, 2, 7, total])))
+            out.append((draw(values), count))
+            total -= count
+        return out
+
+    n = draw(st.integers(1, 200))
+    reals = st.integers(-3, 3).map(float) | st.floats(-4.0, 4.0)
+    tilt = st.floats(-4e-13, 4e-13).map(lambda y: complex(0.0, y))
+    diag = runs(n, reals | st.tuples(reals, tilt).map(sum))
+    parts = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda p: complex(*p))
+    sub = runs(n - 1, st.just(0j) | parts | st.complex_numbers(max_magnitude=3.0))
+    hmax = max(abs(x) for x, _ in diag + sub)
+    size = draw(st.sampled_from([0.0, 2.0, 1e6]) if hmax else st.just(0.0)) * hmax
+    t = EIG_ZERO_SCALE * n
+    if size > hmax:
+        t *= size / hmax
+    for i in draw(st.lists(st.integers(0, len(diag) - 1), max_size=2)) if hmax else []:
+        diag[i] = (draw(st.sampled_from([t, -t])) * hmax, diag[i][1])
+    width = draw(st.sampled_from([0, 1])) if not any(e for e, _ in sub) else 1
+    return Band((tuple(diag), tuple(sub))[: width + 1], size)
+
+
+@settings(deadline=None, max_examples=300)
+@given(run_layouts())
+def test_inertia_walks_runs_to_the_per_position_count(h):
+    assert inertia(h) == per_position_inertia(h)
+
+
 def test_inertia_at_the_threshold_is_the_same_however_the_runs_split():
     # a pivot of t - T is exactly 0 at every position of a run of tau, and
     # an eigenvalue sits at exactly +-tau; tau = 8 u n max|h|
@@ -1173,6 +1213,9 @@ def test_inertia_holds_every_band_to_one_run_policy():
         (((1.0, 2), -1.0), ((0.5, 2),)),
         (((1.0, 3),), None),
         ((1.0, 3),),
+        (((1.0, 10**20),),),  # n past sys.maxsize, refused before any work
+        (((1.0, 2**63),),),
+        (((1.0, 2**62), (1.0, 2**62)),),
     ):
         with pytest.raises(ValueError, match="^band has a diagonal of the wrong length$"):
             inertia(Band(diags, 0.0))
@@ -1201,6 +1244,27 @@ for diags in (
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == "band has a diagonal of the wrong length\n" * 4
+
+
+def test_inertia_of_a_long_band_holds_its_runs_not_its_positions():
+    """A band of width 1 costs O(runs) memory: two runs of n = 10^5 are
+    counted in under 16 KB, against the 2.3 MB that a layout by position
+    held.  The counts are the Toeplitz closed form, lambda_k = a + 2|e|
+    cos(k pi / (n + 1)), every one far from tau."""
+    n = 10**5
+    a, e = 0.3, 0.8 + 0.6j
+    h = Band((((a, n),), ((e, n - 1),)), 0.0)
+    tracemalloc.start()
+    try:
+        got = inertia(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10
+    lam = [a + 2 * abs(e) * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)]
+    assert min(map(abs, lam)) > 1e4 * EIG_ZERO_SCALE * n
+    want = (sum(x > 0 for x in lam), sum(x < 0 for x in lam), 0)
+    assert triple(got) == want == (54793, 45207, 0)
 
 
 def test_sigma_eval_rank_199_at_tiny_angle():
