@@ -140,19 +140,10 @@ def _region_svg(grid) -> str:
     res = grid.resolution
     cell = 6
     size = (res - 1) * cell
-    values = sorted(
-        {v for row in grid.values for v in row if v != SENTINEL}
-    )
-    palette = {}
-    for v in values:
-        if v == 0:
-            palette[v] = "#e8e8e8"
-        elif v > 0:
-            shade = max(0, 215 - 40 * v)
-            palette[v] = f"rgb({shade},{shade},255)"
-        else:
-            shade = max(0, 215 + 40 * v)
-            palette[v] = f"rgb(255,{shade},{shade})"
+    palette = {SENTINEL: "#000000", 0: "#e8e8e8"}
+    for v in {v for row in grid.values for v in row}.difference(palette):
+        shade = max(0, 215 - 40 * abs(v))
+        palette[v] = f"rgb({shade},{shade},255)" if v > 0 else f"rgb(255,{shade},{shade})"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -160,11 +151,10 @@ def _region_svg(grid) -> str:
     ]
     for i, row in enumerate(grid.values):
         for j, v in enumerate(row):
-            fill = "#000000" if v == SENTINEL else palette[v]
             x = i * cell
             y = size - (j + 1) * cell
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>'
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{palette[v]}"/>'
             )
     # alpha1 + alpha2 = pi*m/L and alpha1 - alpha2 = pi*(m/L - 1) in cell units,
     # each drawn from (p, q) = (x0, q0) to (x1, q1)

@@ -14,8 +14,8 @@ Each route is one loop over a list of phi values, with the trigonometry of
 alpha done once before it; the quaternion route multiplies plain 4-tuples
 (su2.qmul).  sample_curve runs a route over its uniform phi grid and the
 gamma_cos_theta_* functions run it at one phi, so each route's formula is
-written once; _theta turns a cosine into theta in [0, pi].  A CurveSample
-holds its phi and theta values as float tuples.
+written once; torus_rep.clamped_acos turns a cosine into theta in [0, pi].
+A CurveSample holds its phi and theta values as float tuples.
 
 intersections lists the crossings through theta = 0 but reads them off no
 curve: solve_phi places them by h's own strip count, and each gets the sign
@@ -33,7 +33,7 @@ from ._values import Frozen
 from .chebyshev import eval_T
 from .errors import DegeneratePhiError, TransversalityFailureError
 from .su2 import _unit, qinv, qmul, qpow
-from .torus_rep import AnglePair, check_ell, solve_phi
+from .torus_rep import AnglePair, check_ell, clamped_acos, solve_phi
 
 TAU_TRANS = 1e-6
 
@@ -126,11 +126,6 @@ def _chebyshev_cosines(ell: int, alpha: AnglePair, phis) -> list[float]:
     return [eval_T(m, c1c2 - math.cos(phi) * s1 * s2) for phi in phis]
 
 
-def _theta(c: float) -> float:
-    # the cosine may exceed 1 by a few ulp exactly at the crossings
-    return math.acos(max(-1.0, min(1.0, c)))
-
-
 def gamma_cos_theta_quaternion(ell: int, alpha: AnglePair, phi: float) -> float:
     """cos(theta) on the graph curve by explicit quaternion conjugation."""
     return _quaternion_cosines(ell, alpha, (phi,))[0]
@@ -153,7 +148,7 @@ def sample_curve(ell: int, alpha: AnglePair, samples: int, path: str) -> CurveSa
         raise ValueError(f"unknown provenance {path!r}")
     cosines = _quaternion_cosines if path == QUAT_PATH else _chebyshev_cosines
     phis = tuple(math.pi * (k + 1) / (samples + 1) for k in range(samples))
-    thetas = tuple(map(_theta, cosines(ell, alpha, phis)))
+    thetas = tuple(map(clamped_acos, cosines(ell, alpha, phis)))
     return CurveSample(phis, thetas, path)
 
 

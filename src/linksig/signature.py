@@ -18,7 +18,7 @@ one diagonal whose positions hold the same terms (key index, v), and it
 holds those terms.  build_H computes one sum per run and hands each
 diagonal over as those runs, the sum in place of the terms.
 
-build_H returns every H as a Band, Hermitian by type: its real diagonal
+build_H returns every H as a Band, Hermitian by type: its diagonal of floats
 and its sub-diagonals, down to the farthest one that an entry of the system
 fills, each held as runs (value, count), so a torus H is two runs whatever
 its rank.  When the entries all lie on the three diagonals, as for every
@@ -309,16 +309,17 @@ def seifert_from_json(data) -> SeifertSystem:
 class Band(Frozen):
     """A Hermitian band matrix by its lower half, each diagonal held as
     runs.  `diags[k]` is a tuple of runs (value, count) that cover, in
-    order, the n - k positions (j + k, j) of the k-th sub-diagonal: the
-    diagonal (k = 0) with reals, the others with complex numbers.  One run
-    policy, which inertia checks: every run is such a pair, its count a
+    order, the n - k positions (j + k, j) of the k-th sub-diagonal.  The
+    rules, which inertia checks: every run is such a pair, its count a
     positive int, not a bool, and the counts of diagonal k sum to
-    max(n - k, 0), with n at most sys.maxsize.  Adjacent runs may hold
-    equal values, so one matrix has many layouts.  The upper half is the
-    conjugate, so the matrix is Hermitian by type; `width` is the number of
-    sub-diagonals and `shape` that of the matrix.  `size` bounds the total
-    modulus of the terms that build_H summed into any one entry; a band
-    built otherwise passes 0.0, which inertia reads as max|h|."""
+    max(n - k, 0), with n at most sys.maxsize (the run policy); the diagonal
+    (k = 0) holds floats, the others complex numbers; and `size` is a finite
+    float >= 0.  Adjacent runs may hold equal values, so one matrix has many
+    layouts.  The upper half is the conjugate, so the matrix is Hermitian by
+    type; `width` is the number of sub-diagonals and `shape` that of the
+    matrix.  `size` bounds the total modulus of the terms that build_H
+    summed into any one entry; a band built otherwise passes 0.0, which
+    inertia reads as max|h|."""
 
     __slots__ = ("diags", "size")
 
@@ -334,7 +335,7 @@ class Band(Frozen):
 
 def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     """The Hermitian matrix H(omega) of the system at unit omega, all != 1,
-    as a Band of width s.width, its diagonal real.  Its `size`,
+    as a Band of width s.width, its diagonal floats.  Its `size`,
     |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed into any
     entry.
 
@@ -393,15 +394,13 @@ class Inertia(Frozen):
 
 def inertia(h: Band) -> Inertia:
     """Eigenvalue counts of a Band; any other h raises TypeError.  h must
-    keep Band's run policy, every value must be finite, and the main
-    diagonal must be real to within 1e-12 * max(1, max|h|), or a ValueError
-    names the first check that fails; the upper half is the conjugate of
-    the lower by type.  Those checks and max|h| read each run once, in
-    O(runs), and refuse a bad count, main-diagonal counts past sys.maxsize
-    among them, before any other work.  The count reads h / max|h|, so that
-    |h_ij|^2 neither under- nor overflows.  A band of width 1 is counted
-    from its runs, in O(runs) memory and O(n) steps; a wider one is laid
-    out in n^2 full rows and first reduced to width 1 by Householder
+    keep Band's rules and every value must be finite, or a ValueError names
+    the first check that fails.  Those checks and max|h| read each run once,
+    in O(runs), and refuse a bad count, main-diagonal counts past
+    sys.maxsize among them, before any other work.  The count reads h /
+    max|h|, so that |h_ij|^2 neither under- nor overflows.  A band of width 1
+    is counted from its runs, in O(runs) memory and O(n) steps; a wider one
+    is laid out in n^2 full rows and first reduced to width 1 by Householder
     reflections in O(n^3) (_householder_band), whose output is read as runs
     of one.  One walk over the runs of the diagonal and of the sub-diagonal
     shifted down one row runs the Sturm counts of T + t and t - T together:
@@ -432,7 +431,7 @@ def inertia(h: Band) -> Inertia:
     """
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
-    diags, width = h.diags, h.width
+    diags, width, size = h.diags, h.width, h.size
     values = []  # the value of each run
     room = sys.maxsize  # the positions left to diagonal k: max(n - k, 0) once n is known
     for k, d in enumerate(diags):
@@ -452,27 +451,26 @@ def inertia(h: Band) -> Inertia:
         room = max(n - k - 1, 0)
     if not diags:
         raise ValueError("band has a diagonal of the wrong length")
+    if not 0.0 <= size < math.inf:  # NaN fails too
+        raise ValueError(f"band size {size!r} is not a finite float >= 0")
     if n == 0:
         return Inertia(0, 0, 0)
     diag = diags[0]
     hmax = max(map(abs, values))
     if not all(map(cmath.isfinite, values)):
         raise ValueError("matrix has a non-finite entry")
-    reals = values[: len(diags[0])]  # the values of the diagonal's runs
-    if set(map(type, reals)) != {float}:
-        if max(abs(x - x.conjugate()) for x in reals) > 1e-12 * max(1.0, hmax):
-            raise ValueError("matrix is not Hermitian")
-        diag = [(x.real, count) for x, count in diag]
+    if set(map(type, values[: len(diag)])) != {float}:  # the diagonal's run values
+        raise ValueError("matrix is not Hermitian: its diagonal holds a non-float")
     if hmax == 0.0:
         return Inertia(0, 0, n)
     t = EIG_ZERO_SCALE * n  # tau / max|h|
-    if h.size > hmax:
-        t *= h.size / hmax
+    if size > hmax:
+        t *= size / hmax
     if width < 2:
         sub = diags[1] if width else ((0.0, n - 1),)
     else:
         rows = [[0j] * n for _ in range(n)]
-        for k, d in enumerate([diag, *diags[1:]]):
+        for k, d in enumerate(diags):
             line = chain.from_iterable(repeat(x, count) for x, count in d)
             for j, x in enumerate(line):
                 rows[j + k][j], rows[j][j + k] = x / hmax, x.conjugate() / hmax
@@ -605,7 +603,9 @@ def delta_recursive(ell: int, alpha: AnglePair, m: int) -> float:
 def delta_closed(ell: int, alpha: AnglePair, m: int) -> float:
     """Closed form: delta_m = 4^{m-1} sin^{m-1}(a1) sin^{m-1}(a2) U_{m-1}(cos(a1+a2)).
 
-    Underflows to +/-0.0 like delta_recursive; see there.
+    Underflows to +/-0.0 like delta_recursive; see there.  Past the float
+    range the power raises OverflowError, as it does at ell = m = 10**6 and
+    alpha = (0.4, 0.9) radians.
     """
     from .chebyshev import eval_U  # here, so that a cold sigma never loads it
 

@@ -94,7 +94,10 @@ class RationalAngle(Frozen):
 
     @property
     def radians(self) -> float:
-        return math.pi * self.p / self.q
+        try:
+            return math.pi * self.p / self.q
+        except OverflowError:  # p or q past the float range: p / q rounds correctly
+            return math.pi * (self.p / self.q)
 
     def complement(self) -> "RationalAngle":
         """pi minus this angle."""
@@ -203,7 +206,9 @@ def lattice_point(alpha: AnglePair) -> tuple[int, int, int]:
 
 
 def lattice_strips(ell: int, p: int, q: int, res: int) -> tuple[int, int] | None:
-    """Strips (i, j) of a lattice point, or None on the root locus."""
+    """Strips (i, j) of a lattice point, or None on the root locus.  Its
+    domain is res >= 1 and 0 < p, q < res, as strips and the grid sweeps
+    pass it; res = 0 raises ZeroDivisionError."""
     big_l = abs(ell)
     i, s_rem = divmod((p + q) * big_l, res)
     j, d_rem = divmod((p - q + res) * big_l, res)
@@ -216,7 +221,12 @@ def _float_strip(big_l: int, x_rad: float) -> int | None:
     # x_rad is an angle sum in (0, 2*pi); None inside the band of width
     # TAU_ROOT around each of its root lines.  The lines m = i-1 .. i+2 always
     # hold the nearest root line, also when the admissible m = L is nearer
-    # still and pi/L < TAU_ROOT puts L-1 or L+1 inside the band.
+    # still and pi/L < TAU_ROOT puts L-1 or L+1 inside the band.  Past
+    # L = 2*pi/TAU_ROOT the lines lie closer than the band is wide, so every
+    # sum is on the root locus: None, without forming x L / pi, which
+    # overflows for L past the float range (an int compares to a float exactly).
+    if big_l > 2 * math.pi / TAU_ROOT:
+        return None
     i = math.floor(x_rad / math.pi * big_l)
     for m in range(i - 1, i + 3):
         if is_root_line(big_l, m) and abs(x_rad - math.pi * m / big_l) < TAU_ROOT:
@@ -308,10 +318,13 @@ def solve_phi(ell: int, alpha: AnglePair) -> list[tuple[int, float]]:
     s1s2 = math.sin(a1) * math.sin(a2)
     out = []
     for m in m_range:
-        cos_phi = (c1c2 - math.cos(math.pi * m / abs(ell))) / s1s2
-        cos_phi = max(-1.0, min(1.0, cos_phi))
-        out.append((m, math.acos(cos_phi)))
+        out.append((m, clamped_acos((c1c2 - math.cos(math.pi * m / abs(ell))) / s1s2)))
     return out
+
+
+def clamped_acos(c: float) -> float:
+    """acos(c) of a cosine that rounding may carry a few ulp past +-1."""
+    return math.acos(max(-1.0, min(1.0, c)))
 
 
 def rep_count(ell: int, alpha: AnglePair) -> int:

@@ -78,6 +78,22 @@ def test_roots_U_are_roots_and_simple():
             assert abs(slope) > 1.0  # simple root, derivative well away from 0
 
 
+def test_limits_at_one_parity_and_overflow():
+    # the limits at +-1 are exact, a value past -1 is the mirror's with the
+    # parity sign, and a value past the float range raises OverflowError
+    for m in (0, 1, 2, 7, 10**6):
+        assert eval_U(m, 1.0) == m + 1
+        assert eval_U(m, -1.0) == (-1) ** m * (m + 1)
+    for m in (0, 1, 2, 7, 100):
+        for x in (1.0 + 2**-52, 1.5, 3.0):
+            assert eval_T(m, -x) == (-1) ** m * eval_T(m, x)
+            assert eval_U(m, -x) == (-1) ** m * eval_U(m, x)
+    with pytest.raises(OverflowError):
+        eval_T(10**6, 2.0)
+    with pytest.raises(OverflowError):
+        eval_U(10**6, -2.0)
+
+
 def test_degree_guard():
     with pytest.raises(ValueError):
         eval_T(-1, 0.5)

@@ -621,6 +621,34 @@ def test_h_past_sys_maxsize():
     assert r.stdout == "h=40000000000000000000 sigma=(-6666666666666666667,-73333333333333333333)\n"
 
 
+def test_an_exact_angle_past_the_float_range(tmp_path, capsys):
+    # 1/10^400 rounds to 0.0 radians: the curve is drawn, sigma meets
+    # omega = 1, and h, all integers, reads the lattice point exactly
+    tiny = "1/1" + "0" * 400
+    argv = ["curve", "--ell", "3", "--alpha", tiny, "1/3", "--samples", "2"]
+    assert linksig.cli.main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("phi,theta,provenance\n") and "# max_abs_dtheta=" in out
+    path = tmp_path / "torus3.json"
+    path.write_text(json.dumps(seifert_to_json(torus_seifert(3))))
+    argv = ["sigma", "--system", str(path), "--alpha", tiny, "1/3"]
+    assert linksig.cli.main(argv) == EXIT_UNDEFINED
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: omega_i = 1 is outside the domain of the signature"
+    )
+    assert linksig.cli.main(["h", "--ell", "3", "--alpha", tiny, "1/3"]) == EXIT_OK
+    assert capsys.readouterr().out == "h=1 sigma=(0,-2)\n"
+
+
+def test_a_float_angle_at_an_ell_past_the_float_range(capsys):
+    # past |ell| = 2 pi / TAU_ROOT every float angle sum is on the root locus
+    huge = "1" + "0" * 400
+    for command in ("h", "curve"):
+        argv = [command, "--ell", huge, "--radians", "--alpha", "1.0", "1.0"]
+        assert linksig.cli.main(argv) == EXIT_UNDEFINED
+        assert capsys.readouterr().err.startswith("undefined:")
+
+
 @pytest.mark.parametrize("alpha,radians", [(("1/3", "1/5"), False), (("1.1", "0.7"), True)])
 def test_one_root_locus_check_per_query(alpha, radians, monkeypatch, capsys):
     from linksig import torus_rep

@@ -16,14 +16,20 @@ from linksig.pillowcase import (
     CurveSample,
     PillowPoint,
     _plane_at,
-    _theta,
     curves_to_csv,
     gamma_cos_theta_chebyshev,
     gamma_cos_theta_quaternion,
     intersections,
     sample_curve,
 )
-from linksig.torus_rep import AnglePair, angle_pair, h_invariant, is_defined, solve_phi
+from linksig.torus_rep import (
+    AnglePair,
+    angle_pair,
+    clamped_acos,
+    h_invariant,
+    is_defined,
+    solve_phi,
+)
 
 P22 = angle_pair("1/2", "1/2")
 
@@ -79,7 +85,7 @@ def test_quaternion_route_reference_curves():
         assert abs(got - math.cos(2 * phi)) < 1e-12
     # ell = 2 at phi = pi/2: the crossing, theta = 0
     assert abs(gamma_cos_theta_quaternion(2, P22, math.pi / 2) - 1.0) < 1e-12
-    assert _theta(gamma_cos_theta_quaternion(2, P22, math.pi / 2)) == 0.0
+    assert clamped_acos(gamma_cos_theta_quaternion(2, P22, math.pi / 2)) == 0.0
     with pytest.raises(DegeneratePhiError):
         gamma_cos_theta_quaternion(2, P22, 0.0)
 
@@ -146,9 +152,9 @@ def test_monotone_descent_through_crossings():
     for ell in (2, 3, -3):
         alpha = random_admissible(rng, ell)
         for _, phi in solve_phi(ell, alpha):
-            left = _theta(gamma_cos_theta_quaternion(ell, alpha, phi - step))
-            mid = _theta(gamma_cos_theta_quaternion(ell, alpha, phi))
-            right = _theta(gamma_cos_theta_quaternion(ell, alpha, phi + step))
+            left = clamped_acos(gamma_cos_theta_quaternion(ell, alpha, phi - step))
+            mid = clamped_acos(gamma_cos_theta_quaternion(ell, alpha, phi))
+            right = clamped_acos(gamma_cos_theta_quaternion(ell, alpha, phi + step))
             assert left > mid and right > mid
 
 
@@ -201,8 +207,8 @@ def test_transversal_slope_matches_finite_differences():
         alpha = random_admissible(rng, ell)
         for m, phi in solve_phi(ell, alpha):
             tent = (
-                _theta(gamma_cos_theta_quaternion(ell, alpha, phi + step))
-                + _theta(gamma_cos_theta_quaternion(ell, alpha, phi - step))
+                clamped_acos(gamma_cos_theta_quaternion(ell, alpha, phi + step))
+                + clamped_acos(gamma_cos_theta_quaternion(ell, alpha, phi - step))
             ) / (2 * step)
             closed = transversal_slope(ell, alpha, m, phi)
             assert abs(tent - closed) < 1e-2 * closed
@@ -284,6 +290,6 @@ def test_sample_curve_is_bitwise_the_one_point_routes():
             for path, cosine in routes:
                 curve = sample_curve(ell, alpha, samples=23, path=path)
                 assert curve.phis == tuple(math.pi * k / 24 for k in range(1, 24))
-                want = [_theta(cosine(ell, alpha, phi)) for phi in curve.phis]
+                want = [clamped_acos(cosine(ell, alpha, phi)) for phi in curve.phis]
                 assert [t.hex() for t in curve.thetas] == [t.hex() for t in want], (
                     ell, alpha, path)

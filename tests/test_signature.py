@@ -472,6 +472,9 @@ def test_delta_examples():
             delta_closed(2, alpha, 2)
             - 8 * math.sin(a1) * math.sin(a2) * math.cos(a1 + a2)
         ) < 1e-12
+    # past the float range the closed form overflows, as its docstring states
+    with pytest.raises(OverflowError):
+        delta_closed(10**6, AnglePair.from_radians(0.4, 0.9), 10**6)
 
 
 def test_delta_zero_on_minor_root_lines():
@@ -875,7 +878,7 @@ def test_inertia_rejects_non_hermitian_tridiagonal():
 
 
 def test_inertia_rejects_a_user_built_band_by_the_rules_for_any_matrix():
-    # a Band is Hermitian by type but for its diagonal, which may be complex
+    # a Band is Hermitian by type once its diagonal holds floats
     for bad in (
         Band((), 0.0),
         band_from([1.0, 2.0], []),
@@ -889,11 +892,23 @@ def test_inertia_rejects_a_user_built_band_by_the_rules_for_any_matrix():
         for bad in (band_from([1.0, 2.0], [v]), band_from([1.0, v], [0.5])):
             with pytest.raises(ValueError, match="non-finite"):
                 inertia(bad)
-    # 2 |Im d| against 1e-12 * max(1, max|h|): 2e-12 here, and 1e-12 below
-    assert inertia(band_from([1.0, 2.0 + 0.9e-12j], [0.5])) == Inertia(2, 0, 0)
-    for bad in (band_from([1.0, 2.0 + 1.1e-12j], [0.5]), band_from([1e-3 - 0.6e-12j], [])):
+    # any value on the diagonal that is no float is refused, however small
+    # its imaginary part
+    assert inertia(band_from([1.0, 2.0], [0.5])) == Inertia(2, 0, 0)
+    for d in (2.0 + 0.9e-12j, 2.0 + 0j, 2, True):
         with pytest.raises(ValueError, match="not Hermitian"):
-            inertia(bad)
+            inertia(Band((((1.0, 1), (d, 1)), ((0.5, 1),)), 0.0))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia(band_from([1e-3 - 0.6e-12j], []))
+
+
+def test_inertia_refuses_a_size_that_is_no_finite_float_at_least_zero():
+    # inf once made tau infinite, and every eigenvalue read as zero
+    diag, sub = ((1.0, 2), (-1.0, 1)), ((0.5, 2),)
+    assert inertia(Band((diag, sub), 0.0)) == Inertia(2, 1, 0)
+    for size in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="is not a finite float >= 0"):
+            inertia(Band((diag, sub), size))
 
 
 def test_inertia_with_an_off_band_entry_matches_eigvalsh():
@@ -1120,10 +1135,10 @@ def test_inertia_of_a_band_is_the_same_however_its_runs_split(h, rng):
 @st.composite
 def run_layouts(draw):
     """A Band of width 0 or 1, n up to 200, laid out as runs of one and long
-    runs, with stretches of 0j on the sub-diagonal, main-diagonal values
-    whose imaginary part lies within the Hermitian tolerance, and a size
-    past max|h| or 0.0.  Some runs of the diagonal move to exactly +-t max|h|,
-    t = tau / max|h| as inertia forms it, so that pivots are exactly 0."""
+    runs, with stretches of 0j on the sub-diagonal, float main-diagonal
+    values, and a size past max|h| or 0.0.  Some runs of the diagonal move
+    to exactly +-t max|h|, t = tau / max|h| as inertia forms it, so that
+    pivots are exactly 0."""
 
     def runs(total, values):
         out = []
@@ -1135,8 +1150,7 @@ def run_layouts(draw):
 
     n = draw(st.integers(1, 200))
     reals = st.integers(-3, 3).map(float) | st.floats(-4.0, 4.0)
-    tilt = st.floats(-4e-13, 4e-13).map(lambda y: complex(0.0, y))
-    diag = runs(n, reals | st.tuples(reals, tilt).map(sum))
+    diag = runs(n, reals)
     parts = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda p: complex(*p))
     sub = runs(n - 1, st.just(0j) | parts | st.complex_numbers(max_magnitude=3.0))
     hmax = max(abs(x) for x, _ in diag + sub)

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linksig.chebyshev import eval_U
 from linksig.errors import NotDefinedError, ZeroLinkingError
 from linksig.torus_rep import (
+    TAU_ROOT,
     AnglePair,
     RationalAngle,
     angle_pair,
@@ -26,6 +27,7 @@ from linksig.torus_rep import (
     strip_sigma,
     strips,
     torus_braid,
+    _float_strip,
 )
 from linksig.verify import check_mod4_congruence
 
@@ -459,3 +461,35 @@ def test_lattice_kernel_matches_fraction_reference(res, sign, huge, data):
         assert h_invariant(ell, floats) == sign * count
         assert sigma_torus_closed(ell, floats) == sigmas[0]
         assert sigma_torus_closed(ell, floats.flip_alpha2()) == sigmas[1]
+
+
+def formula_float_strip(big_l, x_rad):
+    """_float_strip's formula at any L, without its shortcut past 2 pi / TAU_ROOT."""
+    i = math.floor(x_rad / math.pi * big_l)
+    for m in range(i - 1, i + 3):
+        if is_root_line(big_l, m) and abs(x_rad - math.pi * m / big_l) < TAU_ROOT:
+            return None
+    return i
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    st.integers(1, 10**6)
+    | st.integers(10**8, 7 * 10**9)
+    | st.integers(10**9, 10**300),
+    st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True),
+)
+@example(3 * 10**9, math.pi)  # pi/L > TAU_ROOT: x = pi lies between two bands
+@example(7 * 10**9, math.pi)
+def test_float_strip_past_the_band_agrees_with_the_formula(big_l, x):
+    # past L = 2 pi / TAU_ROOT, about 6.3e9, the root lines lie closer
+    # together than the band is wide, and the formula reads every sum as
+    # on the root locus too
+    assert _float_strip(big_l, x) == formula_float_strip(big_l, x)
+
+
+def test_lattice_strips_domain():
+    # res >= 1 and 0 < p, q < res; strips and the grid sweeps keep to it
+    assert lattice_strips(3, 1, 1, 4) == (1, 3)
+    with pytest.raises(ZeroDivisionError):
+        lattice_strips(3, 1, 1, 0)
