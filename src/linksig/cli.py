@@ -8,8 +8,10 @@ of pi by default ("1/2" means pi/2); pass --radians for decimal radians.
 Grammar: a command, then its options as _COMMANDS lists them.  An option is
 --name, --name VALUE or --name=VALUE; a value is the next token unless it
 starts with "--", so -1/2, -3 and -6..6 are values.  Names are exact, the last
-occurrence wins, and an integer is an optional "-" then ASCII digits.  -h or
---help prints the usage, a blank line and a line per option, and exits 0.
+occurrence wins, and an integer is an optional "-" then ASCII digits.  A
+radian angle is what float() reads, in ASCII, with no "_" and no surrounding
+space.  -h or --help prints the usage, a blank line and a line per option, and
+exits 0.
 
 Exit codes, causes and stderr (stdout is empty on 2, 3, 64, 65 and 71):
   0   success                       empty, or sigma's nullity warning
@@ -69,6 +71,8 @@ def _parse_angle(text: str, radians: bool):
         if "/" in text:
             raise ValueError("rational angles cannot be mixed with --radians")
         try:
+            if not text.isascii() or "_" in text or text != text.strip():
+                raise ValueError  # float() would read Unicode digits, "_" and spaces
             value = float(text)
         except ValueError:
             raise ValueError(f"bad radian angle {text!r}") from None

@@ -106,6 +106,16 @@ def test_h_radians_flag():
     r = run("h", "--ell", "2", "--alpha", "1.0471975511965976", "0.5", "--radians")
     assert r.returncode == EXIT_OK
     assert r.stdout.startswith("h=")
+    # a radian angle is ASCII float() text with no "_" and no surrounding
+    # whitespace; float() alone reads each refused spelling here
+    for alpha in ("\u0661.\u0660", "1_0.0e-1", " 1.0", "1.0 ", "1.0\n", "\u00a01.0"):
+        argv = ["h", "--ell", "3", "--radians", "--alpha", alpha, "1.0"]
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (EXIT_USAGE, ""), alpha
+        assert err.endswith(f"linksig h: error: bad radian angle {alpha!r}\n"), alpha
+    for alpha in ("1.0", "+1.0", "1e0", "0.1E1", "1.", "1.000"):
+        argv = ["h", "--ell", "3", "--radians", "--alpha", alpha, "1.0"]
+        assert main_in_process(argv) == (EXIT_OK, "h=1 sigma=(0,-2)\n", ""), alpha
 
 
 def test_curve_reference_and_footer():
@@ -820,13 +830,16 @@ def test_a_size_past_the_bound_exits_64_at_once(args, held):
     assert r.stderr == usage(args[0]) + f"linksig {args[0]}: error: {message}\n"
 
 
-# near-valid values for the argv fuzzer: zero, negative and huge parts,
-# separators, Unicode digits, the empty string and float spellings
-PARTS = st.one_of(st.integers(-3, 12), st.sampled_from([10**20, -(10**20)]))
+# near-valid values for the argv fuzzer: zero, negative and huge parts, some
+# past the float range, separators, Unicode digits, the empty string, and
+# float spellings, among them radian ones that float() reads but the grammar
+# refuses
+PARTS = st.one_of(st.integers(-3, 12), st.sampled_from([10**20, -(10**20), 10**400, -(10**400)]))
+BAD_RADIANS = ["\u0661.\u0665", "1_0e-1", " 0.5", "0.5 "]
 ANGLES = st.one_of(
     st.sampled_from([
         "1/2", "1/3", "2/7", "0/5", "1/0", "3/2", "1_0/30", "\u0661/\u0663", "",
-        "nan", "inf", "1e-13", "0.5", "1.1", "-0.5", "a/b", "1/2/3",
+        "nan", "inf", "1e-13", "0.5", "1.1", "-0.5", "a/b", "1/2/3", *BAD_RADIANS,
     ]),
     st.builds("{}/{}".format, PARTS, PARTS),
 )  # fmt: skip
@@ -900,6 +913,11 @@ def test_every_argv_gets_one_stated_outcome(tmp_path, data):
     # an integer is an optional "-" then ASCII digits: no "_", no other digits
     if {"\u0663", "1_0"} & set(argv):
         assert code == EXIT_USAGE, argv
+    # a radian angle is ASCII, with no "_" and no surrounding space; sigma
+    # reads its system first
+    if "--radians" in argv and set(BAD_RADIANS) & set(argv):
+        if argv[0] != "sigma" or str(good) in argv:
+            assert code == EXIT_USAGE, argv
     # a size past the bound exits 64, or 3 where "0..0" names no ell first
     sizes = [v for k, v in zip(argv, argv[1:]) if k in ("--res", "--samples")]
     if any(v.isascii() and v.isdigit() and int(v) > 12 for v in sizes):

@@ -9,8 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import chain, groupby, pairwise, repeat
-from operator import mul
+from itertools import chain, groupby, pairwise, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,23 +60,25 @@ def random_omegas(rng, mu):
     return [cmath.exp(1j * rng.uniform(0.1, 2 * math.pi - 0.1)) for _ in range(mu)]
 
 
-def random_system(rng, mu, rank):
-    mats = {}
-    keys = []
-    from itertools import product
+# -1, +-i and exp(2 pi i/3) give coefficients with a zero part
+FIXED_OMEGAS = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
 
-    for chars in product("+-", repeat=mu):
-        keys.append("".join(chars))
-    done = set()
-    for k in keys:
-        if k in done:
-            continue
-        nk = "".join("-" if c == "+" else "+" for c in k)
-        m = rng.integers(-3, 4, size=(rank, rank))
-        mats[k] = m
-        mats[nk] = m.T if nk != k else m + m.T  # self-paired key must be symmetric
-        done.update({k, nk})
-    return seifert_system(mu, {k: m.tolist() for k, m in mats.items()})
+
+def sign_keys(mu):
+    """The 2^mu keys in key order, "+" before "-"."""
+    return ["".join(signs) for signs in product("+-", repeat=mu)]
+
+
+def random_system(rng, mu, rank, width=None):
+    """A Seifert system of random integer matrices, zero farther than
+    `width` from the diagonal if a width is given."""
+    keys = sign_keys(mu)
+    near = np.abs(np.subtract.outer(range(rank), range(rank))) <= (rank if width is None else width)
+    matrices = {}
+    for k, nk in zip(keys[: len(keys) // 2], keys[::-1]):
+        m = rng.integers(-3, 4, size=(rank, rank)) * near
+        matrices[k], matrices[nk] = m.tolist(), m.T.tolist()
+    return seifert_system(mu, matrices)
 
 
 def test_system_validation():
@@ -156,19 +157,22 @@ def coefficient(key, omegas):
 
 
 def build_H_over_every_matrix(s, omegas):
-    """H as nested lists: scale times the sum over all 2^mu matrices, zero
-    ones included, in Python complex arithmetic entry by entry."""
+    """H as nested lists, and its size, the reference build_H must equal
+    bit for bit: scale times the sum over all 2^mu matrices in key order,
+    zero ones included, in Python complex arithmetic entry by entry; and
+    |scale| times the largest sum of |A^eps_ij| over the matrices at one
+    position."""
     n = s.rank
     acc = [[0] * n for _ in range(n)]
+    bound = [[0] * n for _ in range(n)]
     for key in sign_keys(s.mu):
         coeff, mat = coefficient(key, omegas), s.matrix(key)
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] += coeff * mat[i][j]
+        acc = [[x + coeff * v for x, v in zip(*rows)] for rows in zip(acc, mat)]
+        bound = [[b + abs(v) for b, v in zip(*rows)] for rows in zip(bound, mat)]
     scale = 1.0 + 0.0j
     for w in omegas:
         scale *= 1.0 - w.conjugate()
-    return [[scale * x for x in row] for row in acc]
+    return [[scale * x for x in row] for row in acc], abs(scale) * max(chain(*bound), default=0)
 
 
 def positions(runs):
@@ -226,82 +230,96 @@ def band_of(rows, width):
     """The real part of the diagonal and the first `width` sub-diagonals of
     nested lists that are zero farther from the diagonal."""
     n = len(rows)
-    assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > width)
+    assert not any(any(r[: max(i - width, 0)] + r[i + width + 1 :]) for i, r in enumerate(rows))
     return [[rows[i][i].real for i in range(n)]] + [
         [rows[j + k][j] for j in range(n - k)] for k in range(1, width + 1)
     ]
 
 
-def test_build_H_is_bitwise_the_sum_over_every_matrix():
-    rng = np.random.default_rng(23)
-    zero = np.zeros((3, 3), dtype=np.int64)
-    mixed = rng.integers(-3, 4, size=(3, 3))
-    mixed[0, 2] = 1  # off the band
-    zero, mixed, mixed_t = zero.tolist(), mixed.tolist(), mixed.T.tolist()
-    band = [[1, -2, 0], [3, 0, 1], [0, -1, 2]]
-    systems = [torus_seifert(ell) for ell in (2, 3, 50, -50, 200, -200)] + [
-        seifert_system(2, {"++": zero, "+-": mixed, "-+": mixed_t, "--": zero}),
-        random_system(rng, 2, 5),
-        random_system(rng, 1, 4),
-        random_system(rng, 3, 3),
-        seifert_system(2, {k: zero for k in ("++", "+-", "-+", "--")}),
-        seifert_system(1, {"+": band, "-": [list(r) for r in zip(*band)]}),
+def assert_is_the_sum(s, omegas):
+    """build_H(s, omegas) is, by repr, the lower band of
+    build_H_over_every_matrix and its size.  repr tells -0.0 from 0.0 and a
+    float from a complex: the diagonal holds the real parts as floats, and
+    each sub-diagonal complex numbers, 0j where no matrix has an entry.  The
+    upper diagonals of a Band are conj(sub) by type."""
+    rows, size = build_H_over_every_matrix(s, omegas)
+    h = build_H(s, omegas)
+    assert h.shape == (s.rank, s.rank)
+    assert h.width == s.width == max([1] + [i - j for e in s.entries.values() for i, j, _ in e])
+    assert repr(expanded(h)) == repr(band_of(rows, h.width))
+    assert repr(h.size) == repr(size)
+
+
+def engine_cases(seed):
+    """(system, omegas) pairs the engine's stages are checked on, four
+    random omega lists and the FIXED_OMEGAS for each system: torus systems
+    of ell +-2 to +-200; random integer systems of mu 1-3, dense of rank 0
+    to 8 and tridiagonal of rank 3 and 8; a system whose (++, --) pair is
+    zero and whose mixed pair has an entry off the band; the zero system."""
+    rng = np.random.default_rng(seed)
+    off_band, zero = [[2, 0, 1], [-1, 3, 0], [0, 2, -2]], [[0] * 3] * 3
+    systems = [torus_seifert(ell) for ell in (2, -2, 3, 5, -7, -20, 50, -50, 200, -200)]
+    systems += [random_system(rng, mu, rank) for mu in (1, 2, 3) for rank in (0, 1, 4, 8)]
+    systems += [random_system(rng, mu, rank, width=1) for mu in (1, 2, 3) for rank in (3, 8)]
+    systems += [
+        seifert_system(2, {"++": zero, "+-": off_band, "-+": [list(r) for r in zip(*off_band)],
+                           "--": zero}),
+        seifert_system(2, {k: zero for k in sign_keys(2)}),
     ]
-    assert tuple(systems[0].entries) == ("++", "--")
-    assert tuple(systems[6].entries) == ("+-", "-+")
-    assert tuple(systems[-2].entries) == ()
     for s in systems:
-        assert all(s.entries.values())
-        # 1j, -1j and exp(2 pi i/3) give coefficients with a zero part
-        fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
-        for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
-            h = build_H(s, omegas)
-            assert h.shape == (s.rank, s.rank) and h.width == s.width
-            # a real diagonal, and complex sub-diagonals, 0j where no matrix
-            # has an entry
-            assert all(type(x) is float for x, _ in h.diags[0])
-            assert all(type(x) is complex for d in h.diags[1:] for x, _ in d)
-            # == on complex numbers is bitwise equality but for the sign of a zero
-            expected = band_of(build_H_over_every_matrix(s, omegas), s.width)
-            assert expanded(h) == expected
-            for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
-                assert twin == s and tuple(twin.entries) == tuple(s.entries)
-                assert expanded(build_H(twin, omegas)) == expected
-    assert [s.width for s in systems] == [1] * 6 + [2, 4, 3, 2] + [1] * 2
+        yield from ((s, random_omegas(rng, s.mu)) for _ in range(4))
+        yield from ((s, [w] * s.mu) for w in FIXED_OMEGAS)
 
 
-def bits(xs):
-    """Each number of xs by its type and the bits of its real and imaginary
-    parts, so that == tells -0.0 from 0.0 and a float from a complex."""
-    return [bit_key(x) for x in xs]
+def test_build_H_is_bitwise_the_sum_over_every_matrix():
+    for s, omegas in engine_cases(23):
+        assert_is_the_sum(s, omegas)
 
 
-def random_band_system(rng, mu, rank):
-    """A Seifert system whose random integer matrices are tridiagonal."""
-    keys = sign_keys(mu)
-    band = np.abs(np.subtract.outer(range(rank), range(rank))) <= 1
-    matrices = {}
-    for k, nk in zip(keys[: len(keys) // 2], keys[::-1]):
-        m = rng.integers(-3, 4, size=(rank, rank)) * band
-        matrices[k], matrices[nk] = m.tolist(), m.T.tolist()
-    return seifert_system(mu, matrices)
+@st.composite
+def systems_and_omegas(draw):
+    """(system, omegas): integer matrices of mu 1-3 and rank 0-12, banded or
+    dense, whose sign pairs are at times all zero; a congruent torus sum; or
+    a torus system of ell +-2 to +-200.  The FIXED_OMEGAS are drawn too."""
+    kind = draw(st.sampled_from(["random", "congruent", "torus"]))
+    if kind == "congruent":
+        s = draw(congruent_torus_sums())[0]
+    elif kind == "torus":
+        s = torus_seifert(draw(st.integers(2, 200)) * draw(st.sampled_from([1, -1])))
+    else:
+        mu, rank = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+        width = rank if draw(st.booleans()) else 1
+        keys = sign_keys(mu)
+        entry = st.integers(-3, 3)
+        matrices = {}
+        for k, nk in zip(keys[: len(keys) // 2], keys[::-1]):
+            zero = draw(st.booleans())
+            m = [
+                [0 if zero or abs(i - j) > width else draw(entry) for j in range(rank)]
+                for i in range(rank)
+            ]
+            matrices[k], matrices[nk] = m, [list(r) for r in zip(*m)]
+        s = seifert_system(mu, matrices)
+    omega = st.sampled_from(FIXED_OMEGAS) | st.floats(1e-3, 2 * math.pi - 1e-3).map(
+        lambda a: cmath.exp(1j * a)
+    )
+    return s, [draw(omega) for _ in range(s.mu)]
 
 
-def test_build_H_of_a_tridiagonal_system_is_bitwise_the_lower_band_of_the_sum():
-    # the upper diagonal of a Band is conj(sub) by type, so build_H returns
-    # the sub-diagonal and the real diagonal, each exactly as the sum over
-    # every matrix gives it
-    rng = np.random.default_rng(41)
-    systems = [torus_seifert(ell) for ell in (2, 3, -7, 50, -200)]
-    systems += [random_band_system(rng, mu, rank) for mu in (1, 2, 3) for rank in (3, 8)]
-    fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
-    for s in systems:
-        assert s.width == 1
-        for omegas in [random_omegas(rng, s.mu) for _ in range(4)] + [[w] * s.mu for w in fixed]:
-            diag, sub = expanded(build_H(s, omegas))
-            rows = build_H_over_every_matrix(s, omegas)
-            assert bits(sub) == bits(rows[i + 1][i] for i in range(s.rank - 1))
-            assert bits(diag) == bits(rows[i][i].real for i in range(s.rank))
+@settings(deadline=None, max_examples=200)
+@example((seifert_system(2, {k: [[0] * 3] * 3 for k in sign_keys(2)}), [1j, -1.0 + 0j]))
+@given(systems_and_omegas())
+def test_build_H_is_bitwise_the_per_position_sum(drawn):
+    # summing each run once is the same sum, in the same order, at each of
+    # its positions
+    assert_is_the_sum(*drawn)
+
+
+def test_build_H_over_65536_nonzero_matrices():
+    # the most keys the tests give one system: 2^16 nonzero matrices, all
+    # summed into one position, key by key, as the reference sums them
+    mu = 16
+    assert_is_the_sum(seifert_system(mu, {k: [[1]] for k in sign_keys(mu)}), [cmath.exp(0.3j)] * mu)
 
 
 def test_build_H_of_a_tridiagonal_system_holds_no_matrix():
@@ -349,9 +367,8 @@ def test_every_system_of_rank_at_most_two_gives_a_band():
             s = random_system(rng, mu, rank)
             assert s.width == 1
             for omegas in [random_omegas(rng, mu) for _ in range(5)]:
+                assert_is_the_sum(s, omegas)
                 h = build_H(s, omegas)
-                assert h.width == 1 and h.shape == (rank, rank)
-                assert expanded(h) == band_of(build_H_over_every_matrix(s, omegas), 1)
                 if rank == 0:
                     assert inertia(h) == Inertia(0, 0, 0)
                 else:
@@ -453,7 +470,7 @@ def test_torus_seifert_negative_ell_determinant():
         expected = 8 * math.sin(a1) * math.sin(a2) * math.cos(math.pi + a1 + a2)
         assert abs(h - expected) < 1e-10
         # the Band keeps the real part; the sum itself is real to rounding
-        ((full,),) = build_H_over_every_matrix(s, omegas)
+        ((full,),), _ = build_H_over_every_matrix(s, omegas)
         assert full.real == h and abs(full.imag) < 1e-10
 
 
@@ -605,8 +622,6 @@ def test_conjugation_symmetry():
         for _ in range(10):
             omegas = random_omegas(rng, mu)
             conj = [w.conjugate() for w in omegas]
-            import warnings
-
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NullityWarning)
                 assert sigma_eval(s, omegas) == sigma_eval(s, conj)
@@ -646,8 +661,6 @@ def test_seifert_json_roundtrip():
     assert loaded == s and hash(loaded) == hash(s)
     for k in data["matrices"]:
         assert loaded.matrix(k) == s.matrix(k) == data["matrices"][k]
-    import json
-
     assert seifert_from_json(json.dumps(data)) == s
     assert s != torus_seifert(-3)
 
@@ -987,57 +1000,6 @@ def test_inertia_finds_a_nan_anywhere_in_a_wide_band():
                         inertia(h)
 
 
-def two_pass_inertia(h):
-    """The Sturm count of a Band as two passes over fresh lists: the scaled
-    diagonal a, the squared moduli off2 of the scaled sub-diagonal, then the
-    negative pivots of T + t and of t - T, tau = EIG_ZERO_SCALE * n * max|h|."""
-    diag, sub = expanded(h)
-    n = len(diag)
-    hmax = max(map(abs, [*sub, *diag]))
-    if hmax == 0.0:
-        return Inertia(0, 0, n)
-    a = [d.real / hmax for d in diag]
-    off2 = [0.0]
-    for e in sub:
-        r = abs(e / hmax)
-        off2.append(r * r)
-
-    def negative_pivots(diag):
-        count, d = 0, 1.0
-        for x, e2 in zip(diag, off2):
-            d = x - e2 / d
-            if d < 0.0:
-                count += 1
-            elif d == 0.0:
-                d = sys.float_info.min
-        return count
-
-    t = EIG_ZERO_SCALE * n
-    n_neg = negative_pivots([x + t for x in a])
-    n_pos = negative_pivots([t - x for x in a])
-    return Inertia(n_pos, n_neg, n - n_pos - n_neg)
-
-
-@st.composite
-def integer_bands(draw):
-    """A Band with integral entries, some of its diagonal moved to exactly
-    +-tau, so that pivots of T + t and of t - T are exactly 0."""
-    n = draw(st.integers(1, 40))
-    diag = [float(x) for x in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
-    parts = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-    sub = [complex(*p) for p in draw(st.lists(parts, min_size=n - 1, max_size=n - 1))]
-    tau = EIG_ZERO_SCALE * n * max(map(abs, [*sub, *diag]))
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
-        diag[i] = draw(st.sampled_from([tau, -tau]))
-    return band_from(diag, sub)
-
-
-@settings(deadline=None, max_examples=300)
-@given(integer_bands())
-def test_one_pass_inertia_equals_the_two_pass_count(h):
-    assert inertia(h) == two_pass_inertia(h)
-
-
 def per_position_inertia(h):
     """The count of a finite Band one position at a time, the reference that
     inertia's walk over runs must equal bit for bit: its diagonals laid out
@@ -1098,38 +1060,37 @@ def assert_split_free(h, rng):
     """inertia reads h as the per-position count does, and reads the same
     from h with every run cut into runs of one, with its runs cut at random
     and with its equal neighbours joined."""
-    want = per_position_inertia(h)
-    ones = Band(tuple(tuple((x, 1) for x in d) for d in expanded(h)), h.size)
-    for layout in (h, ones, resplit(h, rng), band_from(*expanded(h), size=h.size)):
-        assert [bits(d) for d in expanded(layout)] == [bits(d) for d in expanded(h)]
+    want, laid = per_position_inertia(h), expanded(h)
+    ones = Band(tuple(tuple((x, 1) for x in d) for d in laid), h.size)
+    for layout in (h, ones, resplit(h, rng), band_from(*laid, size=h.size)):
+        assert repr(expanded(layout)) == repr(laid)
         assert inertia(layout) == want
 
 
 @st.composite
 def run_bands(draw):
-    """A Band of width 1, n up to 400, held as at most five runs a diagonal
-    of small integers, some runs of its diagonal moved to exactly +-tau, so
-    that pivots of T + t or of t - T are exactly 0 along a run, and
-    eigenvalues lie at exactly +-tau where the sub-diagonal is zero."""
+    """A Band of width 1, n up to 400, of small integers held as at most
+    five runs a diagonal, or for n <= 40 at times a run per position.  Some
+    runs of its diagonal move to exactly +-tau, so that pivots of T + t or
+    of t - T are exactly 0 along a run, and eigenvalues lie at exactly +-tau
+    where the sub-diagonal is zero."""
+    n = draw(st.integers(1, 400))
+    per_position = n <= 40 and draw(st.booleans())
 
     def runs(total, values):
-        cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=4))) if total > 1 else []
+        if per_position:
+            cuts = range(1, total)
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=4))) if total > 1 else []
         return [(draw(values), b - a) for a, b in pairwise([0, *cuts, total])] if total else []
 
-    n = draw(st.integers(1, 400))
     diag = runs(n, st.integers(-3, 3).map(float))
     parts = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda p: complex(*p))
     sub = runs(n - 1, st.just(0j) | parts)
     tau = EIG_ZERO_SCALE * n * max(abs(x) for x, _ in diag + sub)
-    for i in draw(st.lists(st.integers(0, len(diag) - 1), max_size=2)):
+    for i in draw(st.lists(st.integers(0, len(diag) - 1), max_size=3)):
         diag[i] = (draw(st.sampled_from([tau, -tau])), diag[i][1])
     return Band((tuple(diag), tuple(sub)), 0.0)
-
-
-@settings(deadline=None, max_examples=150)
-@given(run_bands(), st.randoms(use_true_random=False))
-def test_inertia_of_a_band_is_the_same_however_its_runs_split(h, rng):
-    assert_split_free(h, rng)
 
 
 @st.composite
@@ -1165,14 +1126,15 @@ def run_layouts(draw):
 
 
 @settings(deadline=None, max_examples=300)
-@given(run_layouts())
-def test_inertia_walks_runs_to_the_per_position_count(h):
-    assert inertia(h) == per_position_inertia(h)
+@given(st.one_of(run_bands(), run_layouts()), st.randoms(use_true_random=False))
+def test_inertia_of_a_band_is_the_same_however_its_runs_split(h, rng):
+    assert_split_free(h, rng)
 
 
-def test_inertia_at_the_threshold_is_the_same_however_the_runs_split():
-    # a pivot of t - T is exactly 0 at every position of a run of tau, and
-    # an eigenvalue sits at exactly +-tau; tau = 8 u n max|h|
+def test_inertia_of_engine_bands_is_the_same_however_the_runs_split():
+    # first bands at the threshold: a pivot of t - T is exactly 0 at every
+    # position of a run of tau, and an eigenvalue sits at exactly +-tau;
+    # tau = 8 u n max|h|
     rng = random.Random(37)
     long = 50
     tau = EIG_ZERO_SCALE * 3 * long
@@ -1185,20 +1147,10 @@ def test_inertia_at_the_threshold_is_the_same_however_the_runs_split():
         if want is not None:
             assert triple(inertia(h)) == want
         assert_split_free(h, rng)
-
-
-def test_inertia_of_engine_bands_is_the_same_however_the_runs_split():
-    # torus systems of width 1, random systems banded and dense, and the
+    # then the bands build_H gives on the engine's systems, and on the
     # relabelled ell-200 torus system, whose band has width > 100
-    rng = random.Random(38)
-    nprng = np.random.default_rng(38)
-    systems = [torus_seifert(ell) for ell in (2, -2, 3, 5, -20, 50, 200, -200)]
-    systems += [random_system(nprng, mu, rank) for mu in (1, 2, 3) for rank in (0, 1, 4, 8)]
-    systems += [random_band_system(nprng, mu, rank) for mu in (1, 2, 3) for rank in (3, 8)]
-    fixed = (-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3))
-    for s in systems:
-        for omegas in [random_omegas(nprng, s.mu) for _ in range(3)] + [[w] * s.mu for w in fixed]:
-            assert_split_free(build_H(s, omegas), rng)
+    for s, omegas in engine_cases(38):
+        assert_split_free(build_H(s, omegas), rng)
     perm = list(range(199))
     random.Random(36).shuffle(perm)
     wide = congruent_torus_sum([200], perm, [1] * 199, [])
@@ -1336,10 +1288,6 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
         assert triple(counted) == want
         for variant in layouts:
             assert inertia(variant) == counted
-
-
-def sign_keys(mu):
-    return ["".join("-" if (i >> (mu - 1 - b)) & 1 else "+" for b in range(mu)) for i in range(2**mu)]
 
 
 @st.composite
@@ -1635,87 +1583,6 @@ def test_alexander_polynomial_of_torus_systems():
         assert det == {(m, m): unit for m in range(abs(ell))}, ell
 
 
-def build_H_per_position(s, omegas):
-    """The values of H at the positions build_H fills, and its size, one
-    position at a time: scale * sum(map(mul, coeffs, col)), col holding the
-    nonzero matrices' entries at that position, and the bound taken over
-    every position some entry fills, the upper half's included.  The
-    positions are (j + k, j), diagonal by diagonal from the main one down to
-    the farthest sub-diagonal that an entry fills, and at least the first."""
-    coeffs = [coefficient(k, omegas) for k in s.entries]
-    scale = 1.0 + 0.0j
-    for w in omegas:
-        scale *= 1.0 - w.conjugate()
-    n = s.rank
-    at = [{(i, j): v for i, j, v in s.entries[k]} for k in s.entries]
-    filled = {c for m in at for c in m}
-    width = max([1] + [i - j for i, j in filled])
-    assert s.width == width
-    positions = [(j + k, j) for k in range(width + 1) for j in range(n - k)]
-    values = [scale * sum(map(mul, coeffs, [m.get(c, 0) for m in at])) for c in positions]
-    bound = max((sum(abs(m.get(c, 0)) for m in at) for c in filled), default=0)
-    return values, abs(scale) * bound
-
-
-@st.composite
-def systems_and_omegas(draw):
-    """(system, omegas): integer matrices of mu 1-3 and rank 0-12, banded or
-    dense, whose sign pairs are at times all zero; a congruent torus sum; or
-    a torus system of ell +-2 to +-200.  -1, +-i and exp(2 pi i/3) give
-    coefficients with a zero part."""
-    kind = draw(st.sampled_from(["random", "congruent", "torus"]))
-    if kind == "congruent":
-        s = draw(congruent_torus_sums())[0]
-    elif kind == "torus":
-        s = torus_seifert(draw(st.integers(2, 200)) * draw(st.sampled_from([1, -1])))
-    else:
-        mu, rank = draw(st.integers(1, 3)), draw(st.integers(0, 12))
-        width = rank if draw(st.booleans()) else 1
-        keys = sign_keys(mu)
-        entry = st.integers(-3, 3)
-        matrices = {}
-        for k, nk in zip(keys[: len(keys) // 2], keys[::-1]):
-            zero = draw(st.booleans())
-            m = [
-                [0 if zero or abs(i - j) > width else draw(entry) for j in range(rank)]
-                for i in range(rank)
-            ]
-            matrices[k], matrices[nk] = m, [list(r) for r in zip(*m)]
-        s = seifert_system(mu, matrices)
-    fixed = st.sampled_from([-1.0 + 0j, 1j, -1j, cmath.exp(2j * math.pi / 3)])
-    omega = fixed | st.floats(1e-3, 2 * math.pi - 1e-3).map(lambda a: cmath.exp(1j * a))
-    return s, [draw(omega) for _ in range(s.mu)]
-
-
-@settings(deadline=None, max_examples=200)
-@example((seifert_system(2, {k: [[0] * 3] * 3 for k in sign_keys(2)}), [1j, -1.0 + 0j]))
-@given(systems_and_omegas())
-def test_build_H_is_bitwise_the_per_position_sum(drawn):
-    # summing each matrix over every position at once is the same sum, in
-    # the same order, at each one; repr tells -0.0 from 0.0
-    s, omegas = drawn
-    values, size = build_H_per_position(s, omegas)
-    h = build_H(s, omegas)
-    n = s.rank
-    assert h.shape == (n, n) and h.width == s.width
-    assert [len(d) for d in expanded(h)] == [max(n - k, 0) for k in range(h.width + 1)]
-    got = [x for d in expanded(h) for x in d]
-    values = [v.real for v in values[:n]] + values[n:]
-    assert list(map(repr, got)) == list(map(repr, values))
-    assert repr(h.size) == repr(size)
-
-
-def test_build_H_over_65536_nonzero_matrices():
-    # the most keys the tests give one system: 2^16 nonzero matrices, all
-    # summed into one position, key by key, as the reference sums them
-    mu = 16
-    s = seifert_system(mu, {k: [[1]] for k in sign_keys(mu)})
-    omegas = [cmath.exp(0.3j)] * mu
-    values, size = build_H_per_position(s, omegas)
-    h = build_H(s, omegas)
-    assert repr(expanded(h)[0]) == repr([values[0].real]) and repr(h.size) == repr(size)
-
-
 def test_seifert_system_enforces_the_transpose_invariant_at_construction():
     # a system built directly, without seifert_system, is checked as well
     upper = ((0, 0, -1), (0, 1, 1), (1, 1, -1))
@@ -1810,13 +1677,7 @@ def test_a_wide_system_keeps_only_its_entries():
         tracemalloc.stop()
     assert s.width > 100
     assert kept < 484_000 / 4, kept
-    omegas = [cmath.exp(0.4j), cmath.exp(2.1j)]
-    values, size = build_H_per_position(s, omegas)
-    h = build_H(s, omegas)
-    got = [x for d in expanded(h) for x in d]
-    values = [v.real for v in values[: s.rank]] + values[s.rank:]
-    assert list(map(repr, got)) == list(map(repr, values))
-    assert repr(h.size) == repr(size)
+    assert_is_the_sum(s, [cmath.exp(0.4j), cmath.exp(2.1j)])
 
 
 def assert_laid_out(s):
