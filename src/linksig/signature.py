@@ -27,8 +27,10 @@ of width 1.  A wider band is first reduced to width 1 by Householder
 reflections in O(n^3), a backward stable step (Wilkinson 1965, The
 Algebraic Eigenvalue Problem).  inertia checks a band and takes max|h|
 over its runs, in O(runs); one walk over the runs of a band of width 1
-then runs two Sturm sequences in O(n) steps, forming each run's
-constants once.
+then runs two Sturm sequences, forming each run's constants once, in
+O(runs) steps: a long stretch where both diagonals are constant is counted
+at once, by the minors' Chebyshev closed form or at the pivots' float
+fixed point (see inertia).
 A tridiagonal count is exact for entries with small relative errors (Barth,
 Martin and Wilkinson 1967), so nothing is lost against the eigenvalues, and
 it computes none: by Sylvester's law of inertia the signs of the pivots are
@@ -66,6 +68,9 @@ from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
 from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
 
 EIG_ZERO_SCALE = 8 * 2.0**-53  # c u, c = 8: see inertia
+_LONG = 20  # a longer segment goes to _segment, whose two closed forms cost about 21 steps
+_PHASE_ERR = 16 * 2.0**-53  # see _segment
+_PARABOLIC = 2.0**-20  # sin(theta) of the closed form's edge: see _segment
 _SIGNS = str.maketrans("01", "+-")
 
 
@@ -315,11 +320,15 @@ class Band(Frozen):
     max(n - k, 0), with n at most sys.maxsize (the run policy); the diagonal
     (k = 0) holds floats, the others complex numbers; and `size` is a finite
     float >= 0.  Adjacent runs may hold equal values, so one matrix has many
-    layouts.  The upper half is the conjugate, so the matrix is Hermitian by
-    type; `width` is the number of sub-diagonals and `shape` that of the
-    matrix.  `size` bounds the total modulus of the terms that build_H
-    summed into any one entry; a band built otherwise passes 0.0, which
-    inertia reads as max|h|."""
+    layouts.  inertia gives them all the same counts, unless an eigenvalue
+    lies within a few u max|h| of +-tau, and the same pivot floats where it
+    takes one step per position or stops at a float fixed point, though not
+    where it counts a long run in closed form (see inertia).  The upper
+    half is the conjugate, so the matrix is Hermitian by type; `width` is
+    the number of sub-diagonals and `shape` that of the matrix.  `size`
+    bounds the total modulus of the terms that build_H summed into any one
+    entry; a band built otherwise passes 0.0, which inertia reads as
+    max|h|."""
 
     __slots__ = ("diags", "size")
 
@@ -399,15 +408,25 @@ def inertia(h: Band) -> Inertia:
     in O(runs), and refuse a bad count, main-diagonal counts past
     sys.maxsize among them, before any other work.  The count reads h /
     max|h|, so that |h_ij|^2 neither under- nor overflows.  A band of width 1
-    is counted from its runs, in O(runs) memory and O(n) steps; a wider one
-    is laid out in n^2 full rows and first reduced to width 1 by Householder
-    reflections in O(n^3) (_householder_band), whose output is read as runs
-    of one.  One walk over the runs of the diagonal and of the sub-diagonal
-    shifted down one row runs the Sturm counts of T + t and t - T together:
-    n_neg = #(lambda < -tau) and n_pos = #(lambda > tau).  Where both runs
-    hold, it forms a + t, t - a and |e|^2 once, the floats that each
-    position would form, so however the runs split the band, the pivots are
-    the same floats and so are the counts.
+    is counted from its runs, in O(runs) memory; a wider one is laid out in
+    n^2 full rows and first reduced to width 1 by Householder reflections in
+    O(n^3) (_householder_band), whose output is read as runs of one.
+
+    One walk over the runs of the diagonal and of the sub-diagonal shifted
+    down one row runs the Sturm counts of T + t and t - T together: n_neg =
+    #(lambda < -tau) and n_pos = #(lambda > tau).  Where both runs hold, a
+    segment, it forms c = a + t, c = t - a and r = |e|^2 once, the floats
+    that each position would form.  A segment of at most _LONG steps takes
+    them one position at a time in the walk's own loop.  A longer one goes
+    to _segment, once for each sequence: counted in O(1) in closed form
+    where r > 0 and g = c / sqrt(r) has |g| < 2, off |g| = 2 and off ties,
+    and otherwise step by step until the pivot reaches a float fixed point
+    (after one step where r = 0, once the pivots converge where |g| > 2),
+    the steps left then counted at once.  So a band costs O(runs) steps,
+    save its long segments near |g| = 2 or at a tie.  The steps and the
+    fixed-point exit form the walk's floats bit for bit, so those pivots are
+    the same floats however the runs split; the closed form's exit pivot is
+    not, but the counts stay exact, as below.
 
     tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
     size of the terms build_H summed into an entry (0.0, read as max|h|, for
@@ -428,6 +447,16 @@ def inertia(h: Band) -> Inertia:
     Algorithms, ch. 19).  The worst case p(n) grows like n^2, but the
     measured error, the band's eigenvalues against eigvalsh of random
     Hermitian h of rank 6 to 199, stays below 3.5 n u max|h|, inside t.
+
+    That argument covers the steps.  On a closed-form segment of m steps,
+    g = 2 cos(theta), the computed phases err by about (m + 1) u /
+    sin(theta) (_segment bounds it).  Carried back, the rounding of theta
+    is a move of c by at most about 20 u, which t = 8 n u exceeds since
+    n > _LONG, and the rest of the rounding stays inside the bound, which
+    is checked: a segment whose exit phases lie within it of a multiple of
+    pi takes its steps.  So the count is exact as above, and equals the
+    count one position at a time unless an eigenvalue lies within a few u
+    max|h| of +-tau.
     """
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
@@ -498,6 +527,12 @@ def inertia(h: Band) -> Inertia:
             step = count if count < left else left
             count -= step
             left -= step
+            if step > _LONG:
+                lo, k = _segment(c_lo, r, lo, step)
+                n_neg += k
+                hi, k = _segment(c_hi, r, hi, step)
+                n_pos += k
+                continue
             for _ in repeat(None, step):
                 lo = c_lo - r / lo
                 hi = c_hi - r / hi
@@ -510,6 +545,69 @@ def inertia(h: Band) -> Inertia:
                 elif hi == 0.0:
                     hi = sys.float_info.min
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+def _segment(c: float, r: float, p: float, m: int) -> tuple[float, int]:
+    """The pivot after m steps p -> c - r / p of one Sturm sequence, from
+    the pivot p, and the count of negative pivots among them, a pivot of
+    exactly 0 read as sys.float_info.min, as in inertia's walk.
+
+    With r > 0 the pivots are ratios d_j = D_j / D_(j-1) of the minors
+    D_j = c D_(j-1) - r D_(j-2).  Where g = c / sqrt(r) has |g| < 2, write
+    g = 2 cos(theta), theta in (0, pi): then D_j is sqrt(r)^j sin(j theta +
+    phi) times a constant, with the entry phase phi in (0, pi) for which
+    p = sqrt(r) sin(phi) / sin(phi - theta), on the side of theta that the
+    sign of p gives (atan2 keeps that side exactly, so an entering pivot
+    near 0, sys.float_info.min among them, needs no check).  A step moves
+    the phase by theta < pi, and a pivot is negative where the phase passes
+    a multiple of pi, so the m steps hold floor((m theta + phi) / pi)
+    negative pivots and leave the pivot
+    sqrt(r) sin(m theta + phi) / sin((m - 1) theta + phi).
+
+    The computed phases err by about (m + 1) u / sin(theta): the rounding
+    of g, about 2u, moves theta by about 2u / sin(theta), m times over, and
+    phi by about 2u / sin(theta)^2; the products and atan2 add a few u per
+    unit of phase, and the walk's own steps, against which the counts are
+    tested, up to 2u / sin(theta) each.  _PHASE_ERR (m + 1 / sin(theta)) /
+    sin(theta) bounds the sum.  The closed form is used only where the last
+    two phases, m theta + phi and (m - 1) theta + phi, lie farther than
+    this bound from a multiple of pi, so that the count and both factors
+    of the exit pivot are far from a sign change, and only where
+    sin(theta) > _PARABOLIC, away from |g| = 2, where the first-order bound
+    holds (the rounding of g is then far below sin(theta)^2).
+
+    Every other segment takes the steps themselves, as the walk does, until
+    a step returns its pivot unchanged: the pivot is then at a float fixed
+    point, as it is after one step where r = 0 and, where |g| > 2, once the
+    pivots converge, and each step left adds 1 if it is negative.  So these
+    pivots are the walk's floats, bit for bit.  Where |g| > 2 the pivots
+    converge in a number of steps that grows like 1 / sqrt(|g| - 2), and
+    where |g| < 2 they do not converge, so a segment near |g| = 2 or at a
+    tie costs up to its m steps.
+    """
+    if r:
+        s = math.sqrt(r)
+        x = 0.5 * c / s  # cos(theta)
+        if -1.0 < x < 1.0:
+            y = math.sqrt((1.0 - x) * (1.0 + x))  # sin(theta)
+            if y > _PARABOLIC:
+                err = _PHASE_ERR * (m + 1.0 / y) / y
+                theta = math.acos(x)
+                phi = math.atan2(y, x - s / p)
+                k, end = divmod(m * theta + phi, math.pi)
+                if err < end < math.pi - err and err < (end - theta) % math.pi < math.pi - err:
+                    return s * math.sin(end) / math.sin(end - theta), int(k)
+    k = 0
+    for left in range(m - 1, -1, -1):  # the steps left after this one
+        q = c - r / p
+        if q < 0.0:
+            k += 1
+        elif q == 0.0:
+            q = sys.float_info.min
+        if q == p:
+            return q, k + left if q < 0.0 else k
+        p = q
+    return p, k
 
 
 def _householder_band(a: list[list[complex]]) -> tuple[list[float], list[float]]:

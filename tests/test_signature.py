@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import timeit
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1001,8 +1002,8 @@ def test_inertia_finds_a_nan_anywhere_in_a_wide_band():
 
 
 def per_position_inertia(h):
-    """The count of a finite Band one position at a time, the reference that
-    inertia's walk over runs must equal bit for bit: its diagonals laid out
+    """The count of a finite Band one position at a time, the independent
+    reference whose counts inertia must equal: its diagonals laid out
     as lists, a wide band in rows reduced by _householder_band, then one
     step of the two Sturm sequences per position, each scaling its own
     entries."""
@@ -1156,6 +1157,87 @@ def test_inertia_of_engine_bands_is_the_same_however_the_runs_split():
     wide = congruent_torus_sum([200], perm, [1] * 199, [])
     assert wide.width > 100
     assert_split_free(build_H(wide, list(angle_pair("1/1999", "9/1999").omega())), rng)
+
+
+@st.composite
+def long_run_bands(draw):
+    """A Band of width 1 of up to four segments, each one diagonal value a
+    over 9 to 3000 positions and one sub-diagonal value e over its rows, so
+    that inertia takes each in one piece, with runs of 1 to 8 positions
+    between them at times, and a zero sub-diagonal entry before a segment at
+    times, which cuts it from the rest.  A segment's g = a / |e| is
+    elliptic (|g| < 2), hyperbolic (|g| > 2) or within 1e-4 of |g| = 2, or
+    its e is 0, or its a is exactly +-tau, so that its pivots of T + t or
+    of t - T are exactly 0 or alternate, and a block cut from the rest may
+    have an eigenvalue at exactly +-tau."""
+    moduli = st.floats(0.1, 3.0)
+    kinds = {
+        "elliptic": st.floats(-1.999, 1.999),
+        "hyperbolic": st.floats(2.001, 20.0) | st.floats(-20.0, -2.001),
+        "parabolic": st.builds(
+            lambda sign, d: sign * 2.0 * (1.0 + d),
+            st.sampled_from([1.0, -1.0]),
+            st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4]),
+        ),
+        "zero": st.floats(-3.0, 3.0),
+        "tau": st.sampled_from([1.0, -1.0]),
+    }
+    segments = []  # (kind, x, e, count): x is g, the value where e = 0, or the sign of tau
+    for _ in range(draw(st.integers(1, 4))):
+        if segments and draw(st.booleans()):
+            count = draw(st.integers(1, 8))
+        else:
+            count = draw(st.integers(9, 3000))
+        kind = draw(st.sampled_from(sorted(kinds)))
+        e = 0j if kind == "zero" else cmath.rect(draw(moduli), draw(st.floats(-3.2, 3.2)))
+        segments.append((kind, draw(kinds[kind]), e, count))
+    values = [x if kind == "zero" else x * abs(e) for kind, x, e, _ in segments]
+    n = sum(count for *_, count in segments)
+    tau = EIG_ZERO_SCALE * n * max(max(abs(a), abs(e)) for a, (_, _, e, _) in zip(values, segments))
+    diag = tuple((x * tau if kind == "tau" else a, count)
+                 for a, (kind, x, _, count) in zip(values, segments))
+    sub = []  # a segment's rows, the first cut from the one before at times
+    for i, (_, _, e, count) in enumerate(segments):
+        if i and draw(st.booleans()):
+            sub.append((0j, 1))
+            count -= 1
+        sub.append((e, count - (i == 0)))
+    return Band((diag, tuple(r for r in sub if r[1])), 0.0)
+
+
+@settings(deadline=None)
+@given(long_run_bands(), st.randoms(use_true_random=False))
+def test_inertia_of_long_runs_is_the_per_position_count(h, rng):
+    assert_split_free(h, rng)
+
+
+def test_inertia_counts_two_runs_of_rank_10_to_the_12_at_once():
+    """Two runs of rank n = 10^12 are counted in under 1 ms, where one
+    position at a time would take days.  The counts are those of the
+    Toeplitz spectrum lambda_k = a + 2|e| cos(k pi / (n + 1)), k = 1 .. n,
+    counted in integers: lambda_k > tau exactly for k < (n + 1) acos((tau -
+    a) / 2|e|) / pi, and lambda_k < -tau for k > (n + 1) acos((-tau - a) /
+    2|e|) / pi, each bound farther from an integer than its rounding."""
+    n = 10**12
+    for a, e in ((0.3, 0.8 + 0.6j), (-1.1, 0.6j)):
+        h = Band((((a, n),), ((e, n - 1),)), 0.0)
+        tau = EIG_ZERO_SCALE * n * max(abs(a), abs(e))
+        above, below = ((n + 1) * math.acos((x - a) / (2 * abs(e))) / math.pi for x in (tau, -tau))
+        assert 0.01 < above % 1 < 0.99 and 0.01 < below % 1 < 0.99
+        n_pos, n_neg = math.ceil(above) - 1, n - math.floor(below)
+        assert inertia(h) == Inertia(n_pos, n_neg, n - n_pos - n_neg)
+        assert min(timeit.repeat(lambda: inertia(h), number=1, repeat=5)) < 1e-3
+
+
+def test_inertia_counts_a_run_of_zeros_of_rank_10_to_the_7_at_once():
+    """A system of one entry at rank 10^7 gives a band whose run of zeros
+    brings each Sturm sequence to a float fixed point after one step; the
+    steps left are counted at once, in under 1 ms."""
+    s = SeifertSystem(1, 10**7, {"+": ((0, 0, 1),), "-": ((0, 0, 1),)})
+    h = build_H(s, [-1.0 + 0j])
+    assert h.diags == (((4.0, 1), (0.0, 10**7 - 1)), ((0j, 10**7 - 1),))
+    assert inertia(h) == Inertia(1, 0, 10**7 - 1)
+    assert min(timeit.repeat(lambda: inertia(h), number=1, repeat=5)) < 1e-3
 
 
 def test_inertia_holds_every_band_to_one_run_policy():
