@@ -114,7 +114,7 @@ def _check_int64(key: str, v) -> None:
 
 def _checked_entries(key: str, rank: int, e) -> tuple:
     """The entries of matrix `key`, sorted, once each is a tuple of ints
-    (i, j, v) with 0 <= i, j < rank and v a nonzero int64."""
+    (i, j, v) with 0 <= i, j < rank and v a nonzero int64, one per (i, j)."""
     e = tuple(e)
     for entry in e:
         if not (type(entry) is tuple and len(entry) == 3
@@ -126,7 +126,11 @@ def _checked_entries(key: str, rank: int, e) -> tuple:
         if not v:
             raise BadSystemError(f"matrix {key} entry {entry!r} is zero")
         _check_int64(key, v)
-    return tuple(sorted(e))
+    e = tuple(sorted(e))
+    for a, b in pairwise(e):  # sorted, two entries at one (i, j) are adjacent
+        if a[:2] == b[:2]:
+            raise BadSystemError(f"matrix {key} has two entries at ({a[0]}, {a[1]})")
+    return e
 
 
 class SeifertSystem(Frozen):
@@ -172,10 +176,6 @@ class SeifertSystem(Frozen):
                 pair = f"({k}, {_neg_key(k)})"
                 raise BadSystemError(f"transpose invariant violated for sign pair {pair}")
         entries = {k: e for k, e in entries.items() if e}
-        for key, e in entries.items():  # the entries are sorted: two at one (i, j) are adjacent
-            for a, b in pairwise(e):
-                if a[:2] == b[:2]:
-                    raise BadSystemError(f"matrix {key} has two entries at ({a[0]}, {a[1]})")
         cells = {}  # k: {j: the terms at (j + k, j), key by key}
         for index, e in enumerate(entries.values()):
             for i, j, v in e:

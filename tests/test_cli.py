@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import linksig.cli
 import linksig.pillowcase
-from linksig.signature import seifert_to_json, torus_seifert
+from linksig.signature import SeifertSystem, seifert_to_json, torus_seifert
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -108,7 +109,8 @@ def test_h_radians_flag():
     assert r.stdout.startswith("h=")
     # a radian angle is ASCII float() text with no "_" and no surrounding
     # whitespace; float() alone reads each refused spelling here
-    for alpha in ("\u0661.\u0660", "1_0.0e-1", " 1.0", "1.0 ", "1.0\n", "\u00a01.0"):
+    for alpha in ("\u0661.\u0660", "\u0661.\u0665", "1_0.0e-1", " 1.0", "1.0 ", "1.0\n",
+                  "\u00a01.0"):
         argv = ["h", "--ell", "3", "--radians", "--alpha", alpha, "1.0"]
         code, out, err = main_in_process(argv)
         assert (code, out) == (EXIT_USAGE, ""), alpha
@@ -216,6 +218,9 @@ def test_sigma_near_a_root_line_agrees_with_h(tmp_path):
     assert (r.returncode, r.stdout, r.stderr) == (EXIT_OK, "signature=197 nullity=0\n", "")
     r = run("h", "--ell", "200", "--alpha", "1/1999", "9/1999")
     assert (r.returncode, r.stdout) == (EXIT_OK, "h=1 sigma=(197,-199)\n")
+    # and far from every root line, sigma_torus_closed(200, (1/3, 2/7)) = -47
+    argv = ["sigma", "--system", str(path), "--alpha", "1/3", "2/7"]
+    assert main_in_process(argv) == (EXIT_OK, "signature=-47 nullity=0\n", "")
 
 
 def test_sigma_where_all_of_H_vanishes_reads_nullity(tmp_path):
@@ -508,14 +513,27 @@ def test_python_m_linksig_in_dev_mode_matches_cli_main(tmp_path, capsys):
     at exit too, would fail the command or show on stderr."""
     torus8 = str(write_benchmark_system(tmp_path, "torus8"))
     nontorus = str(write_benchmark_system(tmp_path, "nontorus"))
+    # the ell-40 torus system relabelled by a permutation: a band of width
+    # 36, held as 106 runs, which the Householder reduction counts
+    base = torus_seifert(40)
+    perm = list(range(base.rank))
+    random.Random(28).shuffle(perm)
+    relabelled = SeifertSystem(2, base.rank, {
+        key: [(perm[i], perm[j], v) for i, j, v in e] for key, e in base.entries.items()
+    })
+    relabelled40 = tmp_path / "relabelled40.json"
+    relabelled40.write_text(json.dumps(seifert_to_json(relabelled)))
+    printed = {}
     for args, code in (
         (("h", "--ell", "3", "--alpha", "1/2", "1/3"), EXIT_OK),
         (("h", "--ell", "3", "--alpha", "1/6", "1/6"), EXIT_UNDEFINED),
         (("sigma", "--system", torus8, "--alpha", "1/3", "2/7"), EXIT_OK),
         (("sigma", "--system", nontorus, "--alpha", "1/3", "2/7"), EXIT_OK),
+        (("sigma", "--system", str(relabelled40), "--alpha", "1/3", "2/7"), EXIT_OK),
         (("curve", "--ell", "2", "--alpha", "1/3", "1/5", "--samples", "16", "--path", "both"),
          EXIT_OK),
         (("verify", "--ell", "3", "--res", "8"), EXIT_OK),
+        (("verify", "--ell", "-3..3", "--res", "8"), EXIT_OK),
         (("regions", "--ell", "3", "--res", "8", "--format", "svg"), EXIT_OK),
     ):  # fmt: skip
         r = subprocess.run(
@@ -527,6 +545,11 @@ def test_python_m_linksig_in_dev_mode_matches_cli_main(tmp_path, capsys):
         assert linksig.cli.main(list(args)) == code
         captured = capsys.readouterr()
         assert (r.stdout, r.stderr) == (captured.out, captured.err), args
+        printed[args] = r.stdout
+    # sigma_torus_closed(40, (1/3, 2/7)) = -9: relabelling keeps the inertia
+    assert printed["sigma", "--system", str(relabelled40), "--alpha", "1/3", "2/7"] == (
+        "signature=-9 nullity=0\n"
+    )
 
 
 PUBLIC_NAMES = [
