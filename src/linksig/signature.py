@@ -105,13 +105,6 @@ def _check_keys(mu: int, keys) -> None:
         raise BadSystemError(f"unexpected keys: {shown} ({len(extra)} in all)")
 
 
-def _check_int64(key: str, v) -> None:
-    if not -(2**63) <= v < 2**63:
-        raise BadSystemError(
-            f"matrix {key} entry {v!r} is outside the int64 range [-2^63, 2^63)"
-        )
-
-
 def _checked_entries(key: str, rank: int, e) -> tuple:
     """The entries of matrix `key`, sorted, once each is a tuple of ints
     (i, j, v) with 0 <= i, j < rank and v a nonzero int64, one per (i, j)."""
@@ -125,7 +118,10 @@ def _checked_entries(key: str, rank: int, e) -> tuple:
             raise BadSystemError(f"matrix {key} entry {entry!r} lies outside rank {rank}")
         if not v:
             raise BadSystemError(f"matrix {key} entry {entry!r} is zero")
-        _check_int64(key, v)
+        if not -(2**63) <= v < 2**63:
+            raise BadSystemError(
+                f"matrix {key} entry {v!r} is outside the int64 range [-2^63, 2^63)"
+            )
     e = tuple(sorted(e))
     for a, b in pairwise(e):  # sorted, two entries at one (i, j) are adjacent
         if a[:2] == b[:2]:
@@ -171,10 +167,12 @@ class SeifertSystem(Frozen):
         entries = dict(entries)
         _check_keys(mu, entries)
         entries = {k: _checked_entries(k, rank, e) for k, e in sorted(entries.items())}
-        for k, e in entries.items():  # each pair twice; a "+" key, listed first, names it
-            if entries.get(_neg_key(k), ()) != tuple(sorted((j, i, v) for i, j, v in e)):
-                pair = f"({k}, {_neg_key(k)})"
-                raise BadSystemError(f"transpose invariant violated for sign pair {pair}")
+        for k, e in entries.items():
+            neg = _neg_key(k)
+            if k[0] == "-" and neg in entries:
+                continue  # the rule is symmetric: checked, and named, from the "+" key
+            if entries.get(neg, ()) != tuple(sorted((j, i, v) for i, j, v in e)):
+                raise BadSystemError(f"transpose invariant violated for sign pair ({k}, {neg})")
         entries = {k: e for k, e in entries.items() if e}
         cells = {}  # k: {j: the terms at (j + k, j), key by key}
         for index, e in enumerate(entries.values()):
@@ -213,19 +211,18 @@ class SeifertSystem(Frozen):
 
 
 def _entry(key: str, v) -> int:
-    """One matrix entry as an int; raises TypeError if it is no number."""
-    if type(v) is not int:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise TypeError(f"entry {v!r}")
-        if isinstance(v, float) and not v.is_integer():
-            raise BadSystemError(f"matrix {key} has non-integer entries")
-    _check_int64(key, v)
+    """A matrix entry that is no int, as an int; raises TypeError if it is
+    no number.  SeifertSystem checks the int64 range of every nonzero entry."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"entry {v!r}")
+    if isinstance(v, float) and not v.is_integer():
+        raise BadSystemError(f"matrix {key} has non-integer entries")
     return int(v)
 
 
 def _matrix_entries(key: str, m) -> tuple[int, tuple]:
     """The rank and the nonzero entries (i, j, v), row by row, of one matrix
-    given as nested lists; every entry is checked first."""
+    given as nested lists; a cell that is no int is read by _entry first."""
     square = isinstance(m, (list, tuple))
     rows = m if square else [m]
     entries = []
@@ -234,7 +231,8 @@ def _matrix_entries(key: str, m) -> tuple[int, tuple]:
             row, square = [row], False
         square = square and len(row) == len(rows)
         for j, v in enumerate(row):
-            v = _entry(key, v)
+            if type(v) is not int:
+                v = _entry(key, v)
             if v:
                 entries.append((i, j, v))
     if not square:  # [[]] too; [] is the 0 x 0 matrix

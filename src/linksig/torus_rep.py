@@ -119,6 +119,12 @@ def omega_of(a: Angle) -> complex:
     return cmath.exp(2j * _as_radians(a))
 
 
+def _check_open(a: float) -> None:
+    """A float angle lies in (0, pi); else ValueError with the CLI's message."""
+    if not 0.0 < a < math.pi:
+        raise ValueError(f"angle {a} is outside (0, pi)")
+
+
 class AnglePair(Frozen):
     """Trace angles (alpha1, alpha2), each exact (rational multiple of pi) or float."""
 
@@ -130,8 +136,7 @@ class AnglePair(Frozen):
                 continue
             if not isinstance(a, float):
                 raise TypeError("angles must be RationalAngle or float radians")
-            if not 0.0 < a < math.pi:
-                raise ValueError(f"angle {a} is outside (0, pi)")
+            _check_open(a)
         super().__init__(alpha1, alpha2)
 
     @classmethod
@@ -146,7 +151,14 @@ class AnglePair(Frozen):
 
     @property
     def radians(self) -> tuple[float, float]:
-        return (_as_radians(self.alpha1), _as_radians(self.alpha2))
+        """The pair as floats, which every float route reads.  An exact angle
+        whose float leaves (0, pi), such as 1/10^400 (0.0) or
+        (10^400 - 1)/10^400 (the float pi), raises ValueError there, as that
+        float given as an angle would."""
+        pair = (_as_radians(self.alpha1), _as_radians(self.alpha2))
+        for a in pair:
+            _check_open(a)
+        return pair
 
     def omega(self) -> tuple[complex, complex]:
         return (omega_of(self.alpha1), omega_of(self.alpha2))

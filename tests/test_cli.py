@@ -29,16 +29,30 @@ EXIT_DATA = 65
 EXIT_NO_MEMORY = 71
 
 
-def run(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "linksig", *args], capture_output=True, text=True
-    )
+def main_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main; only SystemExit may escape it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = linksig.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def usage(command):
     """The usage of `linksig <command>` as its errors print it: what
     `--help` prints before its first blank line."""
-    return run(command, "--help").stdout.split("\n\n", 1)[0] + "\n"
+    return main_in_process([command, "--help"])[1].split("\n\n", 1)[0] + "\n"
+
+
+# Every check of argv -> (exit code, stdout, stderr) calls main_in_process.  A
+# Python is started only where the process is what is tested: dev mode, the
+# modules a cold command imports, the console entry's gc.freeze, determinism
+# across hash seeds, and runs under an address-space cap or a timeout.
+def python(*argv, **kwargs):
+    """The completed run of `python *argv`, its output read as text."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, **kwargs)
 
 
 # Runs linksig.cli.main in a fresh interpreter, then reports on stderr
@@ -58,55 +72,45 @@ sys.exit(code)
 
 def run_probed(*args):
     """(completed process, {probe key: value}) from the probe's last eight lines."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    r = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    r = python("-c", NUMPY_PROBE, *args, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     probe = dict(line.split("=", 1) for line in r.stderr.splitlines()[-8:])
     probe["linksig_modules"] = set(probe["linksig_modules"].split(","))
     return r, probe
 
 
 def test_h_values():
-    r = run("h", "--ell", "3", "--alpha", "1/2", "1/2")
-    assert r.returncode == EXIT_OK
-    assert r.stdout == "h=2 sigma=(-2,-2)\n"
-    r = run("h", "--ell", "1", "--alpha", "1/3", "1/4")
-    assert r.returncode == EXIT_OK
-    assert r.stdout == "h=0 sigma=(0,0)\n"
+    r = main_in_process(["h", "--ell", "3", "--alpha", "1/2", "1/2"])
+    assert r == (EXIT_OK, "h=2 sigma=(-2,-2)\n", "")
+    r = main_in_process(["h", "--ell", "1", "--alpha", "1/3", "1/4"])
+    assert r == (EXIT_OK, "h=0 sigma=(0,0)\n", "")
 
 
 def test_h_undefined_and_zero_linking():
-    r = run("h", "--ell", "3", "--alpha", "1/6", "1/6")
-    assert r.returncode == EXIT_UNDEFINED
-    assert "undefined: alpha on Alexander root locus" in r.stderr
-    r = run("h", "--ell", "0", "--alpha", "1/3", "1/4")
-    assert r.returncode == EXIT_ZERO_LINKING
+    code, _, err = main_in_process(["h", "--ell", "3", "--alpha", "1/6", "1/6"])
+    assert code == EXIT_UNDEFINED
+    assert "undefined: alpha on Alexander root locus" in err
+    assert main_in_process(["h", "--ell", "0", "--alpha", "1/3", "1/4"])[0] == EXIT_ZERO_LINKING
 
 
 def test_usage_errors():
-    assert run("h", "--ell", "3").returncode == EXIT_USAGE
-    assert run("nonsense").returncode == EXIT_USAGE
-    # decimals require --radians; rationals forbid it
-    assert run("h", "--ell", "2", "--alpha", "0.5", "0.5").returncode == EXIT_USAGE
-    assert (
-        run("h", "--ell", "2", "--alpha", "1/2", "1/2", "--radians").returncode
-        == EXIT_USAGE
-    )
-    assert (
-        run("curve", "--ell", "2", "--alpha", "1/2", "1/2", "--samples", "0").returncode
-        == EXIT_USAGE
-    )
-    assert run("regions", "--ell", "2", "--res", "1").returncode == EXIT_USAGE
+    for argv in (
+        ["h", "--ell", "3"],
+        ["nonsense"],
+        # decimals require --radians; rationals forbid it
+        ["h", "--ell", "2", "--alpha", "0.5", "0.5"],
+        ["h", "--ell", "2", "--alpha", "1/2", "1/2", "--radians"],
+        ["curve", "--ell", "2", "--alpha", "1/2", "1/2", "--samples", "0"],
+        ["regions", "--ell", "2", "--res", "1"],
+    ):
+        assert main_in_process(argv)[0] == EXIT_USAGE, argv
 
 
 def test_h_radians_flag():
-    r = run("h", "--ell", "2", "--alpha", "1.0471975511965976", "0.5", "--radians")
-    assert r.returncode == EXIT_OK
-    assert r.stdout.startswith("h=")
+    code, out, _ = main_in_process(
+        ["h", "--ell", "2", "--alpha", "1.0471975511965976", "0.5", "--radians"]
+    )
+    assert code == EXIT_OK
+    assert out.startswith("h=")
     # a radian angle is ASCII float() text with no "_" and no surrounding
     # whitespace; float() alone reads each refused spelling here
     for alpha in ("\u0661.\u0660", "\u0661.\u0665", "1_0.0e-1", " 1.0", "1.0 ", "1.0\n",
@@ -121,9 +125,10 @@ def test_h_radians_flag():
 
 
 def test_curve_reference_and_footer():
-    r = run("curve", "--ell", "1", "--alpha", "1/2", "1/2", "--samples", "5")
-    assert r.returncode == EXIT_OK
-    lines = r.stdout.strip().splitlines()
+    argv = ["curve", "--ell", "1", "--alpha", "1/2", "1/2", "--samples", "5"]
+    code, out, _ = main_in_process(argv)
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
     assert lines[0] == "phi,theta,provenance"
     body = [ln for ln in lines[1:] if not ln.startswith("#")]
     assert len(body) == 10  # both paths, interleaved
@@ -140,37 +145,32 @@ def test_curve_reference_and_footer():
 
 def test_curve_single_path_and_undefined(tmp_path):
     out = tmp_path / "curve.csv"
-    r = run(
-        "curve", "--ell", "-2", "--alpha", "1/3", "1/5",
-        "--samples", "9", "--path", "cheb", "--out", str(out),
-    )
-    assert r.returncode == EXIT_OK
+    argv = ["curve", "--ell", "-2", "--alpha", "1/3", "1/5", "--samples", "9", "--path", "cheb"]
+    assert main_in_process([*argv, "--out", str(out)])[0] == EXIT_OK
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 10 and lines[0] == "phi,theta,provenance"
     assert all("chebyshev-path" in ln for ln in lines[1:])
-    r = run("curve", "--ell", "3", "--alpha", "1/6", "1/6")
-    assert r.returncode == EXIT_UNDEFINED
+    assert main_in_process(["curve", "--ell", "3", "--alpha", "1/6", "1/6"])[0] == EXIT_UNDEFINED
 
 
 def test_regions_csv():
-    r = run("regions", "--ell", "2", "--res", "20", "--format", "csv")
-    assert r.returncode == EXIT_OK
-    lines = r.stdout.strip().splitlines()
+    code, out, _ = main_in_process(["regions", "--ell", "2", "--res", "20", "--format", "csv"])
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
     assert lines[0] == "# ell=2 res=20"
     rows = [list(map(int, ln.split(","))) for ln in lines[1:]]
     assert len(rows) == 19 and all(len(row) == 19 for row in rows)
     assert rows[9][9] == 1
     assert rows[0][0] == 0
     assert rows[4][4] == -999
-    r = run("regions", "--ell", "-2", "--res", "20")
-    assert "-1" in r.stdout
-    assert run("regions", "--ell", "0", "--res", "20").returncode == EXIT_ZERO_LINKING
+    assert "-1" in main_in_process(["regions", "--ell", "-2", "--res", "20"])[1]
+    assert main_in_process(["regions", "--ell", "0", "--res", "20"])[0] == EXIT_ZERO_LINKING
 
 
 def test_regions_svg(tmp_path):
     out = tmp_path / "regions.svg"
-    r = run("regions", "--ell", "4", "--res", "40", "--format", "svg", "--out", str(out))
-    assert r.returncode == EXIT_OK
+    argv = ["regions", "--ell", "4", "--res", "40", "--format", "svg", "--out", str(out)]
+    assert main_in_process(argv)[0] == EXIT_OK
     text = out.read_text()
     assert text.startswith("<svg")
     assert "<rect" in text and "<line" in text and text.rstrip().endswith("</svg>")
@@ -180,7 +180,7 @@ def test_regions_svg_writes_each_root_line_once(tmp_path):
     # 399,996 root-line segments of ell = 1e5 round to 19,206 distinct tags
     out = tmp_path / "big.svg"
     argv = ["regions", "--ell", "100000", "--res", "8", "--format", "svg", "--out", str(out)]
-    assert linksig.cli.main(argv) == EXIT_OK
+    assert main_in_process(argv) == (EXIT_OK, "", "")
     text = out.read_text()
     lines = [ln for ln in text.splitlines() if ln.startswith("<line")]
     assert lines and len(set(lines)) == len(lines)
@@ -193,17 +193,16 @@ def test_regions_svg_writes_each_root_line_once(tmp_path):
 def test_sigma_subcommand(tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(seifert_to_json(torus_seifert(2))))
-    r = run("sigma", "--system", str(path), "--alpha", "1/2", "1/2")
-    assert r.returncode == EXIT_OK
-    assert r.stdout == "signature=-1 nullity=0\n"
+    r = main_in_process(["sigma", "--system", str(path), "--alpha", "1/2", "1/2"])
+    assert r[:2] == (EXIT_OK, "signature=-1 nullity=0\n")
 
     # nullity warning on the root line
     path3 = tmp_path / "system3.json"
     path3.write_text(json.dumps(seifert_to_json(torus_seifert(3))))
-    r = run("sigma", "--system", str(path3), "--alpha", "1/6", "1/6")
-    assert r.returncode == EXIT_OK
-    assert "nullity=1" in r.stdout
-    assert "root locus" in r.stderr
+    code, out, err = main_in_process(["sigma", "--system", str(path3), "--alpha", "1/6", "1/6"])
+    assert code == EXIT_OK
+    assert "nullity=1" in out
+    assert "root locus" in err
 
 
 def test_sigma_near_a_root_line_agrees_with_h(tmp_path):
@@ -214,10 +213,10 @@ def test_sigma_near_a_root_line_agrees_with_h(tmp_path):
     # closed form that h prints, with no warning
     path = tmp_path / "torus200.json"
     path.write_text(json.dumps(seifert_to_json(torus_seifert(200))))
-    r = run("sigma", "--system", str(path), "--alpha", "1/1999", "9/1999")
-    assert (r.returncode, r.stdout, r.stderr) == (EXIT_OK, "signature=197 nullity=0\n", "")
-    r = run("h", "--ell", "200", "--alpha", "1/1999", "9/1999")
-    assert (r.returncode, r.stdout) == (EXIT_OK, "h=1 sigma=(197,-199)\n")
+    r = main_in_process(["sigma", "--system", str(path), "--alpha", "1/1999", "9/1999"])
+    assert r == (EXIT_OK, "signature=197 nullity=0\n", "")
+    r = main_in_process(["h", "--ell", "200", "--alpha", "1/1999", "9/1999"])
+    assert r[:2] == (EXIT_OK, "h=1 sigma=(197,-199)\n")
     # and far from every root line, sigma_torus_closed(200, (1/3, 2/7)) = -47
     argv = ["sigma", "--system", str(path), "--alpha", "1/3", "2/7"]
     assert main_in_process(argv) == (EXIT_OK, "signature=-47 nullity=0\n", "")
@@ -232,11 +231,10 @@ def test_sigma_where_all_of_H_vanishes_reads_nullity(tmp_path):
         path = tmp_path / f"torus{ell}.json"
         path.write_text(json.dumps(seifert_to_json(torus_seifert(ell))))
         for alpha in (("1/4", "1/4"), ("1/3", "1/6")):
-            r = run("sigma", "--system", str(path), "--alpha", *alpha)
-            assert (r.returncode, r.stdout, r.stderr) == (
-                EXIT_OK, "signature=0 nullity=1\n", warning
-            ), (ell, alpha)
-            assert run("h", "--ell", str(ell), "--alpha", *alpha).returncode == EXIT_UNDEFINED
+            r = main_in_process(["sigma", "--system", str(path), "--alpha", *alpha])
+            assert r == (EXIT_OK, "signature=0 nullity=1\n", warning), (ell, alpha)
+            r = main_in_process(["h", "--ell", str(ell), "--alpha", *alpha])
+            assert r[0] == EXIT_UNDEFINED
 
 
 def test_sigma_where_H_is_small_beside_its_terms(tmp_path):
@@ -247,9 +245,10 @@ def test_sigma_where_H_is_small_beside_its_terms(tmp_path):
     plus = [[0, 32768, 32768], [-32768, 0, 32768], [-32768, -32768, 0]]
     minus = [[-x for x in row] for row in plus]
     path.write_text(json.dumps({"mu": 1, "rank": 3, "matrices": {"+": plus, "-": minus}}))
-    r = run("sigma", "--system", str(path), "--radians", "--alpha", "1.5708063267948966")
-    assert (r.returncode, r.stdout) == (EXIT_OK, "signature=0 nullity=1\n")
-    assert "root locus" in r.stderr
+    argv = ["sigma", "--system", str(path), "--radians", "--alpha", "1.5708063267948966"]
+    code, out, err = main_in_process(argv)
+    assert (code, out) == (EXIT_OK, "signature=0 nullity=1\n")
+    assert "root locus" in err
 
 
 def test_sigma_of_empty_rows_is_no_system(tmp_path):
@@ -257,12 +256,12 @@ def test_sigma_of_empty_rows_is_no_system(tmp_path):
     path = tmp_path / "empty.json"
     for rows in ([[]], [[], []]):
         path.write_text(json.dumps({"mu": 1, "rank": 0, "matrices": {"+": rows, "-": rows}}))
-        r = run("sigma", "--system", str(path), "--alpha", "1/3")
-        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), rows
-        assert "is not square" in r.stderr, rows
+        code, out, err = main_in_process(["sigma", "--system", str(path), "--alpha", "1/3"])
+        assert (code, out) == (EXIT_DATA, ""), rows
+        assert "is not square" in err, rows
     path.write_text(json.dumps({"mu": 1, "rank": 0, "matrices": {"+": [], "-": []}}))
-    r = run("sigma", "--system", str(path), "--alpha", "1/3")
-    assert (r.returncode, r.stdout) == (EXIT_OK, "signature=0 nullity=0\n")
+    r = main_in_process(["sigma", "--system", str(path), "--alpha", "1/3"])
+    assert r[:2] == (EXIT_OK, "signature=0 nullity=0\n")
 
 
 def test_sigma_of_all_zero_system(tmp_path):
@@ -270,49 +269,51 @@ def test_sigma_of_all_zero_system(tmp_path):
     zero = [[0] * 3 for _ in range(3)]
     data = {"mu": 2, "rank": 3, "matrices": {k: zero for k in ("++", "+-", "-+", "--")}}
     path.write_text(json.dumps(data))
-    r = run("sigma", "--system", str(path), "--alpha", "1/3", "2/7")
-    assert r.returncode == EXIT_OK
-    assert r.stdout == "signature=0 nullity=3\n"
-    assert r.stderr == "warning: nullity > 0, omega lies on or near the Alexander root locus\n"
+    assert main_in_process(["sigma", "--system", str(path), "--alpha", "1/3", "2/7"]) == (
+        EXIT_OK,
+        "signature=0 nullity=3\n",
+        "warning: nullity > 0, omega lies on or near the Alexander root locus\n",
+    )
 
 
 def test_sigma_data_errors(tmp_path):
     path = tmp_path / "bad.json"
     data = seifert_to_json(torus_seifert(2))
     del data["matrices"]["--"]
+    argv = ["sigma", "--system", str(path), "--alpha", "1/2", "1/2"]
     path.write_text(json.dumps(data))
-    r = run("sigma", "--system", str(path), "--alpha", "1/2", "1/2")
-    assert r.returncode == EXIT_DATA
+    assert main_in_process(argv)[0] == EXIT_DATA
 
     data = seifert_to_json(torus_seifert(3))
     data["matrices"]["--"][0][1] = 9
     path.write_text(json.dumps(data))
-    r = run("sigma", "--system", str(path), "--alpha", "1/2", "1/2")
-    assert r.returncode == EXIT_DATA
-    assert "transpose" in r.stderr and "--" in r.stderr
+    code, _, err = main_in_process(argv)
+    assert code == EXIT_DATA
+    assert "transpose" in err and "--" in err
 
     path.write_text("{broken")
-    assert run("sigma", "--system", str(path), "--alpha", "1/2", "1/2").returncode == EXIT_DATA
-    r = run("sigma", "--system", str(tmp_path / "missing.json"), "--alpha", "1/2", "1/2")
-    assert r.returncode == EXIT_DATA
-    assert r.stderr.startswith("error: cannot read ") and r.stderr.count("\n") == 1
+    assert main_in_process(argv)[0] == EXIT_DATA
+    argv = ["sigma", "--system", str(tmp_path / "missing.json"), "--alpha", "1/2", "1/2"]
+    code, _, err = main_in_process(argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
     # bytes that are not UTF-8, and nesting past the parser's recursion limit
     deep = '{"mu":1,"rank":1,"matrices":{"+":' + "[" * 100_000 + "]" * 100_000 + "}}"
     for document in (b"\xff", deep.encode()):
         path.write_bytes(document)
-        r = run("sigma", "--system", str(path), "--alpha", "1/3")
-        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), document[:8]
-        assert r.stderr.startswith("error: malformed JSON: "), document[:8]
-        assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr, document[:8]
+        code, out, err = main_in_process(["sigma", "--system", str(path), "--alpha", "1/3"])
+        assert (code, out) == (EXIT_DATA, ""), document[:8]
+        assert err.startswith("error: malformed JSON: "), document[:8]
+        assert err.count("\n") == 1 and "Traceback" not in err, document[:8]
 
 
 def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
     path = tmp_path / "system.json"
+    argv = ["sigma", "--system", str(path), "--alpha", "1/3"]
     for entry in ("1e30", "9223372036854775808", "true"):
         path.write_text(f'{{"mu":1,"rank":1,"matrices":{{"+":[[{entry}]],"-":[[{entry}]]}}}}')
-        r = run("sigma", "--system", str(path), "--alpha", "1/3")
-        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), entry
+        assert main_in_process(argv)[:2] == (EXIT_DATA, ""), entry
     # matrices that are no mapping, and 2^18 sign vectors with one given: the
     # error names a few keys, not 2^18
     for document in (
@@ -322,20 +323,19 @@ def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
         '{"mu":18,"rank":1,"matrices":{"++++++++++++++++++":[[1]]}}',
     ):
         path.write_text(document)
-        r = run("sigma", "--system", str(path), "--alpha", "1/3")
-        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), document
-        assert len(r.stderr) < 1024 and "Traceback" not in r.stderr, document
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (EXIT_DATA, ""), document
+        assert len(err) < 1024 and "Traceback" not in err, document
     path.write_text('{"mu":1,"rank":1,"matrices":{"+":[[5]],"-":[[5]]}}')
-    r = run("sigma", "--system", str(path), "--alpha", "1/3")
-    assert (r.returncode, r.stdout) == (EXIT_OK, "signature=1 nullity=0\n")
+    assert main_in_process(argv)[:2] == (EXIT_OK, "signature=1 nullity=0\n")
 
 
 def test_sigma_rejects_a_bool_or_float_mu_and_rank(tmp_path):
     path = tmp_path / "system.json"
     for mu, rank in (("true", "true"), ("true", "1"), ("1", "true"), ("1", "1.0")):
         path.write_text(f'{{"mu":{mu},"rank":{rank},"matrices":{{"+":[[5]],"-":[[5]]}}}}')
-        r = run("sigma", "--system", str(path), "--alpha", "1/3")
-        assert (r.returncode, r.stdout) == (EXIT_DATA, ""), (mu, rank)
+        argv = ["sigma", "--system", str(path), "--alpha", "1/3"]
+        assert main_in_process(argv)[:2] == (EXIT_DATA, ""), (mu, rank)
 
 
 def test_sigma_at_omega_one_exits_undefined(tmp_path):
@@ -343,46 +343,50 @@ def test_sigma_at_omega_one_exits_undefined(tmp_path):
     path = tmp_path / "torus6.json"
     path.write_text(json.dumps(seifert_to_json(torus_seifert(6))))
     for angle in ("1e-13", "3.14159265358979"):
-        r = run("sigma", "--system", str(path), "--radians", "--alpha", angle, "0.5")
-        assert (r.returncode, r.stdout) == (EXIT_UNDEFINED, ""), angle
-        assert r.stderr == "error: omega_i = 1 is outside the domain of the signature\n"
-        assert "Traceback" not in r.stderr
+        argv = ["sigma", "--system", str(path), "--radians", "--alpha", angle, "0.5"]
+        assert main_in_process(argv) == (
+            EXIT_UNDEFINED, "", "error: omega_i = 1 is outside the domain of the signature\n"
+        ), angle
 
 
 def test_verify_subcommand(tmp_path):
-    r = run("verify", "--ell", "3", "--res", "7")
-    assert r.returncode == EXIT_OK
-    payload = json.loads(r.stdout)
+    code, out, _ = main_in_process(["verify", "--ell", "3", "--res", "7"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
     assert payload["failed_total"] == 0
     assert payload["reports"][0]["ell"] == 3
     assert set(payload["reports"][0]) == {
         "ell", "resolution", "checked", "failed", "skipped_on_roots",
     }
 
-    r = run("verify", "--ell", "-2..2", "--res", "12")
-    assert r.returncode == EXIT_OK
-    payload = json.loads(r.stdout)
+    code, out, _ = main_in_process(["verify", "--ell", "-2..2", "--res", "12"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
     assert [rep["ell"] for rep in payload["reports"]] == [-2, -1, 1, 2]
 
-    assert run("verify", "--ell", "0..0", "--res", "7").returncode == EXIT_ZERO_LINKING
-    assert run("verify", "--ell", "5..3", "--res", "7").returncode == EXIT_USAGE
+    assert main_in_process(["verify", "--ell", "0..0", "--res", "7"])[0] == EXIT_ZERO_LINKING
+    assert main_in_process(["verify", "--ell", "5..3", "--res", "7"])[0] == EXIT_USAGE
 
     out = tmp_path / "report.json"
-    r = run("verify", "--ell", "2", "--res", "10", "--verbose", "--out", str(out))
-    assert r.returncode == EXIT_OK
+    argv = ["verify", "--ell", "2", "--res", "10", "--verbose", "--out", str(out)]
+    assert main_in_process(argv)[0] == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["reports"][0]["points"][0]["pass"] is True
 
 
 def test_outputs_are_byte_deterministic():
+    """Two processes with two hash seeds, so the iteration order of a set
+    of str, which the seed sets, can reach no output."""
     for args in (
         ("curve", "--ell", "2", "--alpha", "2/7", "3/8", "--samples", "50"),
         ("regions", "--ell", "3", "--res", "30"),
         ("verify", "--ell", "2..3", "--res", "13"),
         ("h", "--ell", "-4", "--alpha", "1/2", "1/3"),
     ):
-        first = run(*args)
-        second = run(*args)
+        first, second = (
+            python("-m", "linksig", *args, env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("1", "2")
+        )
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
 
@@ -442,7 +446,7 @@ def test_no_command_imports_numpy(tmp_path):
         assert not probe["linksig_modules"] & set(not_loaded), (args, probe)
         if light:
             assert probe["fractions_loaded"] == probe["decimal_loaded"] == "False", args
-        assert r.stdout == run(*args).stdout
+        assert r.stdout == main_in_process(list(args))[1]
         printed[args[0], args[2]] = r.stdout
     # the dense system is counted without eigenvalues, to the same bytes
     assert printed["sigma", str(nontorus)] == "signature=-2 nullity=0\n"
@@ -460,11 +464,7 @@ def test_importtime_lists_every_route_module(tmp_path):
             {"linksig.pillowcase", "linksig.chebyshev"},
         ),
     ):
-        r = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "linksig", *args],
-            capture_output=True,
-            text=True,
-        )
+        r = python("-X", "importtime", "-m", "linksig", *args)
         assert r.returncode == EXIT_OK, args
         timed = {
             line.rpartition("|")[2].strip()
@@ -485,7 +485,7 @@ sys.exit(code)
 """
 
 
-def test_the_entry_freezes_and_cli_main_does_not(capsys):
+def test_the_entry_freezes_and_cli_main_does_not():
     """The console script and `python -m linksig` share one entry, which
     freezes what is alive when the command ends; cli.main, which tests and
     the benchmark call in-process, freezes nothing."""
@@ -496,21 +496,19 @@ def test_the_entry_freezes_and_cli_main_does_not(capsys):
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is linksig.__main__.run
     args = ("h", "--ell", "3", "--alpha", "1/2", "1/3")
-    r = subprocess.run(
-        [sys.executable, "-c", ENTRY_PROBE, target, *args], capture_output=True, text=True
-    )
+    r = python("-c", ENTRY_PROBE, target, *args)
     assert r.returncode == EXIT_OK
     assert r.stdout == "h=2 sigma=(-2,-2)\n"
     assert int(r.stderr.rpartition("frozen=")[2]) > 0
-    assert linksig.cli.main(list(args)) == EXIT_OK
-    assert capsys.readouterr().out == r.stdout
+    assert main_in_process(list(args)) == (EXIT_OK, r.stdout, "")
     assert gc.get_freeze_count() == 0
 
 
-def test_python_m_linksig_in_dev_mode_matches_cli_main(tmp_path, capsys):
+def test_python_m_linksig_in_dev_mode_matches_cli_main(tmp_path):
     """`python -X dev -W error -m linksig` exits with each command's code and
-    writes the bytes cli.main writes in-process: a warning raised anywhere,
-    at exit too, would fail the command or show on stderr."""
+    writes the bytes cli.main writes in-process, on every exit path but 1
+    and 71: a warning raised anywhere, at exit too, would fail the command
+    or show on stderr, and the streams' encoding shows in a non-ASCII echo."""
     torus8 = str(write_benchmark_system(tmp_path, "torus8"))
     nontorus = str(write_benchmark_system(tmp_path, "nontorus"))
     # the ell-40 torus system relabelled by a permutation: a band of width
@@ -527,6 +525,11 @@ def test_python_m_linksig_in_dev_mode_matches_cli_main(tmp_path, capsys):
     for args, code in (
         (("h", "--ell", "3", "--alpha", "1/2", "1/3"), EXIT_OK),
         (("h", "--ell", "3", "--alpha", "1/6", "1/6"), EXIT_UNDEFINED),
+        (("sigma", "--system", torus8, "--radians", "--alpha", "1e-13", "0.5"), EXIT_UNDEFINED),
+        (("h", "--ell", "0", "--alpha", "1/3", "1/4"), EXIT_ZERO_LINKING),
+        (("h", "--ell", "3", "--radians", "--alpha", "\u0661.\u0665", "1.0"), EXIT_USAGE),
+        (("sigma", "--system", str(tmp_path / "missing.json"), "--alpha", "1/3", "2/7"),
+         EXIT_DATA),
         (("sigma", "--system", torus8, "--alpha", "1/3", "2/7"), EXIT_OK),
         (("sigma", "--system", nontorus, "--alpha", "1/3", "2/7"), EXIT_OK),
         (("sigma", "--system", str(relabelled40), "--alpha", "1/3", "2/7"), EXIT_OK),
@@ -536,15 +539,9 @@ def test_python_m_linksig_in_dev_mode_matches_cli_main(tmp_path, capsys):
         (("verify", "--ell", "-3..3", "--res", "8"), EXIT_OK),
         (("regions", "--ell", "3", "--res", "8", "--format", "svg"), EXIT_OK),
     ):  # fmt: skip
-        r = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "linksig", *args],
-            capture_output=True,
-            text=True,
-        )
+        r = python("-X", "dev", "-W", "error", "-m", "linksig", *args)
         assert r.returncode == code, (args, r.stderr)
-        assert linksig.cli.main(list(args)) == code
-        captured = capsys.readouterr()
-        assert (r.stdout, r.stderr) == (captured.out, captured.err), args
+        assert main_in_process(list(args)) == (code, r.stdout, r.stderr), args
         printed[args] = r.stdout
     # sigma_torus_closed(40, (1/3, 2/7)) = -9: relabelling keeps the inertia
     assert printed["sigma", "--system", str(relabelled40), "--alpha", "1/3", "2/7"] == (
@@ -580,52 +577,46 @@ def test_public_names_resolve_lazily():
 
 def test_h_on_the_half_turn_line_at_ell_one_million():
     # alpha1 + alpha2 = pi: the closed form is the constant 1 - |ell| there
-    r = run("h", "--ell", "1000000", "--alpha", "1/3", "2/3")
-    assert r.returncode == EXIT_OK
-    assert r.stdout == "h=666666 sigma=(-999999,-333333)\n"
+    r = main_in_process(["h", "--ell", "1000000", "--alpha", "1/3", "2/3"])
+    assert r[:2] == (EXIT_OK, "h=666666 sigma=(-999999,-333333)\n")
 
 
 def test_h_float_point_beside_two_root_lines_in_the_band():
     # at ell 1e10 the root lines L - 1 and L + 1 lie 3.1e-10 rad from the half-turn line
     half = "1.5707963267948966"
-    r = run("h", "--ell", "10000000000", "--radians", "--alpha", half, half)
-    assert (r.returncode, r.stdout) == (EXIT_UNDEFINED, "")
-    assert r.stderr == "undefined: alpha on Alexander root locus\n"
+    r = main_in_process(["h", "--ell", "10000000000", "--radians", "--alpha", half, half])
+    assert r == (EXIT_UNDEFINED, "", "undefined: alpha on Alexander root locus\n")
 
 
 def test_curve_degree_limit():
     # the Chebyshev route evaluates T_{2|ell|}, whose degree is capped at 10^6
-    args = ("curve", "--ell", "500001", "--alpha", "1/3", "2/7", "--samples", "4")
-    r = run(*args)
-    assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
-    assert r.stderr == (
-        usage("curve") + "linksig curve: error: degree 1000002 exceeds guard limit 1000000\n"
+    argv = ["curve", "--ell", "500001", "--alpha", "1/3", "2/7", "--samples", "4"]
+    assert main_in_process(argv) == (
+        EXIT_USAGE,
+        "",
+        usage("curve") + "linksig curve: error: degree 1000002 exceeds guard limit 1000000\n",
     )
-    assert run(*args, "--path", "cheb").returncode == EXIT_USAGE
-    r = run(*args, "--path", "quat")
-    assert r.returncode == EXIT_OK and r.stdout.count("quaternion-path") == 4
-    r = run("curve", "--ell", "500000", "--alpha", "1/3", "2/7", "--samples", "4")
-    assert r.returncode == EXIT_OK and r.stdout.count("chebyshev-path") == 4
+    assert main_in_process([*argv, "--path", "cheb"])[0] == EXIT_USAGE
+    code, out, _ = main_in_process([*argv, "--path", "quat"])
+    assert code == EXIT_OK and out.count("quaternion-path") == 4
+    argv[2] = "500000"
+    code, out, _ = main_in_process(argv)
+    assert code == EXIT_OK and out.count("chebyshev-path") == 4
 
 
-def test_curve_degree_limit_is_checked_before_sampling(monkeypatch, capsys):
+def test_curve_degree_limit_is_checked_before_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled")
 
-    with pytest.raises(SystemExit):
-        linksig.cli.main(["curve", "--help"])
-    curve_usage = capsys.readouterr().out.split("\n\n", 1)[0] + "\n"
+    curve_usage = usage("curve")
     monkeypatch.setattr(linksig.pillowcase, "sample_curve", refuse)
     for path in ("both", "cheb"):
-        args = ["curve", "--ell", "-500001", "--alpha", "1/3", "2/7", "--path", path]
-        with pytest.raises(SystemExit) as exc:
-            linksig.cli.main(args)
-        assert exc.value.code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            curve_usage + "linksig curve: error: degree 1000002 exceeds guard limit 1000000\n"
-        )
+        argv = ["curve", "--ell", "-500001", "--alpha", "1/3", "2/7", "--path", path]
+        assert main_in_process(argv) == (
+            EXIT_USAGE,
+            "",
+            curve_usage + "linksig curve: error: degree 1000002 exceeds guard limit 1000000\n",
+        ), path
 
 
 @pytest.mark.parametrize(
@@ -638,52 +629,63 @@ def test_curve_degree_limit_is_checked_before_sampling(monkeypatch, capsys):
 )
 def test_unwritable_out_is_a_usage_error(tmp_path, args):
     out = tmp_path / "missing" / "out"
-    r = run(*args, "--out", str(out))
-    assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
+    code, stdout, err = main_in_process([*args, "--out", str(out)])
+    assert (code, stdout) == (EXIT_USAGE, "")
     command_usage = usage(args[0])
-    assert r.stderr.startswith(f"{command_usage}linksig {args[0]}: error: cannot write {out}: ")
-    assert "Traceback" not in r.stderr
-    assert len(r.stderr.splitlines()) == len(command_usage.splitlines()) + 1
+    assert err.startswith(f"{command_usage}linksig {args[0]}: error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == len(command_usage.splitlines()) + 1
     assert not out.parent.exists()
 
 
 def test_h_past_sys_maxsize():
     # the h range has more members than a Python range can len()
-    r = run("h", "--ell", "100000000000000000000", "--alpha", "1/3", "1/5")
-    assert r.returncode == EXIT_OK
-    assert r.stdout == "h=40000000000000000000 sigma=(-6666666666666666667,-73333333333333333333)\n"
+    r = main_in_process(["h", "--ell", "100000000000000000000", "--alpha", "1/3", "1/5"])
+    assert r[:2] == (
+        EXIT_OK, "h=40000000000000000000 sigma=(-6666666666666666667,-73333333333333333333)\n"
+    )
 
 
-def test_an_exact_angle_past_the_float_range(tmp_path, capsys):
-    # 1/10^400 rounds to 0.0 radians: the curve is drawn, sigma meets
-    # omega = 1, and h, all integers, reads the lattice point exactly
-    tiny = "1/1" + "0" * 400
-    argv = ["curve", "--ell", "3", "--alpha", tiny, "1/3", "--samples", "2"]
-    assert linksig.cli.main(argv) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.startswith("phi,theta,provenance\n") and "# max_abs_dtheta=" in out
+def test_an_exact_angle_past_the_float_range(tmp_path):
+    # 1/10^400 rounds to 0.0 radians and (10^400 - 1)/10^400 to the float pi:
+    # the curve, a float route, refuses either in either position as it
+    # refuses that float; sigma meets omega = 1, and h, all integers, reads
+    # the lattice point exactly
+    tiny, near_one = "1/1" + "0" * 400, "9" * 400 + "/1" + "0" * 400
+
+    def refused(image):
+        message = f"linksig curve: error: angle {image} is outside (0, pi)\n"
+        return EXIT_USAGE, "", usage("curve") + message
+
+    for alpha, image in (((tiny, "1/3"), 0.0), (("1/2", tiny), 0.0), ((near_one, "1/3"), math.pi)):
+        for path in ("quat", "cheb", "both"):
+            argv = ["curve", "--ell", "3", "--alpha", *alpha, "--samples", "2", "--path", path]
+            assert main_in_process(argv) == refused(image), argv
+    # the fuzzer's argv that ended in a ZeroDivisionError on the quaternion route
+    argv = ["curve", "--ell", "1" + "0" * 20, "--alpha", "1/2", tiny, "--samples", "2",
+            "--path", "quat"]
+    assert main_in_process(argv) == refused(0.0)
     path = tmp_path / "torus3.json"
     path.write_text(json.dumps(seifert_to_json(torus_seifert(3))))
-    argv = ["sigma", "--system", str(path), "--alpha", tiny, "1/3"]
-    assert linksig.cli.main(argv) == EXIT_UNDEFINED
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "error: omega_i = 1 is outside the domain of the signature"
-    )
-    assert linksig.cli.main(["h", "--ell", "3", "--alpha", tiny, "1/3"]) == EXIT_OK
-    assert capsys.readouterr().out == "h=1 sigma=(0,-2)\n"
+    code, _, err = main_in_process(["sigma", "--system", str(path), "--alpha", tiny, "1/3"])
+    assert code == EXIT_UNDEFINED
+    assert err.splitlines()[-1] == "error: omega_i = 1 is outside the domain of the signature"
+    r = main_in_process(["h", "--ell", "3", "--alpha", tiny, "1/3"])
+    assert r[:2] == (EXIT_OK, "h=1 sigma=(0,-2)\n")
 
 
-def test_a_float_angle_at_an_ell_past_the_float_range(capsys):
+def test_a_float_angle_at_an_ell_past_the_float_range():
     # past |ell| = 2 pi / TAU_ROOT every float angle sum is on the root locus
     huge = "1" + "0" * 400
     for command in ("h", "curve"):
         argv = [command, "--ell", huge, "--radians", "--alpha", "1.0", "1.0"]
-        assert linksig.cli.main(argv) == EXIT_UNDEFINED
-        assert capsys.readouterr().err.startswith("undefined:")
+        code, _, err = main_in_process(argv)
+        assert code == EXIT_UNDEFINED
+        assert err.startswith("undefined:")
 
 
 @pytest.mark.parametrize("alpha,radians", [(("1/3", "1/5"), False), (("1.1", "0.7"), True)])
-def test_one_root_locus_check_per_query(alpha, radians, monkeypatch, capsys):
+def test_one_root_locus_check_per_query(alpha, radians, monkeypatch):
     from linksig import torus_rep
     from linksig.signature import symmetrized_sigma
 
@@ -695,8 +697,8 @@ def test_one_root_locus_check_per_query(alpha, radians, monkeypatch, capsys):
         )
     expected = ["strips"] if radians else ["strips", "lattice_strips"]
     argv = ["h", "--ell", "5", "--alpha", *alpha] + (["--radians"] if radians else [])
-    assert linksig.cli.main(argv) == EXIT_OK
-    assert capsys.readouterr().out.startswith("h=")
+    code, out, _ = main_in_process(argv)
+    assert code == EXIT_OK and out.startswith("h=")
     assert calls == expected
     calls.clear()
     symmetrized_sigma(5, torus_rep.angle_pair(*(map(float, alpha) if radians else alpha)))
@@ -730,18 +732,15 @@ def test_rational_angle_parse_errors():
         angle = linksig.cli._parse_angle(text, False)
         assert (angle.p, angle.q) == (p, q)
     # on the command line; "-1/2" is a value there, as any token not starting "--"
-    for text in ("1/0", "a/b", "3/2", "0/5", "0.5"):
-        r = run("h", "--ell", "3", "--alpha", text, "1/2")
-        assert (r.returncode, r.stderr) == (EXIT_USAGE, H_USAGE + ANGLE_ERRORS[text])
-    r = run("h", "--ell", "3", "--alpha", "-1/2", "1/2")
-    assert r.returncode == EXIT_USAGE
-    assert r.stderr == H_USAGE + ANGLE_ERRORS["-1/2"]
+    for text in ("1/0", "a/b", "3/2", "0/5", "0.5", "-1/2"):
+        code, _, err = main_in_process(["h", "--ell", "3", "--alpha", text, "1/2"])
+        assert (code, err) == (EXIT_USAGE, H_USAGE + ANGLE_ERRORS[text]), text
 
 
 TOP_USAGE = "usage: linksig [-h] {h,curve,regions,sigma,verify} ...\n"
 
 
-def test_usage_errors_name_the_command_and_ignore_the_terminal():
+def test_usage_errors_name_the_command_and_ignore_the_terminal(monkeypatch):
     """Each exit-64 stderr is the failing command's usage, then its error line,
     with the same bytes under any COLUMNS; the top-level usage and "linksig:
     error:" only when argv names no command."""
@@ -760,17 +759,11 @@ def test_usage_errors_name_the_command_and_ignore_the_terminal():
          "(choose from 'h', 'curve', 'regions', 'sigma', 'verify')"),
         ((), TOP_USAGE, "linksig: error: the following arguments are required: command"),
     ):  # fmt: skip
-        narrow, wide = (
-            subprocess.run(
-                [sys.executable, "-m", "linksig", *args],
-                capture_output=True,
-                text=True,
-                env=dict(os.environ, COLUMNS=columns),
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main_in_process(list(args)) == (EXIT_USAGE, "", f"{usage_text}{message}\n"), (
+                args, columns
             )
-            for columns in ("40", "200")
-        )
-        assert (narrow.returncode, narrow.stdout) == (EXIT_USAGE, ""), args
-        assert narrow.stderr == wide.stderr == f"{usage_text}{message}\n", args
 
 
 def test_help_is_the_usage_then_one_line_per_option():
@@ -813,7 +806,7 @@ def test_a_wide_ell_range_is_read_lazily():
     cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))"
     script = f"{cap}; import sys; from linksig.__main__ import run; sys.exit(run())"
     args = ("verify", "--ell", "1..100000000", "--res", "1")
-    r = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    r = python("-c", script, *args)
     assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
     assert r.stderr == usage("verify") + "linksig verify: error: resolution must be at least 2\n"
 
@@ -830,7 +823,7 @@ def test_out_of_memory_exits_71_with_one_line(args):
     linksig take, and small, so that each meets it within a second."""
     cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (48 << 20, 48 << 20))"
     script = f"{cap}; import sys; from linksig.__main__ import run; sys.exit(run())"
-    r = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    r = python("-c", script, *args)
     assert (r.returncode, r.stdout, r.stderr) == (EXIT_NO_MEMORY, "", "error: out of memory\n")
 
 
@@ -845,9 +838,7 @@ def test_a_size_past_the_bound_exits_64_at_once(args, held):
     refused before any value is computed: no memory cap is needed.  The
     timeout only ends the run if that check is lost."""
     assert linksig.cli.MAX_HELD == 10**8
-    r = subprocess.run(
-        [sys.executable, "-m", "linksig", *args], capture_output=True, text=True, timeout=30
-    )
+    r = python("-m", "linksig", *args, timeout=30)
     assert (r.returncode, r.stdout) == (EXIT_USAGE, "")
     message = f"{held} exceed the 100000000 values one command may hold"
     assert r.stderr == usage(args[0]) + f"linksig {args[0]}: error: {message}\n"
@@ -911,17 +902,6 @@ def argvs(draw, out, systems):
     return [*argv, "--samples", samples, "--path", path, *to_out]
 
 
-def main_in_process(argv):
-    """(exit code, stdout, stderr) of cli.main; only SystemExit may escape it."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = linksig.cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_argv_gets_one_stated_outcome(tmp_path, data):
@@ -973,12 +953,12 @@ def test_float_angle_output_digests(tmp_path):
     path = tmp_path / "torus3.json"
     path.write_text(json.dumps(seifert_to_json(torus_seifert(3))))
     for args, digest in RADIAN_DIGESTS.items():
-        r = run(*(str(path) if a == "{torus3}" else a for a in args))
-        assert r.returncode == EXIT_OK, args
-        assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == digest, args
+        code, out, _ = main_in_process([str(path) if a == "{torus3}" else a for a in args])
+        assert code == EXIT_OK, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args
 
 
-def test_replays_the_benchmark_pools(tmp_path, capsys):
+def test_replays_the_benchmark_pools(tmp_path):
     """Every command of the benchmark's expected pools, in-process, gives its
     recorded exit code and stdout SHA-256."""
     expected = json.loads(
@@ -992,7 +972,6 @@ def test_replays_the_benchmark_pools(tmp_path, capsys):
     entries = [entry for pool in expected["queries"].values() for entry in pool]
     assert len(expected["queries"]) == 11 and len(entries) == 528
     for entry in entries:
-        code = linksig.cli.main([files.get(a, a) for a in entry["argv"]])
-        out = capsys.readouterr().out
+        code, out, _ = main_in_process([files.get(a, a) for a in entry["argv"]])
         assert code == entry["exit"], entry["argv"]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"], entry["argv"]

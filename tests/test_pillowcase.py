@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from linksig.pillowcase import (
 )
 from linksig.torus_rep import (
     AnglePair,
+    RationalAngle,
     angle_pair,
     clamped_acos,
     h_invariant,
@@ -293,3 +295,27 @@ def test_sample_curve_is_bitwise_the_one_point_routes():
                 want = [clamped_acos(cosine(ell, alpha, phi)) for phi in curve.phis]
                 assert [t.hex() for t in curve.thetas] == [t.hex() for t in want], (
                     ell, alpha, path)
+
+
+def test_every_float_route_refuses_an_exact_pair_past_the_float_range():
+    # 1/10^400 reads as 0.0 radians and (10^400 - 1)/10^400 as the float pi:
+    # where a route reads the pair as floats it refuses them as it refuses
+    # those floats, with ValueError; the quaternion route and solve_phi
+    # divided by sin(a2)^2 = 0 or sin(a1) sin(a2) = 0 there
+    tiny, near_pi = RationalAngle(1, 10**400), RationalAngle(10**400 - 1, 10**400)
+    for alpha, image in (
+        (AnglePair(RationalAngle(1, 2), tiny), 0.0),
+        (AnglePair(tiny, RationalAngle(1, 3)), 0.0),
+        (AnglePair(near_pi, RationalAngle(1, 3)), math.pi),
+        (AnglePair(1.0, tiny), 0.0),
+    ):
+        for route, args in (
+            (sample_curve, (3, alpha, 2, QUAT_PATH)),
+            (sample_curve, (3, alpha, 2, CHEB_PATH)),
+            (gamma_cos_theta_quaternion, (3, alpha, 1.0)),
+            (gamma_cos_theta_chebyshev, (3, alpha, 1.0)),
+            (solve_phi, (3, alpha)),
+            (intersections, (3, alpha)),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"angle {image} is outside (0, pi)")):
+                route(*args)
