@@ -8,10 +8,11 @@ of pi by default ("1/2" means pi/2); pass --radians for decimal radians.
 Grammar: a command, then its options as _COMMANDS lists them.  An option is
 --name, --name VALUE or --name=VALUE; a value is the next token unless it
 starts with "--", so -1/2, -3 and -6..6 are values.  Names are exact, the last
-occurrence wins, and an integer is an optional "-" then ASCII digits.  A
-radian angle is what float() reads, in ASCII, with no "_" and no surrounding
-space.  -h or --help prints the usage, a blank line and a line per option, and
-exits 0.
+occurrence wins, and an integer is an optional "-" then ASCII digits, at most
+sys.get_int_max_str_digits() of them (4300 by default; int() refuses more).
+A radian angle is what float() reads, in ASCII, with no "_" and no
+surrounding space.  -h or --help prints the usage, a blank line and a line
+per option, and exits 0.
 
 Exit codes, causes and stderr (stdout is empty on 2, 3, 64, 65 and 71):
   0   success                       empty, or sigma's nullity warning

@@ -78,13 +78,10 @@ class SignedIntersection(Frozen):
     __slots__ = ("point", "m", "sign")
 
 
-def _plane_at(alpha: AnglePair):
+def _plane_at(s1: float, c1: float, s2: float, c2: float):
     """The plane n . x = d that cuts the target circle for Q1 out of the
-    2-sphere, as a function of phi that returns (sin phi, cos phi, n, d),
-    with the trigonometry of alpha done once.  |d|/|n| < 1."""
-    a1, a2 = alpha.radians
-    s1, c1 = math.sin(a1), math.cos(a1)
-    s2, c2 = math.sin(a2), math.cos(a2)
+    2-sphere at alpha, given the sines and cosines of its two angles, as a
+    function of phi that returns (sin phi, cos phi, n, d).  |d|/|n| < 1."""
     s1c2, c1s2, ms1s2 = s1 * c2, c1 * s2, -s1 * s2
 
     def at(phi: float):
@@ -100,10 +97,10 @@ def _quaternion_cosines(ell: int, alpha: AnglePair, phis) -> list[float]:
     """cos(theta) at each phi by explicit quaternion conjugation: conjugate
     P1 = cos(phi) i + sin(phi) j by (X1 X2)^ell and project onto the plane."""
     check_ell(ell)
-    at = _plane_at(alpha)
     a1, a2 = alpha.radians
     s1, c1 = math.sin(a1), math.cos(a1)
     s2, c2 = math.sin(a2), math.cos(a2)
+    at = _plane_at(s1, c1, s2, c2)
     x2 = _unit(c2, s2, 0.0, 0.0)
     s2s2 = s2 * s2
     out = []

@@ -36,7 +36,7 @@ Martin and Wilkinson 1967), so nothing is lost against the eigenvalues, and
 it computes none: by Sylvester's law of inertia the signs of the pivots are
 those of the eigenvalues.  Its zero band is that rounding error, or
 build_H's own where that is larger: H carries the size of the terms summed
-into its entries, so an H(omega) that vanishes reads as zero (see inertia).
+into its entries, so an H(omega) that vanishes reads as zero (see _zero_band).
 A matrix is nested lists, the shape JSON gives, and nothing here imports
 numpy.
 
@@ -67,7 +67,7 @@ from .errors import BadSystemError, NullityWarning, OmegaOneError
 from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
 from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
 
-EIG_ZERO_SCALE = 8 * 2.0**-53  # c u, c = 8: see inertia
+EIG_ZERO_SCALE = 8 * 2.0**-53  # c u, c = 8: see _zero_band
 _LONG = 20  # a longer segment goes to _segment, whose two closed forms cost about 21 steps
 _PHASE_ERR = 16 * 2.0**-53  # see _segment
 _PARABOLIC = 2.0**-20  # sin(theta) of the closed form's edge: see _segment
@@ -399,6 +399,36 @@ class Inertia(Frozen):
         return self.n_pos + self.n_neg + self.n_zero
 
 
+def _zero_band(n: int, hmax: float, size: float) -> float:
+    """t = tau / max|h| for an n x n band h of max|h| = hmax > 0 and term
+    size `size`: inertia counts the eigenvalues outside [-tau, tau].
+
+    tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
+    size of the terms build_H summed into an entry (0.0, read as max|h|, for
+    a band built otherwise).  The max|h| term is the rounding error of the
+    count: t = c n u with u = 2^-53 and c = 8, in units of max|h|.  The Sturm
+    count of a tridiagonal T is the exact count of a T' whose entries differ
+    from T's by a few ulp in relative terms (Kahan 1966; Barth, Martin and
+    Wilkinson 1967), as the scaling by 1 / max|h| does.  A row of T holds at
+    most three entries of modulus <= 1, so ||T' - T||_2 <= ||T' - T||_inf is
+    a few u, below t, and by Weyl's inequality no eigenvalue moves by t: a
+    count of +-1 is the sign of its eigenvalue, and an eigenvalue counted as
+    zero lies within 2 tau of 0.  The size term is build_H's own rounding:
+    each entry is a sum of terms of total modulus <= size, computed to a few
+    u * size, so where H(omega) vanishes, max|h| is that rounding and the
+    whole of h reads as zero.  A wider band adds the Householder backward
+    error, a band unitarily similar to h + E with ||E||_2 <= p(n) u ||h||_2
+    and ||h||_2 <= n max|h| (Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, ch. 19).  The worst case p(n) grows like n^2, but
+    the measured error, the band's eigenvalues against eigvalsh of random
+    Hermitian h of rank 6 to 199, stays below 3.5 n u max|h|, inside t.
+    """
+    t = EIG_ZERO_SCALE * n
+    if size > hmax:
+        t *= size / hmax
+    return t
+
+
 def inertia(h: Band) -> Inertia:
     """Eigenvalue counts of a Band; any other h raises TypeError.  h must
     keep Band's rules and every value must be finite, or a ValueError names
@@ -426,35 +456,15 @@ def inertia(h: Band) -> Inertia:
     the same floats however the runs split; the closed form's exit pivot is
     not, but the counts stay exact, as below.
 
-    tau = EIG_ZERO_SCALE * n * max(max|h|, size), with size = h.size, the
-    size of the terms build_H summed into an entry (0.0, read as max|h|, for
-    a band built otherwise).  The max|h| term is the rounding error of the
-    count: t = c n u with u = 2^-53 and c = 8, in units of max|h|.  The Sturm
-    count of a tridiagonal T is the exact count of a T' whose entries differ
-    from T's by a few ulp in relative terms (Kahan 1966; Barth, Martin and
-    Wilkinson 1967), as the scaling by 1 / max|h| does.  A row of T holds at
-    most three entries of modulus <= 1, so ||T' - T||_2 <= ||T' - T||_inf is
-    a few u, below t, and by Weyl's inequality no eigenvalue moves by t: a
-    count of +-1 is the sign of its eigenvalue, and an eigenvalue counted as
-    zero lies within 2 tau of 0.  The size term is build_H's own rounding:
-    each entry is a sum of terms of total modulus <= size, computed to a few
-    u * size, so where H(omega) vanishes, max|h| is that rounding and the
-    whole of h reads as zero.  A wider band adds the Householder backward error,
-    a band unitarily similar to h + E with ||E||_2 <= p(n) u ||h||_2 and
-    ||h||_2 <= n max|h| (Higham 2002, Accuracy and Stability of Numerical
-    Algorithms, ch. 19).  The worst case p(n) grows like n^2, but the
-    measured error, the band's eigenvalues against eigvalsh of random
-    Hermitian h of rank 6 to 199, stays below 3.5 n u max|h|, inside t.
-
-    That argument covers the steps.  On a closed-form segment of m steps,
-    g = 2 cos(theta), the computed phases err by about (m + 1) u /
-    sin(theta) (_segment bounds it).  Carried back, the rounding of theta
-    is a move of c by at most about 20 u, which t = 8 n u exceeds since
-    n > _LONG, and the rest of the rounding stays inside the bound, which
-    is checked: a segment whose exit phases lie within it of a multiple of
-    pi takes its steps.  So the count is exact as above, and equals the
-    count one position at a time unless an eigenvalue lies within a few u
-    max|h| of +-tau.
+    _zero_band states tau and why the steps count exactly with it.  On a
+    closed-form segment of m steps, g = 2 cos(theta), the computed phases
+    err by about (m + 1) u / sin(theta) (_segment bounds it).  Carried back,
+    the rounding of theta is a move of c by at most about 20 u, which t =
+    8 n u exceeds since n > _LONG, and the rest of the rounding stays inside
+    the bound, which is checked: a segment whose exit phases lie within it
+    of a multiple of pi takes its steps.  So the count is exact, and equals
+    the count one position at a time unless an eigenvalue lies within a few
+    u max|h| of +-tau.
     """
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
@@ -490,9 +500,7 @@ def inertia(h: Band) -> Inertia:
         raise ValueError("matrix is not Hermitian: its diagonal holds a non-float")
     if hmax == 0.0:
         return Inertia(0, 0, n)
-    t = EIG_ZERO_SCALE * n  # tau / max|h|
-    if size > hmax:
-        t *= size / hmax
+    t = _zero_band(n, hmax, size)
     if width < 2:
         sub = diags[1] if width else ((0.0, n - 1),)
     else:

@@ -103,6 +103,19 @@ def test_usage_errors():
         ["regions", "--ell", "2", "--res", "1"],
     ):
         assert main_in_process(argv)[0] == EXIT_USAGE, argv
+    # an integer longer than Python's digit limit for int() is a bad value
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for argv, prefix in (
+        (["h", "--ell", "3", "--alpha", f"1/{digits}", "1/2"],
+         "linksig h: error: bad rational angle '1/1"),
+        (["h", "--ell", digits, "--alpha", "1/3", "1/2"],
+         "linksig h: error: argument --ell: invalid int value: '1"),
+        (["verify", "--ell", f"1..{digits}", "--res", "4"],
+         "linksig verify: error: bad ell range '1..1"),
+    ):  # fmt: skip
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv[:3]
+        assert err.startswith(usage(argv[0]) + prefix), argv[:3]
 
 
 def test_h_radians_flag():
