@@ -319,9 +319,9 @@ class Band(Frozen):
     (k = 0) holds floats, the others complex numbers; and `size` is a finite
     float >= 0.  Adjacent runs may hold equal values, so one matrix has many
     layouts.  inertia gives them all the same counts, unless an eigenvalue
-    lies within a few u max|h| of +-tau, and the same pivot floats where it
+    lies within 64 u max|h| of +-tau, and the same pivot floats where it
     takes one step per position or stops at a float fixed point, though not
-    where it counts a long run in closed form (see inertia).  The upper
+    where it counts a long run in closed form (see inertia for both).  The upper
     half is the conjugate, so the matrix is Hermitian by type; `width` is
     the number of sub-diagonals and `shape` that of the matrix.  `size`
     bounds the total modulus of the terms that build_H summed into any one
@@ -463,8 +463,11 @@ def inertia(h: Band) -> Inertia:
     8 n u exceeds since n > _LONG, and the rest of the rounding stays inside
     the bound, which is checked: a segment whose exit phases lie within it
     of a multiple of pi takes its steps.  So the count is exact, and equals
-    the count one position at a time unless an eigenvalue lies within a few
-    u max|h| of +-tau.
+    the count one position at a time unless an eigenvalue lies within
+    64 u max|h| of +-tau: each of the two is exact for its own T', a few u
+    max|h| from T, and the closed form moves c by about 20 u more, so 64 u
+    covers both.  Only an eigenvalue in that window may move between n_zero
+    and n_pos or n_neg from one count to the other.
     """
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
@@ -488,7 +491,7 @@ def inertia(h: Band) -> Inertia:
         room = max(n - k - 1, 0)
     if not diags:
         raise ValueError("band has a diagonal of the wrong length")
-    if not 0.0 <= size < math.inf:  # NaN fails too
+    if not (isinstance(size, float) and 0.0 <= size < math.inf):  # NaN fails too
         raise ValueError(f"band size {size!r} is not a finite float >= 0")
     if n == 0:
         return Inertia(0, 0, 0)

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 import linksig.cli
 import linksig.pillowcase
-from linksig.signature import SeifertSystem, seifert_to_json, torus_seifert
+from linksig.errors import BadSystemError
+from linksig.signature import (
+    SeifertSystem,
+    seifert_from_json,
+    seifert_to_json,
+    torus_seifert,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -217,6 +223,15 @@ def test_sigma_subcommand(tmp_path):
     assert "nullity=1" in out
     assert "root locus" in err
 
+    # the rank-0 system, [] its 0 x 0 matrices, and a mu-1 system of one entry
+    for document, want in (
+        ('{"mu":1,"rank":0,"matrices":{"+":[],"-":[]}}', "signature=0 nullity=0\n"),
+        ('{"mu":1,"rank":1,"matrices":{"+":[[5]],"-":[[5]]}}', "signature=1 nullity=0\n"),
+    ):
+        path.write_text(document)
+        assert main_in_process(["sigma", "--system", str(path), "--alpha", "1/3"]) == (
+            EXIT_OK, want, ""), document
+
 
 def test_sigma_near_a_root_line_agrees_with_h(tmp_path):
     # (1/1999 + 9/1999) pi lies about 8e-6 rad from the root line pi/200 of
@@ -264,19 +279,6 @@ def test_sigma_where_H_is_small_beside_its_terms(tmp_path):
     assert "root locus" in err
 
 
-def test_sigma_of_empty_rows_is_no_system(tmp_path):
-    # [] is the 0 x 0 matrix; a matrix with empty rows is not square
-    path = tmp_path / "empty.json"
-    for rows in ([[]], [[], []]):
-        path.write_text(json.dumps({"mu": 1, "rank": 0, "matrices": {"+": rows, "-": rows}}))
-        code, out, err = main_in_process(["sigma", "--system", str(path), "--alpha", "1/3"])
-        assert (code, out) == (EXIT_DATA, ""), rows
-        assert "is not square" in err, rows
-    path.write_text(json.dumps({"mu": 1, "rank": 0, "matrices": {"+": [], "-": []}}))
-    r = main_in_process(["sigma", "--system", str(path), "--alpha", "1/3"])
-    assert r[:2] == (EXIT_OK, "signature=0 nullity=0\n")
-
-
 def test_sigma_of_all_zero_system(tmp_path):
     path = tmp_path / "zero.json"
     zero = [[0] * 3 for _ in range(3)]
@@ -289,66 +291,42 @@ def test_sigma_of_all_zero_system(tmp_path):
     )
 
 
-def test_sigma_data_errors(tmp_path):
-    path = tmp_path / "bad.json"
-    data = seifert_to_json(torus_seifert(2))
-    del data["matrices"]["--"]
-    argv = ["sigma", "--system", str(path), "--alpha", "1/2", "1/2"]
-    path.write_text(json.dumps(data))
-    assert main_in_process(argv)[0] == EXIT_DATA
-
-    data = seifert_to_json(torus_seifert(3))
-    data["matrices"]["--"][0][1] = 9
-    path.write_text(json.dumps(data))
-    code, _, err = main_in_process(argv)
-    assert code == EXIT_DATA
-    assert "transpose" in err and "--" in err
-
-    path.write_text("{broken")
-    assert main_in_process(argv)[0] == EXIT_DATA
-    argv = ["sigma", "--system", str(tmp_path / "missing.json"), "--alpha", "1/2", "1/2"]
-    code, _, err = main_in_process(argv)
-    assert code == EXIT_DATA
-    assert err.startswith("error: cannot read ") and err.count("\n") == 1
-
-    # bytes that are not UTF-8, and nesting past the parser's recursion limit
-    deep = '{"mu":1,"rank":1,"matrices":{"+":' + "[" * 100_000 + "]" * 100_000 + "}}"
-    for document in (b"\xff", deep.encode()):
-        path.write_bytes(document)
-        code, out, err = main_in_process(["sigma", "--system", str(path), "--alpha", "1/3"])
-        assert (code, out) == (EXIT_DATA, ""), document[:8]
-        assert err.startswith("error: malformed JSON: "), document[:8]
-        assert err.count("\n") == 1 and "Traceback" not in err, document[:8]
-
-
-def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
-    path = tmp_path / "system.json"
-    argv = ["sigma", "--system", str(path), "--alpha", "1/3"]
-    for entry in ("1e30", "9223372036854775808", "true"):
-        path.write_text(f'{{"mu":1,"rank":1,"matrices":{{"+":[[{entry}]],"-":[[{entry}]]}}}}')
-        assert main_in_process(argv)[:2] == (EXIT_DATA, ""), entry
-    # matrices that are no mapping, and 2^18 sign vectors with one given: the
-    # error names a few keys, not 2^18
-    for document in (
+def test_sigma_exits_65_with_the_loader_message(tmp_path):
+    # test_system_validation and test_seifert_json_validation pin each
+    # refusal's message; through main each document exits 65 with empty
+    # stdout and exactly that message on stderr
+    missing, tampered = seifert_to_json(torus_seifert(2)), seifert_to_json(torus_seifert(3))
+    del missing["matrices"]["--"]
+    tampered["matrices"]["--"][0][1] = 9
+    documents = [json.dumps(missing), json.dumps(tampered)]
+    # entries numpy would corrupt, and true or 1.0 counts
+    one = '{{"mu":{0},"rank":{1},"matrices":{{"+":[[{2}]],"-":[[{2}]]}}}}'.format
+    documents += [one(1, 1, e) for e in ("1e30", "9223372036854775808", "true")]
+    counts = (("true", "true"), ("true", 1), (1, "true"), (1, "1.0"))
+    documents += [one(mu, rank, 5) for mu, rank in counts]
+    documents += [
         '{"mu":1,"rank":1,"matrices":null}',
         '{"mu":1,"rank":1,"matrices":7}',
-        '{"mu":18,"rank":1,"matrices":{"+":[[1]]}}',
+        '{"mu":18,"rank":1,"matrices":{"+":[[1]]}}',  # 2^18 sign vectors, one key given
         '{"mu":18,"rank":1,"matrices":{"++++++++++++++++++":[[1]]}}',
-    ):
-        path.write_text(document)
-        code, out, err = main_in_process(argv)
-        assert (code, out) == (EXIT_DATA, ""), document
-        assert len(err) < 1024 and "Traceback" not in err, document
-    path.write_text('{"mu":1,"rank":1,"matrices":{"+":[[5]],"-":[[5]]}}')
-    assert main_in_process(argv)[:2] == (EXIT_OK, "signature=1 nullity=0\n")
-
-
-def test_sigma_rejects_a_bool_or_float_mu_and_rank(tmp_path):
-    path = tmp_path / "system.json"
-    for mu, rank in (("true", "true"), ("true", "1"), ("1", "true"), ("1", "1.0")):
-        path.write_text(f'{{"mu":{mu},"rank":{rank},"matrices":{{"+":[[5]],"-":[[5]]}}}}')
-        argv = ["sigma", "--system", str(path), "--alpha", "1/3"]
-        assert main_in_process(argv)[:2] == (EXIT_DATA, ""), (mu, rank)
+        '{"mu":1,"rank":0,"matrices":{"+":[[]],"-":[[]]}}',  # rows that are empty
+        '{"mu":1,"rank":0,"matrices":{"+":[[],[]],"-":[[],[]]}}',
+        "{broken",
+    ]
+    documents = [d.encode() for d in documents]
+    deep = '{"mu":1,"rank":1,"matrices":{"+":' + "[" * 100_000 + "]" * 100_000 + "}}"
+    documents += [b"\xff", deep.encode()]  # not UTF-8, and nested past the recursion limit
+    path = tmp_path / "bad.json"
+    argv = ["sigma", "--system", str(path), "--alpha", "1/3"]
+    for document in documents:
+        with pytest.raises(BadSystemError) as refused:
+            seifert_from_json(document)
+        path.write_bytes(document)
+        assert main_in_process(argv) == (EXIT_DATA, "", f"error: {refused.value}\n"), document[:60]
+    argv = ["sigma", "--system", str(tmp_path / "missing.json"), "--alpha", "1/2", "1/2"]
+    code, out, err = main_in_process(argv)
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
 def test_sigma_at_omega_one_exits_undefined(tmp_path):
