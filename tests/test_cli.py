@@ -291,42 +291,59 @@ def test_sigma_of_all_zero_system(tmp_path):
     )
 
 
-def test_sigma_exits_65_with_the_loader_message(tmp_path):
-    # test_system_validation and test_seifert_json_validation pin each
-    # refusal's message; through main each document exits 65 with empty
-    # stdout and exactly that message on stderr
-    missing, tampered = seifert_to_json(torus_seifert(2)), seifert_to_json(torus_seifert(3))
-    del missing["matrices"]["--"]
-    tampered["matrices"]["--"][0][1] = 9
-    documents = [json.dumps(missing), json.dumps(tampered)]
-    # entries numpy would corrupt, and true or 1.0 counts
-    one = '{{"mu":{0},"rank":{1},"matrices":{{"+":[[{2}]],"-":[[{2}]]}}}}'.format
-    documents += [one(1, 1, e) for e in ("1e30", "9223372036854775808", "true")]
-    counts = (("true", "true"), ("true", 1), (1, "true"), (1, "1.0"))
-    documents += [one(mu, rank, 5) for mu, rank in counts]
-    documents += [
-        '{"mu":1,"rank":1,"matrices":null}',
-        '{"mu":1,"rank":1,"matrices":7}',
-        '{"mu":18,"rank":1,"matrices":{"+":[[1]]}}',  # 2^18 sign vectors, one key given
-        '{"mu":18,"rank":1,"matrices":{"++++++++++++++++++":[[1]]}}',
-        '{"mu":1,"rank":0,"matrices":{"+":[[]],"-":[[]]}}',  # rows that are empty
-        '{"mu":1,"rank":0,"matrices":{"+":[[],[]],"-":[[],[]]}}',
-        "{broken",
-    ]
-    documents = [d.encode() for d in documents]
-    deep = '{"mu":1,"rank":1,"matrices":{"+":' + "[" * 100_000 + "]" * 100_000 + "}}"
-    documents += [b"\xff", deep.encode()]  # not UTF-8, and nested past the recursion limit
+def assert_exits_65_with_the_loader_message(tmp_path, documents):
+    """Through main each document exits 65 with empty stdout and exactly the
+    message seifert_from_json refuses it with on stderr;
+    test_system_validation and test_seifert_json_validation pin each message."""
     path = tmp_path / "bad.json"
     argv = ["sigma", "--system", str(path), "--alpha", "1/3"]
     for document in documents:
+        document = document.encode() if isinstance(document, str) else document
         with pytest.raises(BadSystemError) as refused:
             seifert_from_json(document)
         path.write_bytes(document)
         assert main_in_process(argv) == (EXIT_DATA, "", f"error: {refused.value}\n"), document[:60]
+
+
+# a mu-1 system of one entry, each matrix [[entry]]
+one = '{{"mu":{0},"rank":{1},"matrices":{{"+":[[{2}]],"-":[[{2}]]}}}}'.format
+
+
+def test_sigma_of_empty_rows_is_no_system(tmp_path):
+    # [] is the 0 x 0 matrix (test_sigma_subcommand); a matrix with empty rows is not square
+    assert_exits_65_with_the_loader_message(tmp_path, [
+        '{"mu":1,"rank":0,"matrices":{"+":[[]],"-":[[]]}}',
+        '{"mu":1,"rank":0,"matrices":{"+":[[],[]],"-":[[],[]]}}',
+    ])
+
+
+def test_sigma_data_errors(tmp_path):
+    missing, tampered = seifert_to_json(torus_seifert(2)), seifert_to_json(torus_seifert(3))
+    del missing["matrices"]["--"]
+    tampered["matrices"]["--"][0][1] = 9
+    deep = '{"mu":1,"rank":1,"matrices":{"+":' + "[" * 100_000 + "]" * 100_000 + "}}"
+    # not UTF-8, and nested past the recursion limit
+    assert_exits_65_with_the_loader_message(
+        tmp_path, [json.dumps(missing), json.dumps(tampered), "{broken", b"\xff", deep])
     argv = ["sigma", "--system", str(tmp_path / "missing.json"), "--alpha", "1/2", "1/2"]
     code, out, err = main_in_process(argv)
     assert (code, out) == (EXIT_DATA, "")
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_sigma_rejects_entries_numpy_would_corrupt(tmp_path):
+    assert_exits_65_with_the_loader_message(tmp_path, [
+        *(one(1, 1, entry) for entry in ("1e30", "9223372036854775808", "true")),
+        '{"mu":1,"rank":1,"matrices":null}',
+        '{"mu":1,"rank":1,"matrices":7}',
+        '{"mu":18,"rank":1,"matrices":{"+":[[1]]}}',  # 2^18 sign vectors, one key given
+        '{"mu":18,"rank":1,"matrices":{"++++++++++++++++++":[[1]]}}',
+    ])
+
+
+def test_sigma_rejects_a_bool_or_float_mu_and_rank(tmp_path):
+    counts = (("true", "true"), ("true", 1), (1, "true"), (1, "1.0"))
+    assert_exits_65_with_the_loader_message(tmp_path, [one(mu, rank, 5) for mu, rank in counts])
 
 
 def test_sigma_at_omega_one_exits_undefined(tmp_path):
