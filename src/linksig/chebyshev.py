@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import shown
+
 MAX_DEGREE = 10**6
 
 
@@ -21,7 +23,7 @@ def check_degree(m: int) -> None:
     if m < 0:
         raise ValueError("degree must be non-negative")
     if m > MAX_DEGREE:
-        raise ValueError(f"degree {m} exceeds guard limit {MAX_DEGREE}")
+        raise ValueError(f"degree {shown(m)} exceeds guard limit {MAX_DEGREE}")
 
 
 def eval_T(m: int, x: float) -> float:

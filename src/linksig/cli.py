@@ -47,7 +47,7 @@ pillowcase, the quaternions or the Seifert engine.
 import math
 import sys
 
-from .errors import BadSystemError, NotDefinedError, OmegaOneError, ZeroLinkingError
+from .errors import BadSystemError, NotDefinedError, OmegaOneError, ZeroLinkingError, shown
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -64,7 +64,7 @@ MAX_HELD = 10**8  # values one command may hold: far above every pool and CI arg
 def _check_held(held: int, unit: str) -> None:
     """Refuse, as a usage error, a command that would hold more than MAX_HELD values."""
     if held > MAX_HELD:
-        raise ValueError(f"{held} {unit} exceed the {MAX_HELD} values one command may hold")
+        raise ValueError(f"{shown(held)} {unit} exceed the {MAX_HELD} values one command may hold")
 
 
 def _parse_angle(text: str, radians: bool):

@@ -1,4 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a value."""
+
+import sys
+
+
+def shown(x, show=repr) -> str:
+    """show(x), repr by default, for a message.  An int with more digits than
+    int -> str converts, sys.get_int_max_str_digits() (4300 by default),
+    shows as "<int of more than 4300 digits>" after its sign, and a tuple or
+    list that holds one shows its items so; any other value shows as show
+    gives it."""
+    if isinstance(x, int):
+        try:
+            repr(x)
+        except ValueError:
+            sign = "-" if x < 0 else ""
+            return f"{sign}<int of more than {sys.get_int_max_str_digits()} digits>"
+    try:
+        return show(x)
+    except ValueError:  # such an int inside x
+        if not isinstance(x, (tuple, list)):
+            raise
+        items = ", ".join(shown(v, show) for v in x)
+        if isinstance(x, list):
+            return f"[{items}]"
+        return f"({items},)" if len(x) == 1 else f"({items})"
 
 
 class LinksigError(Exception):

@@ -63,7 +63,7 @@ from operator import mul
 from types import MappingProxyType
 
 from ._values import Frozen
-from .errors import BadSystemError, NullityWarning, OmegaOneError
+from .errors import BadSystemError, NullityWarning, OmegaOneError, shown
 from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
 from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
 
@@ -101,8 +101,8 @@ def _check_keys(mu: int, keys) -> None:
         if not (isinstance(k, str) and len(k) == mu and not k.strip("+-"))
     ]
     if extra:
-        shown = ", ".join(reprlib.repr(k) for k in extra[:3])
-        raise BadSystemError(f"unexpected keys: {shown} ({len(extra)} in all)")
+        names = ", ".join(shown(k, reprlib.repr) for k in extra[:3])
+        raise BadSystemError(f"unexpected keys: {names} ({len(extra)} in all)")
 
 
 def _checked_entries(key: str, rank: int, e) -> tuple:
@@ -112,20 +112,20 @@ def _checked_entries(key: str, rank: int, e) -> tuple:
     for entry in e:
         if not (type(entry) is tuple and len(entry) == 3
                 and type(entry[0]) is type(entry[1]) is type(entry[2]) is int):
-            raise BadSystemError(f"matrix {key} entry {entry!r} is not a tuple of three ints")
+            raise BadSystemError(f"matrix {key} entry {shown(entry)} is not a tuple of three ints")
         i, j, v = entry
         if not (0 <= i < rank and 0 <= j < rank):
-            raise BadSystemError(f"matrix {key} entry {entry!r} lies outside rank {rank}")
+            raise BadSystemError(f"matrix {key} entry {shown(entry)} lies outside rank {shown(rank)}")
         if not v:
-            raise BadSystemError(f"matrix {key} entry {entry!r} is zero")
+            raise BadSystemError(f"matrix {key} entry {shown(entry)} is zero")
         if not -(2**63) <= v < 2**63:
             raise BadSystemError(
-                f"matrix {key} entry {v!r} is outside the int64 range [-2^63, 2^63)"
+                f"matrix {key} entry {shown(v)} is outside the int64 range [-2^63, 2^63)"
             )
     e = tuple(sorted(e))
     for a, b in pairwise(e):  # sorted, two entries at one (i, j) are adjacent
         if a[:2] == b[:2]:
-            raise BadSystemError(f"matrix {key} has two entries at ({a[0]}, {a[1]})")
+            raise BadSystemError(f"matrix {key} has two entries at {shown(a[:2])}")
     return e
 
 
@@ -148,17 +148,17 @@ class SeifertSystem(Frozen):
 
     The rest is derived for build_H.  A position (j + k, j) on or below the
     diagonal holds the terms (key index, v), one per key of `entries` with an
-    entry v there, in key order.  `runs[k]`, for each diagonal k = 0 ..
-    width, covers its n - k positions in order by runs (terms, count), () the
-    terms of an empty stretch, no two adjacent runs with the same terms.  A
+    entry v there, in key order.  `runs[k]`, for each diagonal k from 0 to
+    the farthest sub-diagonal that an entry fills, at least 1, covers its
+    n - k positions in order by runs (terms, count), () the terms of an
+    empty stretch, no two adjacent runs with the same terms.  A
     (2,2l)-torus system has one run per diagonal, however large its rank,
     and an empty stretch is one run, so nothing here grows with the band of
-    H.  `width` is the farthest sub-diagonal that an entry fills, at least
-    1, and `bound` the largest sum of |A^eps_ij| over eps at one position,
+    H.  `bound` is the largest sum of |A^eps_ij| over eps at one position,
     the same on the upper half by the transpose rule.
     """
 
-    __slots__ = ("mu", "rank", "entries", "runs", "width", "bound")
+    __slots__ = ("mu", "rank", "entries", "runs", "bound")
 
     def __init__(self, mu: int, rank: int, entries):
         _check_count("mu", mu, 1, "positive")
@@ -196,7 +196,7 @@ class SeifertSystem(Frozen):
                 r.append(((), rank - k - end))
             runs.append(tuple(r))
         bound = max((sum(abs(v) for _, v in t) for d in runs for t, _ in d), default=0)
-        super().__init__(mu, rank, MappingProxyType(entries), tuple(runs), width, bound)
+        super().__init__(mu, rank, MappingProxyType(entries), tuple(runs), bound)
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -257,7 +257,7 @@ def seifert_system(mu: int, matrices: Mapping) -> SeifertSystem:
     _check_keys(mu, matrices)
     count = len(matrices)
     if count.bit_length() <= mu:  # count < 2^mu
-        message = f"missing sign-vector keys: {count} of 2^{mu} given"
+        message = f"missing sign-vector keys: {count} of 2^{shown(mu)} given"
         # one of the first count + 1 is missing; forming it costs no more than
         # the input, which holds a key of length mu unless it is empty
         if count:
@@ -304,7 +304,7 @@ def seifert_from_json(data) -> SeifertSystem:
     system = seifert_system(data["mu"], data["matrices"])
     if system.rank != data["rank"]:
         raise BadSystemError(
-            f"declared rank {data['rank']} != actual rank {system.rank}"
+            f"declared rank {shown(data['rank'])} != actual rank {system.rank}"
         )
     return system
 
@@ -317,11 +317,8 @@ class Band(Frozen):
     positive int, not a bool, and the counts of diagonal k sum to
     max(n - k, 0), with n at most sys.maxsize (the run policy); the diagonal
     (k = 0) holds floats, the others complex numbers; and `size` is a finite
-    float >= 0.  Adjacent runs may hold equal values, so one matrix has many
-    layouts.  inertia gives them all the same counts, unless an eigenvalue
-    lies within 64 u max|h| of +-tau, and the same pivot floats where it
-    takes one step per position or stops at a float fixed point, though not
-    where it counts a long run in closed form (see inertia for both).  The upper
+    float >= 0.  Adjacent runs may hold equal values; inertia joins such
+    neighbours, so every layout of one matrix has one count.  The upper
     half is the conjugate, so the matrix is Hermitian by type; `width` is
     the number of sub-diagonals and `shape` that of the matrix.  `size`
     bounds the total modulus of the terms that build_H summed into any one
@@ -342,7 +339,7 @@ class Band(Frozen):
 
 def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     """The Hermitian matrix H(omega) of the system at unit omega, all != 1,
-    as a Band of width s.width, its diagonal floats.  Its `size`,
+    as a Band of width len(s.runs) - 1, its diagonal floats.  Its `size`,
     |prod(1 - conj(omega_i))| * s.bound, bounds the terms summed into any
     entry.
 
@@ -442,7 +439,10 @@ def inertia(h: Band) -> Inertia:
 
     One walk over the runs of the diagonal and of the sub-diagonal shifted
     down one row runs the Sturm counts of T + t and t - T together: n_neg =
-    #(lambda < -tau) and n_pos = #(lambda > tau).  Where both runs hold, a
+    #(lambda < -tau) and n_pos = #(lambda > tau).  It first joins adjacent
+    runs of equal value (_joined), so its segments, and which of them it
+    counts in closed form, depend on the matrix alone: equal values, +-0.0
+    among them, form the same floats below.  Where both runs hold, a
     segment, it forms c = a + t, c = t - a and r = |e|^2 once, the floats
     that each position would form.  A segment of at most _LONG steps takes
     them one position at a time in the walk's own loop.  A longer one goes
@@ -451,10 +451,7 @@ def inertia(h: Band) -> Inertia:
     and otherwise step by step until the pivot reaches a float fixed point
     (after one step where r = 0, once the pivots converge where |g| > 2),
     the steps left then counted at once.  So a band costs O(runs) steps,
-    save its long segments near |g| = 2 or at a tie.  The steps and the
-    fixed-point exit form the walk's floats bit for bit, so those pivots are
-    the same floats however the runs split; the closed form's exit pivot is
-    not, but the counts stay exact, as below.
+    save its long segments near |g| = 2 or at a tie.
 
     _zero_band states tau and why the steps count exactly with it.  On a
     closed-form segment of m steps, g = 2 cos(theta), the computed phases
@@ -492,7 +489,7 @@ def inertia(h: Band) -> Inertia:
     if not diags:
         raise ValueError("band has a diagonal of the wrong length")
     if not (isinstance(size, float) and 0.0 <= size < math.inf):  # NaN fails too
-        raise ValueError(f"band size {size!r} is not a finite float >= 0")
+        raise ValueError(f"band size {shown(size)} is not a finite float >= 0")
     if n == 0:
         return Inertia(0, 0, 0)
     diag = diags[0]
@@ -505,7 +502,7 @@ def inertia(h: Band) -> Inertia:
         return Inertia(0, 0, n)
     t = _zero_band(n, hmax, size)
     if width < 2:
-        sub = diags[1] if width else ((0.0, n - 1),)
+        diag, sub = _joined(diag), _joined(diags[1]) if width else ((0.0, n - 1),)
     else:
         rows = [[0j] * n for _ in range(n)]
         for k, d in enumerate(diags):
@@ -554,6 +551,21 @@ def inertia(h: Band) -> Inertia:
                 elif hi == 0.0:
                     hi = sys.float_info.min
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+
+
+def _joined(runs):
+    """The runs (value, count) of one diagonal, each stretch of adjacent
+    runs of equal value, by ==, joined into one run of its first value; a
+    single run, as on every torus H, is returned as it is."""
+    if len(runs) < 2:
+        return runs
+    out = []
+    for run in runs:
+        if out and run[0] == out[-1][0]:
+            out[-1] = (out[-1][0], out[-1][1] + run[1])
+        else:
+            out.append(run)
+    return out
 
 
 def _segment(c: float, r: float, p: float, m: int) -> tuple[float, int]:
@@ -682,7 +694,7 @@ def _minor_terms(ell: int, alpha: AnglePair, m: int) -> tuple[float, float]:
     if check_ell(ell) < 1:
         raise ValueError("ell must be a positive integer")
     if not 1 <= m <= ell:
-        raise ValueError(f"m must lie in [1, {ell}]")
+        raise ValueError(f"m must lie in [1, {shown(ell)}]")
     a1, a2 = alpha.radians
     return math.sin(a1) * math.sin(a2), a1 + a2
 

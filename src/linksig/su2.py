@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 from ._values import Frozen
+from .errors import shown
 
 TAU_UNIT = 1e-12
 
@@ -95,7 +96,7 @@ def act(word: tuple[int, ...], tup: QuatTuple) -> QuatTuple:
     xs = list(tup)
     for w in word:
         if not 1 <= abs(w) < n:
-            raise ValueError(f"generator index {w} out of range for {n} strands")
+            raise ValueError(f"generator index {shown(w)} out of range for {n} strands")
         i = abs(w) - 1
         a, b = xs[i], xs[i + 1]
         if w > 0:

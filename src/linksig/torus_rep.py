@@ -30,7 +30,7 @@ import cmath
 import math
 
 from ._values import Frozen
-from .errors import NotDefinedError, ZeroLinkingError
+from .errors import NotDefinedError, ZeroLinkingError, shown
 
 TAU_ROOT = 1e-9
 
@@ -73,7 +73,7 @@ class RationalAngle(Frozen):
         if g > 1:
             p, q = p // g, q // g
         if not 0 < p < q:
-            raise ValueError(f"angle {p}/{q}*pi is outside (0, pi)")
+            raise ValueError(f"angle {shown(p)}/{shown(q)}*pi is outside (0, pi)")
         super().__init__(p, q)
 
     @classmethod

@@ -99,6 +99,10 @@ def test_degree_guard():
         eval_T(-1, 0.5)
     with pytest.raises(ValueError):
         eval_T(10**6 + 1, 0.5)
+    # a degree past the 4300 digits that int -> str gives is shown by that limit
+    message = "^degree <int of more than 4300 digits> exceeds guard limit 1000000$"
+    with pytest.raises(ValueError, match=message):
+        eval_T(10**5000, 0.5)
     with pytest.raises(TypeError):
         eval_U(2.5, 0.5)
     # a bool is no degree, as it is no ell and no angle numerator

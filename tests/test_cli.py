@@ -610,6 +610,13 @@ def test_curve_degree_limit():
     argv[2] = "500000"
     code, out, _ = main_in_process(argv)
     assert code == EXIT_OK and out.count("chebyshev-path") == 4
+    # a degree past the 4300 digits that int -> str gives is shown by that limit
+    message = "degree <int of more than 4300 digits> exceeds guard limit 1000000"
+    assert main_in_process(["curve", "--ell", "9" * 4300, "--alpha", "1/3", "1/5"]) == (
+        EXIT_USAGE,
+        "",
+        usage("curve") + f"linksig curve: error: {message}\n",
+    )
 
 
 def test_curve_degree_limit_is_checked_before_sampling(monkeypatch):
@@ -840,6 +847,10 @@ def test_out_of_memory_exits_71_with_one_line(args):
     (("curve", "--ell", "3", "--alpha", "1/3", "1/5", "--samples", "100000000"),
      "200000000 samples"),
     (("verify", "--ell", "3", "--res", "100000", "--verbose"), "9999800001 points"),
+    # a size past the 4300 digits that int -> str gives is shown by that limit
+    (("regions", "--ell", "3", "--res", "9" * 3000), "<int of more than 4300 digits> cells"),
+    (("verify", "--ell", "3", "--res", "9" * 3000, "--verbose"),
+     "<int of more than 4300 digits> points"),
 ])
 def test_a_size_past_the_bound_exits_64_at_once(args, held):
     """An argv that would hold more than cli.MAX_HELD values is a usage error,
@@ -865,7 +876,7 @@ ANGLES = st.one_of(
     ]),
     st.builds("{}/{}".format, PARTS, PARTS),
 )  # fmt: skip
-HUGE_ELLS = ["100000000000000000000", "-100000000000000000000", "500001", "-1000000"]
+HUGE_ELLS = ["100000000000000000000", "-100000000000000000000", "500001", "-1000000", "9" * 4300]
 # sizes up to 10^12 that hold more than cli.MAX_HELD = 10^8 values on any route
 REFUSED_RES = st.integers(10_002, 10**12).map(str)  # (res - 1)^2 > 10^8
 REFUSED_SAMPLES = st.integers(10**8 + 1, 10**12).map(str)

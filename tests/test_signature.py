@@ -108,6 +108,7 @@ def test_system_validation():
         (18, {"+": [[1]]}, r"unexpected keys: '\+' \(1 in all\)$"),
         (18, {"+" * 18: [[1]]}, r"1 of 2\^18 given, the first is '\+{17}-'$"),
         (18, {}, r"0 of 2\^18 given$"),
+        (10**5000, {}, r"0 of 2\^<int of more than 4300 digits> given$"),
     ):
         with pytest.raises(BadSystemError, match=message):
             seifert_system(mu, matrices)
@@ -256,7 +257,8 @@ def assert_is_the_sum(s, omegas):
     rows, size = build_H_over_every_matrix(s, omegas)
     h = build_H(s, omegas)
     assert h.shape == (s.rank, s.rank)
-    assert h.width == s.width == max([1] + [i - j for e in s.entries.values() for i, j, _ in e])
+    farthest = max([1] + [i - j for e in s.entries.values() for i, j, _ in e])
+    assert h.width == len(s.runs) - 1 == farthest
     assert repr(expanded(h)) == repr(band_of(rows, h.width))
     assert repr(h.size) == repr(size)
 
@@ -376,7 +378,7 @@ def test_every_system_of_rank_at_most_two_gives_a_band():
     for mu in (1, 2, 3):
         for rank in (0, 1, 2):
             s = random_system(rng, mu, rank)
-            assert s.width == 1
+            assert len(s.runs) == 2
             for omegas in [random_omegas(rng, mu) for _ in range(5)]:
                 assert_is_the_sum(s, omegas)
                 assert_counts(build_H(s, omegas), eigvalsh_inertia)
@@ -497,6 +499,9 @@ def test_delta_examples():
     # past the float range the closed form overflows, as its docstring states
     with pytest.raises(OverflowError):
         delta_closed(10**6, AnglePair.from_radians(0.4, 0.9), 10**6)
+    # an ell past the 4300 digits that int -> str gives is shown by that limit
+    with pytest.raises(ValueError, match=r"^m must lie in \[1, <int of more than 4300 digits>\]$"):
+        delta_recursive(10**5000, P22, 0)
 
 
 def test_delta_zero_on_minor_root_lines():
@@ -621,11 +626,10 @@ def test_seifert_json_validation():
 # inertia() against its reference counts
 
 
-def assert_counts(h, reference, *layouts):
-    """inertia keeps its contract on the Band h, and on each of `layouts`,
-    the same matrix held as other runs, against reference(h, side), a count
-    of h whose zero band tau is widened (side 1) or narrowed (side -1) by
-    the reference's window w:
+def assert_counts(h, reference):
+    """inertia keeps its contract on the Band h against reference(h, side),
+    a count of h whose zero band tau is widened (side 1) or narrowed (side
+    -1) by the reference's window w:
 
     - where no eigenvalue lies within w of +-tau, the counts are equal;
     - otherwise they may differ only by the eigenvalues inside the window,
@@ -637,12 +641,11 @@ def assert_counts(h, reference, *layouts):
     for per_position_inertia, the bound inertia's docstring derives, and
     w = 1e-6 tau for eigvalsh_inertia.  This is the one place a test
     compares inertia with a reference count."""
-    want, bounds = reference(h), None
-    for got in map(inertia, (h, *layouts)):
-        if got != want:
-            lo, hi = bounds = bounds or (reference(h, 1), reference(h, -1))
-            within = lo.n_pos <= got.n_pos <= hi.n_pos and lo.n_neg <= got.n_neg <= hi.n_neg
-            assert got.rank == want.rank and within, (got, want, lo, hi)
+    got, want = inertia(h), reference(h)
+    if got != want:
+        lo, hi = reference(h, 1), reference(h, -1)
+        within = lo.n_pos <= got.n_pos <= hi.n_pos and lo.n_neg <= got.n_neg <= hi.n_neg
+        assert got.rank == want.rank and within, (got, want, lo, hi)
 
 
 def eigvalsh_inertia(h, side=0, size=None):
@@ -865,11 +868,13 @@ def test_inertia_rejects_a_user_built_band_by_the_rules_for_any_matrix():
 
 def test_inertia_refuses_a_size_that_is_no_finite_float_at_least_zero():
     # inf once made tau infinite, and every eigenvalue read as zero; 10**400
-    # overflowed in size / max|h|
+    # overflowed in size / max|h|, and 10**5000 has more digits than repr gives
     diag, sub = ((1.0, 2), (-1.0, 1)), ((0.5, 2),)
     assert inertia(Band((diag, sub), 0.0)) == Inertia(2, 1, 0)
-    for size in (math.nan, -1.0, math.inf, True, 0, Fraction(1, 2), Decimal("0.5"), 10**400):
-        message = rf"^band size {re.escape(repr(size))} is not a finite float >= 0$"
+    sizes = (math.nan, -1.0, math.inf, True, 0, Fraction(1, 2), Decimal("0.5"), 10**400)
+    huge = (10**5000, "<int of more than 4300 digits>")
+    for size, text in [*((s, repr(s)) for s in sizes), huge]:
+        message = rf"^band size {re.escape(text)} is not a finite float >= 0$"
         with pytest.raises(ValueError, match=message):
             inertia(Band((diag, sub), size))
 
@@ -985,15 +990,15 @@ def resplit(h, rng):
 
 
 def assert_split_free(h, rng):
-    """inertia counts h as the per-position count does, by assert_counts,
-    and so h with every run cut into runs of one, with its runs cut at
-    random and with its equal neighbours joined."""
+    """inertia gives h exactly the counts it gives h with every run cut into
+    runs of one, with its runs cut at random and with its equal neighbours
+    joined, and counts h as the per-position count does, by assert_counts."""
     laid = expanded(h)
     ones = Band(tuple(tuple((x, 1) for x in d) for d in laid), h.size)
-    layouts = (ones, resplit(h, rng), band_from(*laid, size=h.size))
-    for layout in layouts:
+    for layout in (ones, resplit(h, rng), band_from(*laid, size=h.size)):
         assert repr(expanded(layout)) == repr(laid)
-    assert_counts(h, per_position_inertia, *layouts)
+        assert inertia(layout) == inertia(h)
+    assert_counts(h, per_position_inertia)
 
 
 @st.composite
@@ -1055,7 +1060,9 @@ def run_layouts(draw):
 
 @settings(deadline=None, max_examples=300)
 # an eigenvalue 8.1e-25 above tau, which inertia's closed form counts as
-# positive and the per-position count as zero, both within their contract
+# positive and the per-position count as zero, both within their contract;
+# its 95-step run cut into shorter ones must still read the closed form's
+# count, since inertia joins equal runs
 @example(Band((((9.379164112033322e-13, 95), (2.0, 257)),
                ((2j, 130), (0j, 1), (0j, 1), (0j, 219))), 0.0), random.Random(0))
 @given(st.one_of(run_bands(), run_layouts()), st.randoms(use_true_random=False))
@@ -1478,7 +1485,7 @@ def test_engine_on_a_permuted_rank_199_torus_system():
     perm = list(range(199))
     rng.shuffle(perm)
     s = congruent_torus_sum([200], perm, [rng.choice([1, -1]) for _ in perm], [])
-    assert s.width > 1
+    assert len(s.runs) > 2
     alpha = angle_pair("1/1999", "9/1999")
     with warnings.catch_warnings():
         warnings.simplefilter("error", NullityWarning)
@@ -1576,7 +1583,7 @@ def alexander_determinant(s):
     A(t) = sum_eps eps_1 eps_2 t1^((1 - eps_1)/2) t2^((1 - eps_2)/2) A^eps,
     as {(a, b): coefficient of t1^a t2^b}, by the three-term recurrence of
     its leading principal minors, in integers."""
-    assert s.mu == 2 and s.width == 1
+    assert s.mu == 2 and len(s.runs) == 2
     a = {}
     for key in sign_keys(2):
         monomial = (int(key[0] == "-"), int(key[1] == "-"))
@@ -1696,7 +1703,7 @@ def test_a_wide_system_keeps_only_its_entries():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s.width > 100
+    assert len(s.runs) > 101
     assert kept < 484_000 / 4, kept
     assert_is_the_sum(s, [cmath.exp(0.4j), cmath.exp(2.1j)])
 
@@ -1708,9 +1715,9 @@ def assert_laid_out(s):
     order.  An empty stretch is one run, so there are at most two runs per
     position with an entry, and one more per diagonal.  s.bound is the
     largest sum of |v| over the terms of a run."""
-    assert len(s.runs) == s.width + 1
     cells = [{(i, j): v for i, j, v in e} for e in s.entries.values()]
     filled = {(i, j) for c in cells for i, j in c if i >= j}
+    assert len(s.runs) == 1 + max([1, *(i - j for i, j in filled)])
     for k, runs in enumerate(s.runs):
         assert sum(count for _, count in runs) == max(s.rank - k, 0), k
         assert all(count > 0 for _, count in runs), k
@@ -1720,7 +1727,7 @@ def assert_laid_out(s):
             tuple((index, c[j + k, j]) for index, c in enumerate(cells) if (j + k, j) in c)
             for j in range(s.rank - k)
         ], k
-    assert sum(map(len, s.runs)) <= 2 * len(filled) + s.width + 1
+    assert sum(map(len, s.runs)) <= 2 * len(filled) + len(s.runs)
     sums = [sum(abs(v) for _, v in terms) for runs in s.runs for terms, _ in runs]
     assert s.bound == max(sums, default=0)
 
@@ -1741,7 +1748,7 @@ def test_runs_lay_out_torus_and_relabelled_systems():
     assert_laid_out(s)
     # relabelled, an off-diagonal +-1 falls below the diagonal in ++ or in --,
     # so its runs hold four term lists, the empty one among them
-    assert s.width > 100 and len({terms for runs in s.runs for terms, _ in runs}) == 4
+    assert len(s.runs) > 101 and len({terms for runs in s.runs for terms, _ in runs}) == 4
 
 
 @settings(deadline=None, max_examples=50)
@@ -1813,6 +1820,14 @@ def test_seifert_system_constructor_rejects_what_seifert_system_rejects():
         (1, 1, {"+x": ()}, "unexpected keys: '+x' (1 in all)"),
         (2, 1, {"++": (), "+": (), "---": (), 3: ()}, "unexpected keys: '+', '---', 3 (3 in all)"),
         (1, 1, {"": ()}, "unexpected keys: '' (1 in all)"),
+        # an int past the 4300 digits that int -> str gives is shown by that limit
+        (1, 1, {"+": ((0, 0, 10**5000),), "-": ((0, 0, 10**5000),)},
+         "matrix + entry <int of more than 4300 digits> is outside the int64 range [-2^63, 2^63)"),
+        (1, 1, {10**5000: ()}, "unexpected keys: <int of more than 4300 digits> (1 in all)"),
+        (1, 1, {"+": ((10**5000, 0, 1),), "-": ((0, 10**5000, 1),)},
+         "matrix + entry (<int of more than 4300 digits>, 0, 1) lies outside rank 1"),
+        (1, 1, {"+": ([-(10**5000)],), "-": ()},
+         "matrix + entry [-<int of more than 4300 digits>] is not a tuple of three ints"),
     ):
         with pytest.raises(BadSystemError) as caught:
             SeifertSystem(mu, rank, entries)
@@ -1844,8 +1859,7 @@ def test_seifert_system_round_trips_through_copy_pickle_and_json(s):
     )
     for twin in twins:
         assert twin == s and hash(twin) == hash(s)
-        derived = (twin.runs, twin.width, twin.bound)
-        assert derived == (s.runs, s.width, s.bound)
+        assert (twin.runs, twin.bound) == (s.runs, s.bound)
 
 
 def test_every_torus_and_benchmark_system_still_builds_as_before():

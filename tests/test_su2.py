@@ -120,6 +120,9 @@ def test_act_length_mismatch():
         act((1, 2), (I, J))
     with pytest.raises(ValueError, match="generator index 2 out of range"):
         act((2,), (I, J))
+    # an index past the 4300 digits that int -> str gives is shown by that limit
+    with pytest.raises(ValueError, match="^generator index <int of more than 4300 digits> out"):
+        act((10**5000,), (I, J))
 
 
 def test_act_preserves_product_and_traces():

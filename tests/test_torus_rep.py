@@ -60,6 +60,10 @@ def test_rational_angle_normalization():
         RationalAngle(0, 1)
     with pytest.raises(ValueError):
         RationalAngle(1, 0)
+    # a numerator past the 4300 digits that int -> str gives is shown by that limit
+    message = r"^angle <int of more than 4300 digits>/1\*pi is outside \(0, pi\)$"
+    with pytest.raises(ValueError, match=message):
+        RationalAngle(10**5000, 1)
 
 
 def test_rational_angle_rejects_bools():
