@@ -1,10 +1,14 @@
 """The slotted base of the package's value classes.  A subclass names its
 fields in __slots__; Frozen derives repr, == and a hash from them and refuses
-assignment.  One rule stores a value: Frozen.__init__ sets every field, in
-__slots__ order, and a subclass only checks and normalises its arguments, then
-calls it once.  A value is built once, complete, and never changes; hashing
-one that holds a list raises TypeError, as it would for a tuple.
+assignment.  repr shows each field as errors.shown does, so a value that holds
+an int past Python's digit limit still prints.  One rule stores a value:
+Frozen.__init__ sets every field, in __slots__ order, and a subclass only
+checks and normalises its arguments, then calls it once.  A value is built
+once, complete, and never changes; hashing one that holds a list raises
+TypeError, as it would for a tuple.
 """
+
+from .errors import shown
 
 
 class Frozen:
@@ -23,7 +27,7 @@ class Frozen:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        args = ", ".join(f"{name}={shown(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({args})"
 
     def __eq__(self, other):

@@ -34,10 +34,11 @@ significant digits.
 Sizes: a command holds at once, before it writes anything,
   regions           (res - 1)^2 cells
   curve             samples x routes samples (2 routes for --path both)
-  verify --verbose  (res - 1)^2 x ells points (verify alone holds no point)
-and an argv that would hold more than MAX_HELD = 10^8 of them is refused, as
-a usage error, before any of them is computed.  A size under the bound may
-still run out of memory, and then exits 71.
+  verify --verbose  (res - 1)^2 x ells points
+and verify alone checks as many points, one at a time.  An argv with more
+than MAX_HELD = 10^8 of them is refused, as a usage error, before any of
+them is computed, so no command holds or checks more.  A size under the
+bound may still run out of memory, and then exits 71.
 
 Each subcommand imports the modules of its own route when it runs, so a
 cold `h`, `verify` or `regions` never loads the Chebyshev polynomials, the
@@ -58,11 +59,11 @@ EXIT_DATA = 65
 EXIT_NO_MEMORY = 71  # sysexits' EX_OSERR
 
 UNDEFINED_MESSAGE = "undefined: alpha on Alexander root locus"
-MAX_HELD = 10**8  # values one command may hold: far above every pool and CI argv
+MAX_HELD = 10**8  # values one command may hold or check: far above every pool and CI argv
 
 
 def _check_held(held: int, unit: str) -> None:
-    """Refuse, as a usage error, a command that would hold more than MAX_HELD values."""
+    """Refuse, as a usage error, a command that would hold or check more than MAX_HELD values."""
     if held > MAX_HELD:
         raise ValueError(f"{shown(held)} {unit} exceed the {MAX_HELD} values one command may hold")
 
@@ -237,8 +238,7 @@ def _cmd_verify(ell, res, verbose, out) -> int:
         raise ValueError(f"empty ell range {ell!r}")
     if lo == hi == 0:
         raise ZeroLinkingError("ell range contains only 0")
-    if verbose:
-        _check_held(max(res - 1, 0) ** 2 * (hi - lo + 1 - (lo <= 0 <= hi)), "points")
+    _check_held(max(res - 1, 0) ** 2 * (hi - lo + 1 - (lo <= 0 <= hi)), "points")
     # the nonzero ells, drawn lazily: the first sweep checks res before a wide range costs memory
     ells = (e for e in range(lo, hi + 1) if e != 0)
     reports = [sweep_main_identity(e, res, verbose=verbose) for e in ells]

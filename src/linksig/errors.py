@@ -1,14 +1,15 @@
 """Exception types shared across the package, and how their messages show a value."""
 
 import sys
+from types import MappingProxyType
 
 
 def shown(x, show=repr) -> str:
     """show(x), repr by default, for a message.  An int with more digits than
     int -> str converts, sys.get_int_max_str_digits() (4300 by default),
-    shows as "<int of more than 4300 digits>" after its sign, and a tuple or
-    list that holds one shows its items so; any other value shows as show
-    gives it."""
+    shows as "<int of more than 4300 digits>" after its sign, and a tuple,
+    list or mappingproxy that holds one shows its items so; any other value
+    shows as show gives it."""
     if isinstance(x, int):
         try:
             repr(x)
@@ -18,6 +19,9 @@ def shown(x, show=repr) -> str:
     try:
         return show(x)
     except ValueError:  # such an int inside x
+        if isinstance(x, MappingProxyType):
+            items = ", ".join(f"{shown(k, show)}: {shown(v, show)}" for k, v in x.items())
+            return f"mappingproxy({{{items}}})"
         if not isinstance(x, (tuple, list)):
             raise
         items = ", ".join(shown(v, show) for v in x)

@@ -37,6 +37,9 @@ it computes none: by Sylvester's law of inertia the signs of the pivots are
 those of the eigenvalues.  Its zero band is that rounding error, or
 build_H's own where that is larger: H carries the size of the terms summed
 into its entries, so an H(omega) that vanishes reads as zero (see _zero_band).
+build_H and inertia each form their value around one step, _band and
+_counts; sigma_eval runs the two steps on build_H's runs, through the same
+checks and the same count, without forming the Band or the Inertia.
 A matrix is nested lists, the shape JSON gives, and nothing here imports
 numpy.
 
@@ -354,6 +357,12 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     zero entries change none, and scale multiplies the sum of an empty run,
     the int 0, as 0j, the sum of its zero terms.
     """
+    return Band(*_band(s, omegas))
+
+
+def _band(s: SeifertSystem, omegas: list[complex]) -> tuple[tuple, float]:
+    """The fields (diags, size) of build_H(s, omegas), checked and computed
+    as build_H states; sigma_eval counts them without forming the Band."""
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
     for w in omegas:
@@ -381,7 +390,7 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
             x = scale * acc
             d.append((x if diags else x.real, count))  # the main diagonal is real
         diags.append(tuple(d))
-    return Band(tuple(diags), abs(scale) * s.bound)
+    return tuple(diags), abs(scale) * s.bound
 
 
 class Inertia(Frozen):
@@ -468,7 +477,14 @@ def inertia(h: Band) -> Inertia:
     """
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
-    diags, width, size = h.diags, h.width, h.size
+    return Inertia(*_counts(h.diags, h.size))
+
+
+def _counts(diags, size) -> tuple[int, int, int]:
+    """(n_pos, n_neg, n_zero) of the Band with these fields, checked and
+    counted as inertia states; sigma_eval reads them without forming the
+    Band or the Inertia."""
+    width = len(diags) - 1
     values = []  # the value of each run
     room = sys.maxsize  # the positions left to diagonal k: max(n - k, 0) once n is known
     for k, d in enumerate(diags):
@@ -491,7 +507,7 @@ def inertia(h: Band) -> Inertia:
     if not (isinstance(size, float) and 0.0 <= size < math.inf):  # NaN fails too
         raise ValueError(f"band size {shown(size)} is not a finite float >= 0")
     if n == 0:
-        return Inertia(0, 0, 0)
+        return 0, 0, 0
     diag = diags[0]
     hmax = max(map(abs, values))
     if not all(map(cmath.isfinite, values)):
@@ -499,7 +515,7 @@ def inertia(h: Band) -> Inertia:
     if set(map(type, values[: len(diag)])) != {float}:  # the diagonal's run values
         raise ValueError("matrix is not Hermitian: its diagonal holds a non-float")
     if hmax == 0.0:
-        return Inertia(0, 0, n)
+        return 0, 0, n
     t = _zero_band(n, hmax, size)
     if width < 2:
         diag, sub = _joined(diag), _joined(diags[1]) if width else ((0.0, n - 1),)
@@ -550,7 +566,7 @@ def inertia(h: Band) -> Inertia:
                     n_pos += 1
                 elif hi == 0.0:
                     hi = sys.float_info.min
-    return Inertia(n_pos, n_neg, n - n_pos - n_neg)
+    return n_pos, n_neg, n - n_pos - n_neg
 
 
 def _joined(runs):
@@ -733,21 +749,24 @@ def delta_closed(ell: int, alpha: AnglePair, m: int) -> float:
 
 
 def sigma_eval(s: SeifertSystem, omegas: list[complex]) -> int:
-    """Signature of H(omega) by the Hermitian eigenvalue engine.
+    """Signature of H(omega) by the Hermitian eigenvalue engine:
+    inertia(build_H(s, omegas)).signature, counted from build_H's runs
+    through the same checks, which raise as build_H and inertia raise,
+    without forming the Band or the Inertia.
 
     Emits NullityWarning when near-zero eigenvalues are present, which
     signals omega on (or numerically near) the Alexander root locus.
     """
-    ine = inertia(build_H(s, omegas))
-    if ine.n_zero > 0:
+    n_pos, n_neg, n_zero = _counts(*_band(s, omegas))
+    if n_zero > 0:
         warnings.warn(
             NullityWarning(
-                f"H(omega) has {ine.n_zero} near-zero eigenvalue(s); "
+                f"H(omega) has {n_zero} near-zero eigenvalue(s); "
                 "omega is on or near the root locus"
             ),
             stacklevel=2,
         )
-    return ine.signature
+    return n_pos - n_neg
 
 
 def symmetrized_sigma(link, alpha: AnglePair):

@@ -104,7 +104,7 @@ class RationalAngle(Frozen):
         return RationalAngle(self.q - self.p, self.q)
 
     def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
+        return f"{shown(self.p)}/{shown(self.q)}"
 
 
 Angle = RationalAngle | float

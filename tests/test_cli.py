@@ -851,11 +851,13 @@ def test_out_of_memory_exits_71_with_one_line(args):
     (("regions", "--ell", "3", "--res", "9" * 3000), "<int of more than 4300 digits> cells"),
     (("verify", "--ell", "3", "--res", "9" * 3000, "--verbose"),
      "<int of more than 4300 digits> points"),
+    # verify alone holds no point, but would check as many, one at a time
+    (("verify", "--ell", "3", "--res", "9" * 3000), "<int of more than 4300 digits> points"),
 ])
 def test_a_size_past_the_bound_exits_64_at_once(args, held):
-    """An argv that would hold more than cli.MAX_HELD values is a usage error,
-    refused before any value is computed: no memory cap is needed.  The
-    timeout only ends the run if that check is lost."""
+    """An argv that would hold or check more than cli.MAX_HELD values is a
+    usage error, refused before any value is computed: no memory cap is
+    needed.  The timeout only ends the run if that check is lost."""
     assert linksig.cli.MAX_HELD == 10**8
     r = python("-m", "linksig", *args, timeout=30)
     assert (r.returncode, r.stdout) == (EXIT_USAGE, "")

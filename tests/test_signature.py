@@ -758,6 +758,85 @@ def test_inertia_of_torus_H_on_root_line_matches_eigvalsh(line, sign, den, data)
 
 
 @st.composite
+def torus_points_on_root_lines(draw):
+    """(system, omegas): a torus system of ell +-2 to +-300 at an exact
+    point of one of its root lines, where H(omega) is singular."""
+    line, sign = draw(root_line_points()), draw(st.sampled_from([1, -1]))
+    den = draw(st.integers(2, 1000))
+    t = Fraction(draw(st.integers(1, den - 1)), den)
+    alpha = angle_pair(*on_root_line(line, t, Fraction(1)))
+    return torus_seifert(sign * line[0]), list(alpha.omega())
+
+
+def raised(call, *args):
+    """The exception that call(*args) raises."""
+    with pytest.raises(Exception) as caught:
+        call(*args)
+    return caught.value
+
+
+@settings(deadline=None, max_examples=150)
+@example((torus_seifert(1), [1j, -1j]), 1, 2.0)  # rank 0
+@example((torus_seifert(-2), [1j, -1.0 + 0j]), 0, 0j)  # rank 1
+@example((seifert_system(2, {k: [[0] * 3] * 3 for k in sign_keys(2)}), [1j, -1j]), 1, 0j)  # H = 0
+@example((torus_seifert(3), list(angle_pair("1/6", "1/6").omega())), 0, math.nan)  # a root line
+@given(
+    st.one_of(systems_and_omegas(), torus_points_on_root_lines()),
+    st.integers(0, 2),
+    st.sampled_from([2.0, 0j, complex("nan"), math.nan]),
+)
+def test_sigma_eval_counts_what_inertia_counts(drawn, i, off):
+    """sigma_eval reads the counts of build_H's band without forming the
+    Band or the Inertia: it returns inertia(build_H(...)).signature, warns
+    exactly when that count has a nullity, and refuses every omega list
+    that build_H refuses with the same exception; inertia, whose checks it
+    shares, still refuses bands made malformed from that H.  The bad omega
+    lists replace omega_i, i taken mod mu, by 1 or by `off`, off the unit
+    circle (2.0 stands for 2 omega_i)."""
+    s, omegas = drawn
+    h = build_H(s, omegas)
+    ine = inertia(h)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert sigma_eval(s, omegas) == ine.signature
+    nullity = (
+        f"H(omega) has {ine.n_zero} near-zero eigenvalue(s); omega is on or near the root locus"
+    )
+    assert [(w.category, str(w.message)) for w in caught] == (
+        [(NullityWarning, nullity)] if ine.n_zero else []
+    )
+    # a wrong omega count, omega = 1 and an omega off the unit circle
+    i %= s.mu
+    off = 2.0 * omegas[i] if off == 2.0 else off
+    for bad in (omegas[:-1], [*omegas, 1j], [*omegas[:i], 1.0 + 0j, *omegas[i + 1 :]],
+                [*omegas[:i], off, *omegas[i + 1 :]]):
+        want = raised(build_H, s, bad)
+        got = raised(sigma_eval, s, bad)
+        assert (type(got), str(got)) == (type(want), str(want))
+    # a position too many on the first sub-diagonal, no diagonal at all, a size
+    # that is no finite float and, on a nonempty band, a diagonal run that is
+    # too long, a complex one and a NaN
+    diag, sub, *rest = h.diags
+    malformed = [
+        ((diag, (*sub, (0j, 1)), *rest), h.size, "wrong length"),
+        ((), h.size, "wrong length"),
+        (h.diags, math.nan, "band size nan is not a finite float >= 0"),
+    ]
+    if diag:
+        (x, count), *others = diag
+        malformed += [
+            ((((x, count + 1), *others), sub, *rest), h.size, "wrong length"),
+            ((((complex(x), count), *others), sub, *rest), h.size, "not Hermitian"),
+            ((((math.nan, count), *others), sub, *rest), h.size, "non-finite"),
+        ]
+    for diags, size, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            inertia(Band(diags, size))
+    with pytest.raises(TypeError, match="^inertia takes a Band, not tuple$"):
+        inertia(h.diags)
+
+
+@st.composite
 def hermitian_dense(draw):
     """A Hermitian Band at full width, of rank 0..30: full, with a zero
     diagonal, sparse, of low rank (V D V^H), integral, or zero."""

@@ -8,9 +8,9 @@ import pickle
 import pytest
 
 from linksig.pillowcase import QUAT_PATH, CurveSample, PillowPoint, SignedIntersection
-from linksig.signature import Band, Inertia, inertia, torus_seifert
+from linksig.signature import Band, Inertia, SeifertSystem, inertia, torus_seifert
 from linksig.su2 import UnitQuaternion
-from linksig.torus_rep import AnglePair, RationalAngle
+from linksig.torus_rep import AnglePair, RationalAngle, angle_pair
 from linksig.verify import RegionGrid, Report
 
 
@@ -114,6 +114,28 @@ def test_repr_names_the_fields():
     assert repr(Report(None, None, 2, 0, None, None)) == (
         "Report(ell=None, resolution=None, checked=2, failed=0, skipped_on_roots=None, "
         "points=None)"
+    )
+
+
+def test_a_value_with_an_int_past_the_digit_limit_prints():
+    # int -> str refuses more than 4300 digits; such an int prints by that limit
+    huge, big = "<int of more than 4300 digits>", 10**5000
+    assert repr(RationalAngle(1, big)) == f"RationalAngle(p=1, q={huge})"
+    assert str(RationalAngle(1, big)) == f"1/{huge}"
+    assert str(angle_pair(RationalAngle(1, big), RationalAngle(1, 3))) == (
+        f"AnglePair(alpha1=RationalAngle(p=1, q={huge}), alpha2=RationalAngle(p=1, q=3))"
+    )
+    assert repr(SeifertSystem(big, 0, {})) == (
+        f"SeifertSystem(mu={huge}, rank=0, entries=mappingproxy({{}}), runs=((), ()), bound=0)"
+    )
+    # inside the entries' mapping and the runs' tuples too
+    i = 10**4400
+    s = SeifertSystem(1, big, {"+": ((i, i, 1),), "-": ((i, i, 1),)})
+    entries = f"(({huge}, {huge}, 1),)"
+    runs = f"((((), {huge}), (((0, 1), (1, 1)), 1), ((), {huge})), (((), {huge}),))"
+    assert repr(s) == (
+        f"SeifertSystem(mu=1, rank={huge}, entries=mappingproxy({{'+': {entries}, "
+        f"'-': {entries}}}), runs={runs}, bound=2)"
     )
 
 
