@@ -37,9 +37,12 @@ it computes none: by Sylvester's law of inertia the signs of the pivots are
 those of the eigenvalues.  Its zero band is that rounding error, or
 build_H's own where that is larger: H carries the size of the terms summed
 into its entries, so an H(omega) that vanishes reads as zero (see _zero_band).
-build_H and inertia each form their value around one step, _band and
-_counts; sigma_eval runs the two steps on build_H's runs, through the same
-checks and the same count, without forming the Band or the Inertia.
+build_H forms its value around one step, _band; inertia around two,
+_layout, the check of a band's run policy that finds its order n, and
+_count.  sigma_eval runs _band and _count on build_H's runs, through the
+same checks and the same count, without forming the Band or the Inertia.
+The layout depends on the system alone, so sigma_eval checks it once, when
+the system is built (SeifertSystem.order), and not at each omega.
 A matrix is nested lists, the shape JSON gives, and nothing here imports
 numpy.
 
@@ -149,7 +152,8 @@ class SeifertSystem(Frozen):
     a nonzero int64, one per (i, j); and A^{-eps} = (A^eps)^T, so every
     H(omega) is Hermitian and its lower half determines it.
 
-    The rest is derived for build_H.  A position (j + k, j) on or below the
+    The rest is derived, for build_H and sigma_eval; equality, hash, copy
+    and pickle read none of it.  A position (j + k, j) on or below the
     diagonal holds the terms (key index, v), one per key of `entries` with an
     entry v there, in key order.  `runs[k]`, for each diagonal k from 0 to
     the farthest sub-diagonal that an entry fills, at least 1, covers its
@@ -158,10 +162,14 @@ class SeifertSystem(Frozen):
     (2,2l)-torus system has one run per diagonal, however large its rank,
     and an empty stretch is one run, so nothing here grows with the band of
     H.  `bound` is the largest sum of |A^eps_ij| over eps at one position,
-    the same on the upper half by the transpose rule.
+    the same on the upper half by the transpose rule.  `minus[i]` holds the
+    positions of the "-" signs of the i-th key of `entries`.  `order` is the
+    order of every H of the system, once `runs` keep Band's run policy
+    (_layout), and None where they do not, at a rank past sys.maxsize: such
+    a system is built, and each of its H refused when it is counted.
     """
 
-    __slots__ = ("mu", "rank", "entries", "runs", "bound")
+    __slots__ = ("mu", "rank", "entries", "runs", "bound", "minus", "order")
 
     def __init__(self, mu: int, rank: int, entries):
         _check_count("mu", mu, 1, "positive")
@@ -199,7 +207,13 @@ class SeifertSystem(Frozen):
                 r.append(((), rank - k - end))
             runs.append(tuple(r))
         bound = max((sum(abs(v) for _, v in t) for d in runs for t, _ in d), default=0)
-        super().__init__(mu, rank, MappingProxyType(entries), tuple(runs), bound)
+        minus = tuple(tuple(i for i, ch in enumerate(k) if ch == "-") for k in entries)
+        runs = tuple(runs)
+        try:
+            order = _layout(runs)
+        except ValueError:
+            order = None  # rank past sys.maxsize: sigma_eval refuses it as inertia does
+        super().__init__(mu, rank, MappingProxyType(entries), runs, bound, minus, order)
 
     def _fields(self) -> tuple:
         # equality, hash, copy and pickle read these; the rest is derived
@@ -323,7 +337,8 @@ class Band(Frozen):
     float >= 0.  Adjacent runs may hold equal values; inertia joins such
     neighbours, so every layout of one matrix has one count.  The upper
     half is the conjugate, so the matrix is Hermitian by type; `width` is
-    the number of sub-diagonals and `shape` that of the matrix.  `size`
+    the number of sub-diagonals and `shape` that of the matrix; each raises
+    inertia's ValueError for a band that breaks the run policy.  `size`
     bounds the total modulus of the terms that build_H summed into any one
     entry; a band built otherwise passes 0.0, which inertia reads as
     max|h|."""
@@ -332,11 +347,12 @@ class Band(Frozen):
 
     @property
     def width(self) -> int:
+        _layout(self.diags)  # a band that breaks the run policy has no width
         return len(self.diags) - 1
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = sum(count for _, count in self.diags[0])
+        n = _layout(self.diags)
         return (n, n)
 
 
@@ -374,11 +390,10 @@ def _band(s: SeifertSystem, omegas: list[complex]) -> tuple[tuple, float]:
     for w in omegas:
         scale *= 1.0 - w.conjugate()
     coeffs = []
-    for key in s.entries:
+    for signs in s.minus:  # the "-" positions of each key, in key order
         coeff = 1.0 + 0.0j
-        for ch, w in zip(key, omegas):
-            if ch == "-":
-                coeff *= -w
+        for i in signs:
+            coeff *= -omegas[i]
         coeffs.append(coeff)
     diags = []
     for runs in s.runs:
@@ -477,23 +492,22 @@ def inertia(h: Band) -> Inertia:
     """
     if not isinstance(h, Band):
         raise TypeError(f"inertia takes a Band, not {type(h).__name__}")
-    return Inertia(*_counts(h.diags, h.size))
+    return Inertia(*_count(h.diags, h.size, _layout(h.diags)))
 
 
-def _counts(diags, size) -> tuple[int, int, int]:
-    """(n_pos, n_neg, n_zero) of the Band with these fields, checked and
-    counted as inertia states; sigma_eval reads them without forming the
-    Band or the Inertia."""
-    width = len(diags) - 1
-    values = []  # the value of each run
+def _layout(diags) -> int:
+    """n, once the diagonals `diags` of a Band keep its run policy; a
+    ValueError says they do not.  Each count is read once, in O(runs), and
+    one past the positions left, main-diagonal counts past sys.maxsize
+    among them, is refused before any work.  It reads the counts alone, so
+    a SeifertSystem runs it once on its runs (`order`)."""
     room = sys.maxsize  # the positions left to diagonal k: max(n - k, 0) once n is known
     for k, d in enumerate(diags):
         try:
-            for x, count in d:
+            for _, count in d:
                 # a count past the room left is refused before any work
                 if type(count) is not int or not 0 < count <= room:
                     raise ValueError
-                values.append(x)
                 room -= count
             if k and room:
                 raise ValueError
@@ -504,16 +518,26 @@ def _counts(diags, size) -> tuple[int, int, int]:
         room = max(n - k - 1, 0)
     if not diags:
         raise ValueError("band has a diagonal of the wrong length")
+    return n
+
+
+def _count(diags, size, n: int) -> tuple[int, int, int]:
+    """(n_pos, n_neg, n_zero) of the Band with these fields, whose layout
+    _layout has found to be n x n, checked and counted as inertia states;
+    sigma_eval reads them without forming the Band or the Inertia."""
     if not (isinstance(size, float) and 0.0 <= size < math.inf):  # NaN fails too
         raise ValueError(f"band size {shown(size)} is not a finite float >= 0")
     if n == 0:
         return 0, 0, 0
+    width = len(diags) - 1
     diag = diags[0]
+    values = [x for d in diags for x, _ in d]  # the value of each run
     hmax = max(map(abs, values))
     if not all(map(cmath.isfinite, values)):
         raise ValueError("matrix has a non-finite entry")
-    if set(map(type, values[: len(diag)])) != {float}:  # the diagonal's run values
-        raise ValueError("matrix is not Hermitian: its diagonal holds a non-float")
+    for x in values[: len(diag)]:  # the diagonal's run values
+        if type(x) is not float:
+            raise ValueError("matrix is not Hermitian: its diagonal holds a non-float")
     if hmax == 0.0:
         return 0, 0, n
     t = _zero_band(n, hmax, size)
@@ -752,12 +776,19 @@ def sigma_eval(s: SeifertSystem, omegas: list[complex]) -> int:
     """Signature of H(omega) by the Hermitian eigenvalue engine:
     inertia(build_H(s, omegas)).signature, counted from build_H's runs
     through the same checks, which raise as build_H and inertia raise,
-    without forming the Band or the Inertia.
+    without forming the Band or the Inertia.  The band's layout is checked
+    once, when s is built (s.order), not at each call; where it was
+    refused, at a rank past sys.maxsize, each call refuses H as inertia
+    does, after the omega checks.
 
     Emits NullityWarning when near-zero eigenvalues are present, which
     signals omega on (or numerically near) the Alexander root locus.
     """
-    n_pos, n_neg, n_zero = _counts(*_band(s, omegas))
+    diags, size = _band(s, omegas)
+    n = s.order
+    if n is None:  # the system's layout was refused when it was built
+        n = _layout(diags)
+    n_pos, n_neg, n_zero = _count(diags, size, n)
     if n_zero > 0:
         warnings.warn(
             NullityWarning(

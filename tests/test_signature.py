@@ -14,6 +14,7 @@ import warnings
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, groupby, pairwise, product, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -1277,9 +1278,12 @@ def test_inertia_holds_every_band_to_one_run_policy():
         (((1.0, 10**20),),),  # n past sys.maxsize, refused before any work
         (((1.0, 2**63),),),
         (((1.0, 2**62), (1.0, 2**62)),),
+        (),
     ):
-        with pytest.raises(ValueError, match="^band has a diagonal of the wrong length$"):
-            inertia(Band(diags, 0.0))
+        # shape and width check the same policy, with the same refusal
+        for read in (inertia, attrgetter("shape"), attrgetter("width")):
+            with pytest.raises(ValueError, match="^band has a diagonal of the wrong length$"):
+                read(Band(diags, 0.0))
 
 
 def test_inertia_refuses_an_overlong_diagonal_before_laying_it_out():
@@ -1383,6 +1387,64 @@ def test_tridiagonal_h_never_reaches_eigvalsh(monkeypatch):
         assert counted == want
         for variant in layouts:
             assert inertia(variant) == counted
+
+
+def test_sigma_eval_takes_the_layout_from_the_system(monkeypatch):
+    """A system checks its band layout once, when it is built: with
+    _layout refusing every call, sigma_eval still counts each torus system
+    of rank 2 to 199 built before, while inertia, which checks each band it
+    is given, refuses."""
+    rng = random.Random(50)
+    systems = {ell: torus_seifert(ell) for e in (3, 5, 20, 50, 200) for ell in (e, -e)}
+    points = []
+    for _ in range(4):
+        big_p = rng.choice(LATTICE_PRIMES)
+        points.append(angle_pair(Fraction(rng.randint(1, big_p - 1), big_p),
+                                 Fraction(rng.randint(1, big_p - 1), big_p)))
+
+    def refuse(diags):
+        raise AssertionError("_layout called")
+
+    monkeypatch.setattr("linksig.signature._layout", refuse)
+    for ell, s in systems.items():
+        for alpha in points:
+            omegas = list(alpha.omega())
+            assert sigma_eval(s, omegas) == sigma_torus_closed(ell, alpha)
+            with pytest.raises(AssertionError, match="^_layout called$"):
+                inertia(build_H(s, omegas))
+
+
+def test_sigma_eval_on_a_system_whose_layout_is_refused():
+    """A system of rank past sys.maxsize is built, with no order.  sigma_eval
+    refuses a bad omega list first, as build_H does, then each H as inertia
+    refuses build_H's band.  At rank sys.maxsize the layout holds, and the
+    zero H is all nullity.  The derived fields survive copy and pickle, and
+    equality reads neither."""
+    big = SeifertSystem(2, sys.maxsize + 1, {})
+    assert (big.minus, big.order) == ((), None)
+    for bad in ([1j], [1j, -1j, 1j], [1.0 + 0j, -1j], [1j, 2.0 + 0j]):
+        want = raised(build_H, big, bad)
+        got = raised(sigma_eval, big, bad)
+        assert (type(got), str(got)) == (type(want), str(want))
+    want = raised(inertia, build_H(big, [1j, -1j]))
+    got = raised(sigma_eval, big, [1j, -1j])
+    assert (type(got), str(got)) == (type(want), str(want))
+    assert (type(got), str(got)) == (ValueError, "band has a diagonal of the wrong length")
+    edge = SeifertSystem(2, sys.maxsize, {})
+    assert edge.order == sys.maxsize
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert sigma_eval(edge, [1j, -1j]) == 0
+    assert [str(w.message) for w in caught] == [
+        "H(omega) has 9223372036854775807 near-zero eigenvalue(s); omega is on or near the root locus"
+    ]
+    torus = torus_seifert(-5)
+    assert (torus.minus, torus.order) == (((), (0, 1)), 4)
+    for s in (big, edge, torus):
+        for twin in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and (twin.minus, twin.order) == (s.minus, s.order)
+    assert SeifertSystem(2, sys.maxsize + 1, {"+-": ()}) == big
+    assert hash(SeifertSystem(2, 4, torus.entries)) == hash(torus)
 
 
 @st.composite
@@ -1938,7 +2000,7 @@ def test_seifert_system_round_trips_through_copy_pickle_and_json(s):
     )
     for twin in twins:
         assert twin == s and hash(twin) == hash(s)
-        assert (twin.runs, twin.bound) == (s.runs, s.bound)
+        assert (twin.runs, twin.bound, twin.minus, twin.order) == (s.runs, s.bound, s.minus, s.order)
 
 
 def test_every_torus_and_benchmark_system_still_builds_as_before():

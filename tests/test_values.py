@@ -126,7 +126,8 @@ def test_a_value_with_an_int_past_the_digit_limit_prints():
         f"AnglePair(alpha1=RationalAngle(p=1, q={huge}), alpha2=RationalAngle(p=1, q=3))"
     )
     assert repr(SeifertSystem(big, 0, {})) == (
-        f"SeifertSystem(mu={huge}, rank=0, entries=mappingproxy({{}}), runs=((), ()), bound=0)"
+        f"SeifertSystem(mu={huge}, rank=0, entries=mappingproxy({{}}), runs=((), ()), bound=0, "
+        "minus=(), order=0)"
     )
     # inside the entries' mapping and the runs' tuples too
     i = 10**4400
@@ -135,7 +136,7 @@ def test_a_value_with_an_int_past_the_digit_limit_prints():
     runs = f"((((), {huge}), (((0, 1), (1, 1)), 1), ((), {huge})), (((), {huge}),))"
     assert repr(s) == (
         f"SeifertSystem(mu=1, rank={huge}, entries=mappingproxy({{'+': {entries}, "
-        f"'-': {entries}}}), runs={runs}, bound=2)"
+        f"'-': {entries}}}), runs={runs}, bound=2, minus=((), (0,)), order=None)"
     )
 
 
