@@ -29,8 +29,11 @@ SENTINEL = -999
 
 def _lattice(ell: int, resolution: int):
     """(p, q, strips) row by row over 1 <= p, q < res; strips None on the root
-    locus.  ell and res are checked at the call, before any point."""
+    locus.  ell and res are checked at the call, before any point: res is an
+    int, not a bool, of at least 2."""
     check_ell(ell)
+    if not isinstance(resolution, int) or isinstance(resolution, bool):
+        raise TypeError(f"resolution {resolution!r} is no int")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axis = range(1, resolution)
@@ -93,12 +96,14 @@ def region_grid(ell: int, resolution: int) -> RegionGrid:
 
 def check_mod4_congruence(ell: int, resolution: int) -> Report:
     """sigma == 2 + ell + sign(conway potential) mod 4 over the exact
-    admissible grid, both read off the strip of the angle sum.  Requires
-    ell > 0 (the potential normalization is pinned only there)."""
+    admissible grid, both read off the strip of the angle sum.  ell and res
+    are checked first, as every grid sweep checks them; then ell must be > 0
+    (the potential normalization is pinned only there)."""
+    walk = _lattice(ell, resolution)
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
     checked = failed = skipped = 0
-    for *_, ij in _lattice(ell, resolution):
+    for *_, ij in walk:
         if ij is None:
             skipped += 1
             continue

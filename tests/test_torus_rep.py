@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ def test_conway_potential_examples():
     # the normalization is pinned for ell > 0 only, and the mod-4 check says so
     with pytest.raises(ValueError, match="positive ell"):
         check_mod4_congruence(-2, 8)
-    with pytest.raises(ValueError, match="positive ell"):
+    with pytest.raises(ZeroLinkingError):
         check_mod4_congruence(0, 8)
 
 
@@ -497,3 +498,26 @@ def test_lattice_strips_domain():
     assert lattice_strips(3, 1, 1, 4) == (1, 3)
     with pytest.raises(ZeroDivisionError):
         lattice_strips(3, 1, 1, 0)
+
+
+def cells(big_l):
+    """The cells of |ell| = big_l as a set: the strips (i, j), i of
+    alpha1 + alpha2 and j of alpha1 - alpha2 + pi, that hold a point of the
+    open square (0, pi)^2."""
+    return {(i, j) for i in range(2 * big_l) for j in range(2 * big_l)
+            if big_l - 1 <= i + j <= 3 * big_l - 1 and abs(i - j) <= big_l}
+
+
+def test_the_lattice_reaches_every_cell_and_the_identity_holds_on_each():
+    # at res 4L every cell holds an admissible lattice point, so the walk
+    # reaches exactly the cells
+    for big_l in range(1, 25):
+        res = 4 * big_l
+        axis = range(1, res)
+        for ell in (big_l, -big_l):
+            reached = {lattice_strips(ell, p, q, res) for p in axis for q in axis} - {None}
+            assert reached == cells(big_l) and len(reached) == 2 * big_l * (big_l + 1), ell
+    # the identity the grid sweeps check holds on every cell by the formulas
+    for big_l in range(1, 41):
+        for ell, (i, j) in product((big_l, -big_l), cells(big_l)):
+            assert 2 * strip_h(ell, i, j) == -(strip_sigma(ell, i) + strip_sigma(ell, j)), (ell, i, j)

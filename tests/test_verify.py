@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -79,11 +80,17 @@ def test_region_grid_holds_each_cell_once():
 
 
 def test_every_grid_check_rejects_a_resolution_below_two():
+    # one rule for every grid check: ell, then res an int, not a bool, >= 2
     for check in (sweep_main_identity, region_grid, check_mod4_congruence):
         with pytest.raises(ValueError, match="resolution must be at least 2"):
             check(2, 1)
-    with pytest.raises(ZeroLinkingError):
-        sweep_main_identity(0, 10)
+        for res in (2.5, True, "8", 8.0):
+            with pytest.raises(TypeError, match=rf"^resolution {re.escape(repr(res))} is no int$"):
+                check(3, res)
+        with pytest.raises(TypeError, match="^ell '3' is no int$"):
+            check("3", 8)
+        with pytest.raises(ZeroLinkingError):
+            check(0, 10)
 
 
 def _lines_between(ell, res, s_low, s_high):
