@@ -99,13 +99,11 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_h(ell, alpha, radians) -> int:
-    from .torus_rep import AnglePair, defined_strips, strip_h, strip_sigma
+    from .torus_rep import AnglePair, cell_values, defined_strips
 
     alpha = AnglePair(*(_parse_angle(text, radians) for text in alpha))
-    # j, the strip of the flipped sum, is that of (alpha1, pi - alpha2)
-    i, j = defined_strips(ell, alpha)
-    h = strip_h(ell, i, j)
-    print(f"h={h} sigma=({strip_sigma(ell, i)},{strip_sigma(ell, j)})")
+    h, s1, s2 = cell_values(ell, defined_strips(ell, alpha))
+    print(f"h={h} sigma=({s1},{s2})")
     return EXIT_OK
 
 

@@ -70,7 +70,7 @@ from types import MappingProxyType
 
 from ._values import Frozen
 from .errors import BadSystemError, NullityWarning, OmegaOneError, shown
-from .torus_rep import AnglePair, check_ell, defined_strips, strip_sigma
+from .torus_rep import AnglePair, cell_values, check_ell, defined_strips
 from .torus_rep import sigma_torus_closed  # noqa: F401  (re-exported)
 
 EIG_ZERO_SCALE = 8 * 2.0**-53  # c u, c = 8: see _zero_band
@@ -814,7 +814,6 @@ def symmetrized_sigma(link, alpha: AnglePair):
         s1 = sigma_eval(link, [w1, w2])
         s2 = sigma_eval(link, [w1, w2.conjugate()])
     else:
-        # the flipped pair's angle sum lies in the second strip
-        s1, s2 = (strip_sigma(link, i) for i in defined_strips(link, alpha))
+        _, s1, s2 = cell_values(link, defined_strips(link, alpha))
     return Fraction(-(s1 + s2), 2)
 

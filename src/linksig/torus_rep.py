@@ -14,14 +14,29 @@ away from the root locus of the two-variable Alexander polynomial
 sign(ell) times the count.
 
 Off the root locus, h and the closed-form signatures depend only on the
-strips, in steps of pi/|ell|, of the angle sum alpha1 + alpha2 and of the
-flipped sum alpha1 - alpha2 + pi.  The strip kernel below finds both strips
-and the root-locus test together, once per point, and each closed form is
-one formula on them, shared by exact and float angles.  Exact angles make
-the root-locus test an integer one: the strips of a lattice point
-(p/res, q/res)*pi are two integer divisions, which the grid sweeps call
-directly.  Float angles use floor and a band of width TAU_ROOT around each
-root line.
+cell (i, j): the strips, in steps of pi/|ell|, of the angle sum
+alpha1 + alpha2 and of the flipped sum alpha1 - alpha2 + pi.  The strip
+kernel below finds the cell and the root-locus test together, once per
+point, and one reader, cell_values, gives h, sigma(omega1, omega2) and
+sigma(omega1, omega2^-1) on it; no other module opens a cell.  The root
+locus is the root lines pi*m/|ell| (is_root_line) of either sum.  Exact
+angles make its test an integer one: the lattice point (p/res, q/res)*pi
+has sums s/res and d/res over pi, s = p + q and d = p - q + res, so its
+cell is two integer divisions, which the grid sweeps call directly.  Float
+angles use floor and a band of width TAU_ROOT around each root line.
+
+With L = |ell|, the cells that hold a point of (0, pi)^2 are the (i, j)
+in [0, 2L)^2 with L-1 <= i+j <= 3L-1 and |i-j| <= L, 2L(L+1) of them.
+For ell > 0, with sigma_k = L-2k-1 for k < L and -3L+2k+1 for k >= L,
+each lies in one of four cases, in each of which -(sigma_i + sigma_j) = 2h:
+
+    i, j < L:     h = i + j - L + 1   (>= 0 as i + j >= L - 1)
+    i, j >= L:    h = 3L - 1 - i - j  (>= 0 as i + j <= 3L - 1)
+    i < L <= j:   h = L + i - j       (>= 0 as j - i <= L)
+    j < L <= i:   h = L - i + j       (>= 0 as i - j <= L)
+
+The mirror negates h and both sigmas.  So verify's identity holds on every
+cell, and its sweep tests the map from a lattice point to its cell.
 """
 
 from __future__ import annotations
@@ -196,15 +211,6 @@ def torus_braid(ell: int) -> tuple[int, ...]:
     return (letter,) * (2 * abs(ell))
 
 
-# The strip kernel.  With L = |ell|, the angle sum x = alpha1 + alpha2 lies in
-# strip i = floor(x L / pi), and the flipped sum alpha1 - alpha2 + pi (the
-# angle sum once alpha2 -> pi - alpha2) in strip j.  The root locus is the
-# root lines x = pi*m/L (is_root_line) of either sum, and off it h and both
-# signatures depend on (ell, i, j) alone.  An exact pair is the lattice point
-# (p/res, q/res)*pi, whose sums over pi are s/res and d/res with s = p + q
-# and d = p - q + res.
-
-
 def is_root_line(big_l: int, m: int) -> bool:
     """True iff the sum x = pi*m/L is a root line: 0 < m < 2L and m != L."""
     return 0 < m < 2 * big_l and m != big_l
@@ -218,7 +224,7 @@ def lattice_point(alpha: AnglePair) -> tuple[int, int, int]:
 
 
 def lattice_strips(ell: int, p: int, q: int, res: int) -> tuple[int, int] | None:
-    """Strips (i, j) of a lattice point, or None on the root locus.  Its
+    """The cell (i, j) of a lattice point, or None on the root locus.  Its
     domain is res >= 1 and 0 < p, q < res, as strips and the grid sweeps
     pass it; res = 0 raises ZeroDivisionError."""
     big_l = abs(ell)
@@ -247,12 +253,15 @@ def _float_strip(big_l: int, x_rad: float) -> int | None:
 
 
 def strips(ell: int, alpha: AnglePair) -> tuple[int, int] | None:
-    """Strips (i, j) of alpha, or None on the Alexander root locus.
+    """The cell (i, j) of alpha, or None on the Alexander root locus; an
+    alpha that is no AnglePair raises TypeError, after ell is checked.
 
     Exact membership for rational angles; for float angles a rejection band
     of width TAU_ROOT (radians) around each excluded line.
     """
     check_ell(ell)
+    if not isinstance(alpha, AnglePair):
+        raise TypeError(f"strips take an AnglePair, not {type(alpha).__name__}")
     if alpha.is_exact:
         return lattice_strips(ell, *lattice_point(alpha))
     big_l = abs(ell)
@@ -286,34 +295,30 @@ def strip_m_range(ell: int, i: int, j: int) -> range:
     return range(lo + 1, hi + 1)
 
 
-def strip_h(ell: int, i: int, j: int) -> int:
-    """h off the root locus: sign(ell) times the size of strip_m_range,
-    counted without len(), which overflows past sys.maxsize."""
-    m_range = strip_m_range(ell, i, j)
-    count = max(0, m_range.stop - m_range.start)
-    return count if ell > 0 else -count
-
-
-def strip_sigma(ell: int, i: int) -> int:
-    """Closed-form signature in strip i of the angle sum, off the root locus.
-
-    Strictly inside the strip i*pi/L < alpha1+alpha2 < (i+1)*pi/L the value
-    is L-2i-1 (i < L) or -3L+2i+1 (i >= L).  On the admissible line
+def cell_values(ell: int, cell: tuple[int, int]) -> tuple[int, int, int]:
+    """(h, sigma(omega1, omega2), sigma(omega1, omega2^-1)) on the cell
+    (i, j) off the root locus, each times sign(ell): the size of
+    strip_m_range, counted without len(), which overflows past sys.maxsize,
+    then the module docstring's sigma_i and sigma_j.  On the admissible line
     alpha1+alpha2 = pi both neighbouring strips give 1-L, the Sylvester
-    minor-sign count there.  Mirroring negates: sigma(-ell) = -sigma(ell).
-    """
+    minor-sign count there."""
+    i, j = cell
     big_l = abs(ell)
-    value = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
-    return value if ell > 0 else -value
+    m_range = strip_m_range(ell, i, j)
+    h = max(0, m_range.stop - m_range.start)
+    s1 = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
+    s2 = big_l - 2 * j - 1 if j < big_l else -3 * big_l + 2 * j + 1
+    return (h, s1, s2) if ell > 0 else (-h, -s1, -s2)
 
 
-def strip_potential_sign(ell: int, i: int) -> int:
-    """Sign of the Conway potential U_{L-1}(cos x) = sin(L x) / sin x in
-    strip i of x = alpha1 + alpha2, off the root locus: (-1)^i for i < L,
-    -(-1)^i from L on.  There L x / pi lies strictly inside (i, i + 1), so
-    sin(L x) has the sign (-1)^i, and sin x > 0 exactly when i < L; at
-    x = pi (i = L) the potential is U_{L-1}(-1) = (-1)^(L-1) L, the same
-    sign.  The normalization is pinned for ell > 0 only (unchecked)."""
+def strip_potential_sign(ell: int, cell: tuple[int, int]) -> int:
+    """Sign of the Conway potential U_{L-1}(cos x) = sin(L x) / sin x on the
+    cell (i, j), x = alpha1 + alpha2 in strip i, off the root locus: (-1)^i
+    for i < L, -(-1)^i from L on.  There L x / pi lies strictly inside
+    (i, i + 1), so sin(L x) has the sign (-1)^i, and sin x > 0 exactly when
+    i < L; at x = pi (i = L) the potential is U_{L-1}(-1) = (-1)^(L-1) L,
+    the same sign.  The normalization is pinned for ell > 0 only (unchecked)."""
+    i = cell[0]
     sign = -1 if i % 2 else 1
     return sign if i < abs(ell) else -sign
 
@@ -349,11 +354,10 @@ def rep_count(ell: int, alpha: AnglePair) -> int:
 
 def h_invariant(ell: int, alpha: AnglePair) -> int:
     """Signed representation count: sign(ell) times rep_count."""
-    return strip_h(ell, *defined_strips(ell, alpha))
+    return cell_values(ell, defined_strips(ell, alpha))[0]
 
 
 def sigma_torus_closed(ell: int, alpha: AnglePair) -> int:
     """Closed-form signature of the (2,2l)-torus link at omega from alpha
-    (strip_sigma in the strip of alpha1 + alpha2)."""
-    i, _ = defined_strips(ell, alpha)
-    return strip_sigma(ell, i)
+    (the second of cell_values)."""
+    return cell_values(ell, defined_strips(ell, alpha))[1]

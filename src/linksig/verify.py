@@ -4,11 +4,13 @@ Sweeps run over the exact rational-angle lattice ((p/res) pi, (q/res) pi),
 1 <= p, q < res, in one walk, _lattice, shared by the identity sweep, the
 mod-4 check and the region grid.  It checks ell and res, then visits the
 points row by row with one lattice_strips call each: two integer divisions
-that give the strips and the root-locus membership together, so excluded
+that give the cell and the root-locus membership together, so excluded
 points are skipped exactly, never by tolerance, and h, sigma and the sign
-of the Conway potential are read off the strips: no float enters a
-verdict.  Each report is deterministic given (ell, resolution) and
-serializes to JSON.
+of the Conway potential are read off the cell by torus_rep's cell_values
+and strip_potential_sign: no float enters a verdict.  The identity holds
+on every cell (torus_rep states the four cases), so its sweep tests the
+map from a lattice point to its cell.  Each report is deterministic given
+(ell, resolution) and serializes to JSON.
 """
 
 from __future__ import annotations
@@ -16,19 +18,13 @@ from __future__ import annotations
 from itertools import islice
 
 from ._values import Frozen
-from .torus_rep import (
-    check_ell,
-    lattice_strips,
-    strip_h,
-    strip_potential_sign,
-    strip_sigma,
-)
+from .torus_rep import cell_values, check_ell, lattice_strips, strip_potential_sign
 
 SENTINEL = -999
 
 
 def _lattice(ell: int, resolution: int):
-    """(p, q, strips) row by row over 1 <= p, q < res; strips None on the root
+    """(p, q, cell) row by row over 1 <= p, q < res; cell None on the root
     locus.  ell and res are checked at the call, before any point: res is an
     int, not a bool, of at least 2."""
     check_ell(ell)
@@ -63,8 +59,7 @@ def sweep_main_identity(ell: int, resolution: int, verbose: bool = False) -> Rep
         if ij is None:
             skipped += 1
             continue
-        i, j = ij  # j is the strip of the flipped pair (p, resolution - q)
-        h, s1, s2 = strip_h(ell, i, j), strip_sigma(ell, i), strip_sigma(ell, j)
+        h, s1, s2 = cell_values(ell, ij)
         ok = 2 * h == -(s1 + s2)
         checked += 1
         if not ok:
@@ -89,16 +84,16 @@ class RegionGrid(Frozen):
 
 def region_grid(ell: int, resolution: int) -> RegionGrid:
     walk = _lattice(ell, resolution)
-    cells = (SENTINEL if ij is None else strip_h(ell, *ij) for *_, ij in walk)
+    cells = (SENTINEL if ij is None else cell_values(ell, ij)[0] for *_, ij in walk)
     n = resolution - 1  # cells per row of the walk, each row built from it alone
     return RegionGrid(ell, resolution, [list(islice(cells, n)) for _ in range(n)])
 
 
 def check_mod4_congruence(ell: int, resolution: int) -> Report:
     """sigma == 2 + ell + sign(conway potential) mod 4 over the exact
-    admissible grid, both read off the strip of the angle sum.  ell and res
-    are checked first, as every grid sweep checks them; then ell must be > 0
-    (the potential normalization is pinned only there)."""
+    admissible grid, both read off the cell.  ell and res are checked first,
+    as every grid sweep checks them; then ell must be > 0 (the potential
+    normalization is pinned only there)."""
     walk = _lattice(ell, resolution)
     if ell < 1:
         raise ValueError("mod-4 congruence check requires positive ell")
@@ -107,8 +102,7 @@ def check_mod4_congruence(ell: int, resolution: int) -> Report:
         if ij is None:
             skipped += 1
             continue
-        i = ij[0]
         checked += 1
-        if (strip_sigma(ell, i) - 2 - ell - strip_potential_sign(ell, i)) % 4:
+        if (cell_values(ell, ij)[1] - 2 - ell - strip_potential_sign(ell, ij)) % 4:
             failed += 1
     return Report(ell, resolution, checked, failed, skipped, None)

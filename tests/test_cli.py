@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import linksig.cli
 import linksig.pillowcase
+import linksig.verify
 from linksig.errors import BadSystemError
 from linksig.signature import (
     SeifertSystem,
@@ -25,6 +26,7 @@ from linksig.signature import (
     seifert_to_json,
     torus_seifert,
 )
+from linksig.torus_rep import lattice_strips
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -380,6 +382,32 @@ def test_verify_subcommand(tmp_path):
     assert main_in_process(argv)[0] == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["reports"][0]["points"][0]["pass"] is True
+
+
+def test_verify_counts_a_wrong_h_as_a_failure(monkeypatch):
+    # the identity holds on every cell, so only a wrong reader fails it:
+    # here h is one too big on the cells with i == j
+    real = linksig.verify.cell_values
+
+    def wrong_on_the_diagonal(ell, cell):
+        h, s1, s2 = real(ell, cell)
+        return h + (cell[0] == cell[1]), s1, s2
+
+    monkeypatch.setattr(linksig.verify, "cell_values", wrong_on_the_diagonal)
+    res, ells, expected = 9, (-2, -1, 1, 2, 3), []
+    axis = range(1, res)
+    for ell in ells:
+        cells = ((p, q, lattice_strips(ell, p, q, res)) for p in axis for q in axis)
+        wrong = [[f"{p}/{res}", f"{q}/{res}"] for p, q, ij in cells if ij and ij[0] == ij[1]]
+        report = linksig.verify.sweep_main_identity(ell, res, verbose=True)
+        assert 0 < report.failed == len(wrong) < report.checked, ell
+        assert [rec["alpha"] for rec in report.points if rec["pass"] is False] == wrong, ell
+        expected.append(report.failed)
+    code, out, _ = main_in_process(["verify", "--ell", "-2..3", "--res", str(res)])
+    assert code == EXIT_VERIFY_FAIL
+    payload = json.loads(out)
+    assert [r["failed"] for r in payload["reports"]] == expected
+    assert payload["failed_total"] == sum(expected)
 
 
 def test_outputs_are_byte_deterministic():

@@ -34,6 +34,7 @@ from linksig.signature import (
     Inertia,
     SeifertSystem,
     _householder_band,
+    _segment,
     _zero_band,
     build_H,
     delta_closed,
@@ -47,13 +48,7 @@ from linksig.signature import (
     symmetrized_sigma,
     torus_seifert,
 )
-from linksig.torus_rep import (
-    AnglePair,
-    angle_pair,
-    defined_strips,
-    is_defined,
-    strip_sigma,
-)
+from linksig.torus_rep import AnglePair, angle_pair, is_defined
 
 P22 = angle_pair("1/2", "1/2")
 # the primes P of the lattice angles (p/P) pi: none lies on a root line of
@@ -1161,7 +1156,26 @@ def test_inertia_counts_two_runs_of_rank_10_to_the_12_at_once():
     Toeplitz spectrum lambda_k = a + 2|e| cos(k pi / (n + 1)), k = 1 .. n,
     counted in integers: lambda_k > tau exactly for k < (n + 1) acos((tau -
     a) / 2|e|) / pi, and lambda_k < -tau for k > (n + 1) acos((-tau - a) /
-    2|e|) / pi, each bound farther from an integer than its rounding."""
+    2|e|) / pi, each bound farther from an integer than its rounding.
+    First, at m = 10^5, where stepping takes milliseconds, _segment must
+    take its closed form: r stands in as a float that counts the steps'
+    divisions r / p, so a _segment that always steps fails here at once."""
+
+    class Counted(float):
+        divisions = 0
+
+        def __truediv__(self, p):
+            Counted.divisions += 1
+            return float(self) / p
+
+    m = 10**5
+    pivot, negatives = _segment(0.3, Counted(1.0), 0.3, m)
+    assert Counted.divisions == 0
+    stepped, stepped_negatives = 0.3, 0
+    for _ in range(m):
+        stepped = 0.3 - 1.0 / stepped
+        stepped_negatives += stepped < 0.0
+    assert negatives == stepped_negatives and math.isclose(pivot, stepped, rel_tol=1e-9)
     n = 10**12
     for a, e in ((0.3, 0.8 + 0.6j), (-1.1, 0.6j)):
         h = Band((((a, n),), ((e, n - 1),)), 0.0)
@@ -1524,11 +1538,11 @@ def test_engine_on_knot_block_sums_reads_the_closed_form(drawn, data):
     point = AnglePair.from_radians(data.draw(angle), data.draw(angle))
     assume(is_defined(ell, point) and knot_margin(k, point.radians[color]) > 1e-6)
     for alpha in (lattice, point):
-        i, _ = defined_strips(ell, alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error", NullityWarning)
             engine = sigma_eval(s, list(alpha.omega()))
-        assert engine == strip_sigma(ell, i) + sign * knot_sigma(k, alpha.radians[color]), alpha
+        closed = sigma_torus_closed(ell, alpha)
+        assert engine == closed + sign * knot_sigma(k, alpha.radians[color]), alpha
 
 
 def poly_mul(f, g):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from linksig.chebyshev import eval_U
 from linksig.errors import NotDefinedError, ZeroLinkingError
+from linksig.signature import symmetrized_sigma
 from linksig.torus_rep import (
     TAU_ROOT,
     AnglePair,
     RationalAngle,
     angle_pair,
+    cell_values,
     h_invariant,
     is_defined,
     is_root_line,
@@ -22,10 +24,8 @@ from linksig.torus_rep import (
     rep_count,
     sigma_torus_closed,
     solve_phi,
-    strip_h,
     strip_m_range,
     strip_potential_sign,
-    strip_sigma,
     strips,
     torus_braid,
     _float_strip,
@@ -324,16 +324,16 @@ def test_conway_potential_examples():
                     potential = eval_U(ell - 1, math.cos(math.pi * (p + q) / res))
                     assert potential != 0.0, (ell, p, q, res)
                     sign = 1 if potential > 0 else -1
-                    assert strip_potential_sign(ell, ij[0]) == sign, (ell, p, q, res)
+                    assert strip_potential_sign(ell, ij) == sign, (ell, p, q, res)
                     cases["res < L"] += res < ell
                     cases["s = res"] += p + q == res
     assert all(cases.values()), cases
     # U_0 = 1 at alpha1 + alpha2 = (2/7 + 3/5) pi
-    assert strip_potential_sign(1, strips(1, angle_pair("2/7", "3/5"))[0]) == 1
+    assert strip_potential_sign(1, strips(1, angle_pair("2/7", "3/5"))) == 1
     # U_2(0) = -1 at alpha1 + alpha2 = pi/2
-    assert strip_potential_sign(3, strips(3, angle_pair("1/4", "1/4"))[0]) == -1
+    assert strip_potential_sign(3, strips(3, angle_pair("1/4", "1/4"))) == -1
     # U_1(1/2) = 1 at alpha1 + alpha2 = pi/3
-    assert strip_potential_sign(2, strips(2, angle_pair("1/6", "1/6"))[0]) == 1
+    assert strip_potential_sign(2, strips(2, angle_pair("1/6", "1/6"))) == 1
     # the normalization is pinned for ell > 0 only, and the mod-4 check says so
     with pytest.raises(ValueError, match="positive ell"):
         check_mod4_congruence(-2, 8)
@@ -450,14 +450,13 @@ def test_lattice_kernel_matches_fraction_reference(res, sign, huge, data):
                 query(ell, alpha)
         assert not is_defined(ell, floats)
         return
-    i, j = ij
     expected = ref_solution_range(ell, f1, f2)
     count = max(0, expected.stop - expected.start)
-    assert strip_m_range(ell, i, j) == expected
-    assert strip_h(ell, i, j) == h_invariant(ell, alpha) == sign * count
-    assert rep_count(ell, alpha) == count
+    assert strip_m_range(ell, *ij) == expected
     sigmas = (ref_sigma(ell, f1, f2), ref_sigma(ell, f1, 1 - f2))
-    assert (strip_sigma(ell, i), strip_sigma(ell, j)) == sigmas
+    assert cell_values(ell, ij) == (sign * count, *sigmas)
+    assert h_invariant(ell, alpha) == sign * count
+    assert rep_count(ell, alpha) == count
     assert sigma_torus_closed(ell, alpha) == sigmas[0]
     assert sigma_torus_closed(ell, alpha.flip_alpha2()) == sigmas[1]
     # the float pair may sit in the strip below on s = res or d = res, where
@@ -493,6 +492,17 @@ def test_float_strip_past_the_band_agrees_with_the_formula(big_l, x):
     assert _float_strip(big_l, x) == formula_float_strip(big_l, x)
 
 
+def test_every_angle_query_refuses_an_alpha_that_is_no_angle_pair():
+    # strips checks alpha once, after ell, for every query that reads it
+    queries = (h_invariant, is_defined, rep_count, sigma_torus_closed, solve_phi, symmetrized_sigma)
+    for alpha in ((0.3, 0.4), ("1/3", "1/5"), None):
+        for query in queries:
+            with pytest.raises(TypeError, match="^strips take an AnglePair, not (tuple|NoneType)$"):
+                query(3, alpha)
+            with pytest.raises(ZeroLinkingError):
+                query(0, alpha)
+
+
 def test_lattice_strips_domain():
     # res >= 1 and 0 < p, q < res; strips and the grid sweeps keep to it
     assert lattice_strips(3, 1, 1, 4) == (1, 3)
@@ -519,5 +529,6 @@ def test_the_lattice_reaches_every_cell_and_the_identity_holds_on_each():
             assert reached == cells(big_l) and len(reached) == 2 * big_l * (big_l + 1), ell
     # the identity the grid sweeps check holds on every cell by the formulas
     for big_l in range(1, 41):
-        for ell, (i, j) in product((big_l, -big_l), cells(big_l)):
-            assert 2 * strip_h(ell, i, j) == -(strip_sigma(ell, i) + strip_sigma(ell, j)), (ell, i, j)
+        for ell, cell in product((big_l, -big_l), cells(big_l)):
+            h, s1, s2 = cell_values(ell, cell)
+            assert 2 * h == -(s1 + s2), (ell, cell)

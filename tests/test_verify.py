@@ -11,9 +11,9 @@ from linksig.errors import ZeroLinkingError
 from linksig.torus_rep import (
     angle_pair,
     h_invariant,
+    cell_values,
     lattice_strips,
     sigma_torus_closed,
-    strip_h,
     strip_potential_sign,
 )
 from linksig.verify import (
@@ -61,7 +61,7 @@ def test_region_grid_is_the_kernel_row_by_row():
         expected = []
         for p in range(1, res):
             row = [lattice_strips(ell, p, q, res) for q in range(1, res)]
-            expected.append([SENTINEL if ij is None else strip_h(ell, *ij) for ij in row])
+            expected.append([SENTINEL if ij is None else cell_values(ell, ij)[0] for ij in row])
         assert region_grid(ell, res).values == expected
 
 
@@ -134,8 +134,8 @@ def test_region_jump_across_single_sentinel_line():
 
 def test_mod4_counts_a_flipped_potential_sign_as_a_failure(monkeypatch):
     # the opposite sign moves 2 + ell + sign by 2 mod 4: every point fails
-    def flipped(ell, i):
-        return -strip_potential_sign(ell, i)
+    def flipped(ell, cell):
+        return -strip_potential_sign(ell, cell)
 
     monkeypatch.setattr(linksig.verify, "strip_potential_sign", flipped)
     report = check_mod4_congruence(2, 8)
