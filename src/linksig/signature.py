@@ -37,10 +37,11 @@ it computes none: by Sylvester's law of inertia the signs of the pivots are
 those of the eigenvalues.  Its zero band is that rounding error, or
 build_H's own where that is larger: H carries the size of the terms summed
 into its entries, so an H(omega) that vanishes reads as zero (see _zero_band).
-build_H forms its value around one step, _band; inertia around two,
-_layout, the check of a band's run policy that finds its order n, and
-_count.  sigma_eval runs _band and _count on build_H's runs, through the
-same checks and the same count, without forming the Band or the Inertia.
+build_H forms its value around one step, _band, whose lists of runs it
+freezes; inertia around two, _layout, the check of a band's run policy that
+finds its order n, and _count.  sigma_eval runs _band and _count on build_H's
+runs, through the same checks and the same count, without forming the Band
+or the Inertia.
 The layout depends on the system alone, so sigma_eval checks it once, when
 the system is built (SeifertSystem.order), and not at each omega.
 A matrix is nested lists, the shape JSON gives, and nothing here imports
@@ -373,21 +374,22 @@ def build_H(s: SeifertSystem, omegas: list[complex]) -> Band:
     zero entries change none, and scale multiplies the sum of an empty run,
     the int 0, as 0j, the sum of its zero terms.
     """
-    return Band(*_band(s, omegas))
+    diags, size = _band(s, omegas)
+    return Band(tuple(map(tuple, diags)), size)
 
 
-def _band(s: SeifertSystem, omegas: list[complex]) -> tuple[tuple, float]:
+def _band(s: SeifertSystem, omegas: list[complex]) -> tuple[list, float]:
     """The fields (diags, size) of build_H(s, omegas), checked and computed
-    as build_H states; sigma_eval counts them without forming the Band."""
+    as build_H states, each diagonal a list of runs, which build_H freezes;
+    sigma_eval counts them without forming the Band."""
     if len(omegas) != s.mu:
         raise ValueError(f"expected {s.mu} omega values, got {len(omegas)}")
+    scale = 1.0 + 0.0j
     for w in omegas:
         if abs(w - 1.0) < 1e-12:
             raise OmegaOneError("omega_i = 1 is outside the domain of the signature")
         if not abs(abs(w) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"omega value {w} is not on the unit circle")
-    scale = 1.0 + 0.0j
-    for w in omegas:
         scale *= 1.0 - w.conjugate()
     coeffs = []
     for signs in s.minus:  # the "-" positions of each key, in key order
@@ -395,17 +397,23 @@ def _band(s: SeifertSystem, omegas: list[complex]) -> tuple[tuple, float]:
         for i in signs:
             coeff *= -omegas[i]
         coeffs.append(coeff)
-    diags = []
-    for runs in s.runs:
+    runs = iter(s.runs)
+    diag = []
+    for terms, count in next(runs):
+        acc = 0
+        for index, v in terms:
+            acc += coeffs[index] * v
+        diag.append(((scale * acc).real, count))  # the main diagonal is real
+    diags = [diag]
+    for sub in runs:
         d = []
-        for terms, count in runs:
+        for terms, count in sub:
             acc = 0
             for index, v in terms:
                 acc += coeffs[index] * v
-            x = scale * acc
-            d.append((x if diags else x.real, count))  # the main diagonal is real
-        diags.append(tuple(d))
-    return tuple(diags), abs(scale) * s.bound
+            d.append((scale * acc, count))
+        diags.append(d)
+    return diags, abs(scale) * s.bound
 
 
 class Inertia(Frozen):
@@ -461,21 +469,25 @@ def inertia(h: Band) -> Inertia:
     n^2 full rows and first reduced to width 1 by Householder reflections in
     O(n^3) (_householder_band), whose output is read as runs of one.
 
-    One walk over the runs of the diagonal and of the sub-diagonal shifted
-    down one row runs the Sturm counts of T + t and t - T together: n_neg =
-    #(lambda < -tau) and n_pos = #(lambda > tau).  It first joins adjacent
-    runs of equal value (_joined), so its segments, and which of them it
-    counts in closed form, depend on the matrix alone: equal values, +-0.0
-    among them, form the same floats below.  Where both runs hold, a
-    segment, it forms c = a + t, c = t - a and r = |e|^2 once, the floats
-    that each position would form.  A segment of at most _LONG steps takes
-    them one position at a time in the walk's own loop.  A longer one goes
-    to _segment, once for each sequence: counted in O(1) in closed form
-    where r > 0 and g = c / sqrt(r) has |g| < 2, off |g| = 2 and off ties,
-    and otherwise step by step until the pivot reaches a float fixed point
-    (after one step where r = 0, once the pivots converge where |g| > 2),
-    the steps left then counted at once.  So a band costs O(runs) steps,
-    save its long segments near |g| = 2 or at a tie.
+    One walk over the runs of the diagonal and of the sub-diagonal runs the
+    Sturm counts of T + t and t - T together: n_neg = #(lambda < -tau) and
+    n_pos = #(lambda > tau).  Row 0 has no sub-diagonal entry left of it, so
+    its pivots are c = a + t and c = t - a themselves, and the walk takes
+    the sub-diagonal's runs from row 1 on.  It first joins adjacent runs of
+    equal value (_joined) on each diagonal of two runs or more, so its
+    segments, and which of them it counts in closed form, depend on the
+    matrix alone: equal values, +-0.0 among them, form the same floats
+    below; a diagonal of one run, as on every torus H, is taken as it is.
+    Where both runs hold, a segment, it forms c = a + t, c = t - a and r =
+    |e|^2 once, the floats that each position would form.  A segment of at
+    most _LONG steps takes them one position at a time in the walk's own
+    loop.  A longer one goes to _segment, once for each sequence: counted
+    in O(1) in closed form where r > 0 and g = c / sqrt(r) has |g| < 2, off
+    |g| = 2 and off ties, and otherwise step by step until the pivot reaches
+    a float fixed point (after one step where r = 0, once the pivots
+    converge where |g| > 2), the steps left then counted at once.  So a
+    band costs O(runs) steps, save its long segments near |g| = 2 or at a
+    tie.
 
     _zero_band states tau and why the steps count exactly with it.  On a
     closed-form segment of m steps, g = 2 cos(theta), the computed phases
@@ -524,7 +536,9 @@ def _layout(diags) -> int:
 def _count(diags, size, n: int) -> tuple[int, int, int]:
     """(n_pos, n_neg, n_zero) of the Band with these fields, whose layout
     _layout has found to be n x n, checked and counted as inertia states;
-    sigma_eval reads them without forming the Band or the Inertia."""
+    sigma_eval reads them off _band's lists without forming the Band or the
+    Inertia.  Row 0's pivots are read off its diagonal entry alone, and
+    _joined runs only on a diagonal of two runs or more."""
     if not (isinstance(size, float) and 0.0 <= size < math.inf):  # NaN fails too
         raise ValueError(f"band size {shown(size)} is not a finite float >= 0")
     if n == 0:
@@ -535,14 +549,18 @@ def _count(diags, size, n: int) -> tuple[int, int, int]:
     hmax = max(map(abs, values))
     if not all(map(cmath.isfinite, values)):
         raise ValueError("matrix has a non-finite entry")
-    for x in values[: len(diag)]:  # the diagonal's run values
+    for x, _ in diag:
         if type(x) is not float:
             raise ValueError("matrix is not Hermitian: its diagonal holds a non-float")
     if hmax == 0.0:
         return 0, 0, n
     t = _zero_band(n, hmax, size)
     if width < 2:
-        diag, sub = _joined(diag), _joined(diags[1]) if width else ((0.0, n - 1),)
+        sub = ((0.0, n - 1),) if not width else diags[1]
+        if len(diag) > 1:
+            diag = _joined(diag)
+        if len(sub) > 1:
+            sub = _joined(sub)
     else:
         rows = [[0j] * n for _ in range(n)]
         for k, d in enumerate(diags):
@@ -558,13 +576,17 @@ def _count(diags, size, n: int) -> tuple[int, int, int]:
     # grows, so one that is exactly 0 at x = 0 is positive for x just below
     # 0: taking it as the least positive float counts eigenvalues strictly
     # below 0, and the next pivot falls to about -|e|^2 / 0.
-    n_pos = n_neg = 0
-    lo = hi = 1.0
-    off = chain(((0.0, 1),), sub)  # the runs of e_i, left of the diagonal in row i
+    runs = iter(diag)
+    x, count = next(runs)
+    count -= 1
+    a = x / hmax
+    c_lo, c_hi = a + t, t - a
+    # row 0 has no e_i left of it: its pivots are c_lo and c_hi themselves
+    n_neg, n_pos = (1 if c_lo < 0.0 else 0), (1 if c_hi < 0.0 else 0)
+    lo, hi = c_lo or sys.float_info.min, c_hi or sys.float_info.min
+    off = iter(sub)  # the runs of e_i, left of the diagonal in row i
     left = 0  # the rows left to the current run of off
-    for x, count in diag:
-        a = x / hmax
-        c_lo, c_hi = a + t, t - a
+    while True:
         while count:
             if not left:
                 e, left = next(off)
@@ -590,15 +612,16 @@ def _count(diags, size, n: int) -> tuple[int, int, int]:
                     n_pos += 1
                 elif hi == 0.0:
                     hi = sys.float_info.min
-    return n_pos, n_neg, n - n_pos - n_neg
+        x, count = next(runs, (0.0, 0))  # count 0: the diagonal is done
+        if not count:
+            return n_pos, n_neg, n - n_pos - n_neg
+        a = x / hmax
+        c_lo, c_hi = a + t, t - a
 
 
 def _joined(runs):
     """The runs (value, count) of one diagonal, each stretch of adjacent
-    runs of equal value, by ==, joined into one run of its first value; a
-    single run, as on every torus H, is returned as it is."""
-    if len(runs) < 2:
-        return runs
+    runs of equal value, by ==, joined into one run of its first value."""
     out = []
     for run in runs:
         if out and run[0] == out[-1][0]:

@@ -284,28 +284,34 @@ def defined_strips(ell: int, alpha: AnglePair) -> tuple[int, int]:
     return ij
 
 
-def strip_m_range(ell: int, i: int, j: int) -> range:
-    """The m of solve_phi off the root locus: lo < m <= hi, with
-    lo = floor(|alpha1 - alpha2| L/pi) and
+def _m_bounds(big_l: int, i: int, j: int) -> tuple[int, int]:
+    """(lo, hi) with lo < m <= hi the m of solve_phi on the cell (i, j) of
+    L = big_l, off the root locus: lo = floor(|alpha1 - alpha2| L/pi) and
     hi = min(L - 1, floor((pi - |pi - (alpha1 + alpha2)|) L/pi)); strict and
-    non-strict bounds agree there.  Empty, perhaps with stop < start, if hi <= lo."""
-    big_l = abs(ell)
+    non-strict bounds agree there.  hi <= lo when no m is admissible."""
     lo = j - big_l if j >= big_l else big_l - 1 - j
     hi = i if i < big_l else 2 * big_l - 1 - i
+    return lo, hi
+
+
+def strip_m_range(ell: int, i: int, j: int) -> range:
+    """The m of solve_phi off the root locus, those of _m_bounds.  Empty,
+    perhaps with stop < start, if hi <= lo."""
+    lo, hi = _m_bounds(abs(ell), i, j)
     return range(lo + 1, hi + 1)
 
 
 def cell_values(ell: int, cell: tuple[int, int]) -> tuple[int, int, int]:
     """(h, sigma(omega1, omega2), sigma(omega1, omega2^-1)) on the cell
-    (i, j) off the root locus, each times sign(ell): the size of
-    strip_m_range, counted without len(), which overflows past sys.maxsize,
-    then the module docstring's sigma_i and sigma_j.  On the admissible line
-    alpha1+alpha2 = pi both neighbouring strips give 1-L, the Sylvester
-    minor-sign count there."""
+    (i, j) off the root locus, each times sign(ell): the number of m that
+    _m_bounds admits, max(0, hi - lo), read from the two bounds without
+    forming strip_m_range, then the module docstring's sigma_i and sigma_j.
+    On the admissible line alpha1+alpha2 = pi both neighbouring strips give
+    1-L, the Sylvester minor-sign count there."""
     i, j = cell
     big_l = abs(ell)
-    m_range = strip_m_range(ell, i, j)
-    h = max(0, m_range.stop - m_range.start)
+    lo, hi = _m_bounds(big_l, i, j)
+    h = max(0, hi - lo)
     s1 = big_l - 2 * i - 1 if i < big_l else -3 * big_l + 2 * i + 1
     s2 = big_l - 2 * j - 1 if j < big_l else -3 * big_l + 2 * j + 1
     return (h, s1, s2) if ell > 0 else (-h, -s1, -s2)

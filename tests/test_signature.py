@@ -33,6 +33,7 @@ from linksig.signature import (
     Band,
     Inertia,
     SeifertSystem,
+    _LONG,
     _householder_band,
     _segment,
     _zero_band,
@@ -320,6 +321,24 @@ def test_build_H_is_bitwise_the_per_position_sum(drawn):
     # summing each run once is the same sum, in the same order, at each of
     # its positions
     assert_is_the_sum(*drawn)
+
+
+def test_build_H_returns_a_frozen_band():
+    # build_H freezes the lists its sums are formed in: its Band hashes, its
+    # diagonals are tuples, and it is, bit for bit, the Band it has always
+    # given, on a torus system and on a system of width 2
+    m = [[2, 0, 1], [-1, 3, 0], [0, 2, -2]]
+    wide = seifert_system(1, {"+": m, "-": [list(r) for r in zip(*m)]})
+    for h, want in (
+        (build_H(torus_seifert(-5), [1j, 0.6 + 0.8j]),
+         Band((((-0.8, 4),), (((0.4 + 1.2000000000000002j), 3),)), 2.529822128134704)),
+        (build_H(wide, [0.6 - 0.8j]),
+         Band((((1.6000000000000003, 1), (2.4000000000000004, 1), (-1.6000000000000003, 1)),
+               (((-0.4 + 0.8j), 1), ((0.8 - 1.6j), 1)), (((0.40000000000000013 + 0.8j), 1),)),
+              5.366563145999496)),
+    ):
+        assert type(h.diags) is tuple and all(type(d) is tuple for d in h.diags)
+        assert h == want and hash(h) == hash(want) and repr(h) == repr(want)
 
 
 def test_build_H_over_65536_nonzero_matrices():
@@ -610,15 +629,20 @@ def assert_counts(h, reference, count=inertia):
 
 def eigvalsh_inertia(h, side=0):
     """The Inertia of the Band h from eigvalsh with inertia's threshold tau
-    times 1 + side 1e-6: eigvalsh's window is 1e-6 tau."""
+    times 1 + side 1e-6: eigvalsh's window is 1e-6 tau.  eigvalsh reads
+    h / max|h|, as inertia does, so that a band of subnormal entries keeps
+    its relative digits: on h itself it counted as zero the eigenvalue
+    5e-324 - |5e-324 (1 + i)|, about -2e-324, of the band whose entries are
+    5e-324 and 5e-324 (1 + i)."""
     a = dense(h)
     n = a.shape[0]
     hmax = float(np.max(np.abs(a), initial=0.0))
     if hmax == 0.0:  # every eigenvalue is 0
         return Inertia(0, 0, n)
-    eigs = np.linalg.eigvalsh(a)
-    tau = _zero_band(n, hmax, h.size) * hmax * (1 + side * 1e-6)
-    n_pos, n_neg = int(np.sum(eigs > tau)), int(np.sum(eigs < -tau))
+    # part by part: numpy's complex division by a subnormal overflows
+    eigs = np.linalg.eigvalsh(a.real / hmax + 1j * (a.imag / hmax))
+    t = _zero_band(n, hmax, h.size) * (1 + side * 1e-6)
+    n_pos, n_neg = int(np.sum(eigs > t)), int(np.sum(eigs < -t))
     return Inertia(n_pos, n_neg, n - n_pos - n_neg)
 
 
@@ -1037,7 +1061,33 @@ def bands(draw, tau_blocks=False):
     return Band(tuple(tuple((x * scale, c) for x, c in d) for d in h.diags), h.size * scale)
 
 
+# bands that enter inertia's walk by each of its paths from row 0, whose
+# pivots are c_lo and c_hi themselves: one position; width 0, whose rows
+# then take one run of e = 0 longer than _LONG; a first run that row 0 ends,
+# then a run longer than _LONG; and a pivot of row 0 exactly 0, of T + t and
+# of t - T, which must read as the least positive float before row 1
+T3 = _zero_band(3, 1.0, 0.0)
+WALK_ENTRIES = (
+    Band((((-3.0, 1),), ()), 0.0),
+    Band((((-1.5, _LONG + 5),),), 0.0),
+    Band((((0.7, 1), (-0.4, _LONG + 10)), ((0.3 + 0.1j, _LONG + 10),)), 0.0),
+    Band((((-T3, 1), (1.0, 2)), ((0.5, 2),)), 0.0),
+    Band((((T3, 1), (-1.0, 2)), ((0.5, 2),)), 0.0),
+)
+
+
+def walk_entries(*rest):
+    """The WALK_ENTRIES as hypothesis examples, each band followed by rest."""
+    def decorate(test):
+        for h in WALK_ENTRIES:
+            test = example(h, *rest)(test)
+        return test
+    return decorate
+
+
 @settings(deadline=None, max_examples=200)
+@walk_entries()
+@example(Band((((5e-324, 1), (5e-324, 1)), (((5e-324 + 5e-324j), 1),)), 0.0))  # subnormal entries
 @given(bands(tau_blocks=True))
 def test_per_position_inertia_matches_eigvalsh(h):
     # the chain's first link: eigvalsh checks the per-position count, which
@@ -1054,6 +1104,14 @@ def test_per_position_inertia_matches_eigvalsh(h):
 # count, since inertia joins equal runs
 @example(Band((((9.379164112033322e-13, 95), (2.0, 257)),
                ((2j, 130), (0j, 1), (0j, 1), (0j, 219))), 0.0), random.Random(0))
+# the same block of 131 rows, its t kept by the size, and a band with an
+# eigenvalue within the window of tau: a sub-diagonal, then a diagonal, of
+# two equal runs, which inertia must join, as it joins a longer list
+@example(Band((((9.379164112033322e-13, 95), (2.0, 36)), ((2j, 50), (2j, 80))), 2.0 * 352 / 131),
+         random.Random(0))
+@example(Band((((-2.9553222271537747, 43), (-2.9553222271537747, 121)), ((2j, 121), (1 + 0j, 42))),
+              0.0), random.Random(0))
+@walk_entries(random.Random(0))
 @given(bands(), st.randoms(use_true_random=False))
 def test_inertia_of_a_band_is_the_same_however_its_runs_split(h, rng):
     assert_split_free(h, rng)
